@@ -15,11 +15,11 @@ from .errors import (AdmissibilityError, BandwidthError, CacheError,
                      ConfigError, DivergenceError, GridSizeError,
                      NumericalError, PreconditionError, SingularRadiusError,
                      TailDataError)
-from .spectral import (TAU, CircleFunction, SymmetryElement, analyze,
-                       apply_symmetry, conjugate_reflect, constant_function,
-                       demodulate, inner_product, l2_norm, modulate,
-                       random_function, rotate, synthesize, weighted_norm)
-from .bessel import (BesselTensor, RadialGrid, bessel_j, bessel_product_tail,
+from .spectral import (TAU, CircleFunction, analyze, conjugate_reflect,
+                       constant_function, demodulate, inner_product, l2_norm,
+                       modulate, random_function, rotate, synthesize,
+                       weighted_norm)
+from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
                      build_tensor, default_grid, enumerate_keys,
                      exp_tail_integral, radial_integrate, six_bessel_integral)
 from .extension import (DecayReport, ExtensionField, decay_check, extend,

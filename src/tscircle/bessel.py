@@ -1,5 +1,5 @@
-"""Bessel evaluation, oscillatory radial quadrature, and the six-factor
-product tensor.
+"""Bessel rows by Miller recurrence, oscillatory radial quadrature, and the
+six-factor product tensor.
 
 Every integral in this package reduces to the form
 
@@ -39,63 +39,13 @@ from scipy import special as _sp
 from .errors import (AdmissibilityError, CacheError, ConfigError,
                      DivergenceError, PreconditionError)
 
-MAX_ORDER = 256
-MAX_ARG = 1.0e4
 DEFAULT_CUTOFF = 200.0
 TAU = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# point evaluation, three regimes
+# Bessel rows
 # ---------------------------------------------------------------------------
-
-def _series(n: int, rho: np.ndarray) -> np.ndarray:
-    """Ascending power series; reliable for rho <= 12 (any order).
-
-    Largest term at rho = 12 is ~4e3, so roundoff stays below ~4e-13 abs.
-    """
-    half = 0.5 * rho
-    x2 = half * half
-    out = np.ones_like(rho)
-    term = np.ones_like(rho)
-    for k in range(1, 64):
-        term = term * (-x2 / (k * (n + k)))
-        out += term
-    if n == 0:
-        return out
-    pre = np.zeros_like(rho)
-    pos = half > 0
-    # (rho/2)^n / n! in log space so n ~ 256 underflows gracefully
-    with np.errstate(under="ignore"):
-        pre[pos] = np.exp(n * np.log(half[pos]) - _sp.gammaln(n + 1))
-    return pre * out
-
-
-def _asymptotic(n: int, rho: np.ndarray) -> np.ndarray:
-    """Stokes expansion, adaptively truncated; used for rho >= 30 + n^2/4."""
-    mu = 4.0 * float(n) * float(n)
-    chi = rho - (0.5 * n + 0.25) * np.pi
-    p = np.ones_like(rho)
-    q = np.zeros_like(rho)
-    rk = np.ones_like(rho)
-    ak = 1.0
-    rmin = float(np.min(rho))
-    tprev = np.inf
-    for k in range(1, 40):
-        ak = ak * (mu - (2 * k - 1) ** 2) / (k * 8.0)
-        tk = abs(ak) / rmin ** k
-        if tk > tprev:
-            break                       # series turned; stop at its minimum
-        tprev = tk
-        rk = rk / rho
-        if k % 2 == 1:
-            q += ((-1.0) ** ((k - 1) // 2)) * ak * rk
-        else:
-            p += ((-1.0) ** (k // 2)) * ak * rk
-        if tk < 1e-18:
-            break
-    return np.sqrt(2.0 / (np.pi * rho)) * (p * np.cos(chi) - q * np.sin(chi))
-
 
 def _miller_block(nmax: int, rho: np.ndarray) -> np.ndarray:
     """J_n(rho) for all n = 0..nmax at once, by normalized downward
@@ -150,43 +100,6 @@ def _miller_block(nmax: int, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_j(n: int, rho):
-    """J_n evaluated pointwise; scalar or array argument.
-
-    Contract: integer |n| <= 256, 0 <= rho <= 1e4, absolute error <= 1e-12.
-    Negative orders go through J_{-n} = (-1)^n J_n.
-    """
-    if not float(n).is_integer():
-        raise PreconditionError(f"order must be an integer, got {n!r}")
-    n = int(n)
-    sign = 1.0
-    if n < 0:
-        sign = -1.0 if n % 2 else 1.0
-        n = -n
-    if n > MAX_ORDER:
-        raise PreconditionError(f"order {n} outside supported range [0, {MAX_ORDER}]")
-    arr = np.asarray(rho, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().copy()
-    if flat.size and (flat.min() < 0.0 or flat.max() > MAX_ARG):
-        raise PreconditionError(f"argument outside [0, {MAX_ARG:g}]")
-
-    out = np.empty_like(flat)
-    small = flat <= 12.0
-    asym = flat >= 30.0 + 0.25 * n * n
-    mid = ~small & ~asym
-    if np.any(small):
-        out[small] = _series(n, flat[small])
-    if np.any(asym):
-        out[asym] = _asymptotic(n, flat[asym])
-    if np.any(mid):
-        out[mid] = _miller_block(n, flat[mid])[n]
-    out *= sign
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
-
-
 # ---------------------------------------------------------------------------
 # radial quadrature grid
 # ---------------------------------------------------------------------------
@@ -227,9 +140,6 @@ class RadialGrid:
 
     def refine(self) -> "RadialGrid":
         return RadialGrid(self.cutoff, 0.5 * self.panel, self.points_per_panel)
-
-    def with_cutoff(self, cutoff: float) -> "RadialGrid":
-        return RadialGrid(cutoff, self.panel, self.points_per_panel)
 
     def j_matrix(self, nmax: int) -> np.ndarray:
         """Rows J_0..J_nmax on the nodes; cached, grown on demand."""
@@ -315,24 +225,39 @@ def first_order_coeff(n, scale=1.0, P: float = DEFAULT_CUTOFF):
     return np.where(np.abs(a) <= np.asarray(scale) * P, a, 0.0)
 
 
-def bessel_product_tail(orders, P: float, scales=None) -> float:
-    """Closed-form int_P^oo rho prod_i J_{n_i}(s_i rho) drho (orders >= 0)."""
+def bessel_product_tail(orders, P: float, scales=None):
+    """Closed-form int_P^oo rho prod_i J_{n_i}(s_i rho) drho (orders >= 0).
+
+    `orders` and `scales` are each one row of m entries or a stack of rows;
+    stacks broadcast row by row.  Returns a float when both are single rows,
+    else one value per row.  Each distinct combination frequency eps . s is
+    integrated once, and each row is reduced on its own, without matrix
+    products, so a row's value does not depend on the batch it sits in.
+    """
     orders = np.asarray(orders, dtype=int)
-    m = orders.size
-    s = np.ones(m) if scales is None else np.asarray(scales, dtype=float)
+    s = (np.ones(orders.shape[-1]) if scales is None
+         else np.asarray(scales, dtype=float))
     if np.any(s <= 0):
         raise PreconditionError("tail scales must be positive")
-    phis = orders * (np.pi / 2.0) + np.pi / 4.0
-    a_eff = first_order_coeff(orders, s, P) / s
+    single = orders.ndim == 1 and s.ndim == 1
+    orders, s = np.atleast_2d(orders), np.atleast_2d(s)
+    m = orders.shape[1]
     eps = _sign_patterns(m)
-    omega = eps @ s
-    psi = eps @ phis
-    A = eps @ a_eff
-    i2 = exp_tail_integral(omega, 0.5 * m - 1.0, P)
-    i3 = exp_tail_integral(omega, 0.5 * m, P)
-    acc = np.exp(-1j * psi) * (i2 + 1j * A * i3)
-    pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(np.prod(s)) / 2.0 ** m
-    return float(pref * 2.0 * np.sum(acc.real))
+
+    def combine(rows):                      # (R, m) -> (R, E): rows . eps
+        return (rows[:, None, :] * eps).sum(axis=-1)
+
+    omega = combine(s)
+    psi = combine(orders * (np.pi / 2.0) + np.pi / 4.0)
+    A = combine(first_order_coeff(orders, s, P) / s)
+    freq, inv = np.unique(omega, return_inverse=True)
+    inv = inv.reshape(omega.shape)
+    i2 = exp_tail_integral(freq, 0.5 * m - 1.0, P)[inv]
+    i3 = exp_tail_integral(freq, 0.5 * m, P)[inv]
+    acc = (np.exp(-1j * psi) * (i2 + 1j * A * i3)).real.sum(axis=-1)
+    pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(np.prod(s, axis=-1)) / 2.0 ** m
+    out = pref * 2.0 * acc
+    return float(out[0]) if single else out
 
 
 def _tail_error_bound(orders: np.ndarray, P: float) -> np.ndarray:
@@ -390,6 +315,51 @@ def radial_integrate(fn, grid: RadialGrid | None = None, tail_orders=None,
     return fine, err
 
 
+def _signed_key(ns) -> tuple[float, np.ndarray]:
+    """Parity sign and sorted-magnitude key row of an admissible tuple.
+
+    Admissible means n1+n2+n3 = n4+n5+n6 (the angular selection rule); the
+    sign restores J_{-n} = (-1)^n J_n.
+    """
+    if sum(ns[:3]) != sum(ns[3:]):
+        raise AdmissibilityError(f"tuple {ns} violates n1+n2+n3 = n4+n5+n6")
+    odd = sum(1 for n in ns if n < 0 and n % 2 != 0)
+    key = np.sort(np.abs(np.asarray(ns, dtype=np.int64)))[None, :]
+    return (-1.0 if odd % 2 else 1.0), key
+
+
+def _six_bessel_rows(keys: np.ndarray, grid: RadialGrid,
+                     chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^oo rho prod_j J_{k_j}(rho) drho for each row k of `keys`
+    (nonnegative orders, six per row), with its error bound.
+
+    Each row costs one six-row product over the nodes of the grid and of its
+    refinement, plus the closed-form tail; rows are processed in chunks of
+    at most `chunk`.  The error is |refined - base| plus the tail model's
+    bound.
+    """
+    fine = grid.refine()
+    nmax = int(keys.max())
+    jc = grid.j_matrix(nmax)
+    jf = fine.j_matrix(nmax)
+    wc = grid.weights * grid.nodes
+    wf = fine.weights * fine.nodes
+    P = grid.cutoff
+    vals = np.empty(keys.shape[0])
+    errs = np.empty(keys.shape[0])
+    for lo in range(0, keys.shape[0], chunk):
+        kk = keys[lo:lo + chunk]
+        pc = jc[kk[:, 0]].copy()
+        pf = jf[kk[:, 0]].copy()
+        for j in range(1, 6):
+            pc *= jc[kk[:, j]]
+            pf *= jf[kk[:, j]]
+        fval = pf @ wf
+        vals[lo:lo + chunk] = fval + bessel_product_tail(kk, P)
+        errs[lo:lo + chunk] = np.abs(fval - pc @ wc) + _tail_error_bound(kk, P)
+    return vals, errs
+
+
 def six_bessel_integral(n1: int, n2: int, n3: int, n4: int, n5: int, n6: int,
                         grid: RadialGrid | None = None, with_error: bool = False):
     """int_0^oo J_{n1}..J_{n6}(rho) rho drho for an admissible tuple.
@@ -398,33 +368,11 @@ def six_bessel_integral(n1: int, n2: int, n3: int, n4: int, n5: int, n6: int,
     any other tuple integrates to zero after the angular integration it is
     always paired with, and is rejected here.
     """
-    ns = (n1, n2, n3, n4, n5, n6)
-    if n1 + n2 + n3 != n4 + n5 + n6:
-        raise AdmissibilityError(
-            f"tuple {ns} violates n1+n2+n3 = n4+n5+n6")
-    grid = grid or default_grid()
-    sign = 1.0
-    for n in ns:
-        if n < 0 and n % 2 != 0:
-            sign = -sign
-    ao = np.sort(np.abs(np.asarray(ns, dtype=int)))
-    jm = grid.j_matrix(int(ao[-1]))
-    prod = grid.nodes.copy()
-    for a in ao:
-        prod = prod * jm[a]
-    base = float(np.dot(grid.weights, prod))
-    fg = grid.refine()
-    jf = fg.j_matrix(int(ao[-1]))
-    prodf = fg.nodes.copy()
-    for a in ao:
-        prodf = prodf * jf[a]
-    fine = float(np.dot(fg.weights, prodf))
-    tail = bessel_product_tail(ao, grid.cutoff)
-    val = sign * (fine + tail)
+    sign, key = _signed_key((n1, n2, n3, n4, n5, n6))
+    val, err = _six_bessel_rows(key, grid or default_grid())
     if not with_error:
-        return val
-    err = abs(fine - base) + float(_tail_error_bound(ao[None, :], grid.cutoff)[0])
-    return val, err
+        return sign * float(val[0])
+    return sign * float(val[0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,23 +450,8 @@ class BesselTensor:
         return self.values[pos]
 
     def value(self, n1: int, n2: int, n3: int, n4: int, n5: int, n6: int) -> float:
-        ns = (n1, n2, n3, n4, n5, n6)
-        if n1 + n2 + n3 != n4 + n5 + n6:
-            raise AdmissibilityError(f"tuple {ns} violates n1+n2+n3 = n4+n5+n6")
-        sign = 1.0
-        for n in ns:
-            if n < 0 and n % 2 != 0:
-                sign = -sign
-        key = np.sort(np.abs(np.asarray(ns, dtype=np.int64)))[None, :]
+        sign, key = _signed_key((n1, n2, n3, n4, n5, n6))
         return float(sign * self.lookup_sorted_abs(key)[0])
-
-    def error(self, n1: int, n2: int, n3: int, n4: int, n5: int, n6: int) -> float:
-        key = np.sort(np.abs(np.asarray((n1, n2, n3, n4, n5, n6), np.int64)))
-        codes = _encode(key[None, :], self._base)
-        pos = int(np.searchsorted(self._codes, codes[0]))
-        if pos >= len(self) or self._codes[pos] != codes[0]:
-            raise PreconditionError("tuple outside tensor range")
-        return float(self.errors[pos])
 
     # -- persistence --------------------------------------------------------
 
@@ -557,64 +490,14 @@ class BesselTensor:
         return cls(N, cutoff, rec["idx"].astype(np.int64),
                    rec["val"].copy(), rec["err"].copy())
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("n1,n2,n3,n4,n5,n6,value,error\n")
-            for k, v, e in zip(self.keys, self.values, self.errors):
-                idx = ",".join(str(int(x)) for x in k)
-                fh.write(f"{idx},{v:.17g},{e:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path, N: int, cutoff: float) -> "BesselTensor":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        keys = rows[:, :6].astype(np.int64)
-        return cls(N, cutoff, keys, rows[:, 6].copy(), rows[:, 7].copy())
-
 
 def build_tensor(N: int, grid: RadialGrid | None = None,
                  chunk: int = 1024) -> BesselTensor:
-    """Evaluate every stored symmetry class at bandwidth N.
-
-    Each class costs one six-row product over the quadrature nodes (base
-    and refined pass) plus a 32-term closed-form tail; classes are processed
-    in deterministic chunked order.
-    """
+    """Evaluate every stored symmetry class at bandwidth N, in the
+    deterministic chunked order of `_six_bessel_rows`."""
     if not (0 <= N <= 48):
         raise ConfigError(f"tensor bandwidth N={N} outside [0, 48]")
     grid = grid or default_grid()
-    fine = grid.refine()
     keys = enumerate_keys(N)
-    nmax = int(keys.max())
-    jc = grid.j_matrix(nmax)
-    jf = fine.j_matrix(nmax)
-    wc = grid.weights * grid.nodes
-    wf = fine.weights * fine.nodes
-    P = grid.cutoff
-
-    eps = _sign_patterns(6)
-    omega = eps.sum(axis=1)
-    i2 = exp_tail_integral(omega, 2.0, P)
-    i3 = exp_tail_integral(omega, 3.0, P)
-    pref = (2.0 / np.pi) ** 3 / 64.0
-
-    vals = np.empty(keys.shape[0])
-    errs = np.empty(keys.shape[0])
-    for lo in range(0, keys.shape[0], chunk):
-        kk = keys[lo:lo + chunk]
-        pc = jc[kk[:, 0]].copy()
-        pf = jf[kk[:, 0]].copy()
-        for j in range(1, 6):
-            pc *= jc[kk[:, j]]
-            pf *= jf[kk[:, j]]
-        base = pc @ wc
-        fval = pf @ wf
-        phis = kk * (np.pi / 2.0) + np.pi / 4.0
-        a_eff = first_order_coeff(kk, 1.0, P)
-        psi = phis @ eps.T                       # (B, 32)
-        A = a_eff @ eps.T
-        tails = pref * 2.0 * np.sum(
-            (np.exp(-1j * psi) * (i2[None, :] + 1j * A * i3[None, :])).real,
-            axis=1)
-        vals[lo:lo + chunk] = fval + tails
-        errs[lo:lo + chunk] = np.abs(fval - base) + _tail_error_bound(kk, P)
-    return BesselTensor(N, P, keys, vals, errs)
+    vals, errs = _six_bessel_rows(keys, grid, chunk)
+    return BesselTensor(N, grid.cutoff, keys, vals, errs)

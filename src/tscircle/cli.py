@@ -25,9 +25,11 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
+from scipy import special as _sp
 
 from . import __version__
-from .bessel import BesselTensor, RadialGrid, bessel_j, build_tensor, radial_integrate
+from .bessel import (BesselTensor, RadialGrid, build_tensor, default_grid,
+                     radial_integrate)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
 from .extension import decay_check, extend, l6_norm
 from .quintic import auto_density, mu_value, sup_bound_check
@@ -181,8 +183,9 @@ def cmd_tensor_build(args):
     }
 
     def oracle():
-        # re-integrate a handful of stored classes on a once-refined grid;
-        # stored values are the raw nonnegative-order integrals
+        # re-integrate a handful of stored classes on a once-refined grid
+        # with scipy's J_n; stored values are the raw nonnegative-order
+        # integrals
         idx = np.linspace(0, len(loaded.keys) - 1, min(5, len(loaded.keys))).astype(int)
         fine = grid.refine()
         drift = 0.0
@@ -192,7 +195,7 @@ def cmd_tensor_build(args):
             def integrand(rho, orders=orders):
                 out = rho.copy()
                 for n in orders:
-                    out = out * bessel_j(int(n), rho)
+                    out = out * _sp.jv(int(n), rho)
                 return out
 
             val, _ = radial_integrate(integrand, grid=fine, tail_orders=orders)
@@ -230,7 +233,8 @@ def cmd_extend(args):
 def cmd_density(args):
     config = {"k": args.k, "n_points": args.n_points, "seed": args.seed,
               "cutoff": args.cutoff}
-    dens = auto_density(args.k, n_points=args.n_points)
+    dens = auto_density(args.k, n_points=args.n_points,
+                        grid=default_grid(args.cutoff))
     payload = {
         "k": dens.k,
         "mass": float(dens.mass),
@@ -429,8 +433,8 @@ def cmd_constant(args):
     rep = constant_estimate(method=args.method, n=args.n, seed=args.seed)
     payload = {
         "value": float(rep.value),
-        "t0": float(rep.t0),
-        "lambda0": float(rep.lambda0),
+        "t0": None if rep.t0 is None else float(rep.t0),
+        "lambda0": None if rep.lambda0 is None else float(rep.lambda0),
         "method": rep.method,
         "label": rep.label,
         "note": ("value is the best constant for the sixth-power inequality: "
@@ -535,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=float, default=0.05)
         sp.add_argument("--eta", type=float, default=0.1)
         sp.add_argument("--s", type=float, default=0.5)
-        sp.add_argument("--alpha", type=float, default=0.5)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tensor", type=str, default=None)
         sp.add_argument("--out", type=str, default=None)

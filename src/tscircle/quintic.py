@@ -32,10 +32,11 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy import integrate as _integrate
+from scipy import special as _sp
 
-from .bessel import (RadialGrid, _sign_patterns, bessel_j, default_grid,
-                     exp_tail_integral, first_order_coeff, radial_integrate)
-from .bessel import BesselTensor
+from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
+                     default_grid, exp_tail_integral, first_order_coeff,
+                     radial_integrate)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
 from .extension import (angular_analyze, extend, hpoly_conj, hpoly_mul, i_pow)
 from .spectral import (TAU, CircleFunction, analyze, constant_function,
@@ -223,38 +224,20 @@ def _mu3_point(r: float) -> float:
     return 2.0 * val
 
 
-def _mu_tail(k: int, r: np.ndarray, P: float) -> np.ndarray:
-    """Closed-form tail of int_P^oo J_0^k J_0(r rho) rho drho, r > 0."""
-    m = k + 1
-    eps = _sign_patterns(m)                      # (E, m), leading +1
-    base = eps[:, :k].sum(axis=1)                # sum of unit-scale signs
-    omega = base[None, :] + eps[None, :, k] * r[:, None]
-    psi = eps.sum(axis=1) * (np.pi / 4.0)
-    a0 = -0.125
-    a_last = np.where(0.125 <= r * P, a0 / r, 0.0)
-    A = base[None, :] * a0 + eps[None, :, k] * a_last[:, None]
-    nu = 0.5 * m - 1.0
-    i2 = exp_tail_integral(omega.ravel(), nu, P).reshape(omega.shape)
-    i3 = exp_tail_integral(omega.ravel(), nu + 1.0, P).reshape(omega.shape)
-    acc = (np.exp(-1j * psi)[None, :] * (i2 + 1j * A * i3)).real.sum(axis=1)
-    pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(r) / 2.0 ** m
-    return pref * 2.0 * acc
-
-
 def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
     g = default_grid(cutoff)
     j0 = g.j_matrix(0)[0]
     w = (j0 ** k) * g.nodes * g.weights
-    out = np.empty_like(rr)
+    scales = np.ones((rr.size, k + 1))
+    scales[:, k] = rr
+    out = bessel_product_tail(np.zeros(k + 1, int), cutoff, scales)
     for lo in range(0, rr.size, 128):
-        rb = rr[lo:lo + 128]
-        quad = bessel_j(0, np.outer(rb, g.nodes)) @ w
-        out[lo:lo + 128] = quad + _mu_tail(k, rb, cutoff)
+        out[lo:lo + 128] += _sp.j0(np.outer(rr[lo:lo + 128], g.nodes)) @ w
     return out
 
 
 def _mu5_at_zero(cutoff: float) -> float:
-    val, _ = radial_integrate(lambda rho: bessel_j(0, rho) ** 5 * rho,
+    val, _ = radial_integrate(lambda rho: _sp.j0(rho) ** 5 * rho,
                               default_grid(cutoff), tail_orders=(0,) * 5)
     return val
 

@@ -15,9 +15,7 @@ coefficients are d_n = (-1)^n conj(c_{-n}).
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,51 +79,6 @@ class CircleFunction:
 
     def __repr__(self):
         return f"CircleFunction(N={self.N}, ||f||={l2_norm(self):.6g})"
-
-    # -- serialization (JSON wire format) ------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "N": self.N,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircleFunction":
-        obj = json.loads(text)
-        N = int(obj["N"])
-        pairs = obj["coeffs"]
-        if len(pairs) != 2 * N + 1:
-            raise PreconditionError(
-                f"coeffs length {len(pairs)} inconsistent with N={N}")
-        return cls(np.array([complex(re, im) for re, im in pairs]))
-
-
-@dataclass(frozen=True)
-class SymmetryElement:
-    """Group element (rotation angle, modulation vector, conjugation flag).
-
-    Action order: conjugation-reflection first, then rotation, then
-    modulation.  Composition follows from
-    Rot_t Mod_xi = Mod_{R_{-t} xi} Rot_t and C commuting with both.
-    """
-
-    theta0: float = 0.0
-    xi0: tuple = (0.0, 0.0)
-    conjugate: bool = False
-
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """Element acting as: apply `other` first, then self."""
-        c, s = np.cos(self.theta0), np.sin(self.theta0)
-        # R_{-theta0} applied to other's modulation vector
-        ox, oy = other.xi0
-        rx = c * ox + s * oy
-        ry = -s * ox + c * oy
-        return SymmetryElement(
-            theta0=float((self.theta0 + other.theta0) % TAU),
-            xi0=(float(self.xi0[0] + rx), float(self.xi0[1] + ry)),
-            conjugate=self.conjugate ^ other.conjugate,
-        )
 
 
 def default_grid_size(N: int) -> int:
@@ -252,14 +205,6 @@ def demodulate(f: CircleFunction, M: int | None = None):
     xi = np.array([coef[1], coef[2]])
     centered = analyze(v * np.exp(-1j * (A[:, 1] * xi[0] + A[:, 2] * xi[1])), f.N)
     return centered, xi
-
-
-def apply_symmetry(f: CircleFunction, S: SymmetryElement) -> CircleFunction:
-    g = conjugate_reflect(f) if S.conjugate else f
-    g = rotate(g, S.theta0)
-    if S.xi0 != (0.0, 0.0):
-        g = modulate(g, S.xi0)
-    return g
 
 
 def random_function(N: int, seed, decay: float = 0.0) -> CircleFunction:

@@ -1,8 +1,8 @@
-"""Bessel evaluation, radial quadrature, closed-form tails, weight cache.
+"""Bessel rows, radial quadrature, closed-form tails, weight cache.
 
-scipy.special.jv and mpmath are used strictly as oracles; the library
-implements its own three-regime evaluation so that every digit in the
-weight tensor is accounted for in-house.
+scipy.special.jv and mpmath are used strictly as oracles; every digit in
+the weight tensor comes from the library's own Miller-recurrence rows
+(`_miller_block`), so the oracles check it against independent code.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import scipy.special as sps
 from tscircle.bessel import (
     BesselTensor,
     RadialGrid,
-    bessel_j,
+    _miller_block,
     bessel_product_tail,
     build_tensor,
     default_grid,
@@ -38,29 +38,20 @@ T_5500_REF = 0.0151231231586739    # J_0^4 J_5^2
 T_MIXED_REF = -0.00243490820873267  # orders (2,3,1,4,0,2)
 
 
-def test_bessel_j_against_scipy_all_regimes():
-    # series (rho <= 12), recurrence (middle), asymptotic (large rho)
+def test_miller_block_against_scipy_sweep():
+    # small, transition and large arguments; every order from one block
     rhos = np.array([0.05, 0.7, 3.0, 11.0, 14.0, 25.0, 80.0, 300.0, 2000.0])
+    block = _miller_block(64, rhos)
     worst = 0.0
     for n in range(0, 65):
-        ref = sps.jv(n, rhos)
-        got = bessel_j(n, rhos)
-        worst = max(worst, float(np.max(np.abs(got - ref))))
+        worst = max(worst, float(np.max(np.abs(block[n] - sps.jv(n, rhos)))))
     assert worst < 5e-12
 
 
-def test_bessel_j_negative_order_reflection():
-    rhos = np.linspace(0.1, 60.0, 23)
-    for n in (1, 2, 7):
-        np.testing.assert_allclose(bessel_j(-n, rhos),
-                                   (-1.0) ** n * bessel_j(n, rhos), rtol=0,
-                                   atol=1e-14)
-
-
-def test_bessel_j_against_mpmath_spot():
+def test_miller_block_against_mpmath_spot():
     for n, rho in [(0, 0.3), (3, 9.0), (12, 17.5), (40, 55.0), (128, 200.0)]:
         ref = float(mpmath.besselj(n, rho))
-        assert abs(bessel_j(n, np.array([rho]))[0] - ref) < 1e-12
+        assert abs(_miller_block(n, np.array([rho]))[n][0] - ref) < 1e-12
 
 
 def test_grid_weights_integrate_polynomials():
@@ -178,6 +169,22 @@ def test_bessel_product_tail_against_independent_head():
     assert abs(got - ref) < 5e-9
 
 
+def test_bessel_product_tail_batch_matches_rows():
+    # a stack of order rows, and a stack of scale rows, give bit for bit
+    # the values of one call per row
+    P = 200.0
+    keys = enumerate_keys(3)
+    batch = bessel_product_tail(keys, P)
+    rows = np.array([bessel_product_tail(k, P) for k in keys])
+    assert np.array_equal(batch.view(np.uint64), rows.view(np.uint64))
+    scales = np.ones((7, 6))
+    scales[:, 5] = np.linspace(0.1, 4.9, 7)
+    orders = np.zeros(6, dtype=int)
+    batch = bessel_product_tail(orders, P, scales)
+    rows = np.array([bessel_product_tail(orders, P, s) for s in scales])
+    assert np.array_equal(batch.view(np.uint64), rows.view(np.uint64))
+
+
 def independent_key_enumeration(N):
     """All distinct sorted |n| classes over admissible signed sextuples,
     brute force, for small N."""
@@ -245,15 +252,6 @@ def test_tensor_cache_detects_corruption(tmp_path):
         BesselTensor.load(path)
 
 
-def test_tensor_csv_roundtrip(tmp_path):
-    t = build_tensor(1)
-    path = tmp_path / "t1.csv"
-    t.to_csv(path)
-    r = BesselTensor.from_csv(path, t.N, t.cutoff)
-    assert np.array_equal(r.keys, t.keys)
-    np.testing.assert_allclose(r.values, t.values, rtol=1e-15, atol=0)
-
-
 def test_build_tensor_rejects_oversize():
     with pytest.raises(ConfigError):
         build_tensor(49)
@@ -269,7 +267,7 @@ def test_error_bounds_are_honest(tensor8):
         def integrand(rho, orders=orders):
             out = rho.copy()
             for n in orders:
-                out = out * bessel_j(int(n), rho)
+                out = out * sps.jv(int(n), rho)
             return out
 
         ref, ref_err = radial_integrate(integrand, grid=fine, tail_orders=orders)

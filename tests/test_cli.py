@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tscircle import BesselTensor, build_tensor
+from tscircle import BesselTensor, RadialGrid, auto_density, build_tensor
 from tscircle.cli import (
     COMMANDS,
     cache_roundtrip,
@@ -105,6 +105,33 @@ def test_constant_command_reports_convention(tmp_path):
     assert env["payload"]["value"] > 0
     assert "sixth" in env["payload"]["note"]
     assert env["payload"]["t0"] == pytest.approx(0.336827961766468, rel=1e-6)
+
+
+def test_constant_solver_method_emits_null_t0(tmp_path):
+    # the search route has no T0; its payload says so instead of crashing
+    env = run_to_file(tmp_path, "s.json", [
+        "constant", "--method", "solver", "--n", "2"])
+    validate_envelope(env)
+    assert env["payload"]["t0"] is None
+    assert env["payload"]["lambda0"] is None
+    assert env["payload"]["value"] > 0
+
+
+def test_density_uses_cutoff(tmp_path):
+    env = run_to_file(tmp_path, "d.json", [
+        "density", "--k", "5", "--cutoff", "400", "--n-points", "51"])
+    direct = auto_density(5, 51, grid=RadialGrid(400))
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["mass"] == float(direct.mass)
+    assert env["payload"]["values"] == [
+        float(v) if ok else None for v, ok in zip(direct.values, direct.valid)]
+
+
+def test_alpha_flag_rejected():
+    for name in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--alpha", "0.5"])
+        assert exc.value.code == 2, name
 
 
 def test_regularity_profile_command(tmp_path):

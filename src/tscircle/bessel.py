@@ -18,12 +18,15 @@ the product is expanded into combination-phase exponentials, and
     I_nu(omega) = int_P^oo rho^-nu e^{i omega rho} drho
 
 is evaluated exactly through the exponential integral (integer nu) or
-Fresnel integrals (half-integer nu).  First-order 1/rho terms are kept,
-truncated at total order one; dropping them leaves non-oscillatory mass
-~ sum(a_n)/P^2 which is visible at the 1e-6 level for P = 200.  The
-first-order coefficient of a factor is dropped when a_n > s_n P, where the
-asymptotic series is meaningless; the rule is factor-local so that every
-code path organizing the same product truncates identically.
+Fresnel integrals (half-integer nu).  The head is one quadrature pass on a
+grid sized from the highest frequency in play (see RadialGrid), so every
+reported error bound is the tail model's bound.  First-order 1/rho terms
+are kept, truncated at total order one; dropping them leaves
+non-oscillatory mass ~ sum(a_n)/P^2 which is visible at the 1e-6 level
+for P = 200.  The first-order coefficient of a factor is dropped when
+a_n > s_n P, where the asymptotic series is meaningless; the rule is
+factor-local so that every code path organizing the same product
+truncates identically.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import (AdmissibilityError, CacheError, ConfigError,
-                     DivergenceError, PreconditionError)
+                     PreconditionError)
 
 DEFAULT_CUTOFF = 200.0
 TAU = 2.0 * np.pi
@@ -105,25 +108,28 @@ def _miller_block(nmax: int, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class RadialGrid:
-    """Composite Gauss-Legendre panels on (0, P].
+    """Composite 16-point Gauss-Legendre panels on (0, P].
 
-    Panel length 1 with 16 nodes resolves oscillations up to frequency ~6
-    (the six-factor combination band) to machine precision.  Nodes are
+    Every radial integrand here oscillates at frequency <= 10: six-factor
+    Bessel products (tensor, polar route, L^6 norm) at <= 6, and the
+    density integrands J_0(rho)^k J_0(r rho) at k + r <= 10, with r in the
+    support [0, k].  Gauss-Legendre needs about pi nodes per wavelength;
+    panels of length 2 give five at frequency 10, so the head agrees with
+    the doubled grid to rounding (a test checks it).  Panels of length 4
+    give 2.5 and put the mu_5 head 1.7e-9 off at r = 5.  Nodes are
     strictly interior, weights positive and summing to P exactly.
     """
 
-    def __init__(self, cutoff: float = DEFAULT_CUTOFF, panel: float = 1.0,
-                 points_per_panel: int = 16):
+    def __init__(self, cutoff: float = DEFAULT_CUTOFF, panel: float = 2.0):
         if not (0.0 < cutoff <= 1.0e5):
             raise ConfigError(f"cutoff {cutoff!r} out of range")
-        if panel <= 0 or points_per_panel < 2:
+        if panel <= 0:
             raise ConfigError("bad panel parameters")
         self.cutoff = float(cutoff)
         self.panel = float(panel)
-        self.points_per_panel = int(points_per_panel)
         npan = int(np.ceil(self.cutoff / self.panel))
         edges = np.linspace(0.0, self.cutoff, npan + 1)
-        x, w = np.polynomial.legendre.leggauss(self.points_per_panel)
+        x, w = np.polynomial.legendre.leggauss(16)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -139,7 +145,8 @@ class RadialGrid:
                 f"points={self.nodes.size})")
 
     def refine(self) -> "RadialGrid":
-        return RadialGrid(self.cutoff, 0.5 * self.panel, self.points_per_panel)
+        """The same cutoff on half-length panels: an oracle for the head."""
+        return RadialGrid(self.cutoff, 0.5 * self.panel)
 
     def j_matrix(self, nmax: int) -> np.ndarray:
         """Rows J_0..J_nmax on the nodes; cached, grown on demand."""
@@ -285,34 +292,20 @@ def _tail_error_bound(orders: np.ndarray, P: float) -> np.ndarray:
 # radial integration
 # ---------------------------------------------------------------------------
 
-def radial_integrate(fn, grid: RadialGrid | None = None, tail_orders=None,
-                     tail_scales=None):
-    """Integrate fn(rho) over (0, oo): panels on [0, P], one refinement pass,
-    and a closed-form Bessel-product tail when one is declared.
+def radial_integrate(fn, tail_orders, grid: RadialGrid | None = None):
+    """Integrate fn(rho) = rho prod_i J_{n_i}(rho) over (0, oo), with the
+    orders n_i given as `tail_orders`: one quadrature pass on [0, P] plus
+    the closed-form Bessel-product tail.
 
-    Returns (value, error_estimate).  Without a declared tail the integrand
-    must decay visibly on [0, P]; otherwise a DivergenceError is raised.
+    Returns (value, error_bound); the bound is the tail model's, since the
+    grid resolves the head to rounding.
     """
     grid = grid or default_grid()
-    vals = np.asarray(fn(grid.nodes), dtype=float)
-    base = float(np.dot(grid.weights, vals))
-    fine_grid = grid.refine()
-    fine = float(np.dot(fine_grid.weights, np.asarray(fn(fine_grid.nodes), dtype=float)))
-    err = abs(fine - base)
+    head = float(np.dot(grid.weights, np.asarray(fn(grid.nodes), dtype=float)))
+    orders = np.asarray(tail_orders)
     P = grid.cutoff
-    if tail_orders is not None:
-        tail = bessel_product_tail(tail_orders, P, tail_scales)
-        err += float(_tail_error_bound(np.asarray(tail_orders)[None, :], P)[0])
-        return fine + tail, err
-    # no tail model: insist the integrand is dying out by the cutoff
-    nodes = grid.nodes
-    mid = np.abs(vals[(nodes > 0.45 * P) & (nodes < 0.60 * P)]).mean()
-    end = np.abs(vals[nodes > 0.90 * P]).mean()
-    if end > 1e-13 and end > 0.8 * mid:
-        raise DivergenceError(
-            f"integrand not decaying near cutoff (|f| {mid:.3e} -> {end:.3e}); "
-            "declare a tail or raise the cutoff")
-    return fine, err
+    err = float(_tail_error_bound(orders[None, :], P)[0])
+    return head + bessel_product_tail(orders, P), err
 
 
 def _signed_key(ns) -> tuple[float, np.ndarray]:
@@ -333,31 +326,22 @@ def _six_bessel_rows(keys: np.ndarray, grid: RadialGrid,
     """int_0^oo rho prod_j J_{k_j}(rho) drho for each row k of `keys`
     (nonnegative orders, six per row), with its error bound.
 
-    Each row costs one six-row product over the nodes of the grid and of its
-    refinement, plus the closed-form tail; rows are processed in chunks of
-    at most `chunk`.  The error is |refined - base| plus the tail model's
-    bound.
+    Each row costs one six-row product over the grid's nodes plus the
+    closed-form tail; rows are processed in chunks of at most `chunk`.  The
+    error is the tail model's bound, since the grid resolves the head to
+    rounding.
     """
-    fine = grid.refine()
-    nmax = int(keys.max())
-    jc = grid.j_matrix(nmax)
-    jf = fine.j_matrix(nmax)
-    wc = grid.weights * grid.nodes
-    wf = fine.weights * fine.nodes
+    jc = grid.j_matrix(int(keys.max()))
+    w = grid.weights * grid.nodes
     P = grid.cutoff
     vals = np.empty(keys.shape[0])
-    errs = np.empty(keys.shape[0])
     for lo in range(0, keys.shape[0], chunk):
         kk = keys[lo:lo + chunk]
-        pc = jc[kk[:, 0]].copy()
-        pf = jf[kk[:, 0]].copy()
+        prod = jc[kk[:, 0]].copy()
         for j in range(1, 6):
-            pc *= jc[kk[:, j]]
-            pf *= jf[kk[:, j]]
-        fval = pf @ wf
-        vals[lo:lo + chunk] = fval + bessel_product_tail(kk, P)
-        errs[lo:lo + chunk] = np.abs(fval - pc @ wc) + _tail_error_bound(kk, P)
-    return vals, errs
+            prod *= jc[kk[:, j]]
+        vals[lo:lo + chunk] = prod @ w + bessel_product_tail(kk, P)
+    return vals, _tail_error_bound(keys, P)
 
 
 def six_bessel_integral(n1: int, n2: int, n3: int, n4: int, n5: int, n6: int,

@@ -12,7 +12,7 @@ independent cross-check (closed form, alternate route, or grid refinement) and
 reports the measured gaps.
 
 Exit codes: 0 ok, 2 bad configuration, 3 numerical failure (divergence,
-checksum), 4 precondition violation.
+checksum) or any other internal error, 4 precondition violation.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import dataclasses
 import json
 import sys
 import time
+import traceback
 from datetime import datetime, timezone
 
 import numpy as np
@@ -198,7 +199,7 @@ def cmd_tensor_build(args):
                     out = out * _sp.jv(int(n), rho)
                 return out
 
-            val, _ = radial_integrate(integrand, grid=fine, tail_orders=orders)
+            val, _ = radial_integrate(integrand, orders, grid=fine)
             drift = max(drift, abs(val - float(loaded.values[i])))
         return {"roundtrip_bit_identical": True, "spot_refine_drift": drift,
                 "n_spot_checks": int(len(idx))}
@@ -265,8 +266,10 @@ def cmd_density(args):
 
 
 def cmd_sup_bound(args):
-    config = {"k": args.k, "n_points": args.n_points, "seed": args.seed}
-    rep = sup_bound_check(args.k, n_points=args.n_points)
+    config = {"k": args.k, "n_points": args.n_points, "seed": args.seed,
+              "cutoff": args.cutoff}
+    grid = default_grid(args.cutoff)
+    rep = sup_bound_check(args.k, n_points=args.n_points, grid=grid)
     payload = {
         "k": rep.k,
         "sup": float(rep.sup),
@@ -277,7 +280,8 @@ def cmd_sup_bound(args):
     }
 
     def oracle():
-        fine = sup_bound_check(args.k, n_points=2 * args.n_points - 1)
+        fine = sup_bound_check(args.k, n_points=2 * args.n_points - 1,
+                               grid=grid)
         drift = abs(fine.sup - rep.sup) / max(abs(rep.sup), 1e-300)
         return {"sup_drift_on_doubling": float(drift)}
 
@@ -589,6 +593,10 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # last resort: keep the exit-code contract
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     return 0
 
 

@@ -32,7 +32,7 @@ class SingularRadiusError(PreconditionError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: divergence, non-decaying integrand, bad data."""
+    """Numerical failure: divergence, bad data."""
 
 
 class DivergenceError(NumericalError):

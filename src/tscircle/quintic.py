@@ -237,8 +237,8 @@ def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def _mu5_at_zero(cutoff: float) -> float:
-    val, _ = radial_integrate(lambda rho: _sp.j0(rho) ** 5 * rho,
-                              default_grid(cutoff), tail_orders=(0,) * 5)
+    val, _ = radial_integrate(lambda rho: _sp.j0(rho) ** 5 * rho, (0,) * 5,
+                              default_grid(cutoff))
     return val
 
 
@@ -288,7 +288,9 @@ def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
 
     Mass is 2 pi int r mu_k dr over the support, expected (2 pi)^k; for
     k = 4 the masked neighborhoods are simply omitted, so the reported
-    number undershoots slightly.
+    number undershoots slightly.  `r_max` may not exceed k: mu_k vanishes
+    beyond its support [0, k], and the radial grid resolves the Hankel
+    integrands only up to r = k (see RadialGrid).
     """
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
@@ -298,6 +300,8 @@ def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
     if k == 4:
         exclusion = max(exclusion, 0.03)
     r_max = float(r_max if r_max is not None else k)
+    if r_max > k:
+        raise ConfigError(f"r_max {r_max:g} beyond the support [0, {k}] of mu_{k}")
     radii = np.linspace(0.0, r_max, n_points)
     sing = SINGULAR_RADII[k]
     valid = np.ones(n_points, dtype=bool)
@@ -334,10 +338,13 @@ def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
 
 
 def mu_value(k: int, r: float, grid: RadialGrid | None = None) -> float:
-    """Single-radius density value (guards genuinely singular radii)."""
+    """Single-radius density value: zero beyond the support [0, k], and
+    refused at genuinely singular radii."""
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
     r = float(r)
+    if r > k:
+        return 0.0
     for s in SINGULAR_RADII[k]:
         if abs(r - s) < 1e-3:
             raise SingularRadiusError(f"mu_{k} is singular at r = {s:g}")

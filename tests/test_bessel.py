@@ -63,17 +63,19 @@ def test_grid_weights_integrate_polynomials():
 
 
 def test_radial_integrate_against_mpmath():
-    # smooth decaying integrand with an exact infinite-range value
-    val, err = radial_integrate(lambda r: np.exp(-0.25 * r) * r)
-    ref = float(mpmath.quad(lambda r: mpmath.exp(-0.25 * r) * r, [0, mpmath.inf]))
-    assert abs(val - ref) < 1e-10
-    assert err < 1e-8
+    # a scipy integrand with the library's declared tail lands within the
+    # returned bound of the independent (mpmath-tailed) reference
+    orders = (2, 3, 1, 4, 0, 2)
 
+    def integrand(rho):
+        out = rho.copy()
+        for n in orders:
+            out = out * sps.jv(n, rho)
+        return out
 
-def test_radial_integrate_flags_nondecaying():
-    from tscircle.errors import DivergenceError
-    with pytest.raises(DivergenceError):
-        radial_integrate(lambda r: np.ones_like(r))
+    val, err = radial_integrate(integrand, orders)
+    assert 0 < err < 1e-4
+    assert abs(val - T_MIXED_REF) <= err
 
 
 def test_exp_tail_integral_against_mpmath():
@@ -148,6 +150,33 @@ def test_tail_cutoff_consistency():
     errs = [e for _, e in out]
     assert errs[2] < errs[0]
     assert abs(out[2][0] - T_MIXED_REF) < abs(out[0][0] - T_MIXED_REF)
+
+
+def test_head_quadrature_stable_under_grid_doubling():
+    # the default grid resolves every head it serves: halving the panels
+    # moves neither a six-factor row nor a mu_5 Hankel head
+    def six_heads(grid, keys):
+        j = grid.j_matrix(int(keys.max()))
+        prod = j[keys[:, 0]].copy()
+        for col in range(1, 6):
+            prod *= j[keys[:, col]]
+        return prod @ (grid.weights * grid.nodes)
+
+    def mu5_heads(grid, radii):
+        rho = grid.nodes
+        return (sps.j0(np.outer(radii, rho)) * sps.j0(rho) ** 5) @ (grid.weights * rho)
+
+    g = default_grid(200.0)
+    fine = g.refine()
+    keys = enumerate_keys(8)
+    for lo in range(0, len(keys), 512):
+        kk = keys[lo:lo + 512]
+        assert np.max(np.abs(six_heads(g, kk) - six_heads(fine, kk))) < 1e-13
+    radii = np.array([0.5, 1.0, 2.5, 4.0, 5.0])
+    for c in (200.0, 400.0, 800.0, 1600.0):
+        g = default_grid(c)
+        gap = np.abs(mu5_heads(g, radii) - mu5_heads(g.refine(), radii))
+        assert np.max(gap) < 1e-13, (c, gap)
 
 
 def scipy_head_quadrature(orders, P):
@@ -270,6 +299,6 @@ def test_error_bounds_are_honest(tensor8):
                 out = out * sps.jv(int(n), rho)
             return out
 
-        ref, ref_err = radial_integrate(integrand, grid=fine, tail_orders=orders)
+        ref, ref_err = radial_integrate(integrand, orders, grid=fine)
         drift = abs(ref - float(tensor8.values[i]))
         assert drift <= float(tensor8.errors[i]) + ref_err + 1e-12

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from tscircle import BesselTensor, RadialGrid, auto_density, build_tensor
+from tscircle import (BesselTensor, RadialGrid, auto_density, build_tensor,
+                      sup_bound_check)
 from tscircle.cli import (
+    _HANDLERS,
     COMMANDS,
     cache_roundtrip,
     main,
@@ -127,6 +129,17 @@ def test_density_uses_cutoff(tmp_path):
         float(v) if ok else None for v, ok in zip(direct.values, direct.valid)]
 
 
+def test_sup_bound_uses_cutoff(tmp_path):
+    env = run_to_file(tmp_path, "s.json", [
+        "sup-bound", "--k", "5", "--cutoff", "400", "--n-points", "51"])
+    direct = sup_bound_check(5, 51, grid=RadialGrid(400))
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["sup"] == float(direct.sup)
+    assert env["payload"]["at_radius"] == float(direct.at_radius)
+    assert env["payload"]["mass_rel_error"] == float(
+        abs(direct.mass - direct.mass_expected) / direct.mass_expected)
+
+
 def test_alpha_flag_rejected():
     for name in COMMANDS:
         with pytest.raises(SystemExit) as exc:
@@ -202,6 +215,17 @@ def test_exit_code_precondition_error(tmp_path, capsys):
     rc = main(["functional", "--n", "6", "--tensor", str(path)])
     assert rc == 4
     assert "bandwidth" in capsys.readouterr().err
+
+
+def test_exit_code_internal_error(monkeypatch, capsys):
+    # an exception outside the three error families still maps to exit 3
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(_HANDLERS, "extend", boom)
+    rc = main(["extend", "--n", "2"])
+    assert rc == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

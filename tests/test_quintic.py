@@ -24,7 +24,7 @@ from tscircle import (
     rotate,
     sup_bound_check,
 )
-from tscircle.errors import SingularRadiusError
+from tscircle.errors import ConfigError, SingularRadiusError
 from tscircle.quintic import SINGULAR_RADII
 
 
@@ -175,6 +175,16 @@ def test_sup_bound_report():
     rep = sup_bound_check(5, n_points=501)
     assert rep.at_radius == pytest.approx(1.0, abs=0.02)
     assert rep.sup == pytest.approx(lambda0_value(), rel=1e-4)
+
+
+def test_density_stays_inside_support():
+    # mu_k vanishes beyond r = k, and the radial grid is sized for r <= k
+    with pytest.raises(ConfigError):
+        auto_density(5, n_points=11, r_max=5.5)
+    with pytest.raises(ConfigError):
+        sup_bound_check(4, n_points=11, r_max=14.0)
+    for k in (2, 3, 4, 5):
+        assert mu_value(k, 14.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ Conventions fixed once, used everywhere:
 
 from .errors import (AdmissibilityError, BandwidthError, CacheError,
                      ConfigError, DivergenceError, GridSizeError,
-                     NumericalError, PreconditionError, SingularRadiusError,
-                     TailDataError)
+                     NumericalError, PreconditionError, SingularRadiusError)
 from .spectral import (TAU, CircleFunction, analyze, conjugate_reflect,
                        constant_function, demodulate, inner_product, l2_norm,
                        modulate, random_function, rotate, synthesize,
@@ -23,7 +22,7 @@ from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
                      build_tensor, default_grid, enumerate_keys,
                      exp_tail_integral, radial_integrate, six_bessel_integral)
 from .extension import (DecayReport, ExtensionField, decay_check, extend,
-                        l6_norm, strip_tail)
+                        l6_norm)
 from .quintic import (BoundRatioReport, RadialDensity, SupBoundReport,
                       auto_density, el_quintic, mu_value,
                       quintic_convolve, quintilinear_bound_ratio,

@@ -147,10 +147,14 @@ def cache_roundtrip(tensor: BesselTensor, path) -> BesselTensor:
     return loaded
 
 
-def _load_tensor(path) -> BesselTensor:
+def _load_tensor(path, cutoff: float) -> BesselTensor:
     if path is None:
         return None
-    return BesselTensor.load(path)
+    tensor = BesselTensor.load(path)
+    if tensor.cutoff != cutoff:
+        raise ConfigError(f"--cutoff {cutoff:g} differs from the cutoff "
+                          f"{tensor.cutoff:g} stored in {path}")
+    return tensor
 
 
 def _random_input(n: int, seed: int) -> CircleFunction:
@@ -210,8 +214,8 @@ def cmd_tensor_build(args):
 def cmd_extend(args):
     config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff}
     f = _random_input(args.n, args.seed)
-    grid = RadialGrid(cutoff=args.cutoff) if args.cutoff != 200.0 else None
-    field = extend(f, grid=grid)
+    grid = default_grid(args.cutoff)
+    field = extend(f, grid)
     rep = decay_check(field)
     payload = {
         "n": args.n,
@@ -224,7 +228,7 @@ def cmd_extend(args):
     }
 
     def oracle():
-        phi = ts_functional(f)
+        phi = ts_functional(f, grid=grid)
         gap = abs(payload["l6"] ** 6 / TAU ** 2 - phi) / max(phi, 1e-300)
         return {"sixth_power_vs_functional_rel": float(gap)}
 
@@ -289,23 +293,24 @@ def cmd_sup_bound(args):
 
 
 def cmd_functional(args):
-    config = {"n": args.n, "seed": args.seed,
+    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff,
               "tensor": str(args.tensor) if args.tensor else None}
-    tensor = _load_tensor(args.tensor)
+    tensor = _load_tensor(args.tensor, args.cutoff)
+    grid = default_grid(args.cutoff)
     f = _random_input(args.n, args.seed)
-    phi = ts_functional(f, tensor=tensor)
+    phi = ts_functional(f, tensor=tensor, grid=grid)
     nrm = l2_norm(f)
     payload = {
         "n": args.n,
         "phi": float(phi),
-        "quotient": float(quotient(f)),
+        "quotient": float(quotient(f, grid)),
         "lambda_fit": float(phi / nrm ** 2),
         "l2": float(nrm),
         "coefficients": _coeff_pairs(f),
     }
 
     def oracle():
-        l6 = l6_norm(extend(f))
+        l6 = l6_norm(extend(f, grid))
         gap = abs(l6 ** 6 / TAU ** 2 - phi) / max(phi, 1e-300)
         return {"sixth_power_vs_functional_rel": float(gap)}
 
@@ -313,11 +318,11 @@ def cmd_functional(args):
 
 
 def cmd_el_residual(args):
-    config = {"n": args.n, "seed": args.seed,
+    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff,
               "tensor": str(args.tensor) if args.tensor else None}
-    tensor = _load_tensor(args.tensor)
+    tensor = _load_tensor(args.tensor, args.cutoff)
     f = _random_input(args.n, args.seed)
-    rep = el_residual(f, tensor=tensor)
+    rep = el_residual(f, tensor=tensor, grid=default_grid(args.cutoff))
     payload = {
         "n": args.n,
         "lambda_fit": float(rep.lambda_fit),

@@ -41,7 +41,3 @@ class DivergenceError(NumericalError):
 
 class CacheError(NumericalError):
     """Tensor cache file corrupt, truncated, or checksum mismatch."""
-
-
-class TailDataError(PreconditionError):
-    """Field lacks the tail metadata needed for an unbounded-domain norm."""

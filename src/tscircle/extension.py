@@ -5,16 +5,15 @@ coordinates is
 
     F(rho, phi) = 2 pi sum_n (-i)^n c_n J_n(rho) e^{i n phi},
 
-sampled on a radial quadrature grid times a uniform angular grid.  The
-angular grid is kept large enough that |F|^6 (degree 6N) and five-fold
-products (degree 5N against one more factor) integrate exactly by the
-trapezoid rule.
-
-The L^6 mass beyond the radial cutoff is not negligible at the 1e-6 level
-(|F|^6 rho ~ rho^-2), so l6_norm adds a closed-form tail: every mode is
-replaced by its two-term large-rho form, organized as a polynomial in
-e^{+-i rho} and 1/rho with angle-dependent coefficients, and the sixth
-power is contracted against int_P^oo rho^-nu e^{i k rho} drho.
+sampled on a radial quadrature grid times a uniform angular grid, with its
+large-rho form beyond the cutoff: every mode replaced by its two-term
+asymptotics, a polynomial in e^{+-i rho} and 1/rho with angle-dependent
+coefficients.  An ExtensionField carries both, and fields compose
+(products, sums, the conjugate, which is the field of f~), so every
+quantity built from them is one field expression reduced once: the quintic
+convolution through quintic._assemble_polar, the L^6 norm here as the
+integral of F^3 conj(F^3) plus its closed-form tail (|F|^6 rho ~ rho^-2 is
+not negligible at the 1e-6 level).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .bessel import (RadialGrid, default_grid, exp_tail_integral,
                      first_order_coeff)
-from .errors import GridSizeError, NumericalError, TailDataError
+from .errors import GridSizeError, NumericalError
 from .spectral import TAU, CircleFunction
 
 _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
@@ -38,9 +37,10 @@ def minus_i_pow(n):
     return _I_POW[np.mod(-np.asarray(n), 4)]
 
 
-def angle_count(N: int) -> int:
-    """Default angular sample count for bandwidth N fields (>= 10N+2)."""
-    return max(64, 10 * N + 8)
+def angle_count(M: int) -> int:
+    """Angular sample count for a product field of bandwidth M: its modes
+    -M..M are then exact under the FFT (at least 2M+8, and never < 64)."""
+    return max(64, 2 * M + 8)
 
 
 def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
@@ -69,68 +69,89 @@ def angular_analyze(values: np.ndarray, M: int) -> np.ndarray:
 
 
 class ExtensionField:
-    """F sampled on grid.nodes x uniform angles, with enough metadata to
-    integrate its own tail.  `coeffs` may be stripped (see strip_tail), in
-    which case only cutoff-limited quantities remain computable."""
+    """F on grid.nodes x J uniform angles: the K x J samples `values`, the
+    large-rho polynomial `tail` (J x (2d+1) x 2 for a product of d
+    extensions, see field_tail_rep), the angular bandwidth `N` and F(0).
+    `*` (by a field or a scalar), `+` and `conj()` act on samples and tail
+    alike; N adds under `*` and takes the max under `+`."""
 
-    def __init__(self, grid: RadialGrid, n_angles: int, values: np.ndarray,
-                 coeffs: CircleFunction | None):
+    def __init__(self, grid: RadialGrid, values: np.ndarray, tail: np.ndarray,
+                 N: int, origin_value: complex):
         self.grid = grid
-        self.n_angles = int(n_angles)
-        self.angles = np.arange(self.n_angles) * (TAU / self.n_angles)
         self.values = values
-        self.coeffs = coeffs
-        self.N = coeffs.N if coeffs is not None else None
-        self.origin_value = TAU * coeffs.coeff(0) if coeffs is not None else None
+        self.tail = tail
+        self.N = int(N)
+        self.origin_value = origin_value
+        self.n_angles = values.shape[1]
+        self.angles = np.arange(self.n_angles) * (TAU / self.n_angles)
 
     def __repr__(self):
         return (f"ExtensionField(K={self.grid.nodes.size}, J={self.n_angles}, "
                 f"N={self.N}, cutoff={self.grid.cutoff:g})")
 
-    def tail_rep(self) -> np.ndarray:
-        if self.coeffs is None:
-            raise TailDataError("field was stripped of its coefficient data")
-        return field_tail_rep(self.coeffs, self.n_angles, self.grid.cutoff)
+    def _check(self, other: "ExtensionField"):
+        if (other.values.shape != self.values.shape
+                or other.grid.cutoff != self.grid.cutoff):
+            raise GridSizeError(f"cannot combine {self!r} with {other!r}")
+
+    def __mul__(self, other):
+        if not isinstance(other, ExtensionField):
+            return ExtensionField(self.grid, self.values * other,
+                                  self.tail * other, self.N,
+                                  self.origin_value * other)
+        self._check(other)
+        return ExtensionField(self.grid, self.values * other.values,
+                              hpoly_mul(self.tail, other.tail),
+                              self.N + other.N,
+                              self.origin_value * other.origin_value)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "ExtensionField") -> "ExtensionField":
+        self._check(other)
+        return ExtensionField(self.grid, self.values + other.values,
+                              self.tail + other.tail, max(self.N, other.N),
+                              self.origin_value + other.origin_value)
+
+    def conj(self) -> "ExtensionField":
+        """The conjugate field; for the extension of f, that of f~."""
+        return ExtensionField(self.grid, np.conj(self.values),
+                              hpoly_conj(self.tail), self.N,
+                              np.conj(self.origin_value))
 
 
 def extend(f: CircleFunction, grid: RadialGrid | None = None,
            n_angles: int | None = None) -> ExtensionField:
-    """Sample the extension of f on a polar grid."""
+    """Sample the extension of f on a polar grid, with its large-rho tail;
+    the default angle count resolves a five-fold product of such fields."""
     grid = grid or default_grid()
-    J = n_angles or angle_count(f.N)
-    N = f.N
-    n = np.arange(-N, N + 1)
+    J = n_angles or angle_count(5 * f.N)
+    n = np.arange(-f.N, f.N + 1)
     parity = np.where((n < 0) & (n % 2 != 0), -1.0, 1.0)
     factor = TAU * minus_i_pow(n) * parity * f.coeffs          # (2N+1,)
-    jm = grid.j_matrix(N)                                      # (N+1, K)
+    jm = grid.j_matrix(f.N)                                    # (N+1, K)
     modes = factor[None, :] * jm[np.abs(n)].T                  # (K, 2N+1)
     values = angular_synthesize(modes, J)
-    return ExtensionField(grid, J, values, f)
-
-
-def strip_tail(field: ExtensionField) -> ExtensionField:
-    """Copy of the field without coefficient metadata (samples only)."""
-    return ExtensionField(field.grid, field.n_angles, field.values, None)
+    return ExtensionField(grid, values,
+                          field_tail_rep(0.5 * factor, J, grid.cutoff),
+                          f.N, TAU * f.coeff(0))
 
 
 # ---------------------------------------------------------------------------
 # tail representations: polynomials in (e^{+-i rho}, 1/rho) over angles
 # ---------------------------------------------------------------------------
 
-def field_tail_rep(f: CircleFunction, J: int, P: float) -> np.ndarray:
-    """Large-rho form of the field as an array T[j, k, p], k in {-1,0,+1},
-    p in {0,1}:
+def field_tail_rep(base: np.ndarray, J: int, P: float) -> np.ndarray:
+    """Large-rho form of the field sum_n 2 base_n J_n(rho) e^{i n phi} as an
+    array T[j, k, p], k in {-1,0,+1}, p in {0,1}:
 
         F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_{k,p} T[j,k,p] e^{ik rho} rho^{-p}.
 
     Only k = +-1 occur.  The first-order slot of a mode is zeroed when its
     a_n exceeds P (factor-local validity rule shared with bessel tails).
     """
-    N = f.N
-    n = np.arange(-N, N + 1)
-    an = np.abs(n)
-    parity = np.where((n < 0) & (n % 2 != 0), -1.0, 1.0)
-    base = np.pi * minus_i_pow(n) * parity * f.coeffs          # TAU/2 per cosine half
+    N = (base.size - 1) // 2
+    an = np.abs(np.arange(-N, N + 1))
     phase = np.exp(-1j * (an * (np.pi / 2.0) + np.pi / 4.0))
     a_eff = first_order_coeff(an, 1.0, P)
     u = base * phase
@@ -151,18 +172,9 @@ def hpoly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     nb = B.shape[1]
     C = np.zeros((J, na + nb - 1, 2), dtype=np.complex128)
     for i in range(na):
-        for q in range(2):
-            a = A[:, i, q]
-            if not a.any():
-                continue
-            for j in range(nb):
-                for r in range(2):
-                    if q + r > 1:
-                        continue
-                    b = B[:, j, r]
-                    if not b.any():
-                        continue
-                    C[:, i + j, q + r] += a * b
+        for j in range(nb):
+            for q, r in ((0, 0), (0, 1), (1, 0)):
+                C[:, i + j, q + r] += A[:, i, q] * B[:, j, r]
     return C
 
 
@@ -172,19 +184,15 @@ def hpoly_conj(A: np.ndarray) -> np.ndarray:
 
 
 def l6_norm(field: ExtensionField) -> float:
-    """|| F ||_{L^6(R^2)} from the polar samples plus the closed-form tail."""
-    if field.coeffs is None:
-        raise TailDataError(
-            "l6_norm needs the field's coefficient data for its radial tail")
+    """|| F ||_{L^6(R^2)}: the field |F|^6 = F^3 conj(F^3) integrated over
+    the polar samples, plus its closed-form tail beyond the cutoff."""
+    F3 = field * field * field
+    H = F3 * F3.conj()                                 # tail k = -6..6
     grid = field.grid
     J = field.n_angles
-    a6 = np.abs(field.values) ** 6
-    quad = float(np.dot(grid.weights * grid.nodes, a6.sum(axis=1)) * (TAU / J))
-
-    T1 = field.tail_rep()
-    F3 = hpoly_mul(hpoly_mul(T1, T1), T1)
-    H = hpoly_mul(F3, hpoly_conj(F3))                  # (J, 13, 2), k = -6..6
-    mean = H.sum(axis=0) * (TAU / J)                   # angular integral
+    quad = float(np.dot(grid.weights * grid.nodes, H.values.real.sum(axis=1))
+                 * (TAU / J))
+    mean = H.tail.sum(axis=0) * (TAU / J)              # angular integral
     k = np.arange(-6, 7)
     i2 = exp_tail_integral(k, 2.0, grid.cutoff)
     i3 = exp_tail_integral(k, 3.0, grid.cutoff)

@@ -9,13 +9,15 @@ The convolution takes five circle functions to the restriction of
 
 which is the "tensor" route: a contraction against the precomputed
 six-factor integrals.  The independent "polar" route multiplies the five
-extended fields pointwise and inverts mode by mode,
+extended fields and inverts mode by mode,
 
     Q_m = (2 pi)^{-1} i^m int_0^oo P_m(rho) J_m(rho) rho drho,
 
-P_m the m-th angular coefficient of the product field.  Both routes carry
-the same closed-form radial tail so their agreement tests bookkeeping, not
-a shared truncation.
+P_m the m-th angular coefficient of the product field.  _assemble_polar is
+that one inversion: every polar caller composes one product field (sums of
+products included) and assembles it once, for the modes it needs.  Both
+routes carry the same closed-form radial tail so their agreement tests
+bookkeeping, not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -27,8 +29,10 @@ with mu_2 in closed form and mu_3 as an angular convolution of it.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -38,9 +42,9 @@ from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
                      default_grid, exp_tail_integral, first_order_coeff,
                      radial_integrate)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import (angular_analyze, extend, hpoly_conj, hpoly_mul, i_pow)
-from .spectral import (TAU, CircleFunction, analyze, constant_function,
-                       inner_product, l2_norm, rotate, synthesize)
+from .extension import (ExtensionField, angle_count, angular_analyze, extend,
+                        i_pow)
+from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 
@@ -49,11 +53,12 @@ SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 # the convolution, two routes
 # ---------------------------------------------------------------------------
 
-def _assemble_polar(product: np.ndarray, tail_reps, grid: RadialGrid,
-                    J: int, M: int) -> np.ndarray:
-    """Modes -M..M of the inverse transform of a five-field product."""
+def _assemble_polar(field: ExtensionField, M: int) -> np.ndarray:
+    """Modes -M..M of Q from the product field of its five inputs."""
+    grid = field.grid
     P = grid.cutoff
-    pm = np.fft.fft(product, axis=1) / J
+    J = field.n_angles
+    pm = np.fft.fft(field.values, axis=1) / J
     m = np.arange(-M, M + 1)
     Pm = pm[:, np.mod(m, J)]                          # (K, 2M+1)
     am = np.abs(m)
@@ -61,10 +66,7 @@ def _assemble_polar(product: np.ndarray, tail_reps, grid: RadialGrid,
     Jrows = grid.j_matrix(int(am.max()))[am] * sgn[:, None]
     quad = (Pm.T * Jrows) @ (grid.weights * grid.nodes)
 
-    T = tail_reps[0]
-    for Ti in tail_reps[1:]:
-        T = hpoly_mul(T, Ti)                          # (J, 11, 2), k = -5..5
-    That = angular_analyze(np.moveaxis(T, 0, -1), M)  # (11, 2, 2M+1)
+    That = angular_analyze(np.moveaxis(field.tail, 0, -1), M)  # (11, 2, 2M+1)
     ks = np.arange(-5, 6)
     i2 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
     i3 = exp_tail_integral(np.arange(-6, 7), 3.0, P)
@@ -84,15 +86,12 @@ def _assemble_polar(product: np.ndarray, tail_reps, grid: RadialGrid,
     return i_pow(m) / TAU * (quad + tail)
 
 
-def _convolve_polar(fs, grid: RadialGrid) -> CircleFunction:
-    M = sum(f.N for f in fs)
-    J = max(64, 2 * M + 8)
-    fields = [extend(f, grid, J) for f in fs]
-    prod = fields[0].values.copy()
-    for fd in fields[1:]:
-        prod *= fd.values
-    reps = [fd.tail_rep() for fd in fields]
-    return CircleFunction(_assemble_polar(prod, reps, grid, J, M))
+def _product_field(fs, grid: RadialGrid) -> ExtensionField:
+    """The product of the five extensions, each distinct input extended once."""
+    J = angle_count(sum(f.N for f in fs))
+    distinct = {id(f): f for f in fs}
+    fields = {key: extend(f, grid, J) for key, f in distinct.items()}
+    return reduce(operator.mul, (fields[id(f)] for f in fs))
 
 
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
@@ -148,24 +147,17 @@ def quintic_convolve(fs, tensor: BesselTensor | None = None,
         return _convolve_tensor(fs, tensor)
     if method != "polar":
         raise ConfigError(f"unknown method {method!r}")
-    return _convolve_polar(fs, grid or default_grid())
+    prod = _product_field(fs, grid or default_grid())
+    return CircleFunction(_assemble_polar(prod, prod.N))
 
 
 def el_quintic(f: CircleFunction, grid: RadialGrid | None = None) -> CircleFunction:
-    """Q(f, f, f, f~, f~): the combination driven by the sextic functional.
-
-    Fast path: the extension of f~ is the pointwise conjugate of the
-    extension of f, so a single field synthesis suffices.
-    """
-    grid = grid or default_grid()
-    M = 5 * f.N
-    J = max(64, 2 * M + 8)
-    fd = extend(f, grid, J)
-    prod = fd.values ** 3 * np.conj(fd.values) ** 2
-    rep = fd.tail_rep()
-    repc = hpoly_conj(rep)
-    return CircleFunction(_assemble_polar(prod, [rep, rep, rep, repc, repc],
-                                          grid, J, M))
+    """Q(f, f, f, f~, f~): the combination driven by the sextic functional;
+    the field of f~ is the conjugate of the field of f, so one extension
+    serves all five slots."""
+    F = extend(f, grid or default_grid(), angle_count(5 * f.N))
+    C = F.conj()
+    return CircleFunction(_assemble_polar(F * F * F * C * C, 5 * f.N))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +435,9 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
         mu5_at_1 = mu_value(5, 1.0, grid)
 
     def bound(gs) -> float:
-        qa = quintic_convolve([_abs2(g) for g in gs], grid=grid, method="polar")
-        val = inner_product(qa, constant_function(1.0)).real
+        # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled
+        q0 = _assemble_polar(_product_field([_abs2(g) for g in gs], grid), 0)
+        val = TAU * q0[0].real
         return float(np.sqrt(mu5_at_1 * max(val, 0.0)))
 
     Q = quintic_convolve(fs, tensor=tensor, grid=grid)

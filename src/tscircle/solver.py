@@ -14,16 +14,20 @@ point, and for small tails the map contracts.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field as dfield
+from functools import reduce
+from math import comb, prod
 
 import numpy as np
 
 from .bessel import RadialGrid, default_grid
 from .errors import ConfigError, DivergenceError, PreconditionError
-from .quintic import el_quintic, quintic_convolve
-from .spectral import (TAU, CircleFunction, conjugate_reflect, inner_product,
-                       l2_norm, random_function, weighted_norm)
+from .extension import angle_count, extend
+from .quintic import _assemble_polar, el_quintic
+from .spectral import (TAU, CircleFunction, inner_product, l2_norm,
+                       random_function, weighted_norm)
 
 
 def _normalized(f: CircleFunction) -> CircleFunction:
@@ -143,6 +147,24 @@ def decompose(f: CircleFunction, eps: float):
     return phi, g, K
 
 
+def _class_sum(phi: CircleFunction, h: CircleFunction, classes,
+               grid: RadialGrid | None) -> CircleFunction:
+    """Sum of classes (a, b) of Q(phi+h, .., (phi+h)~, ..) by multilinearity:
+    h in a of the three plain slots, h~ in b of the two conjugate slots,
+    binomial weight C(3, a) C(2, b).  phi and h are extended once, the
+    class products are summed as fields, and the sum is assembled once."""
+    grid = grid or default_grid()
+    J = angle_count(max((5 - a - b) * phi.N + (a + b) * h.N
+                        for a, b in classes))
+    fp = extend(phi, grid, J)
+    fh = extend(h, grid, J)
+    cp, ch = fp.conj(), fh.conj()
+    terms = (prod([fp] * (3 - a) + [fh] * a + [cp] * (2 - b) + [ch] * b,
+                  start=comb(3, a) * comb(2, b)) for a, b in classes)
+    total = reduce(operator.add, terms)     # one class product alive at a time
+    return CircleFunction(_assemble_polar(total, total.N))
+
+
 def linear_part(phi: CircleFunction, g: CircleFunction,
                 grid: RadialGrid | None = None) -> CircleFunction:
     """L(phi, g): the h-independent part of the expanded fixed-point map.
@@ -150,38 +172,15 @@ def linear_part(phi: CircleFunction, g: CircleFunction,
     Q(phi,phi,phi,phi~,phi~) - phi + 2 Q(phi,phi,phi,phi~,g~)
                              + 3 Q(phi,phi,g,phi~,phi~).
     """
-    grid = grid or default_grid()
-    tp = conjugate_reflect(phi)
-    tg = conjugate_reflect(g)
-
-    def q(a, b, c, d, e):
-        return quintic_convolve([a, b, c, d, e], grid=grid, method="polar")
-
-    return (q(phi, phi, phi, tp, tp) - phi
-            + 2.0 * q(phi, phi, phi, tp, tg)
-            + 3.0 * q(phi, phi, g, tp, tp))
+    return _class_sum(phi, g, ((0, 0), (0, 1), (1, 0)), grid) - phi
 
 
 def nonlinear_part(phi: CircleFunction, h: CircleFunction,
                    grid: RadialGrid | None = None) -> CircleFunction:
     """N(phi, h): the nine remaining classes of Q(phi+h, .., (phi+h)~, ..),
     at least quadratic in h (binomial weights 3-choose-a times 2-choose-b)."""
-    grid = grid or default_grid()
-    tp = conjugate_reflect(phi)
-    th = conjugate_reflect(h)
-
-    def q(a, b, c, d, e):
-        return quintic_convolve([a, b, c, d, e], grid=grid, method="polar")
-
-    return (q(phi, phi, phi, th, th)
-            + 6.0 * q(phi, phi, h, tp, th)
-            + 3.0 * q(phi, h, h, tp, tp)
-            + 3.0 * q(phi, phi, h, th, th)
-            + 6.0 * q(phi, h, h, tp, th)
-            + q(h, h, h, tp, tp)
-            + 3.0 * q(phi, h, h, th, th)
-            + 2.0 * q(h, h, h, tp, th)
-            + q(h, h, h, th, th))
+    return _class_sum(phi, h, ((0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
+                               (3, 0), (2, 2), (3, 1), (3, 2)), grid)
 
 
 def expansion_residual(phi: CircleFunction, g: CircleFunction,
@@ -189,10 +188,8 @@ def expansion_residual(phi: CircleFunction, g: CircleFunction,
     """Relative error of L(phi,g) + N(phi,g) + phi against Q(f,..) at
     f = phi + g: a pure bookkeeping identity, so this measures arithmetic."""
     grid = grid or default_grid()
-    f = phi + g
     lhs = linear_part(phi, g, grid) + nonlinear_part(phi, g, grid) + phi
-    tf = conjugate_reflect(f)
-    rhs = quintic_convolve([f, f, f, tf, tf], grid=grid, method="polar")
+    rhs = el_quintic(phi + g, grid)         # its own extension of phi + g
     num = l2_norm(lhs - rhs)
     den = l2_norm(rhs) + 1e-300
     return float(num / den)

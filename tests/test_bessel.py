@@ -78,19 +78,35 @@ def test_radial_integrate_against_mpmath():
     assert abs(val - T_MIXED_REF) <= err
 
 
+def _exp_tail_reference(omega, nu, P):
+    """int_P^oo rho^{-nu} e^{i omega rho} drho = (-i omega)^{nu-1}
+    Gamma(1 - nu, -i omega P), by rotating the ray onto -i omega rho."""
+    z = -1j * mpmath.mpf(omega)
+    return z ** (mpmath.mpf(nu) - 1) * mpmath.gammainc(1 - mpmath.mpf(nu), z * P)
+
+
+def test_exp_tail_reference_against_quadosc():
+    # one pair by direct oscillatory quadrature checks the closed form
+    P, omega, nu = 50.0, -1.0, 1.5
+    with mpmath.workdps(30):
+        ref = _exp_tail_reference(omega, nu, P)
+        quad = mpmath.quadosc(
+            lambda r: r ** -nu * mpmath.e ** (1j * omega * r),
+            [P, mpmath.inf], period=2 * mpmath.pi / abs(omega))
+        assert abs(quad - ref) < 1e-20 * abs(ref)
+
+
 def test_exp_tail_integral_against_mpmath():
     # int_P^oo rho^{-nu} e^{i omega rho} drho, integer and half-integer nu
     # integer nu runs on exp1 (machine precision); half-integer nu runs on
     # scipy's Fresnel pair, good to ~1e-8 relative in its asymptotic regime;
-    # quadosc itself needs extra working precision at the faster frequencies
+    # the reference is the incomplete-gamma closed form at 30 digits
     P = 50.0
     with mpmath.workdps(30):
         for omega in (-4.0, -1.0, 2.0, 6.0):
             for nu in (1.0, 1.5, 2.0, 2.5, 3.0):
                 got = complex(exp_tail_integral(np.array([omega]), nu, P)[0])
-                ref = complex(mpmath.quadosc(
-                    lambda r: r ** -nu * mpmath.e ** (1j * omega * r),
-                    [P, mpmath.inf], period=2 * mpmath.pi / abs(omega)))
+                ref = complex(_exp_tail_reference(omega, nu, P))
                 tol = 1e-13 if float(nu).is_integer() else 1e-12 + 2e-8 * abs(ref)
                 assert abs(got - ref) < tol, (omega, nu)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tscircle import (BesselTensor, RadialGrid, auto_density, build_tensor,
-                      sup_bound_check)
+                      el_residual, extend, l6_norm, quotient, random_function,
+                      sup_bound_check, ts_functional)
 from tscircle.cli import (
     _HANDLERS,
     COMMANDS,
@@ -127,6 +128,31 @@ def test_density_uses_cutoff(tmp_path):
     assert env["payload"]["mass"] == float(direct.mass)
     assert env["payload"]["values"] == [
         float(v) if ok else None for v, ok in zip(direct.values, direct.valid)]
+
+
+def test_functional_uses_cutoff(tmp_path):
+    grid = RadialGrid(400)
+    f = random_function(4, seed=3, decay=0.8)
+    argv = ["--n", "4", "--seed", "3", "--cutoff", "400"]
+    env = run_to_file(tmp_path, "f.json", ["functional"] + argv)
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["phi"] == ts_functional(f, grid=grid)
+    assert env["payload"]["quotient"] == quotient(f, grid)
+    env = run_to_file(tmp_path, "r.json", ["el-residual"] + argv)
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["lambda_fit"] == el_residual(f, grid=grid).lambda_fit
+    env = run_to_file(tmp_path, "e.json", ["extend"] + argv)
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["l6"] == l6_norm(extend(f, grid))
+
+
+def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):
+    path = tmp_path / "t.b6t"
+    build_tensor(1).save(path)
+    for name in ("functional", "el-residual"):
+        rc = main([name, "--n", "1", "--cutoff", "400", "--tensor", str(path)])
+        assert rc == 2, name
+        assert "cutoff" in capsys.readouterr().err
 
 
 def test_sup_bound_uses_cutoff(tmp_path):

@@ -20,6 +20,9 @@ from tscircle import (
     quotient,
     random_function,
 )
+import tscircle.extension
+import tscircle.quintic
+import tscircle.solver
 from tscircle.errors import DivergenceError
 
 
@@ -123,6 +126,27 @@ def test_nonlinear_part_is_superlinear():
     n1 = l2_norm(nonlinear_part(phi, h))
     n2 = l2_norm(nonlinear_part(phi, 0.5 * h))
     assert n2 < 0.30 * n1
+
+
+def test_parts_extend_each_input_once(monkeypatch):
+    # every class product of L and N is composed from the fields of phi and
+    # of g (or h); nothing else is extended
+    calls = []
+    real = tscircle.extension.extend
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    for mod in (tscircle.quintic, tscircle.solver):
+        monkeypatch.setattr(mod, "extend", counting, raising=False)
+    phi = random_function(3, seed=5, decay=0.9)
+    g = high_tail(3, 6, seed=6)
+    nonlinear_part(phi, g)
+    assert len(calls) == 2
+    calls.clear()
+    linear_part(phi, g)
+    assert len(calls) == 2
 
 
 def test_expansion_identity_explicit_pairs():

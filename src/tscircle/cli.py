@@ -342,9 +342,11 @@ def cmd_el_residual(args):
 
 
 def cmd_solve(args):
-    config = {"n": args.n, "seed": args.seed, "max_iter": args.max_iter}
+    config = {"n": args.n, "seed": args.seed, "max_iter": args.max_iter,
+              "cutoff": args.cutoff}
+    grid = default_grid(args.cutoff)
     res = ascend(config=AscentConfig(n=args.n, seed=args.seed,
-                                     max_iter=args.max_iter))
+                                     max_iter=args.max_iter), grid=grid)
     payload = {
         "n": args.n,
         "quotient": float(res.quotient),
@@ -352,12 +354,13 @@ def cmd_solve(args):
         "lambda_fit": float(res.lambda_fit),
         "iterations": int(res.iterations),
         "converged": bool(res.converged),
-        "gap_to_constant_quotient": float(abs(res.quotient - quotient(constant_function(1.0)))),
+        "gap_to_constant_quotient": float(abs(
+            res.quotient - quotient(constant_function(1.0), grid))),
         "coefficients": _coeff_pairs(res.f),
     }
 
     def oracle():
-        rep = el_residual(res.f)
+        rep = el_residual(res.f, grid=grid)
         return {"el_residual_rel": float(rep.residual_rel),
                 "el_residual_sup": float(rep.residual_sup)}
 
@@ -365,9 +368,11 @@ def cmd_solve(args):
 
 
 def cmd_picard(args):
-    config = {"n": args.n, "seed": args.seed, "eps": args.eps}
-    res = ascend(config=AscentConfig(n=args.n, seed=args.seed))
-    rep = picard_iterate(res.f, eps=args.eps)
+    config = {"n": args.n, "seed": args.seed, "eps": args.eps,
+              "cutoff": args.cutoff}
+    grid = default_grid(args.cutoff)
+    res = ascend(config=AscentConfig(n=args.n, seed=args.seed), grid=grid)
+    rep = picard_iterate(res.f, eps=args.eps, grid=grid)
     payload = {
         "eps": float(rep.eps),
         "K": int(rep.K),
@@ -389,7 +394,8 @@ def cmd_picard(args):
         lam = rep.lambda_used
         scaled = res.f * float(lam) ** -0.25
         phi, g, _ = decompose(scaled, args.eps)
-        return {"expansion_identity_rel": float(expansion_residual(phi, g))}
+        return {"expansion_identity_rel":
+                float(expansion_residual(phi, g, grid))}
 
     return config, payload, oracle
 
@@ -416,8 +422,8 @@ def cmd_split(args):
 
 
 def cmd_smoothing(args):
-    config = {"n": args.n, "seed": args.seed}
-    rep = smoothing_experiment(n=args.n)
+    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff}
+    rep = smoothing_experiment(n=args.n, grid=default_grid(args.cutoff))
     payload = {
         "n": rep.n,
         "input_slope": float(rep.input_slope),

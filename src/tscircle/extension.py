@@ -37,10 +37,14 @@ def minus_i_pow(n):
     return _I_POW[np.mod(-np.asarray(n), 4)]
 
 
-def angle_count(M: int) -> int:
-    """Angular sample count for a product field of bandwidth M: its modes
-    -M..M are then exact under the FFT (at least 2M+8, and never < 64)."""
-    return max(64, 2 * M + 8)
+def angle_count(M: int, M_out: int | None = None) -> int:
+    """Angular sample count for a product field of bandwidth M whose modes
+    -M_out..M_out are read (M_out defaults to M).  J uniform samples alias
+    mode m onto m + J, so modes |m| <= M_out come out of the FFT exactly
+    when J > M + M_out; the count is M + M_out + 8, and never < 64."""
+    if M_out is None:
+        M_out = M
+    return max(64, M + M_out + 8)
 
 
 def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:

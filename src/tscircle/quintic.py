@@ -15,9 +15,12 @@ extended fields and inverts mode by mode,
 
 P_m the m-th angular coefficient of the product field.  _assemble_polar is
 that one inversion: every polar caller composes one product field (sums of
-products included) and assembles it once, for the modes it needs.  Both
-routes carry the same closed-form radial tail so their agreement tests
-bookkeeping, not a shared truncation.
+products included) and assembles it once, for the modes it needs.  The
+angular grid is sized for those modes too: J samples of a bandwidth-M
+product give its modes |m| <= M_out exactly when J > M + M_out
+(extension.angle_count), so a caller that reads mode 0 only samples at
+about M angles, not 2M.  Both routes carry the same closed-form radial
+tail so their agreement tests bookkeeping, not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -41,7 +44,8 @@ from scipy import special as _sp
 from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
                      default_grid, exp_tail_integral, first_order_coeff,
                      radial_integrate)
-from .errors import ConfigError, PreconditionError, SingularRadiusError
+from .errors import (ConfigError, GridSizeError, PreconditionError,
+                     SingularRadiusError)
 from .extension import (ExtensionField, angle_count, angular_analyze, extend,
                         i_pow)
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
@@ -54,10 +58,14 @@ SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 # ---------------------------------------------------------------------------
 
 def _assemble_polar(field: ExtensionField, M: int) -> np.ndarray:
-    """Modes -M..M of Q from the product field of its five inputs."""
+    """Modes -M..M of Q from the product field of its five inputs; the
+    field's J angles must exceed field.N + M, or those modes alias."""
     grid = field.grid
     P = grid.cutoff
     J = field.n_angles
+    if J <= field.N + M:
+        raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
+                            f"{field.N} product (needs J > {field.N + M})")
     pm = np.fft.fft(field.values, axis=1) / J
     m = np.arange(-M, M + 1)
     Pm = pm[:, np.mod(m, J)]                          # (K, 2M+1)
@@ -406,12 +414,13 @@ def leibniz_terms(fs, t: float) -> list:
 
     Term i rotates slots < i, differences slot i, and leaves the rest:
     summing telescopes exactly, so the rotation difference of a product
-    splits into per-slot differences with no remainder.
+    splits into per-slot differences with no remainder.  Each input is
+    rotated once, so the lists share their slot objects: rot f_j in every
+    term after j, f_j in every term before it.
     """
     fs = list(fs)
-    return [[rotate(f, t) for f in fs[:i]]
-            + [rotate(fs[i], t) - fs[i]] + fs[i + 1:]
-            for i in range(len(fs))]
+    rot = [rotate(f, t) for f in fs]
+    return [rot[:i] + [rot[i] - fs[i]] + fs[i + 1:] for i in range(len(fs))]
 
 
 def quintilinear_bound_ratio(fs, s: float = 0.0,
@@ -426,6 +435,10 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     saturated when every input is constant.  For s > 0 the same bound is
     pushed through difference quotients slot by slot (five-term telescoping
     of the rotation), and the ratio compares the quotient-augmented norms.
+
+    The bound reads mode 0 of a bandwidth-2(N1+..+N5) product, so its fields
+    take angle_count(M, 0) angles, and each distinct |g|^2 is extended once:
+    |f_j|^2 once per call, |rot f_j|^2 and |rot f_j - f_j|^2 once per offset.
     """
     fs = list(fs)
     if len(fs) != 5:
@@ -433,16 +446,21 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     grid = grid or default_grid()
     if mu5_at_1 is None:
         mu5_at_1 = mu_value(5, 1.0, grid)
+    J = angle_count(2 * sum(f.N for f in fs), 0)
 
-    def bound(gs) -> float:
+    def bound(gs, fields: dict) -> float:
         # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled
-        q0 = _assemble_polar(_product_field([_abs2(g) for g in gs], grid), 0)
-        val = TAU * q0[0].real
+        for g in gs:
+            if id(g) not in fields:
+                fields[id(g)] = extend(_abs2(g), grid, J)
+        prod = reduce(operator.mul, (fields[id(g)] for g in gs))
+        val = TAU * _assemble_polar(prod, 0)[0].real
         return float(np.sqrt(mu5_at_1 * max(val, 0.0)))
 
     Q = quintic_convolve(fs, tensor=tensor, grid=grid)
     lhs0 = l2_norm(Q)
-    rhs0 = bound(fs)
+    base: dict = {}                         # id(f_j) -> field of |f_j|^2
+    rhs0 = bound(fs, base)
     if s == 0.0:
         return BoundRatioReport(0.0, lhs0, rhs0, lhs0 / rhs0, mu5_at_1)
 
@@ -452,9 +470,11 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     sup_d = 0.0
     for t in ts:
         numer = l2_norm(rotate(Q, t) - Q) / t ** s
+        fields = dict(base)                 # one offset's fields alive at a time
         denom = 0.0
-        for slots in leibniz_terms(fs, t):
-            denom += bound(slots)
+        for i, slots in enumerate(leibniz_terms(fs, t)):
+            denom += bound(slots, fields)
+            del fields[id(slots[i])]        # slot i's difference is in term i only
         denom /= t ** s
         per_t[float(t)] = (numer, denom, numer / denom)
         sup_n = max(sup_n, numer)

@@ -148,39 +148,45 @@ def decompose(f: CircleFunction, eps: float):
 
 
 def _class_sum(phi: CircleFunction, h: CircleFunction, classes,
-               grid: RadialGrid | None) -> CircleFunction:
+               grid: RadialGrid | None, M: int | None) -> CircleFunction:
     """Sum of classes (a, b) of Q(phi+h, .., (phi+h)~, ..) by multilinearity:
     h in a of the three plain slots, h~ in b of the two conjugate slots,
     binomial weight C(3, a) C(2, b).  phi and h are extended once, the
-    class products are summed as fields, and the sum is assembled once."""
+    class products are summed as fields, and the sum is assembled once,
+    for modes -M..M (all of them when M is None) on the angles they need."""
     grid = grid or default_grid()
-    J = angle_count(max((5 - a - b) * phi.N + (a + b) * h.N
-                        for a, b in classes))
+    bandwidth = max((5 - a - b) * phi.N + (a + b) * h.N for a, b in classes)
+    M = bandwidth if M is None else min(M, bandwidth)
+    J = angle_count(bandwidth, M)
     fp = extend(phi, grid, J)
     fh = extend(h, grid, J)
     cp, ch = fp.conj(), fh.conj()
     terms = (prod([fp] * (3 - a) + [fh] * a + [cp] * (2 - b) + [ch] * b,
                   start=comb(3, a) * comb(2, b)) for a, b in classes)
     total = reduce(operator.add, terms)     # one class product alive at a time
-    return CircleFunction(_assemble_polar(total, total.N))
+    return CircleFunction(_assemble_polar(total, M))
 
 
 def linear_part(phi: CircleFunction, g: CircleFunction,
-                grid: RadialGrid | None = None) -> CircleFunction:
-    """L(phi, g): the h-independent part of the expanded fixed-point map.
+                grid: RadialGrid | None = None,
+                M: int | None = None) -> CircleFunction:
+    """L(phi, g): the h-independent part of the expanded fixed-point map,
+    modes -M..M of it when M is given (all of them by default).
 
     Q(phi,phi,phi,phi~,phi~) - phi + 2 Q(phi,phi,phi,phi~,g~)
                              + 3 Q(phi,phi,g,phi~,phi~).
     """
-    return _class_sum(phi, g, ((0, 0), (0, 1), (1, 0)), grid) - phi
+    return _class_sum(phi, g, ((0, 0), (0, 1), (1, 0)), grid, M) - phi
 
 
 def nonlinear_part(phi: CircleFunction, h: CircleFunction,
-                   grid: RadialGrid | None = None) -> CircleFunction:
+                   grid: RadialGrid | None = None,
+                   M: int | None = None) -> CircleFunction:
     """N(phi, h): the nine remaining classes of Q(phi+h, .., (phi+h)~, ..),
-    at least quadratic in h (binomial weights 3-choose-a times 2-choose-b)."""
+    at least quadratic in h (binomial weights 3-choose-a times 2-choose-b);
+    modes -M..M of it when M is given (all of them by default)."""
     return _class_sum(phi, h, ((0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
-                               (3, 0), (2, 2), (3, 1), (3, 2)), grid)
+                               (3, 0), (2, 2), (3, 1), (3, 2)), grid, M)
 
 
 def expansion_residual(phi: CircleFunction, g: CircleFunction,
@@ -242,9 +248,10 @@ def picard_iterate(f: CircleFunction, eps: float,
 
     # The lab works in the band-limited space of f: every iterate is cut
     # back to bandwidth N, where g itself lives and where the fixed-point
-    # identity holds up to the ascent residual.
+    # identity holds up to the ascent residual.  L and N are assembled for
+    # those modes only, on the angles they need.
     Nf = fs.N
-    L = linear_part(phi, g, grid).truncated(Nf)
+    L = linear_part(phi, g, grid, Nf).truncated(Nf)
     h = L
     h0_norm = l2_norm(h)
     ball = eps ** 0.75
@@ -256,7 +263,7 @@ def picard_iterate(f: CircleFunction, eps: float,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        h_next = (L + nonlinear_part(phi, h, grid)).truncated(Nf)
+        h_next = (L + nonlinear_part(phi, h, grid, Nf)).truncated(Nf)
         d = h_next - h
         step_l2 = l2_norm(d)
         step_s = weighted_norm(d, s_norm)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from tscircle import (BesselTensor, RadialGrid, auto_density, build_tensor,
-                      el_residual, extend, l6_norm, quotient, random_function,
+from tscircle import (AscentConfig, BesselTensor, RadialGrid, ascend,
+                      auto_density, build_tensor, decompose, el_residual,
+                      expansion_residual, extend, l6_norm, picard_iterate,
+                      quotient, random_function, smoothing_experiment,
                       sup_bound_check, ts_functional)
 from tscircle.cli import (
     _HANDLERS,
@@ -144,6 +146,33 @@ def test_functional_uses_cutoff(tmp_path):
     env = run_to_file(tmp_path, "e.json", ["extend"] + argv)
     assert env["config"]["cutoff"] == 400.0
     assert env["payload"]["l6"] == l6_norm(extend(f, grid))
+
+
+def test_solver_commands_use_cutoff(tmp_path):
+    grid = RadialGrid(400)
+    env = run_to_file(tmp_path, "s.json", [
+        "solve", "--n", "4", "--max-iter", "50", "--cutoff", "400"])
+    res = ascend(config=AscentConfig(n=4, seed=0, max_iter=50), grid=grid)
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["quotient"] == res.quotient
+
+    env = run_to_file(tmp_path, "p.json", [
+        "picard", "--n", "6", "--cutoff", "400", "--verify"])
+    f = ascend(config=AscentConfig(n=6, seed=0), grid=grid).f
+    rep = picard_iterate(f, eps=0.05, grid=grid)
+    phi, g, _ = decompose(f * rep.lambda_used ** -0.25, 0.05)
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["h_minus_g_l2"] == rep.h_minus_g_l2
+    assert env["payload"]["ratios_l2"] == rep.ratios_l2
+    assert (env["oracle"]["expansion_identity_rel"]
+            == expansion_residual(phi, g, grid))
+
+    env = run_to_file(tmp_path, "m.json", [
+        "smoothing", "--n", "16", "--cutoff", "400"])
+    rep = smoothing_experiment(n=16, grid=grid)
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["output_slope"] == rep.output_slope
+    assert env["payload"]["lip_fine"] == rep.lip_fine
 
 
 def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):

@@ -117,3 +117,7 @@ def test_angle_count_grows_with_bandwidth():
     assert angle_count(0) == 64
     assert angle_count(5 * 16) == 168
     assert angle_count(5 * 16) > 2 * 5 * 16  # enough for quintic products
+    # J > M + M_out: the modes a caller reads set the count, not 2M alone
+    assert angle_count(80) == 168
+    assert angle_count(80, 16) == 104
+    assert angle_count(80, 0) == 88

@@ -10,10 +10,12 @@ import pytest
 
 from tscircle import (
     TAU,
+    CircleFunction,
     auto_density,
     constant_function,
     conjugate_reflect,
     el_quintic,
+    extend,
     inner_product,
     l2_norm,
     lambda0_value,
@@ -24,8 +26,9 @@ from tscircle import (
     rotate,
     sup_bound_check,
 )
-from tscircle.errors import ConfigError, SingularRadiusError
-from tscircle.quintic import SINGULAR_RADII
+import tscircle.quintic
+from tscircle.errors import ConfigError, GridSizeError, SingularRadiusError
+from tscircle.quintic import SINGULAR_RADII, _assemble_polar, leibniz_terms
 
 
 def five_random(n, base_seed, decay=0.8):
@@ -215,9 +218,67 @@ def test_bound_ratio_smooth_norm():
     assert rep.per_t  # the dyadic sweep actually ran
 
 
+def test_assembly_refuses_aliased_modes():
+    # 64 angles of a bandwidth-40 product give modes |m| <= 23 exactly;
+    # mode 24 would alias with mode -40, so the assembly refuses it
+    f = random_function(8, seed=7, decay=0.7)
+    F = extend(f, n_angles=64)
+    prod = F * F * F * F.conj() * F.conj()
+    full = el_quintic(f).truncated(23).coeffs
+    low = _assemble_polar(prod, 23)
+    assert np.max(np.abs(low - full)) <= 1e-13 * np.max(np.abs(full))
+    with pytest.raises(GridSizeError):
+        _assemble_polar(prod, 24)
+
+
+def autocorrelation(g):
+    """|g|^2 from its coefficients: sum_n c_n conj(c_{n-m}), m = -2N..2N."""
+    return CircleFunction(np.convolve(g.coeffs, np.conj(g.coeffs[::-1])))
+
+
+def test_bound_chain_extends_each_abs2_once(monkeypatch):
+    # Q extends its five inputs; the |f_j|^2 are extended once per call, and
+    # each offset adds |rot f_j|^2 (j < 4) and |rot f_j - f_j|^2: 5 + 5 + 4 * 9
+    angles = []
+    real = tscircle.quintic.extend
+
+    def recording(f, *args, **kwargs):
+        field = real(f, *args, **kwargs)
+        angles.append(field.n_angles)
+        return field
+
+    monkeypatch.setattr(tscircle.quintic, "extend", recording)
+    fs = five_random(8, 400, decay=0.6)
+    quintilinear_bound_ratio(fs, 0.5, mu5_at_1=1.0,
+                             t_grid=2.0 ** -np.arange(1, 5))
+    assert len(angles) == 46
+    assert set(angles) == {88}     # angle_count(80, 0): mode 0 is read
+
+
+def test_bound_chain_matches_polar_route_reference():
+    # independent route: each bound term is the polar convolution of the
+    # |g|^2 (autocorrelations) at full J, read at mode 0
+    fs = five_random(8, 410, decay=0.6)
+    ts = 2.0 ** -np.arange(1, 5)
+    s = 0.5
+
+    def bound(gs):
+        q = quintic_convolve([autocorrelation(g) for g in gs], method="polar")
+        return np.sqrt(TAU * q.coeff(0).real)
+
+    rep = quintilinear_bound_ratio(fs, s, mu5_at_1=1.0, t_grid=ts)
+    Q = quintic_convolve(fs, method="polar")
+    numer = max(l2_norm(rotate(Q, t) - Q) / t ** s for t in ts)
+    denom = [sum(bound(slots) for slots in leibniz_terms(fs, t)) / t ** s
+             for t in ts]
+    ratio = (l2_norm(Q) + numer) / (bound(fs) + max(denom))
+    assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+    for t, d in zip(ts, denom):
+        assert rep.per_t[float(t)][1] == pytest.approx(d, rel=1e-12, abs=0)
+
+
 def test_leibniz_difference_identity():
     # Delta_t Q(f1..f5) telescopes into five rotated-slot differences
-    from tscircle.quintic import leibniz_terms
     t = 2.0 ** -3
     fs = five_random(3, 300, decay=0.8)
     q = quintic_convolve(fs, method="polar")

@@ -149,6 +149,31 @@ def test_parts_extend_each_input_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_parts_for_low_modes_match_full_band(monkeypatch):
+    # assembled for modes |m| <= 16 only, on angle_count(M, 16) angles
+    # (N: bandwidth M = 80, 104 instead of 168; L: M = 32, 64 instead of
+    # 72), N and L are the full results cut to 16
+    angles = []
+    real = tscircle.solver.extend
+
+    def recording(f, *args, **kwargs):
+        field = real(f, *args, **kwargs)
+        angles.append(field.n_angles)
+        return field
+
+    monkeypatch.setattr(tscircle.solver, "extend", recording)
+    phi = random_function(4, seed=41, decay=0.9)
+    g = high_tail(4, 16, seed=42)
+    for part, J_full, J_low in ((nonlinear_part, 168, 104),
+                                (linear_part, 72, 64)):
+        angles.clear()
+        full = part(phi, g).truncated(16)
+        low = part(phi, g, M=16)
+        assert angles == [J_full, J_full, J_low, J_low]
+        assert low.N == 16
+        assert l2_norm(low - full) <= 1e-13 * l2_norm(full)
+
+
 def test_expansion_identity_explicit_pairs():
     worst = 0.0
     for k in range(10):

@@ -48,14 +48,21 @@ def angle_count(M: int, M_out: int | None = None) -> int:
 
 
 def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
-    """Trig synthesis along the last axis; modes indexed n = -N..N."""
+    """Trig synthesis along the last axis; modes indexed n = -N..N.
+
+    The J samples are exact for any J: mode n lands on FFT bin n mod J.
+    Only reading modes back (angular_analyze, quintic._assemble_polar)
+    needs J large enough, so a factor may have more modes than J bins."""
     modes = np.asarray(modes, dtype=np.complex128)
     N = (modes.shape[-1] - 1) // 2
-    if J < 2 * N + 2:
-        raise GridSizeError(f"J={J} too small for angular bandwidth {N}")
     spec = np.zeros(modes.shape[:-1] + (J,), dtype=np.complex128)
-    spec[..., :N + 1] = modes[..., N:]
-    spec[..., J - N:] = modes[..., :N]
+    if 2 * N + 1 > J:
+        n = np.arange(-N, N + 1)
+        for s in range(0, n.size, J):   # J consecutive modes: distinct bins
+            spec[..., np.mod(n[s:s + J], J)] += modes[..., s:s + J]
+    else:
+        spec[..., :N + 1] = modes[..., N:]
+        spec[..., J - N:] = modes[..., :N]
     return np.fft.ifft(spec, axis=-1) * J
 
 

@@ -19,7 +19,7 @@ from tscircle import (
     random_function,
     ts_functional,
 )
-from tscircle.extension import angle_count
+from tscircle.extension import angle_count, angular_analyze, angular_synthesize
 
 
 def field_oracle(f, rho, phi):
@@ -121,3 +121,18 @@ def test_angle_count_grows_with_bandwidth():
     assert angle_count(80) == 168
     assert angle_count(80, 16) == 104
     assert angle_count(80, 0) == 88
+
+
+def test_angular_synthesis_is_exact_below_the_bandwidth():
+    # sampling a trig polynomial is exact at any J: 24 samples of a
+    # bandwidth-20 polynomial fold its 41 modes onto 24 bins
+    rng = np.random.default_rng(5)
+    modes = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
+    n = np.arange(-20, 21)
+    for J in (24, 41, 64):
+        theta = np.arange(J) * (TAU / J)
+        direct = modes @ np.exp(1j * np.outer(n, theta))
+        np.testing.assert_allclose(angular_synthesize(modes, J), direct,
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(angular_analyze(angular_synthesize(modes, 64),
+                                               20), modes, rtol=0, atol=1e-13)

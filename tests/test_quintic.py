@@ -255,23 +255,43 @@ def test_bound_chain_extends_each_abs2_once(monkeypatch):
     assert set(angles) == {88}     # angle_count(80, 0): mode 0 is read
 
 
-def test_bound_chain_matches_polar_route_reference():
-    # independent route: each bound term is the polar convolution of the
-    # |g|^2 (autocorrelations) at full J, read at mode 0
-    fs = five_random(8, 410, decay=0.6)
-    ts = 2.0 ** -np.arange(1, 5)
-    s = 0.5
-
+def bound_chain_reference(fs, s, ts):
+    """Independent route: each bound term is the polar convolution of the
+    |g|^2 (autocorrelations) at full J, read at mode 0; returns the ratio,
+    the per-offset denominators and the bound of fs itself."""
     def bound(gs):
         q = quintic_convolve([autocorrelation(g) for g in gs], method="polar")
         return np.sqrt(TAU * q.coeff(0).real)
 
-    rep = quintilinear_bound_ratio(fs, s, mu5_at_1=1.0, t_grid=ts)
     Q = quintic_convolve(fs, method="polar")
     numer = max(l2_norm(rotate(Q, t) - Q) / t ** s for t in ts)
     denom = [sum(bound(slots) for slots in leibniz_terms(fs, t)) / t ** s
              for t in ts]
-    ratio = (l2_norm(Q) + numer) / (bound(fs) + max(denom))
+    rhs0 = bound(fs)
+    return (l2_norm(Q) + numer) / (rhs0 + max(denom)), denom, rhs0
+
+
+def test_bound_chain_matches_polar_route_reference():
+    fs = five_random(8, 410, decay=0.6)
+    ts = 2.0 ** -np.arange(1, 5)
+    rep = quintilinear_bound_ratio(fs, 0.5, mu5_at_1=1.0, t_grid=ts)
+    ratio, denom, _ = bound_chain_reference(fs, 0.5, ts)
+    assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+    for t, d in zip(ts, denom):
+        assert rep.per_t[float(t)][1] == pytest.approx(d, rel=1e-12, abs=0)
+
+
+def test_bound_chain_mixed_bandwidths():
+    # one band-16 input among constants: mode 0 of the band-32 product
+    # takes 64 angles, fewer than the 65 modes of the factor |f_1|^2,
+    # which is still sampled exactly (its modes fold onto the 64 bins)
+    fs = ([random_function(16, seed=420, decay=0.8)]
+          + [constant_function(0.5 + 0.25 * j) for j in range(4)])
+    ts = 2.0 ** -np.arange(1, 3)
+    ratio, denom, rhs0 = bound_chain_reference(fs, 0.5, ts)
+    rep0 = quintilinear_bound_ratio(fs, mu5_at_1=1.0)
+    assert rep0.rhs == pytest.approx(rhs0, rel=1e-12, abs=0)
+    rep = quintilinear_bound_ratio(fs, 0.5, mu5_at_1=1.0, t_grid=ts)
     assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
     for t, d in zip(ts, denom):
         assert rep.per_t[float(t)][1] == pytest.approx(d, rel=1e-12, abs=0)

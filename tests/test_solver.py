@@ -174,6 +174,17 @@ def test_parts_for_low_modes_match_full_band(monkeypatch):
         assert l2_norm(low - full) <= 1e-13 * l2_norm(full)
 
 
+def test_parts_for_low_modes_with_unequal_bandwidths():
+    # phi of bandwidth 0, g of 40: modes |m| <= 16 of L (bandwidth 40) take
+    # 64 angles, fewer than g's 81 modes, which still sample exactly
+    phi = constant_function(0.8)
+    g = high_tail(4, 40, seed=43, scale=0.1)
+    for part in (linear_part, nonlinear_part):
+        full = part(phi, g).truncated(16)
+        low = part(phi, g, M=16)
+        assert l2_norm(low - full) <= 1e-13 * l2_norm(full)
+
+
 def test_expansion_identity_explicit_pairs():
     worst = 0.0
     for k in range(10):

@@ -23,44 +23,26 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
 
 from . import __version__
-from .bessel import (BesselTensor, RadialGrid, build_tensor, default_grid,
-                     radial_integrate)
+from .bessel import (DEFAULT_CUTOFF, BesselTensor, RadialGrid, build_tensor,
+                     default_grid, radial_integrate)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
 from .extension import decay_check, extend, l6_norm
 from .quintic import auto_density, mu_value, sup_bound_check
-from .regularity import regularity_profile, sharp_flat_split, smoothing_experiment
-from .solver import AscentConfig, ascend, expansion_residual, picard_iterate
+from .regularity import (calH_estimate, regularity_profile, sharp_flat_split,
+                         smoothing_experiment)
+from .solver import (AscentConfig, ascend, decompose, expansion_residual,
+                     picard_iterate)
 from .spectral import TAU, CircleFunction, constant_function, l2_norm, random_function
-from .variational import constant_estimate, el_residual, quotient, t0_value, ts_functional
-
-COMMANDS = (
-    "tensor-build", "extend", "density", "sup-bound", "functional",
-    "el-residual", "solve", "picard", "split", "smoothing", "constant",
-    "regularity-profile",
-)
-
-# payload keys each command must emit; validate_envelope checks these
-_PAYLOAD_KEYS = {
-    "tensor-build": {"n", "cutoff", "n_entries", "t_zero"},
-    "extend": {"n", "l6", "origin_value", "decay_sup", "decay_envelope"},
-    "density": {"k", "mass", "mass_expected", "sup", "arg_sup"},
-    "sup-bound": {"k", "sup", "at_radius", "mass_rel_error"},
-    "functional": {"n", "phi", "quotient", "lambda_fit"},
-    "el-residual": {"n", "residual_rel", "residual_sup", "leakage", "lambda_fit"},
-    "solve": {"n", "quotient", "phi", "iterations", "converged"},
-    "picard": {"eps", "K", "max_ratio", "h_minus_g_l2", "converged"},
-    "split": {"eta", "K", "l2_flat", "lip_sharp"},
-    "smoothing": {"n", "gain", "input_slope", "output_slope", "lip_drift"},
-    "constant": {"value", "t0", "lambda0", "note"},
-    "regularity-profile": {"n", "l2", "decay_slope", "calH", "holder"},
-}
-
+from .variational import (constant_estimate, el_residual, lambda0_value, quotient,
+                          t0_value, ts_functional)
 
 def _jsonable(x):
     """Recursively coerce numpy/dataclass values into plain JSON types.
@@ -121,7 +103,7 @@ def validate_envelope(env: dict) -> None:
         raise ConfigError("created_utc is not an ISO-8601 timestamp")
     if not isinstance(env["payload"], dict):
         raise ConfigError("payload must be a JSON object")
-    want = _PAYLOAD_KEYS[env["command"]]
+    want = COMMANDS[env["command"]].payload_keys
     have = set(env["payload"])
     if not want <= have:
         raise ConfigError(f"payload for {env['command']} missing keys: {sorted(want - have)}")
@@ -168,13 +150,70 @@ def _coeff_pairs(f: CircleFunction) -> list:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (config, payload, oracle_fn)
+# the command table
 
+# argparse settings of each flag; the defaults are per command, in COMMANDS
+_FLAGS = {
+    "--n": {"type": int}, "--n-points": {"type": int}, "--max-iter": {"type": int},
+    "--seed": {"type": int}, "--k": {"type": int, "choices": (2, 3, 4, 5)},
+    "--cutoff": {"type": float}, "--eps": {"type": float}, "--eta": {"type": float},
+    "--s": {"type": float, "dest": "s_scale"},
+    "--tensor": {"type": str}, "--out": {"type": str},
+    "--method": {"choices": ("constants", "solver")},
+    "--format": {"choices": ("json", "csv")}, "--verify": {"action": "store_true"},
+}
+
+# flags of every command; the envelope contract records the seed
+_COMMON_FLAGS = {"--seed": 0, "--out": None, "--verify": False}
+
+
+def _dest(flag: str) -> str:
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
+@dataclass(frozen=True)
+class Command:
+    """A handler, the flags it reads with this command's defaults, the
+    payload keys it must emit and, if it has one, the payload table
+    (x key, y key, header) that --format csv writes.  The parser accepts
+    `flags` and _COMMON_FLAGS (and --format with a csv table); config
+    records `flags` and the seed."""
+    handler: Callable
+    flags: dict
+    payload_keys: set
+    csv: tuple | None = None
+
+    def parser_flags(self) -> dict:
+        flags = {**self.flags, **_COMMON_FLAGS}
+        if self.csv:
+            flags["--format"] = "json"
+        return flags
+
+    def config(self, args) -> dict:
+        return {_dest(f): getattr(args, _dest(f))
+                for f in ("--seed", *self.flags)}
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None):
+    """Register the decorated handler in COMMANDS under `name`."""
+    def register(handler):
+        COMMANDS[name] = Command(handler, flags, payload_keys, csv)
+        return handler
+    return register
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each returns (payload, oracle_fn); run() records
+# the flags the command declares as its config
+
+@command("tensor-build", {"--n": 4, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
+         {"n", "cutoff", "n_entries", "t_zero"})
 def cmd_tensor_build(args):
-    if args.tensor is None:
+    if args.tensor is None:  # set on args so that config records the path used
         args.tensor = f"tensor_n{args.n}.b6t"
-    config = {"n": args.n, "cutoff": args.cutoff, "seed": args.seed,
-              "tensor": str(args.tensor)}
     grid = RadialGrid(cutoff=args.cutoff)
     tensor = build_tensor(args.n, grid=grid)
     loaded = cache_roundtrip(tensor, args.tensor)
@@ -208,11 +247,12 @@ def cmd_tensor_build(args):
         return {"roundtrip_bit_identical": True, "spot_refine_drift": drift,
                 "n_spot_checks": int(len(idx))}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("extend", {"--n": 8, "--cutoff": DEFAULT_CUTOFF},
+         {"n", "l6", "origin_value", "decay_sup", "decay_envelope"})
 def cmd_extend(args):
-    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff}
     f = _random_input(args.n, args.seed)
     grid = default_grid(args.cutoff)
     field = extend(f, grid)
@@ -232,12 +272,13 @@ def cmd_extend(args):
         gap = abs(payload["l6"] ** 6 / TAU ** 2 - phi) / max(phi, 1e-300)
         return {"sixth_power_vs_functional_rel": float(gap)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("density", {"--k": 5, "--n-points": 801, "--cutoff": DEFAULT_CUTOFF},
+         {"k", "mass", "mass_expected", "sup", "arg_sup"},
+         csv=("radii", "values", ("r", "value")))
 def cmd_density(args):
-    config = {"k": args.k, "n_points": args.n_points, "seed": args.seed,
-              "cutoff": args.cutoff}
     dens = auto_density(args.k, n_points=args.n_points,
                         grid=default_grid(args.cutoff))
     payload = {
@@ -261,17 +302,16 @@ def cmd_density(args):
             got = np.array([mu_value(2, float(r)) for r in rr])
             out["closed_form_max_gap"] = float(np.max(np.abs(got - exact)))
         if args.k == 5:
-            from .variational import lambda0_value
             out["value_at_1_vs_lambda0_rel"] = float(
                 abs(mu_value(5, 1.0) - lambda0_value()) / lambda0_value())
         return out
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("sup-bound", {"--k": 5, "--n-points": 1001, "--cutoff": DEFAULT_CUTOFF},
+         {"k", "sup", "at_radius", "mass_rel_error"})
 def cmd_sup_bound(args):
-    config = {"k": args.k, "n_points": args.n_points, "seed": args.seed,
-              "cutoff": args.cutoff}
     grid = default_grid(args.cutoff)
     rep = sup_bound_check(args.k, n_points=args.n_points, grid=grid)
     payload = {
@@ -289,12 +329,12 @@ def cmd_sup_bound(args):
         drift = abs(fine.sup - rep.sup) / max(abs(rep.sup), 1e-300)
         return {"sup_drift_on_doubling": float(drift)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("functional", {"--n": 8, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
+         {"n", "phi", "quotient", "lambda_fit"})
 def cmd_functional(args):
-    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff,
-              "tensor": str(args.tensor) if args.tensor else None}
     tensor = _load_tensor(args.tensor, args.cutoff)
     grid = default_grid(args.cutoff)
     f = _random_input(args.n, args.seed)
@@ -314,12 +354,12 @@ def cmd_functional(args):
         gap = abs(l6 ** 6 / TAU ** 2 - phi) / max(phi, 1e-300)
         return {"sixth_power_vs_functional_rel": float(gap)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("el-residual", {"--n": 0, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
+         {"n", "residual_rel", "residual_sup", "leakage", "lambda_fit"})
 def cmd_el_residual(args):
-    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff,
-              "tensor": str(args.tensor) if args.tensor else None}
     tensor = _load_tensor(args.tensor, args.cutoff)
     f = _random_input(args.n, args.seed)
     rep = el_residual(f, tensor=tensor, grid=default_grid(args.cutoff))
@@ -338,12 +378,12 @@ def cmd_el_residual(args):
         gap = abs(rep.lambda_fit - rep.lambda_from_quotient) / rep.lambda_fit
         return {"lambda_route_agreement_rel": float(gap)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("solve", {"--n": 16, "--max-iter": 500, "--cutoff": DEFAULT_CUTOFF},
+         {"n", "quotient", "phi", "iterations", "converged"})
 def cmd_solve(args):
-    config = {"n": args.n, "seed": args.seed, "max_iter": args.max_iter,
-              "cutoff": args.cutoff}
     grid = default_grid(args.cutoff)
     res = ascend(config=AscentConfig(n=args.n, seed=args.seed,
                                      max_iter=args.max_iter), grid=grid)
@@ -364,12 +404,12 @@ def cmd_solve(args):
         return {"el_residual_rel": float(rep.residual_rel),
                 "el_residual_sup": float(rep.residual_sup)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("picard", {"--n": 16, "--eps": 0.05, "--cutoff": DEFAULT_CUTOFF},
+         {"eps", "K", "max_ratio", "h_minus_g_l2", "converged"})
 def cmd_picard(args):
-    config = {"n": args.n, "seed": args.seed, "eps": args.eps,
-              "cutoff": args.cutoff}
     grid = default_grid(args.cutoff)
     res = ascend(config=AscentConfig(n=args.n, seed=args.seed), grid=grid)
     rep = picard_iterate(res.f, eps=args.eps, grid=grid)
@@ -390,20 +430,20 @@ def cmd_picard(args):
     }
 
     def oracle():
-        from .solver import decompose
         lam = rep.lambda_used
         scaled = res.f * float(lam) ** -0.25
         phi, g, _ = decompose(scaled, args.eps)
         return {"expansion_identity_rel":
                 float(expansion_residual(phi, g, grid))}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("split", {"--n": 8, "--eta": 0.1, "--s": 0.5},
+         {"eta", "K", "l2_flat", "lip_sharp"})
 def cmd_split(args):
-    config = {"n": args.n, "seed": args.seed, "eta": args.eta, "s_scale": args.s}
     f = _random_input(args.n, args.seed)
-    rep = sharp_flat_split(f, args.eta, s_scale=args.s)
+    rep = sharp_flat_split(f, args.eta, s_scale=args.s_scale)
     payload = {
         "eta": float(rep.eta),
         "K": int(rep.K),
@@ -418,11 +458,12 @@ def cmd_split(args):
         return {"recombination_l2_error": float(recomb),
                 "flat_below_threshold": bool(rep.l2_flat <= args.eta * rep.scale_norm + 1e-12)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("smoothing", {"--n": 64, "--cutoff": DEFAULT_CUTOFF},
+         {"n", "gain", "input_slope", "output_slope", "lip_drift"})
 def cmd_smoothing(args):
-    config = {"n": args.n, "seed": args.seed, "cutoff": args.cutoff}
     rep = smoothing_experiment(n=args.n, grid=default_grid(args.cutoff))
     payload = {
         "n": rep.n,
@@ -440,12 +481,14 @@ def cmd_smoothing(args):
         # square-wave coefficients are exactly c_n ~ 1/n, so slope -1
         return {"input_slope_gap_from_minus_one": float(abs(rep.input_slope + 1.0))}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("constant", {"--method": "constants", "--n": 16, "--cutoff": DEFAULT_CUTOFF},
+         {"value", "t0", "lambda0", "note"})
 def cmd_constant(args):
-    config = {"method": args.method, "n": args.n, "seed": args.seed}
-    rep = constant_estimate(method=args.method, n=args.n, seed=args.seed)
+    rep = constant_estimate(method=args.method, n=args.n, seed=args.seed,
+                            grid=default_grid(args.cutoff))
     payload = {
         "value": float(rep.value),
         "t0": None if rep.t0 is None else float(rep.t0),
@@ -461,11 +504,12 @@ def cmd_constant(args):
         return {"t0_regimes": [float(v) for v in vals],
                 "t0_regime_spread": float(max(vals) - min(vals))}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
+@command("regularity-profile", {"--n": 8},
+         {"n", "l2", "decay_slope", "calH", "holder"})
 def cmd_regularity_profile(args):
-    config = {"n": args.n, "seed": args.seed}
     f = _random_input(args.n, args.seed)
     prof = regularity_profile(f)
     d = prof.to_dict()
@@ -479,95 +523,44 @@ def cmd_regularity_profile(args):
     }
 
     def oracle():
-        from .regularity import calH_estimate
         gap = abs(calH_estimate(f, 0.0) - l2_norm(f))
         return {"calH_zero_vs_l2_gap": float(gap)}
 
-    return config, payload, oracle
+    return payload, oracle
 
 
-_HANDLERS = {
-    "tensor-build": cmd_tensor_build,
-    "extend": cmd_extend,
-    "density": cmd_density,
-    "sup-bound": cmd_sup_bound,
-    "functional": cmd_functional,
-    "el-residual": cmd_el_residual,
-    "solve": cmd_solve,
-    "picard": cmd_picard,
-    "split": cmd_split,
-    "smoothing": cmd_smoothing,
-    "constant": cmd_constant,
-    "regularity-profile": cmd_regularity_profile,
-}
-
-# commands whose payload carries a natural table for --format csv
-_CSV_TABLES = {
-    "density": ("radii", "values", ["r", "value"]),
-}
-
-
-def _write_csv(env: dict, stream) -> None:
-    command = env["command"]
-    if command == "tensor-build":
-        raise ConfigError("csv export of a tensor cache: use the cache file itself")
-    if command not in _CSV_TABLES:
-        raise ConfigError(f"--format csv is not supported for {command!r}")
-    xkey, ykey, header = _CSV_TABLES[command]
-    for k, v in sorted(env["config"].items()):
-        stream.write(f"# {k}={v}\n")
-    stream.write(",".join(header) + "\n")
-    for x, y in zip(env["payload"][xkey], env["payload"][ykey]):
-        stream.write(f"{x!r},{'' if y is None else repr(y)}\n")
+def _csv_text(env: dict) -> str:
+    xkey, ykey, header = COMMANDS[env["command"]].csv
+    lines = [f"# {k}={v}" for k, v in sorted(env["config"].items())]
+    lines.append(",".join(header))
+    lines += [f"{x!r},{'' if y is None else repr(y)}"
+              for x, y in zip(env["payload"][xkey], env["payload"][ykey])]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(env: dict, args) -> None:
-    validate_envelope(env)
-    if args.format == "csv":
-        if args.out:
-            with open(args.out, "w") as fh:
-                _write_csv(env, fh)
-        else:
-            _write_csv(env, sys.stdout)
-        return
-    text = json.dumps(env, sort_keys=True, indent=2)
+    if getattr(args, "format", "json") == "csv":
+        text = _csv_text(env)
+    else:
+        text = json.dumps(env, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
-
-
-_DEFAULT_N = {"tensor-build": 4, "solve": 16, "picard": 16, "smoothing": 64,
-              "constant": 16, "el-residual": 0}
+        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, accepting only the flags it reads, each
+    spelled in full: a prefix such as `--n` for `--n-points` exits 2."""
     p = argparse.ArgumentParser(
         prog="tscircle",
         description="circle-extension numerical laboratory (one experiment per run)")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int, default=_DEFAULT_N.get(name, 8))
-        sp.add_argument("--cutoff", type=float, default=200.0)
-        sp.add_argument("--eps", type=float, default=0.05)
-        sp.add_argument("--eta", type=float, default=0.1)
-        sp.add_argument("--s", type=float, default=0.5)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tensor", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--verify", action="store_true")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if name in ("density", "sup-bound"):
-            sp.add_argument("--k", type=int, default=5, choices=(2, 3, 4, 5))
-            sp.add_argument("--n-points", type=int,
-                            default=801 if name == "density" else 1001)
-        if name == "solve":
-            sp.add_argument("--max-iter", type=int, default=500)
-        if name == "constant":
-            sp.add_argument("--method", choices=("constants", "solver"),
-                            default="constants")
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag, default in cmd.parser_flags().items():
+            sp.add_argument(flag, default=default, **_FLAGS[flag])
     return p
 
 
@@ -578,13 +571,14 @@ def run(command: str, args) -> dict:
     --tensor they take the direct polar route, so only an explicit
     tensor-build ever pays the enumeration cost.
     """
-    if command not in _HANDLERS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    cmd = COMMANDS[command]
     t0 = time.perf_counter()
-    config, payload, oracle_fn = _HANDLERS[command](args)
+    payload, oracle_fn = cmd.handler(args)
     oracle = oracle_fn() if args.verify else None
     wall = time.perf_counter() - t0
-    env = make_envelope(command, config, payload, oracle, wall)
+    env = make_envelope(command, cmd.config(args), payload, oracle, wall)
     validate_envelope(env)
     return env
 

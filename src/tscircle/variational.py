@@ -28,14 +28,19 @@ from .spectral import (TAU, CircleFunction, conjugate_reflect, inner_product,
                        l2_norm, synthesize)
 
 
+def _self_quintic(f: CircleFunction, tensor: BesselTensor | None,
+                  grid: RadialGrid | None) -> CircleFunction:
+    """Q(f,f,f,f~,f~): tensor contraction if a tensor is given, else polar."""
+    if tensor is not None:
+        fr = conjugate_reflect(f)
+        return quintic_convolve([f, f, f, fr, fr], tensor=tensor)
+    return el_quintic(f, grid)
+
+
 def ts_functional(f: CircleFunction, tensor: BesselTensor | None = None,
                   grid: RadialGrid | None = None) -> float:
     """Phi(f); raises if the computed value has detectable imaginary part."""
-    if tensor is not None:
-        Q = quintic_convolve([f, f, f, conjugate_reflect(f),
-                              conjugate_reflect(f)], tensor=tensor)
-    else:
-        Q = el_quintic(f, grid)
+    Q = _self_quintic(f, tensor, grid)
     val = inner_product(Q, f)
     scale = abs(val) + 1e-300
     if abs(val.imag) > 1e-9 * scale:
@@ -66,10 +71,6 @@ class ELReport:
     residual_sup: float
     leakage: float
 
-    def summary(self) -> str:
-        return (f"lambda={self.lambda_fit:.10g} resid_rel={self.residual_rel:.3e} "
-                f"leak={self.leakage:.3e} quotient={self.quotient:.10g}")
-
 
 def el_residual(f: CircleFunction, tensor: BesselTensor | None = None,
                 grid: RadialGrid | None = None) -> ELReport:
@@ -85,11 +86,7 @@ def el_residual(f: CircleFunction, tensor: BesselTensor | None = None,
     if nrm == 0:
         raise ConfigError("residual undefined at f = 0")
     method = "tensor" if tensor is not None else "polar"
-    if tensor is not None:
-        Q = quintic_convolve([f, f, f, conjugate_reflect(f),
-                              conjugate_reflect(f)], tensor=tensor)
-    else:
-        Q = el_quintic(f, grid)
+    Q = _self_quintic(f, tensor, grid)
     phi = inner_product(Q, f).real
     lam = phi / nrm ** 2
     resid = Q - lam * f

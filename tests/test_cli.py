@@ -1,5 +1,6 @@
 """Envelope schema, reproducibility, exit codes, and artifact files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,16 +10,39 @@ from tscircle import (AscentConfig, BesselTensor, RadialGrid, ascend,
                       auto_density, build_tensor, decompose, el_residual,
                       expansion_residual, extend, l6_norm, picard_iterate,
                       quotient, random_function, smoothing_experiment,
-                      sup_bound_check, ts_functional)
+                      sup_bound_check, t0_value, ts_functional)
 from tscircle.cli import (
-    _HANDLERS,
     COMMANDS,
+    build_parser,
     cache_roundtrip,
     main,
     make_envelope,
     validate_envelope,
 )
 from tscircle.errors import CacheError, ConfigError
+
+# the flags each command reads besides --seed, --out and --verify, which
+# every command takes; stated here independently of the command table
+READS = {
+    "tensor-build": {"--n", "--cutoff", "--tensor"},
+    "extend": {"--n", "--cutoff"},
+    "density": {"--k", "--n-points", "--cutoff", "--format"},
+    "sup-bound": {"--k", "--n-points", "--cutoff"},
+    "functional": {"--n", "--cutoff", "--tensor"},
+    "el-residual": {"--n", "--cutoff", "--tensor"},
+    "solve": {"--n", "--max-iter", "--cutoff"},
+    "picard": {"--n", "--eps", "--cutoff"},
+    "split": {"--n", "--eta", "--s"},
+    "smoothing": {"--n", "--cutoff"},
+    "constant": {"--method", "--n", "--cutoff"},
+    "regularity-profile": {"--n"},
+}
+SHARED_FLAGS = {"--n", "--cutoff", "--eps", "--eta", "--s", "--seed",
+                "--tensor", "--out", "--verify", "--format"}
+
+
+def dest(flag):
+    return {"--s": "s_scale"}.get(flag, flag[2:].replace("-", "_"))
 
 
 def good_envelope():
@@ -61,13 +85,16 @@ def test_validate_rejects(mutate, label):
 
 
 def test_command_table_consistent():
-    # every command can be parsed and has a payload contract
-    from tscircle.cli import _PAYLOAD_KEYS, build_parser
-    assert set(_PAYLOAD_KEYS) == set(COMMANDS)
+    # every command parses at its defaults into exactly the flags it reads,
+    # and has a payload contract
+    assert set(COMMANDS) == set(READS)
     parser = build_parser()
     for name in COMMANDS:
         args = parser.parse_args([name])
         assert args.command == name
+        assert set(vars(args)) == ({"command", "seed", "out", "verify"}
+                                   | {dest(f) for f in READS[name]})
+        assert COMMANDS[name].payload_keys
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +137,12 @@ def test_constant_command_reports_convention(tmp_path):
     assert env["payload"]["value"] > 0
     assert "sixth" in env["payload"]["note"]
     assert env["payload"]["t0"] == pytest.approx(0.336827961766468, rel=1e-6)
+
+
+def test_constant_uses_cutoff(tmp_path):
+    env = run_to_file(tmp_path, "c.json", ["constant", "--cutoff", "400"])
+    assert env["config"]["cutoff"] == 400.0
+    assert env["payload"]["t0"] == t0_value(RadialGrid(400))
 
 
 def test_constant_solver_method_emits_null_t0(tmp_path):
@@ -195,11 +228,29 @@ def test_sup_bound_uses_cutoff(tmp_path):
         abs(direct.mass - direct.mass_expected) / direct.mass_expected)
 
 
-def test_alpha_flag_rejected():
-    for name in COMMANDS:
+@pytest.mark.parametrize("name", list(READS))
+def test_unread_flags_rejected(name, capsys):
+    # a flag the command does not read exits 2 in argparse, before any work
+    for flag in sorted(SHARED_FLAGS - READS[name] - {"--seed", "--out",
+                                                     "--verify"}) + ["--alpha"]:
         with pytest.raises(SystemExit) as exc:
-            main([name, "--alpha", "0.5"])
-        assert exc.value.code == 2, name
+            main([name, flag, "1"])
+        assert exc.value.code == 2, (name, flag)
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["functional", "--n", "2"],
+    ["split"],
+    ["regularity-profile", "--n", "4"],
+    ["density", "--k", "2", "--n-points", "51"],
+    ["constant"],
+], ids=lambda argv: argv[0])
+def test_config_records_declared_flags(tmp_path, argv):
+    env = run_to_file(tmp_path, "c.json", argv)
+    parsed = vars(build_parser().parse_args(argv))
+    want = {"seed"} | {dest(f) for f in READS[argv[0]] - {"--format"}}
+    assert env["config"] == {k: parsed[k] for k in want}
 
 
 def test_regularity_profile_command(tmp_path):
@@ -247,8 +298,10 @@ def test_corrupted_cache_detected(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_exit_code_config_error(capsys):
-    rc = main(["solve", "--format", "csv"])
-    assert rc == 2
+    # solve has no csv table: argparse exits 2 before the ascent starts
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--format", "csv"])
+    assert exc.value.code == 2
     assert "csv" in capsys.readouterr().err
 
 
@@ -277,7 +330,8 @@ def test_exit_code_internal_error(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setitem(_HANDLERS, "extend", boom)
+    monkeypatch.setitem(COMMANDS, "extend",
+                        dataclasses.replace(COMMANDS["extend"], handler=boom))
     rc = main(["extend", "--n", "2"])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err
@@ -302,6 +356,8 @@ def test_density_csv(tmp_path):
     assert any(ln.endswith(",") for ln in body[1:])
 
 
-def test_csv_rejected_for_scalar_commands(tmp_path):
-    rc = main(["constant", "--format", "csv", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_csv_rejected_for_scalar_commands(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["constant", "--format", "csv", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "csv" in capsys.readouterr().err

@@ -19,8 +19,9 @@ products included) and assembles it once, for the modes it needs.  The
 angular grid is sized for those modes too: J samples of a bandwidth-M
 product give its modes |m| <= M_out exactly when J > M + M_out
 (extension.angle_count), so a caller that reads mode 0 only samples at
-about M angles, not 2M.  Both routes carry the same closed-form radial
-tail so their agreement tests bookkeeping, not a shared truncation.
+about M angles, not 2M, and takes that mode as an angular mean.  Both
+routes carry the same closed-form radial tail so their agreement tests
+bookkeeping, not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -59,22 +60,27 @@ SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 
 def _assemble_polar(field: ExtensionField, M: int) -> np.ndarray:
     """Modes -M..M of Q from the product field of its five inputs; the
-    field's J angles must exceed field.N + M, or those modes alias."""
+    field's J angles must exceed field.N + M, or those modes alias.  Mode 0
+    alone (M = 0) is the angular mean of the samples and of the tail."""
     grid = field.grid
     P = grid.cutoff
     J = field.n_angles
     if J <= field.N + M:
         raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
                             f"{field.N} product (needs J > {field.N + M})")
-    pm = np.fft.fft(field.values, axis=1) / J
     m = np.arange(-M, M + 1)
-    Pm = pm[:, np.mod(m, J)]                          # (K, 2M+1)
+    if M == 0:                      # mode 0 is the angular mean
+        Pm = field.values.mean(axis=1)[:, None]
+        That = field.tail.mean(axis=0)[..., None]
+    else:
+        Pm = (np.fft.fft(field.values, axis=1) / J)[:, np.mod(m, J)]
+        That = angular_analyze(np.moveaxis(field.tail, 0, -1), M)
+    # Pm: (K, 2M+1), That: (11, 2, 2M+1)
     am = np.abs(m)
     sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
     Jrows = grid.j_matrix(int(am.max()))[am] * sgn[:, None]
     quad = (Pm.T * Jrows) @ (grid.weights * grid.nodes)
 
-    That = angular_analyze(np.moveaxis(field.tail, 0, -1), M)  # (11, 2, 2M+1)
     ks = np.arange(-5, 6)
     i2 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
     i3 = exp_tail_integral(np.arange(-6, 7), 3.0, P)
@@ -159,13 +165,16 @@ def quintic_convolve(fs, tensor: BesselTensor | None = None,
     return CircleFunction(_assemble_polar(prod, prod.N))
 
 
-def el_quintic(f: CircleFunction, grid: RadialGrid | None = None) -> CircleFunction:
-    """Q(f, f, f, f~, f~): the combination driven by the sextic functional;
-    the field of f~ is the conjugate of the field of f, so one extension
-    serves all five slots."""
-    F = extend(f, grid or default_grid(), angle_count(5 * f.N))
+def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
+               M: int | None = None) -> CircleFunction:
+    """Q(f, f, f, f~, f~): the combination driven by the sextic functional,
+    modes -M..M of it when M is given (all 5N of them by default); the field
+    of f~ is the conjugate of the field of f, so one extension serves all
+    five slots."""
+    M = 5 * f.N if M is None else min(M, 5 * f.N)
+    F = extend(f, grid or default_grid(), angle_count(5 * f.N, M))
     C = F.conj()
-    return CircleFunction(_assemble_polar(F * F * F * C * C, 5 * f.N))
+    return CircleFunction(_assemble_polar(F * F * F * C * C, M))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +408,7 @@ class BoundRatioReport:
     lhs: float
     rhs: float
     ratio: float
+    ratio0: float                 # the s = 0 ratio, which every call computes
     mu5_at_1: float
     per_t: dict | None = None
 
@@ -439,6 +449,7 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     The bound reads mode 0 of a bandwidth-2(N1+..+N5) product, so its fields
     take angle_count(M, 0) angles, and each distinct |g|^2 is extended once:
     |f_j|^2 once per call, |rot f_j|^2 and |rot f_j - f_j|^2 once per offset.
+    Every call also reports the s = 0 ratio as ratio0.
     """
     fs = list(fs)
     if len(fs) != 5:
@@ -462,7 +473,8 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     base: dict = {}                         # id(f_j) -> field of |f_j|^2
     rhs0 = bound(fs, base)
     if s == 0.0:
-        return BoundRatioReport(0.0, lhs0, rhs0, lhs0 / rhs0, mu5_at_1)
+        return BoundRatioReport(0.0, lhs0, rhs0, lhs0 / rhs0, lhs0 / rhs0,
+                                mu5_at_1)
 
     ts = np.asarray(t_grid if t_grid is not None else 2.0 ** -np.arange(1, 9))
     per_t = {}
@@ -481,4 +493,5 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
         sup_d = max(sup_d, denom)
     lhs = lhs0 + sup_n
     rhs = rhs0 + sup_d
-    return BoundRatioReport(s, lhs, rhs, lhs / rhs, mu5_at_1, per_t)
+    return BoundRatioReport(s, lhs, rhs, lhs / rhs, lhs0 / rhs0, mu5_at_1,
+                            per_t)

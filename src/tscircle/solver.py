@@ -10,21 +10,29 @@ f = phi + g normalized to lambda = 1, expanding Q(phi+h, ..) by
 multilinearity splits into the h-independent-plus-known-linear part L and
 the remaining nine classes N(phi, h); h = L + N(phi, h) has g as a fixed
 point, and for small tails the map contracts.
+
+Both parts are field expressions in X = extend(phi) and Y = extend(h),
+the classes grouped by how many plain slots hold h:
+
+    N      = X^3 conj(Y^2) + 3 X^2 Y conj(2XY + Y^2)
+                           + (3XY^2 + Y^3) conj((X + Y)^2),
+    L + phi = X^3 conj(X^2 + 2XY) + 3 X^2 Y conj(X^2),
+
+nine field products and six, each sum assembled once.  N is built from
+its own classes, not as Q(phi+h) minus the low ones, so the expansion
+identity L + N + phi = Q(phi + g) stays an independent check.
 """
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field as dfield
-from functools import reduce
-from math import comb, prod
 
 import numpy as np
 
 from .bessel import RadialGrid, default_grid
 from .errors import ConfigError, DivergenceError, PreconditionError
-from .extension import angle_count, extend
+from .extension import ExtensionField, angle_count, extend
 from .quintic import _assemble_polar, el_quintic
 from .spectral import (TAU, CircleFunction, inner_product, l2_norm,
                        random_function, weighted_norm)
@@ -74,7 +82,7 @@ def ascend(f0: CircleFunction | None = None,
         f0 = random_function(cfg.n, cfg.seed, decay=cfg.start_decay)
     f = _normalized(f0.padded(cfg.n) if f0.N < cfg.n else f0.truncated(cfg.n))
 
-    Q = el_quintic(f, grid)
+    Q = el_quintic(f, grid, cfg.n)
     phi = inner_product(Q, f).real
     step = cfg.step
     trace = []
@@ -82,11 +90,11 @@ def ascend(f0: CircleFunction | None = None,
     flat_count = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        d = _normalized(Q.truncated(cfg.n))
+        d = _normalized(Q)                  # Q has modes |m| <= n only
         accepted = False
         while step >= cfg.min_step:
             trial = _normalized(f * (1.0 - step) + d * step)
-            Qt = el_quintic(trial, grid)
+            Qt = el_quintic(trial, grid, cfg.n)
             phit = inner_product(Qt, trial).real
             if phit >= phi:
                 gain = (phit - phi) / (abs(phi) + 1e-300)
@@ -147,24 +155,37 @@ def decompose(f: CircleFunction, eps: float):
     return phi, g, K
 
 
-def _class_sum(phi: CircleFunction, h: CircleFunction, classes,
-               grid: RadialGrid | None, M: int | None) -> CircleFunction:
-    """Sum of classes (a, b) of Q(phi+h, .., (phi+h)~, ..) by multilinearity:
-    h in a of the three plain slots, h~ in b of the two conjugate slots,
-    binomial weight C(3, a) C(2, b).  phi and h are extended once, the
-    class products are summed as fields, and the sum is assembled once,
-    for modes -M..M (all of them when M is None) on the angles they need."""
+def _extend_pair(phi: CircleFunction, h: CircleFunction, degrees,
+                 grid: RadialGrid | None, M: int | None):
+    """The fields X of phi and Y of h, each extended once, on the angles that
+    modes -M..M (all of them when M is None) of a sum of five-fold products
+    with k factors from h, k in `degrees`, need; returns (X, Y, M)."""
     grid = grid or default_grid()
-    bandwidth = max((5 - a - b) * phi.N + (a + b) * h.N for a, b in classes)
+    bandwidth = max((5 - k) * phi.N + k * h.N for k in degrees)
     M = bandwidth if M is None else min(M, bandwidth)
     J = angle_count(bandwidth, M)
-    fp = extend(phi, grid, J)
-    fh = extend(h, grid, J)
-    cp, ch = fp.conj(), fh.conj()
-    terms = (prod([fp] * (3 - a) + [fh] * a + [cp] * (2 - b) + [ch] * b,
-                  start=comb(3, a) * comb(2, b)) for a, b in classes)
-    total = reduce(operator.add, terms)     # one class product alive at a time
-    return CircleFunction(_assemble_polar(total, M))
+    return extend(phi, grid, J), extend(h, grid, J), M
+
+
+def _linear_field(X: ExtensionField, Y: ExtensionField) -> ExtensionField:
+    """L + phi as a field: the classes of Q(phi+h, .., (phi+h)~, ..) with at
+    most one h, grouped by the plain slots,
+
+        X^3 conj(X^2 + 2XY) + 3 X^2 Y conj(X^2)."""
+    XX = X * X
+    return XX * X * (XX + 2 * (X * Y)).conj() + 3 * (XX * Y) * XX.conj()
+
+
+def _nonlinear_field(X: ExtensionField, Y: ExtensionField) -> ExtensionField:
+    """N as a field: the nine classes with at least two h, grouped by how
+    many plain slots hold h (none, one, two or three),
+
+        X^3 conj(Y^2) + 3 X^2 Y conj(2XY + Y^2)
+                      + (3XY^2 + Y^3) conj((X + Y)^2)."""
+    XX, YY = X * X, Y * Y
+    S = 2 * (X * Y) + YY
+    return (XX * X * YY.conj() + 3 * (XX * Y) * S.conj()
+            + YY * (3 * X + Y) * (XX + S).conj())
 
 
 def linear_part(phi: CircleFunction, g: CircleFunction,
@@ -176,7 +197,8 @@ def linear_part(phi: CircleFunction, g: CircleFunction,
     Q(phi,phi,phi,phi~,phi~) - phi + 2 Q(phi,phi,phi,phi~,g~)
                              + 3 Q(phi,phi,g,phi~,phi~).
     """
-    return _class_sum(phi, g, ((0, 0), (0, 1), (1, 0)), grid, M) - phi
+    X, Y, M = _extend_pair(phi, g, (0, 1), grid, M)
+    return CircleFunction(_assemble_polar(_linear_field(X, Y), M)) - phi
 
 
 def nonlinear_part(phi: CircleFunction, h: CircleFunction,
@@ -185,8 +207,8 @@ def nonlinear_part(phi: CircleFunction, h: CircleFunction,
     """N(phi, h): the nine remaining classes of Q(phi+h, .., (phi+h)~, ..),
     at least quadratic in h (binomial weights 3-choose-a times 2-choose-b);
     modes -M..M of it when M is given (all of them by default)."""
-    return _class_sum(phi, h, ((0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
-                               (3, 0), (2, 2), (3, 1), (3, 2)), grid, M)
+    X, Y, M = _extend_pair(phi, h, (2, 3, 4, 5), grid, M)
+    return CircleFunction(_assemble_polar(_nonlinear_field(X, Y), M))
 
 
 def expansion_residual(phi: CircleFunction, g: CircleFunction,

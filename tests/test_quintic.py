@@ -57,6 +57,27 @@ def test_el_quintic_is_the_five_slot_convolution():
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12)
 
 
+def test_el_quintic_low_modes_match_full_band(monkeypatch):
+    # modes |m| <= 16 of the bandwidth-80 product, on angle_count(80, 16)
+    # = 104 angles instead of 168, are the full result cut to 16
+    angles = []
+    real = tscircle.quintic.extend
+
+    def recording(f, *args, **kwargs):
+        field = real(f, *args, **kwargs)
+        angles.append(field.n_angles)
+        return field
+
+    monkeypatch.setattr(tscircle.quintic, "extend", recording)
+    f = random_function(16, seed=8, decay=0.8)
+    full = el_quintic(f).truncated(16)
+    low = el_quintic(f, M=16)
+    assert angles == [168, 104]
+    assert low.N == 16
+    assert l2_norm(low - full) <= 1e-13 * l2_norm(full)
+    assert np.array_equal(el_quintic(f, M=99).coeffs, el_quintic(f).coeffs)
+
+
 def test_constants_give_lambda0():
     one = constant_function(1.0)
     q = quintic_convolve([one] * 5, method="polar")
@@ -216,6 +237,28 @@ def test_bound_ratio_smooth_norm():
     assert rep.ratio <= 1.0 + 1e-9
     assert rep.max_t_ratio <= 1.0 + 1e-9
     assert rep.per_t  # the dyadic sweep actually ran
+    # the s = 0 ratio comes out of the same call
+    assert rep.ratio0 == quintilinear_bound_ratio(fs, mu5_at_1=mu5).ratio
+
+
+def test_mode_zero_is_the_angular_mean():
+    # M = 0 reads the angular mean of the samples and the tail; the FFT
+    # route (here through M = 1) reads the same mode 0.  The radial sum
+    # cancels, so the two roundings differ by a few units in the last
+    # place: 4e-16 to 1.2e-15 relative here, depending on which Bessel
+    # rows the grid has cached
+    f = random_function(8, seed=7, decay=0.7)
+    F = extend(f, n_angles=64)
+    G = [extend(g, n_angles=64) for g in five_random(4, 500, decay=0.7)]
+    B = [extend(autocorrelation(g), n_angles=88)
+         for g in five_random(8, 5000, decay=0.6)]
+    for prod in (F * F * F * F.conj() * F.conj(),
+                 G[0] * G[1] * G[2] * G[3] * G[4],
+                 B[0] * B[1] * B[2] * B[3] * B[4]):
+        mean = _assemble_polar(prod, 0)
+        fft = _assemble_polar(prod, 1)
+        assert mean.shape == (1,)
+        assert abs(mean[0] - fft[1]) <= 4e-15 * abs(fft[1])
 
 
 def test_assembly_refuses_aliased_modes():

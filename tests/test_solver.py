@@ -1,6 +1,9 @@
 """Ascent to the quotient maximum and the local fixed-point laboratory."""
 
+import operator
 import warnings
+from functools import reduce
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ import tscircle.extension
 import tscircle.quintic
 import tscircle.solver
 from tscircle.errors import DivergenceError
+from tscircle.extension import ExtensionField, angle_count, extend
+from tscircle.quintic import _assemble_polar
+from tscircle.solver import _linear_field, _nonlinear_field
 
 
 def normalized(f):
@@ -147,6 +153,61 @@ def test_parts_extend_each_input_once(monkeypatch):
     calls.clear()
     linear_part(phi, g)
     assert len(calls) == 2
+
+
+LOW_CLASSES = ((0, 0), (0, 1), (1, 0))
+HIGH_CLASSES = ((0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (3, 0), (2, 2),
+                (3, 1), (3, 2))
+
+
+def class_products(X, Y, classes):
+    """Sum over classes (a, b) of C(3,a) C(2,b) X^(3-a) Y^a conj(X^(2-b) Y^b),
+    each class its own five-fold product."""
+    cx, cy = X.conj(), Y.conj()
+    return reduce(operator.add, (
+        comb(3, a) * comb(2, b)
+        * reduce(operator.mul, [X] * (3 - a) + [Y] * a + [cx] * (2 - b)
+                 + [cy] * b)
+        for a, b in classes))
+
+
+def test_slot_grouped_fields_match_class_products():
+    # the factored fields of N and L + phi equal the nine and the three
+    # explicit class products: samples, tails and every assembled mode
+    phi = random_function(4, seed=51, decay=0.9)
+    h = high_tail(4, 8, seed=52, scale=0.3)
+    J = angle_count(5 * h.N)
+    X, Y = extend(phi, n_angles=J), extend(h, n_angles=J)
+    for field, classes in ((_nonlinear_field(X, Y), HIGH_CLASSES),
+                           (_linear_field(X, Y), LOW_CLASSES)):
+        ref = class_products(X, Y, classes)
+        assert field.N == ref.N
+        for got, want in ((field.values, ref.values), (field.tail, ref.tail),
+                          (_assemble_polar(field, field.N),
+                           _assemble_polar(ref, ref.N))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_parts_multiply_fields_slot_grouped(monkeypatch):
+    # one product per class factor would take 36 field-by-field products
+    # for N and 12 for L; grouped by slot they take at most 12 and 6
+    products = []
+    real = ExtensionField.__mul__
+
+    def counting(self, other):
+        if isinstance(other, ExtensionField):
+            products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(ExtensionField, "__mul__", counting)
+    phi = random_function(3, seed=5, decay=0.9)
+    g = high_tail(3, 6, seed=6)
+    nonlinear_part(phi, g)
+    assert 0 < len(products) <= 12
+    products.clear()
+    linear_part(phi, g)
+    assert 0 < len(products) <= 6
 
 
 def test_parts_for_low_modes_match_full_band(monkeypatch):

@@ -50,40 +50,45 @@ TAU = 2.0 * np.pi
 # Bessel rows
 # ---------------------------------------------------------------------------
 
-def _miller_block(nmax: int, rho: np.ndarray) -> np.ndarray:
-    """J_n(rho) for all n = 0..nmax at once, by normalized downward
+def _miller_start(nmax: int, top: float) -> int:
+    """Even start order of the downward recurrence for rows 0..nmax at
+    arguments up to `top`: above both nmax and the turning point."""
+    n_start = int(max(nmax + 22, np.ceil(top + 16.0 * top ** (1 / 3) + 22)))
+    return n_start + n_start % 2
+
+
+def _miller_block(nmax: int, rho: np.ndarray, nmin: int = 0) -> np.ndarray:
+    """J_n(rho) for all n = nmin..nmax at once, by normalized downward
     (Miller) recurrence with periodic rescaling against overflow.
 
     Stable in every regime; accuracy ~1e-14 relative.  Cost is one vector
     operation per descending order, starting safely above both nmax and the
-    turning point of the largest argument.
+    turning point of the largest argument (_miller_start), and running
+    down to order 0 for the normalization whatever nmin is.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     K = rho.size
-    out = np.zeros((nmax + 1, K))
+    out = np.zeros((nmax - nmin + 1, K))
     if K == 0:
         return out
     pos = rho > 0
     rp = np.where(pos, rho, 1.0)
-    top = float(np.max(rho))
-    n_start = int(max(nmax + 22, np.ceil(top + 16.0 * top ** (1.0 / 3.0) + 22)))
-    if n_start % 2 == 1:
-        n_start += 1
+    n_start = _miller_start(nmax, float(np.max(rho)))
 
     jp = np.zeros(K)                       # J_{k+1}, scaled
     jc = np.where(pos, 1e-35, 0.0)         # J_k, scaled
     norm = 2.0 * jc.copy()                 # running J0 + 2*sum J_{2m}; n_start even
     nscale = np.zeros(K, dtype=np.int16)
-    row_scale = np.zeros((nmax + 1, K), dtype=np.int16)
+    row_scale = np.zeros((nmax - nmin + 1, K), dtype=np.int16)
 
     for k in range(n_start, 0, -1):
         jm = (2.0 * k / rp) * jc - jp
         jp = jc
         jc = jm
         kk = k - 1
-        if kk <= nmax:
-            out[kk] = jc
-            row_scale[kk] = nscale
+        if nmin <= kk <= nmax:
+            out[kk - nmin] = jc
+            row_scale[kk - nmin] = nscale
         if kk % 2 == 0:
             norm += jc if kk == 0 else 2.0 * jc
         big = np.abs(jc) > 1e250
@@ -98,7 +103,7 @@ def _miller_block(nmax: int, rho: np.ndarray) -> np.ndarray:
         fix = np.power(1e-250, (nscale[None, :] - row_scale).astype(float))
     out = out * fix / norm
     out[:, ~pos] = 0.0
-    if not np.all(pos):
+    if nmin == 0 and not np.all(pos):
         out[0, ~pos] = 1.0
     return out
 
@@ -120,6 +125,8 @@ class RadialGrid:
     strictly interior, weights positive and summing to P exactly.
     """
 
+    ROW_BLOCK = 64       # Bessel rows past the base order per Miller start
+
     def __init__(self, cutoff: float = DEFAULT_CUTOFF, panel: float = 2.0):
         if not (0.0 < cutoff <= 1.0e5):
             raise ConfigError(f"cutoff {cutoff!r} out of range")
@@ -138,7 +145,7 @@ class RadialGrid:
         weights.flags.writeable = False
         self.nodes = nodes
         self.weights = weights
-        self._jcache: dict = {}
+        self._jrows = np.zeros((0, nodes.size))
 
     def __repr__(self):
         return (f"RadialGrid(cutoff={self.cutoff:g}, panel={self.panel:g}, "
@@ -149,12 +156,20 @@ class RadialGrid:
         return RadialGrid(self.cutoff, 0.5 * self.panel)
 
     def j_matrix(self, nmax: int) -> np.ndarray:
-        """Rows J_0..J_nmax on the nodes; cached, grown on demand."""
-        have = self._jcache.get("nmax", -1)
-        if nmax > have:
-            self._jcache["mat"] = _miller_block(nmax, self.nodes)
-            self._jcache["nmax"] = nmax
-        return self._jcache["mat"][:nmax + 1]
+        """Rows J_0..J_nmax on the nodes; cached, grown on demand.  Row n
+        depends on the grid and n alone: rows up to the base order share
+        the start the largest node sets, and each further ROW_BLOCK rows
+        start ROW_BLOCK orders higher, so growing never moves a row."""
+        rows = self._jrows
+        base = _miller_start(0, float(self.nodes[-1])) - 22
+        while rows.shape[0] <= nmax:
+            have = rows.shape[0]
+            top = (min(nmax, base) if have <= base
+                   else have - 1 + self.ROW_BLOCK)
+            rows = np.concatenate(
+                [rows, _miller_block(top, self.nodes, nmin=have)])
+        self._jrows = rows
+        return rows[:nmax + 1]
 
 
 @lru_cache(maxsize=8)

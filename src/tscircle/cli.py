@@ -176,12 +176,15 @@ class Command:
     """A handler, the flags it reads with this command's defaults, the
     payload keys it must emit and, if it has one, the payload table
     (x key, y key, header) that --format csv writes.  The parser accepts
-    `flags` and _COMMON_FLAGS (and --format with a csv table); config
-    records `flags` and the seed."""
+    `flags` and _COMMON_FLAGS (and --format with a csv table).  config
+    records `flags` and the seed, less the flags that `unread(args)` names
+    for these arguments: those are dropped, and an unread seed is recorded
+    as null, because every envelope keeps the seed's key."""
     handler: Callable
     flags: dict
     payload_keys: set
     csv: tuple | None = None
+    unread: Callable | None = None
 
     def parser_flags(self) -> dict:
         flags = {**self.flags, **_COMMON_FLAGS}
@@ -190,24 +193,28 @@ class Command:
         return flags
 
     def config(self, args) -> dict:
-        return {_dest(f): getattr(args, _dest(f))
-                for f in ("--seed", *self.flags)}
+        unread = self.unread(args) if self.unread else set()
+        config = {_dest(f): getattr(args, _dest(f))
+                  for f in self.flags if f not in unread}
+        config["seed"] = None if "--seed" in unread else args.seed
+        return config
 
 
 COMMANDS: dict[str, Command] = {}
 
 
-def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None):
+def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None,
+            unread: Callable | None = None):
     """Register the decorated handler in COMMANDS under `name`."""
     def register(handler):
-        COMMANDS[name] = Command(handler, flags, payload_keys, csv)
+        COMMANDS[name] = Command(handler, flags, payload_keys, csv, unread)
         return handler
     return register
 
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (payload, oracle_fn); run() records
-# the flags the command declares as its config
+# the flags the command declares and reads as its config
 
 @command("tensor-build", {"--n": 4, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
          {"n", "cutoff", "n_entries", "t_zero"})
@@ -462,7 +469,8 @@ def cmd_split(args):
 
 
 @command("smoothing", {"--n": 64, "--cutoff": DEFAULT_CUTOFF},
-         {"n", "gain", "input_slope", "output_slope", "lip_drift"})
+         {"n", "gain", "input_slope", "output_slope", "lip_drift"},
+         unread=lambda args: {"--seed"})           # a fixed square wave
 def cmd_smoothing(args):
     rep = smoothing_experiment(n=args.n, grid=default_grid(args.cutoff))
     payload = {
@@ -485,7 +493,8 @@ def cmd_smoothing(args):
 
 
 @command("constant", {"--method": "constants", "--n": 16, "--cutoff": DEFAULT_CUTOFF},
-         {"value", "t0", "lambda0", "note"})
+         {"value", "t0", "lambda0", "note"},
+         unread=lambda args: set() if args.method == "solver" else {"--n", "--seed"})
 def cmd_constant(args):
     rep = constant_estimate(method=args.method, n=args.n, seed=args.seed,
                             grid=default_grid(args.cutoff))

@@ -6,17 +6,22 @@ coordinates is
     F(rho, phi) = 2 pi sum_n (-i)^n c_n J_n(rho) e^{i n phi},
 
 sampled on a radial quadrature grid times a uniform angular grid, with its
-large-rho form beyond the cutoff: every mode replaced by its two-term
-asymptotics, a polynomial in e^{+-i rho} and 1/rho with angle-dependent
-coefficients.  An ExtensionField carries both, and fields compose
-(products, sums, the conjugate, which is the field of f~), so every
-quantity built from them is one field expression reduced once: the quintic
-convolution through quintic._assemble_polar, the L^6 norm here as the
-integral of F^3 conj(F^3) plus its closed-form tail (|F|^6 rho ~ rho^-2 is
-not negligible at the 1e-6 level).
+large-rho form beyond the cutoff (a FieldTail): every mode replaced by its
+two-term asymptotics, a polynomial in e^{+-i rho} and 1/rho with
+angle-dependent coefficients.  What is built from several fields is a
+field expression, a plain function over `*`, `+`, scalar `*` and
+`.conj()`.  _polar_reduce evaluates it once on the tails and then on
+cache-sized row blocks of the samples, each reduced to the modes read and
+summed radially at once; the quintic convolution and the L^6 norm (whose
+tail |F|^6 rho ~ rho^-2 is kept in closed form) are its callers.  A real
+input (c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi): its
+field keeps J/2 angles, and mode 0 of a product of such fields is the
+real part of the mean over them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +31,14 @@ from .errors import GridSizeError, NumericalError
 from .spectral import TAU, CircleFunction
 
 _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+
+# Angular analysis is a matmul against a cached table up to this many modes
+# and an FFT above (crossover measured on 2 cores, one BLAS thread).
+# Synthesis is always a table matmul.
+DIRECT_ANALYSIS_MODES = 65
+# samples per row block of _polar_reduce: 128 KB, so the temporaries of a
+# Picard expression stay in L2 cache
+BLOCK_SAMPLES = 8192
 
 
 def i_pow(n):
@@ -40,30 +53,46 @@ def minus_i_pow(n):
 def angle_count(M: int, M_out: int | None = None) -> int:
     """Angular sample count for a product field of bandwidth M whose modes
     -M_out..M_out are read (M_out defaults to M).  J uniform samples alias
-    mode m onto m + J, so modes |m| <= M_out come out of the FFT exactly
-    when J > M + M_out; the count is M + M_out + 8, and never < 64."""
+    mode m onto m + J, so modes |m| <= M_out come out exactly when
+    J > M + M_out; the count is M + M_out + 8, and never < 64."""
     if M_out is None:
         M_out = M
     return max(64, M + M_out + 8)
 
 
-def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
-    """Trig synthesis along the last axis; modes indexed n = -N..N.
+@lru_cache(maxsize=32)
+def _phase_table(N: int, J: int, count: int) -> np.ndarray:
+    """e^{i n phi_j} for n = -N..N and the first `count` of J uniform
+    angles, (2N+1, count); the phase n j is reduced mod J in integers."""
+    n = np.arange(-N, N + 1)
+    k = np.mod(np.outer(n, np.arange(count)), J)
+    table = np.exp((1j * TAU / J) * k)
+    table.flags.writeable = False
+    return table
 
-    The J samples are exact for any J: mode n lands on FFT bin n mod J.
-    Only reading modes back (angular_analyze, quintic._assemble_polar)
-    needs J large enough, so a factor may have more modes than J bins."""
+
+@lru_cache(maxsize=32)
+def _analysis_table(M: int, J: int) -> np.ndarray:
+    """e^{-i m phi_j} / J for the J angles and m = -M..M, (J, 2M+1)."""
+    table = np.ascontiguousarray(np.conj(_phase_table(M, J, J)).T) / J
+    table.flags.writeable = False
+    return table
+
+
+def _analyze(values: np.ndarray, M: int) -> np.ndarray:
+    """Modes -M..M along the last axis of J uniform samples."""
+    J = values.shape[-1]
+    if 2 * M + 1 <= DIRECT_ANALYSIS_MODES:
+        return values @ _analysis_table(M, J)
+    spec = np.fft.fft(values, axis=-1) / J
+    return spec[..., np.mod(np.arange(-M, M + 1), J)]
+
+
+def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
+    """Trig synthesis along the last axis, modes n = -N..N, on J uniform
+    angles; exact for any J, also with more modes than angles."""
     modes = np.asarray(modes, dtype=np.complex128)
-    N = (modes.shape[-1] - 1) // 2
-    spec = np.zeros(modes.shape[:-1] + (J,), dtype=np.complex128)
-    if 2 * N + 1 > J:
-        n = np.arange(-N, N + 1)
-        for s in range(0, n.size, J):   # J consecutive modes: distinct bins
-            spec[..., np.mod(n[s:s + J], J)] += modes[..., s:s + J]
-    else:
-        spec[..., :N + 1] = modes[..., N:]
-        spec[..., J - N:] = modes[..., :N]
-    return np.fft.ifft(spec, axis=-1) * J
+    return modes @ _phase_table((modes.shape[-1] - 1) // 2, J, J)
 
 
 def angular_analyze(values: np.ndarray, M: int) -> np.ndarray:
@@ -72,63 +101,71 @@ def angular_analyze(values: np.ndarray, M: int) -> np.ndarray:
     J = values.shape[-1]
     if J < 2 * M + 2:
         raise GridSizeError(f"J={J} samples cannot resolve modes +-{M}")
-    spec = np.fft.fft(values, axis=-1) / J
-    out = np.empty(values.shape[:-1] + (2 * M + 1,), dtype=np.complex128)
-    out[..., M:] = spec[..., :M + 1]
-    out[..., :M] = spec[..., J - M:]
-    return out
+    return _analyze(values, M)
+
+
+class FieldTail:
+    """The large-rho form of a field expression: the polynomial `poly`
+    T[j, k, p] over J angles (see field_tail_rep), the bandwidth `N`, and
+    `symmetric`: T(phi + pi) = conj T(phi), as every input is real (see
+    ExtensionField) and every scalar too.  `*` (by a tail or a scalar),
+    `+` and `conj()` act on the polynomial; N adds under `*`, maxes under
+    `+`."""
+
+    def __init__(self, poly: np.ndarray, N: int, symmetric: bool):
+        self.poly = poly
+        self.N = int(N)
+        self.symmetric = bool(symmetric)
+
+    def __mul__(self, other):
+        if not isinstance(other, FieldTail):
+            return FieldTail(self.poly * other, self.N,
+                             self.symmetric and np.isreal(other))
+        return FieldTail(hpoly_mul(self.poly, other.poly), self.N + other.N,
+                         self.symmetric and other.symmetric)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "FieldTail") -> "FieldTail":
+        return FieldTail(self.poly + other.poly, max(self.N, other.N),
+                         self.symmetric and other.symmetric)
+
+    def conj(self) -> "FieldTail":
+        """The conjugate; for the extension of f, the tail of that of f~."""
+        return FieldTail(hpoly_conj(self.poly), self.N, self.symmetric)
 
 
 class ExtensionField:
-    """F on grid.nodes x J uniform angles: the K x J samples `values`, the
-    large-rho polynomial `tail` (J x (2d+1) x 2 for a product of d
-    extensions, see field_tail_rep), the angular bandwidth `N` and F(0).
-    `*` (by a field or a scalar), `+` and `conj()` act on samples and tail
-    alike; N adds under `*` and takes the max under `+`."""
+    """The extension of one circle function: `samples` on grid.nodes x the
+    J = n_angles uniform angles (the first J/2 when tail.symmetric, J even
+    and f real: the rest are their conjugates), the large-rho `tail` with
+    the bandwidth N, and F(0).  Fields combine only in _polar_reduce."""
 
-    def __init__(self, grid: RadialGrid, values: np.ndarray, tail: np.ndarray,
-                 N: int, origin_value: complex):
+    def __init__(self, grid: RadialGrid, samples: np.ndarray, tail: FieldTail,
+                 n_angles: int, origin_value: complex):
         self.grid = grid
-        self.values = values
+        self.samples = samples
         self.tail = tail
-        self.N = int(N)
+        self.N = tail.N
+        self.n_angles = int(n_angles)
         self.origin_value = origin_value
-        self.n_angles = values.shape[1]
         self.angles = np.arange(self.n_angles) * (TAU / self.n_angles)
 
     def __repr__(self):
         return (f"ExtensionField(K={self.grid.nodes.size}, J={self.n_angles}, "
                 f"N={self.N}, cutoff={self.grid.cutoff:g})")
 
-    def _check(self, other: "ExtensionField"):
-        if (other.values.shape != self.values.shape
-                or other.grid.cutoff != self.grid.cutoff):
-            raise GridSizeError(f"cannot combine {self!r} with {other!r}")
+    def rows(self, lo: int, hi: int, half: bool = False) -> np.ndarray:
+        """Samples of nodes lo..hi-1 on all J angles, or as stored (half)."""
+        block = self.samples[lo:hi]
+        if half or not self.tail.symmetric:
+            return block
+        return np.concatenate([block, np.conj(block)], axis=1)
 
-    def __mul__(self, other):
-        if not isinstance(other, ExtensionField):
-            return ExtensionField(self.grid, self.values * other,
-                                  self.tail * other, self.N,
-                                  self.origin_value * other)
-        self._check(other)
-        return ExtensionField(self.grid, self.values * other.values,
-                              hpoly_mul(self.tail, other.tail),
-                              self.N + other.N,
-                              self.origin_value * other.origin_value)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "ExtensionField") -> "ExtensionField":
-        self._check(other)
-        return ExtensionField(self.grid, self.values + other.values,
-                              self.tail + other.tail, max(self.N, other.N),
-                              self.origin_value + other.origin_value)
-
-    def conj(self) -> "ExtensionField":
-        """The conjugate field; for the extension of f, that of f~."""
-        return ExtensionField(self.grid, np.conj(self.values),
-                              hpoly_conj(self.tail), self.N,
-                              np.conj(self.origin_value))
+    @property
+    def values(self) -> np.ndarray:
+        """All K x J samples."""
+        return self.rows(0, self.grid.nodes.size)
 
 
 def extend(f: CircleFunction, grid: RadialGrid | None = None,
@@ -140,12 +177,53 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     n = np.arange(-f.N, f.N + 1)
     parity = np.where((n < 0) & (n % 2 != 0), -1.0, 1.0)
     factor = TAU * minus_i_pow(n) * parity * f.coeffs          # (2N+1,)
+    symmetric = (J % 2 == 0
+                 and np.array_equal(f.coeffs, np.conj(f.coeffs[::-1])))
+    # modes n and -n share the real row J_|n| (the sign is in `factor`), so
+    # one real matmul against the folded table gives the samples
+    C = factor[:, None] * _phase_table(f.N, J, J // 2 if symmetric else J)
+    C[f.N + 1:] += C[f.N - 1::-1]
     jm = grid.j_matrix(f.N)                                    # (N+1, K)
-    modes = factor[None, :] * jm[np.abs(n)].T                  # (K, 2N+1)
-    values = angular_synthesize(modes, J)
-    return ExtensionField(grid, values,
-                          field_tail_rep(0.5 * factor, J, grid.cutoff),
-                          f.N, TAU * f.coeff(0))
+    samples = (jm.T @ C[f.N:].view(np.float64)).view(np.complex128)
+    tail = FieldTail(field_tail_rep(0.5 * factor, J, grid.cutoff), f.N,
+                     symmetric)
+    return ExtensionField(grid, samples, tail, J, TAU * f.coeff(0))
+
+
+def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
+    """sum_k radial[m, k] P_m(rho_k) for m = -M..M, P_m the m-th angular
+    mode of the field expression expr(*fields), and its tail's modes,
+    (2d+1, 2, 2M+1).  The expression runs once on the tails, giving its
+    bandwidth N, then on row blocks of BLOCK_SAMPLES samples, each reduced
+    to its modes at once.  Mode 0 alone is the angular mean (of J/2 angles,
+    real part, when inputs and tail are symmetric).  The fields must share
+    grid and angles, and J > N + M, or the modes alias."""
+    grid = fields[0].grid
+    J = fields[0].n_angles
+    K = grid.nodes.size
+    for F in fields:
+        if (F.n_angles, F.grid.cutoff, F.grid.nodes.size) != (J, grid.cutoff, K):
+            raise GridSizeError(f"cannot combine {fields[0]!r} with {F!r}")
+    tail = expr(*(F.tail for F in fields))
+    if J <= tail.N + M:
+        raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
+                            f"{tail.N} product (needs J > {tail.N + M})")
+    half = M == 0 and tail.symmetric and all(F.tail.symmetric for F in fields)
+    step = max(1, BLOCK_SAMPLES // (J // 2 if half else J))
+    quad = np.zeros(2 * M + 1, dtype=np.complex128)
+    for lo in range(0, K, step):
+        hi = min(lo + step, K)
+        block = expr(*(F.rows(lo, hi, half) for F in fields))
+        if M == 0:
+            mean = block.mean(axis=1)
+            quad[0] += radial[0, lo:hi] @ (mean.real if half else mean)
+        else:
+            quad += np.einsum("km,mk->m", _analyze(block, M), radial[:, lo:hi])
+    if M == 0:
+        tail_modes = tail.poly.mean(axis=0)[..., None]
+    else:
+        tail_modes = _analyze(np.moveaxis(tail.poly, 0, -1), M)
+    return quad, tail_modes
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +248,22 @@ def field_tail_rep(base: np.ndarray, J: int, P: float) -> np.ndarray:
     w = u * (1j * a_eff)
     y = v * (-1j * a_eff)
     T = np.zeros((J, 3, 2), dtype=np.complex128)
-    T[:, 2, 0] = angular_synthesize(u, J)
-    T[:, 0, 0] = angular_synthesize(v, J)
-    T[:, 2, 1] = angular_synthesize(w, J)
-    T[:, 0, 1] = angular_synthesize(y, J)
+    T[:, [2, 0, 2, 0], [0, 0, 1, 1]] = angular_synthesize(
+        np.stack([u, v, w, y]), J).T
     return T
 
 
 def hpoly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Multiply two (J, 2k+1, 2) harmonic polynomials, truncating rho^-2."""
+    """Multiply two (J, 2k+1, 2) harmonic polynomials, truncating rho^-2.
+    Each slot i of A meets all slots of B at once, so every output cell
+    takes its terms in the order i, then (q, r), as in the plain triple
+    loop: (0, 0) and (0, 1) in one step, then (1, 0)."""
     J, na, _ = A.shape
     nb = B.shape[1]
     C = np.zeros((J, na + nb - 1, 2), dtype=np.complex128)
     for i in range(na):
-        for j in range(nb):
-            for q, r in ((0, 0), (0, 1), (1, 0)):
-                C[:, i + j, q + r] += A[:, i, q] * B[:, j, r]
+        C[:, i:i + nb] += A[:, i, 0, None, None] * B
+        C[:, i:i + nb, 1] += A[:, i, 1, None] * B[:, :, 0]
     return C
 
 
@@ -194,22 +272,25 @@ def hpoly_conj(A: np.ndarray) -> np.ndarray:
     return np.conj(A[:, ::-1, :])
 
 
+def _sixth_power(F):
+    """|F|^6 as the field expression F^3 conj(F^3)."""
+    F3 = F * F * F
+    return F3 * F3.conj()
+
+
 def l6_norm(field: ExtensionField) -> float:
-    """|| F ||_{L^6(R^2)}: the field |F|^6 = F^3 conj(F^3) integrated over
-    the polar samples, plus its closed-form tail beyond the cutoff."""
-    F3 = field * field * field
-    H = F3 * F3.conj()                                 # tail k = -6..6
+    """|| F ||_{L^6(R^2)}: |F|^6 = F^3 conj(F^3) integrated over the polar
+    samples, plus its closed-form tail beyond the cutoff."""
     grid = field.grid
-    J = field.n_angles
-    quad = float(np.dot(grid.weights * grid.nodes, H.values.real.sum(axis=1))
-                 * (TAU / J))
-    mean = H.tail.sum(axis=0) * (TAU / J)              # angular integral
-    k = np.arange(-6, 7)
+    quad, mean = _polar_reduce(_sixth_power, [field], 0,
+                               (grid.weights * grid.nodes)[None, :])
+    mean = TAU * mean[..., 0]                          # angular integral
+    k = np.arange(-6, 7)                               # tail k = -6..6
     i2 = exp_tail_integral(k, 2.0, grid.cutoff)
     i3 = exp_tail_integral(k, 3.0, grid.cutoff)
     tail = (2.0 / np.pi) ** 3 * float(
         np.sum(mean[:, 0] * i2).real + np.sum(mean[:, 1] * i3).real)
-    total = quad + tail
+    total = float(TAU * quad[0].real) + tail
     if total < 0:
         raise NumericalError(f"negative sixth-power mass {total:.3e}")
     return total ** (1.0 / 6.0)
@@ -234,6 +315,7 @@ def decay_check(field: ExtensionField, rho_min: float = 10.0) -> DecayReport:
     sel = nodes >= rho_min
     if not np.any(sel):
         raise GridSizeError(f"no grid nodes beyond rho_min={rho_min}")
-    prof = np.sqrt(nodes[sel]) * np.abs(field.values[sel]).max(axis=1)
+    # |conj F| = |F|: the stored samples of a symmetric field suffice
+    prof = np.sqrt(nodes[sel]) * np.abs(field.samples[sel]).max(axis=1)
     i = int(np.argmax(prof))
     return DecayReport(float(prof[i]), float(nodes[sel][i]), rho_min)

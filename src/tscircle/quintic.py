@@ -13,15 +13,16 @@ extended fields and inverts mode by mode,
 
     Q_m = (2 pi)^{-1} i^m int_0^oo P_m(rho) J_m(rho) rho drho,
 
-P_m the m-th angular coefficient of the product field.  _assemble_polar is
-that one inversion: every polar caller composes one product field (sums of
-products included) and assembles it once, for the modes it needs.  The
-angular grid is sized for those modes too: J samples of a bandwidth-M
-product give its modes |m| <= M_out exactly when J > M + M_out
-(extension.angle_count), so a caller that reads mode 0 only samples at
-about M angles, not 2M, and takes that mode as an angular mean.  Both
-routes carry the same closed-form radial tail so their agreement tests
-bookkeeping, not a shared truncation.
+P_m the m-th angular coefficient of the product field.  _assemble_polar
+is that one inversion: every polar caller writes its product (sums of
+products included) as one field expression over the extensions of its
+inputs and assembles it once, for the modes it needs, through the blocked
+kernel extension._polar_reduce.  The angular grid is sized for those modes
+too: J samples of a bandwidth-M product give its modes |m| <= M_out
+exactly when J > M + M_out (extension.angle_count), so a caller that reads
+mode 0 only samples at about M angles, not 2M, and takes that mode as an
+angular mean.  Both routes carry the same closed-form radial tail so their
+agreement tests bookkeeping, not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -33,10 +34,8 @@ with mu_2 in closed form and mu_3 as an angular convolution of it.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field as dfield
-from functools import reduce
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -45,10 +44,8 @@ from scipy import special as _sp
 from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
                      default_grid, exp_tail_integral, first_order_coeff,
                      radial_integrate)
-from .errors import (ConfigError, GridSizeError, PreconditionError,
-                     SingularRadiusError)
-from .extension import (ExtensionField, angle_count, angular_analyze, extend,
-                        i_pow)
+from .errors import ConfigError, PreconditionError, SingularRadiusError
+from .extension import _polar_reduce, angle_count, extend, i_pow
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -58,29 +55,31 @@ SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 # the convolution, two routes
 # ---------------------------------------------------------------------------
 
-def _assemble_polar(field: ExtensionField, M: int) -> np.ndarray:
-    """Modes -M..M of Q from the product field of its five inputs; the
-    field's J angles must exceed field.N + M, or those modes alias.  Mode 0
-    alone (M = 0) is the angular mean of the samples and of the tail."""
-    grid = field.grid
+def _product(*F):
+    """The product of the inputs: the field of Q(f1, .., f5)."""
+    return F[0] * F[1] * F[2] * F[3] * F[4]
+
+
+def _self_product(F):
+    """F^3 conj(F^2): the field of Q(f, f, f, f~, f~) from that of f."""
+    FF = F * F
+    return FF * F * FF.conj()
+
+
+def _assemble_polar(expr, fields, M: int) -> np.ndarray:
+    """Modes -M..M of Q from the field expression expr(*fields) of its five
+    inputs; the fields' J angles must exceed the expression's bandwidth
+    plus M, or those modes alias.  Mode 0 alone (M = 0) is the angular mean
+    of the samples and of the tail."""
+    grid = fields[0].grid
     P = grid.cutoff
-    J = field.n_angles
-    if J <= field.N + M:
-        raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
-                            f"{field.N} product (needs J > {field.N + M})")
     m = np.arange(-M, M + 1)
-    if M == 0:                      # mode 0 is the angular mean
-        Pm = field.values.mean(axis=1)[:, None]
-        That = field.tail.mean(axis=0)[..., None]
-    else:
-        Pm = (np.fft.fft(field.values, axis=1) / J)[:, np.mod(m, J)]
-        That = angular_analyze(np.moveaxis(field.tail, 0, -1), M)
-    # Pm: (K, 2M+1), That: (11, 2, 2M+1)
     am = np.abs(m)
     sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
     Jrows = grid.j_matrix(int(am.max()))[am] * sgn[:, None]
-    quad = (Pm.T * Jrows) @ (grid.weights * grid.nodes)
-
+    quad, That = _polar_reduce(expr, fields, M,
+                               Jrows * (grid.weights * grid.nodes))
+    # That: (11, 2, 2M+1)
     ks = np.arange(-5, 6)
     i2 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
     i3 = exp_tail_integral(np.arange(-6, 7), 3.0, P)
@@ -98,14 +97,6 @@ def _assemble_polar(field: ExtensionField, M: int) -> np.ndarray:
         np.exp(-1j * phim) * (s_p0 + s_p1 + 1j * a_m * s_pa)
         + np.exp(1j * phim) * (s_m0 + s_m1 - 1j * a_m * s_ma))
     return i_pow(m) / TAU * (quad + tail)
-
-
-def _product_field(fs, grid: RadialGrid) -> ExtensionField:
-    """The product of the five extensions, each distinct input extended once."""
-    J = angle_count(sum(f.N for f in fs))
-    distinct = {id(f): f for f in fs}
-    fields = {key: extend(f, grid, J) for key, f in distinct.items()}
-    return reduce(operator.mul, (fields[id(f)] for f in fs))
 
 
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
@@ -161,8 +152,13 @@ def quintic_convolve(fs, tensor: BesselTensor | None = None,
         return _convolve_tensor(fs, tensor)
     if method != "polar":
         raise ConfigError(f"unknown method {method!r}")
-    prod = _product_field(fs, grid or default_grid())
-    return CircleFunction(_assemble_polar(prod, prod.N))
+    grid = grid or default_grid()
+    M = sum(f.N for f in fs)
+    distinct = {id(f): f for f in fs}           # each input extended once
+    fields = {key: extend(f, grid, angle_count(M))
+              for key, f in distinct.items()}
+    return CircleFunction(_assemble_polar(_product, [fields[id(f)] for f in fs],
+                                          M))
 
 
 def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
@@ -173,8 +169,7 @@ def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
     five slots."""
     M = 5 * f.N if M is None else min(M, 5 * f.N)
     F = extend(f, grid or default_grid(), angle_count(5 * f.N, M))
-    C = F.conj()
-    return CircleFunction(_assemble_polar(F * F * F * C * C, M))
+    return CircleFunction(_assemble_polar(_self_product, [F], M))
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +391,13 @@ def sup_bound_check(k: int, n_points: int = 1001, r_max: float | None = None,
 # ---------------------------------------------------------------------------
 
 def _abs2(f: CircleFunction) -> CircleFunction:
-    """|f|^2 as a bandwidth-2N circle function (exact via oversampling)."""
+    """|f|^2 as a bandwidth-2N circle function (exact via oversampling),
+    its coefficients made exactly conjugate-symmetric, as those of a real
+    function are, so that its field keeps half the angles."""
     M = max(4 * f.N + 8, 16)
     s = synthesize(f, M)
-    return analyze(s * np.conj(s), 2 * f.N)
+    c = analyze(s * np.conj(s), 2 * f.N).coeffs
+    return CircleFunction(0.5 * (c + np.conj(c[::-1])))
 
 
 @dataclass
@@ -447,7 +445,8 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     of the rotation), and the ratio compares the quotient-augmented norms.
 
     The bound reads mode 0 of a bandwidth-2(N1+..+N5) product, so its fields
-    take angle_count(M, 0) angles, and each distinct |g|^2 is extended once:
+    take angle_count(M, 0) angles, an even count, of which each real |g|^2
+    field samples half; each distinct |g|^2 is extended once:
     |f_j|^2 once per call, |rot f_j|^2 and |rot f_j - f_j|^2 once per offset.
     Every call also reports the s = 0 ratio as ratio0.
     """
@@ -458,14 +457,15 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     if mu5_at_1 is None:
         mu5_at_1 = mu_value(5, 1.0, grid)
     J = angle_count(2 * sum(f.N for f in fs), 0)
+    J += J % 2                      # even: the |g|^2 fields keep J/2 angles
 
     def bound(gs, fields: dict) -> float:
         # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled
         for g in gs:
             if id(g) not in fields:
                 fields[id(g)] = extend(_abs2(g), grid, J)
-        prod = reduce(operator.mul, (fields[id(g)] for g in gs))
-        val = TAU * _assemble_polar(prod, 0)[0].real
+        val = TAU * _assemble_polar(_product, [fields[id(g)] for g in gs],
+                                    0)[0].real
         return float(np.sqrt(mu5_at_1 * max(val, 0.0)))
 
     Q = quintic_convolve(fs, tensor=tensor, grid=grid)

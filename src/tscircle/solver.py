@@ -18,8 +18,8 @@ the classes grouped by how many plain slots hold h:
                            + (3XY^2 + Y^3) conj((X + Y)^2),
     L + phi = X^3 conj(X^2 + 2XY) + 3 X^2 Y conj(X^2),
 
-nine field products and six, each sum assembled once.  N is built from
-its own classes, not as Q(phi+h) minus the low ones, so the expansion
+nine field products and six, each expression assembled once.  N is built
+from its own classes, not as Q(phi+h) minus the low ones, so the expansion
 identity L + N + phi = Q(phi + g) stays an independent check.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .bessel import RadialGrid, default_grid
 from .errors import ConfigError, DivergenceError, PreconditionError
-from .extension import ExtensionField, angle_count, extend
+from .extension import angle_count, extend
 from .quintic import _assemble_polar, el_quintic
 from .spectral import (TAU, CircleFunction, inner_product, l2_norm,
                        random_function, weighted_norm)
@@ -167,18 +167,18 @@ def _extend_pair(phi: CircleFunction, h: CircleFunction, degrees,
     return extend(phi, grid, J), extend(h, grid, J), M
 
 
-def _linear_field(X: ExtensionField, Y: ExtensionField) -> ExtensionField:
-    """L + phi as a field: the classes of Q(phi+h, .., (phi+h)~, ..) with at
-    most one h, grouped by the plain slots,
+def _linear_field(X, Y):
+    """L + phi as a field expression: the classes of Q(phi+h, .., (phi+h)~,
+    ..) with at most one h, grouped by the plain slots,
 
         X^3 conj(X^2 + 2XY) + 3 X^2 Y conj(X^2)."""
     XX = X * X
     return XX * X * (XX + 2 * (X * Y)).conj() + 3 * (XX * Y) * XX.conj()
 
 
-def _nonlinear_field(X: ExtensionField, Y: ExtensionField) -> ExtensionField:
-    """N as a field: the nine classes with at least two h, grouped by how
-    many plain slots hold h (none, one, two or three),
+def _nonlinear_field(X, Y):
+    """N as a field expression: the nine classes with at least two h,
+    grouped by how many plain slots hold h (none, one, two or three),
 
         X^3 conj(Y^2) + 3 X^2 Y conj(2XY + Y^2)
                       + (3XY^2 + Y^3) conj((X + Y)^2)."""
@@ -198,7 +198,7 @@ def linear_part(phi: CircleFunction, g: CircleFunction,
                              + 3 Q(phi,phi,g,phi~,phi~).
     """
     X, Y, M = _extend_pair(phi, g, (0, 1), grid, M)
-    return CircleFunction(_assemble_polar(_linear_field(X, Y), M)) - phi
+    return CircleFunction(_assemble_polar(_linear_field, (X, Y), M)) - phi
 
 
 def nonlinear_part(phi: CircleFunction, h: CircleFunction,
@@ -208,7 +208,7 @@ def nonlinear_part(phi: CircleFunction, h: CircleFunction,
     at least quadratic in h (binomial weights 3-choose-a times 2-choose-b);
     modes -M..M of it when M is given (all of them by default)."""
     X, Y, M = _extend_pair(phi, h, (2, 3, 4, 5), grid, M)
-    return CircleFunction(_assemble_polar(_nonlinear_field(X, Y), M))
+    return CircleFunction(_assemble_polar(_nonlinear_field, (X, Y), M))
 
 
 def expansion_residual(phi: CircleFunction, g: CircleFunction,
@@ -251,15 +251,15 @@ def picard_iterate(f: CircleFunction, eps: float,
     """Rebuild the tail of a near-extremizer as a fixed point.
 
     f is rescaled to lambda_fit = 1 (fifth-degree homogeneity: f * lam^{-1/4}),
-    split by `decompose`, and iterated h <- L(phi,g) + N(phi,h) from
-    h_0 = L(phi,g).  Per-step contraction ratios are recorded in L^2 and in
-    the (1+n^2)^{s/2} weighted norm; the iterate diverging past 10x its
-    starting size raises DivergenceError.
+    where lambda_fit is the Rayleigh value <Q(f,f,f,f~,f~), f> / ||f||^2 and
+    so reads modes |m| <= N of Q only.  The result is split by `decompose`
+    and iterated h <- L(phi,g) + N(phi,h) from h_0 = L(phi,g).  Per-step
+    contraction ratios are recorded in L^2 and in the (1+n^2)^{s/2} weighted
+    norm; the iterate diverging past 10x its starting size raises
+    DivergenceError.
     """
-    from .variational import el_residual          # deferred: avoid cycle
     grid = grid or default_grid()
-    rep = el_residual(f, grid=grid)
-    lam = rep.lambda_fit
+    lam = inner_product(el_quintic(f, grid, f.N), f).real / l2_norm(f) ** 2
     if lam <= 0:
         raise PreconditionError(f"lambda_fit = {lam:.3e} is not positive")
     fs = f * lam ** -0.25

@@ -318,3 +318,14 @@ def test_error_bounds_are_honest(tensor8):
         ref, ref_err = radial_integrate(integrand, orders, grid=fine)
         drift = abs(ref - float(tensor8.values[i]))
         assert drift <= float(tensor8.errors[i]) + ref_err + 1e-12
+
+
+def test_j_matrix_rows_do_not_depend_on_history():
+    # a row depends on the grid and its order alone: growing the cache past
+    # the base order (294 at P = 200) adds rows and moves none
+    fresh = RadialGrid(200.0)
+    grown = RadialGrid(200.0)
+    grown.j_matrix(400)
+    assert np.array_equal(fresh.j_matrix(80), grown.j_matrix(80))
+    assert np.array_equal(fresh.j_matrix(330)[295:], grown.j_matrix(330)[295:])
+    assert np.array_equal(fresh.j_matrix(400), grown.j_matrix(400))

@@ -37,6 +37,9 @@ READS = {
     "constant": {"--method", "--n", "--cutoff"},
     "regularity-profile": {"--n"},
 }
+# flags that a command takes but does not read for the given arguments:
+# config drops them, and records an unread seed as null
+UNREAD = {("constant",): {"--n", "--seed"}}
 SHARED_FLAGS = {"--n", "--cutoff", "--eps", "--eta", "--s", "--seed",
                 "--tensor", "--out", "--verify", "--format"}
 
@@ -150,9 +153,29 @@ def test_constant_solver_method_emits_null_t0(tmp_path):
     env = run_to_file(tmp_path, "s.json", [
         "constant", "--method", "solver", "--n", "2"])
     validate_envelope(env)
+    assert env["config"] == {"method": "solver", "n": 2, "seed": 0,
+                             "cutoff": 200.0}
     assert env["payload"]["t0"] is None
     assert env["payload"]["lambda0"] is None
     assert env["payload"]["value"] > 0
+
+
+def test_constants_method_records_neither_n_nor_seed(tmp_path):
+    a = run_to_file(tmp_path, "a.json", ["constant", "--n", "99", "--seed", "7"])
+    b = run_to_file(tmp_path, "b.json", ["constant"])
+    assert a["config"] == b["config"] == {"method": "constants", "seed": None,
+                                          "cutoff": 200.0}
+    assert a["payload"] == b["payload"]
+
+
+def test_smoothing_config_ignores_seed(tmp_path):
+    # a fixed square-wave run: the seed changes nothing and is recorded null
+    a = run_to_file(tmp_path, "a.json", ["smoothing", "--seed", "3"])
+    b = run_to_file(tmp_path, "b.json", ["smoothing", "--seed", "4"])
+    validate_envelope(a)
+    assert a["config"] == b["config"]
+    assert a["config"]["seed"] is None
+    assert a["payload"] == b["payload"]
 
 
 def test_density_uses_cutoff(tmp_path):
@@ -249,8 +272,11 @@ def test_unread_flags_rejected(name, capsys):
 def test_config_records_declared_flags(tmp_path, argv):
     env = run_to_file(tmp_path, "c.json", argv)
     parsed = vars(build_parser().parse_args(argv))
-    want = {"seed"} | {dest(f) for f in READS[argv[0]] - {"--format"}}
-    assert env["config"] == {k: parsed[k] for k in want}
+    unread = UNREAD.get(tuple(argv), set())
+    want = {dest(f) for f in READS[argv[0]] - {"--format"} - unread}
+    config = {k: parsed[k] for k in want}
+    config["seed"] = None if "--seed" in unread else parsed["seed"]
+    assert env["config"] == config
 
 
 def test_regularity_profile_command(tmp_path):

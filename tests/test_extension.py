@@ -11,6 +11,7 @@ import scipy.special as sps
 
 from tscircle import (
     TAU,
+    CircleFunction,
     constant_function,
     conjugate_reflect,
     decay_check,
@@ -19,7 +20,9 @@ from tscircle import (
     random_function,
     ts_functional,
 )
-from tscircle.extension import angle_count, angular_analyze, angular_synthesize
+import tscircle.extension
+from tscircle.extension import (angle_count, angular_analyze,
+                                angular_synthesize, hpoly_mul)
 
 
 def field_oracle(f, rho, phi):
@@ -65,9 +68,9 @@ def test_extension_of_conjugate_reflection_is_conjugate_field():
     # and in its large-rho tail
     f = random_function(5, seed=2, decay=0.85)
     a = extend(conjugate_reflect(f))
-    b = extend(f).conj()
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-    np.testing.assert_allclose(a.tail, b.tail, atol=1e-12)
+    b = extend(f)
+    np.testing.assert_allclose(a.values, np.conj(b.values), atol=1e-12)
+    np.testing.assert_allclose(a.tail.poly, b.tail.conj().poly, atol=1e-12)
 
 
 T0_REF = 0.336827961766468  # independent head+tail reference, see test_bessel
@@ -76,6 +79,7 @@ T0_REF = 0.336827961766468  # independent head+tail reference, see test_bessel
 def test_l6_norm_constant_against_reference():
     # ||2 pi J_0||_6^6 = (2 pi)^7 T0 by radial symmetry
     field = extend(constant_function(1.0))
+    assert type(l6_norm(field)) is float       # JSON-serializable as is
     got = l6_norm(field) ** 6
     ref = TAU ** 7 * T0_REF
     assert abs(got - ref) / ref < 1e-8
@@ -136,3 +140,56 @@ def test_angular_synthesis_is_exact_below_the_bandwidth():
                                    rtol=0, atol=1e-12)
     np.testing.assert_allclose(angular_analyze(angular_synthesize(modes, 64),
                                                20), modes, rtol=0, atol=1e-13)
+
+
+def test_angular_analysis_paths_agree(monkeypatch):
+    # the analysis table and the FFT read the same modes
+    rng = np.random.default_rng(6)
+    modes = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
+    samples = angular_synthesize(modes, 64)
+    results = []
+    for limit in (10 ** 6, 0):
+        monkeypatch.setattr(tscircle.extension, "DIRECT_ANALYSIS_MODES", limit)
+        results.append(angular_analyze(samples, 20))
+    np.testing.assert_allclose(results[0], results[1], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(results[0], modes, rtol=0, atol=1e-13)
+
+
+def test_symmetric_input_keeps_half_the_angles():
+    # c_{-n} = conj c_n gives F(rho, phi + pi) = conj F(rho, phi): the field
+    # stores J/2 angles and the rest are their conjugates; n_angles is J
+    f = random_function(6, seed=4, decay=0.8)
+    real = CircleFunction(0.5 * (f.coeffs + np.conj(f.coeffs[::-1])))
+    field = extend(real, n_angles=40)
+    assert field.tail.symmetric and field.n_angles == 40
+    assert field.samples.shape == (field.grid.nodes.size, 20)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        i = rng.integers(0, field.grid.nodes.size)
+        j = rng.integers(0, 40)
+        rho, phi = field.grid.nodes[i], field.angles[j]
+        assert abs(field.values[i, j] - field_oracle(real, rho, phi)) < 1e-10
+    # odd J or a non-symmetric input keep every angle
+    assert not extend(real, n_angles=41).tail.symmetric
+    assert extend(f, n_angles=40).samples.shape[1] == 40
+
+
+def hpoly_mul_loop(A, B):
+    """The plain triple loop over slots i, j and orders (q, r)."""
+    J, na, _ = A.shape
+    nb = B.shape[1]
+    C = np.zeros((J, na + nb - 1, 2), dtype=np.complex128)
+    for i in range(na):
+        for j in range(nb):
+            for q, r in ((0, 0), (0, 1), (1, 0)):
+                C[:, i + j, q + r] += A[:, i, q] * B[:, j, r]
+    return C
+
+
+def test_hpoly_mul_is_the_triple_loop():
+    # vectorized over B's slots, the products stay bit-identical
+    rng = np.random.default_rng(9)
+    for na, nb in ((3, 3), (5, 3), (3, 9), (7, 5)):
+        A = rng.standard_normal((16, na, 2)) + 1j * rng.standard_normal((16, na, 2))
+        B = rng.standard_normal((16, nb, 2)) + 1j * rng.standard_normal((16, nb, 2))
+        assert np.array_equal(hpoly_mul(A, B), hpoly_mul_loop(A, B))

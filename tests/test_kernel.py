@@ -1,0 +1,151 @@
+"""The blocked polar kernel against the whole-array assembly.
+
+The reference forms each product field on all K x J samples, takes its
+FFT and sums it radially: the assembly as it was before expressions were
+evaluated block by block with direct angular sums.  The kernel must give
+the same modes for every expression the package assembles, for every
+block height, and on half the angles when its inputs are real.
+"""
+
+import numpy as np
+import pytest
+
+import tscircle.extension
+from tscircle import constant_function, random_function
+from tscircle.extension import ExtensionField, _polar_reduce, angle_count, extend
+from tscircle.quintic import _abs2, _product, _self_product
+from tscircle.solver import _linear_field, _nonlinear_field
+
+
+def radial_rows(grid, M):
+    """sign-corrected J_|m| rows times the radial weights, as assembled."""
+    m = np.arange(-M, M + 1)
+    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
+    rows = grid.j_matrix(int(np.abs(m).max()))[np.abs(m)] * sgn[:, None]
+    return rows * (grid.weights * grid.nodes)
+
+
+def reference(expr, fields, M):
+    """Product of the whole samples, its FFT, the radial sum; and the FFT
+    modes of the product tail."""
+    J = fields[0].n_angles
+    keep = np.mod(np.arange(-M, M + 1), J)
+    values = expr(*(F.values for F in fields))
+    modes = (np.fft.fft(values, axis=1) / J)[:, keep]
+    quad = np.einsum("km,mk->m", modes, radial_rows(fields[0].grid, M))
+    tail = expr(*(F.tail for F in fields)).poly
+    tail_modes = (np.fft.fft(np.moveaxis(tail, 0, -1), axis=-1) / J)[..., keep]
+    return quad, tail_modes
+
+
+def kernel(expr, fields, M):
+    return _polar_reduce(expr, fields, M, radial_rows(fields[0].grid, M))
+
+
+def assert_matches(expr, fields, M, rel=1e-13):
+    quad, tail_modes = kernel(expr, fields, M)
+    ref_quad, ref_tail = reference(expr, fields, M)
+    assert quad.shape == ref_quad.shape == (2 * M + 1,)
+    assert np.max(np.abs(quad - ref_quad)) <= rel * np.max(np.abs(ref_quad))
+    assert np.max(np.abs(tail_modes - ref_tail)) <= rel * np.max(np.abs(ref_tail))
+
+
+def high_tail(n_lo, n_hi, seed):
+    f = random_function(n_hi, seed=seed, decay=0.7)
+    return f - f.truncated(n_lo)
+
+
+PHI = random_function(4, seed=41, decay=0.9)
+H = high_tail(4, 16, seed=42)
+F16 = random_function(16, seed=8, decay=0.8)
+FIVE = [random_function(4, seed=10 + i, decay=0.75) for i in range(5)]
+
+# name -> (expression, inputs, bandwidth of the expression)
+CASES = {
+    "el_quintic": (_self_product, [F16], 80),
+    "nonlinear": (_nonlinear_field, [PHI, H], 80),
+    "linear": (_linear_field, [PHI, H], 32),
+    "five_inputs": (_product, FIVE, 20),
+}
+
+
+@pytest.mark.parametrize("seven_rows", [False, True],
+                         ids=["module block height", "7-row blocks"])
+@pytest.mark.parametrize("M", ["N", 16, 0])
+@pytest.mark.parametrize("name", list(CASES))
+def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
+    # K = 1600 nodes is a multiple neither of 7 rows nor of the module's
+    # block height at any J here (128, 113, 93, 78 and 48 rows at J = 64,
+    # 72, 88, 104 and 168)
+    expr, inputs, bandwidth = CASES[name]
+    M = bandwidth if M == "N" else M
+    J = angle_count(bandwidth, M)
+    if seven_rows:
+        monkeypatch.setattr(tscircle.extension, "BLOCK_SAMPLES", 7 * J)
+    fields = [extend(f, n_angles=J) for f in inputs]
+    assert_matches(expr, fields, M)
+
+
+def test_kernel_mixed_bandwidths():
+    # one band-16 input among constants: 64 angles for modes 16 and 0 of the
+    # band-16 product, and of the band-32 product of the |g|^2 at mode 0,
+    # whose band-16 factor has more modes (65) than angles
+    fs = [F16] + [constant_function(0.5 + 0.25 * j) for j in range(4)]
+    for M in (16, 0):
+        J = angle_count(16, M)
+        assert_matches(_product, [extend(f, n_angles=J) for f in fs], M)
+    J = angle_count(32, 0)
+    assert J == 64
+    assert_matches(_product, [extend(_abs2(f), n_angles=J) for f in fs], 0)
+
+
+def spy_rows(monkeypatch):
+    """Record the `half` argument of every sample block the kernel reads."""
+    seen = []
+    real = ExtensionField.rows
+
+    def rows(self, lo, hi, half=False):
+        seen.append(half)
+        return real(self, lo, hi, half)
+
+    monkeypatch.setattr(ExtensionField, "rows", rows)
+    return seen
+
+
+def test_half_angles_match_full_angles_on_real_inputs(monkeypatch):
+    # mode 0 of a product of real |g|^2 fields from J/2 stored angles
+    # equals the full-angle FFT route's mode 0 to rounding
+    seen = spy_rows(monkeypatch)
+    for seed in (0, 5, 10):
+        gs = [_abs2(random_function(8, seed=seed + i, decay=0.6))
+              for i in range(5)]
+        fields = [extend(g, n_angles=88) for g in gs]
+        assert all(F.samples.shape[1] == 44 for F in fields)
+        seen.clear()
+        quad, _ = kernel(_product, fields, 0)
+        assert seen and all(seen)
+        ref, _ = reference(_product, fields, 0)
+        assert abs(quad[0].imag) == 0.0
+        assert abs(quad[0] - ref[0]) <= 1e-14 * abs(ref[0])
+
+
+def test_non_symmetric_input_never_takes_half_angles(monkeypatch):
+    seen = spy_rows(monkeypatch)
+    gs = [_abs2(random_function(8, seed=20 + i, decay=0.6)) for i in range(5)]
+    fields = [extend(g, n_angles=88) for g in gs]
+    # one complex input among real ones
+    mixed = fields[:4] + [extend(random_function(16, seed=3), n_angles=88)]
+    # a complex scalar breaks the symmetry of a product of real inputs
+    rotated = lambda *F: 1j * _product(*F)       # noqa: E731
+    # an odd J keeps every angle of a real input
+    odd = [extend(g, n_angles=89) for g in gs]
+    for expr, fs in ((_product, mixed), (rotated, fields), (_product, odd)):
+        seen.clear()
+        quad, _ = kernel(expr, fs, 0)
+        assert seen and not any(seen)
+        ref, _ = reference(expr, fs, 0)
+        assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
+    # the same real inputs at M = 1 read every angle too
+    seen.clear()
+    kernel(_product, fields, 1)
+    assert seen and not any(seen)

@@ -28,7 +28,8 @@ from tscircle import (
 )
 import tscircle.quintic
 from tscircle.errors import ConfigError, GridSizeError, SingularRadiusError
-from tscircle.quintic import SINGULAR_RADII, _assemble_polar, leibniz_terms
+from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
+                              _self_product, leibniz_terms)
 
 
 def five_random(n, base_seed, decay=0.8):
@@ -252,11 +253,9 @@ def test_mode_zero_is_the_angular_mean():
     G = [extend(g, n_angles=64) for g in five_random(4, 500, decay=0.7)]
     B = [extend(autocorrelation(g), n_angles=88)
          for g in five_random(8, 5000, decay=0.6)]
-    for prod in (F * F * F * F.conj() * F.conj(),
-                 G[0] * G[1] * G[2] * G[3] * G[4],
-                 B[0] * B[1] * B[2] * B[3] * B[4]):
-        mean = _assemble_polar(prod, 0)
-        fft = _assemble_polar(prod, 1)
+    for expr, fields in ((_self_product, [F]), (_product, G), (_product, B)):
+        mean = _assemble_polar(expr, fields, 0)
+        fft = _assemble_polar(expr, fields, 1)
         assert mean.shape == (1,)
         assert abs(mean[0] - fft[1]) <= 4e-15 * abs(fft[1])
 
@@ -266,12 +265,11 @@ def test_assembly_refuses_aliased_modes():
     # mode 24 would alias with mode -40, so the assembly refuses it
     f = random_function(8, seed=7, decay=0.7)
     F = extend(f, n_angles=64)
-    prod = F * F * F * F.conj() * F.conj()
     full = el_quintic(f).truncated(23).coeffs
-    low = _assemble_polar(prod, 23)
+    low = _assemble_polar(_self_product, [F], 23)
     assert np.max(np.abs(low - full)) <= 1e-13 * np.max(np.abs(full))
     with pytest.raises(GridSizeError):
-        _assemble_polar(prod, 24)
+        _assemble_polar(_self_product, [F], 24)
 
 
 def autocorrelation(g):

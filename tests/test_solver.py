@@ -26,8 +26,9 @@ from tscircle import (
 import tscircle.extension
 import tscircle.quintic
 import tscircle.solver
+import tscircle.variational
 from tscircle.errors import DivergenceError
-from tscircle.extension import ExtensionField, angle_count, extend
+from tscircle.extension import FieldTail, angle_count, extend
 from tscircle.quintic import _assemble_polar
 from tscircle.solver import _linear_field, _nonlinear_field
 
@@ -172,35 +173,40 @@ def class_products(X, Y, classes):
 
 
 def test_slot_grouped_fields_match_class_products():
-    # the factored fields of N and L + phi equal the nine and the three
-    # explicit class products: samples, tails and every assembled mode
+    # the factored expressions of N and L + phi equal the nine and the three
+    # explicit class products: on the whole samples, on the tails and in
+    # every assembled mode
     phi = random_function(4, seed=51, decay=0.9)
     h = high_tail(4, 8, seed=52, scale=0.3)
     J = angle_count(5 * h.N)
     X, Y = extend(phi, n_angles=J), extend(h, n_angles=J)
-    for field, classes in ((_nonlinear_field(X, Y), HIGH_CLASSES),
-                           (_linear_field(X, Y), LOW_CLASSES)):
-        ref = class_products(X, Y, classes)
-        assert field.N == ref.N
-        for got, want in ((field.values, ref.values), (field.tail, ref.tail),
-                          (_assemble_polar(field, field.N),
-                           _assemble_polar(ref, ref.N))):
+    for expr, classes in ((_nonlinear_field, HIGH_CLASSES),
+                          (_linear_field, LOW_CLASSES)):
+        def ref(A, B, classes=classes):
+            return class_products(A, B, classes)
+        tail, ref_tail = expr(X.tail, Y.tail), ref(X.tail, Y.tail)
+        assert tail.N == ref_tail.N
+        for got, want in ((expr(X.values, Y.values), ref(X.values, Y.values)),
+                          (tail.poly, ref_tail.poly),
+                          (_assemble_polar(expr, (X, Y), tail.N),
+                           _assemble_polar(ref, (X, Y), ref_tail.N))):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_parts_multiply_fields_slot_grouped(monkeypatch):
     # one product per class factor would take 36 field-by-field products
-    # for N and 12 for L; grouped by slot they take at most 12 and 6
+    # for N and 12 for L; grouped by slot they take at most 12 and 6 (counted
+    # on the tails, where each part's expression runs once)
     products = []
-    real = ExtensionField.__mul__
+    real = FieldTail.__mul__
 
     def counting(self, other):
-        if isinstance(other, ExtensionField):
+        if isinstance(other, FieldTail):
             products.append(other)
         return real(self, other)
 
-    monkeypatch.setattr(ExtensionField, "__mul__", counting)
+    monkeypatch.setattr(FieldTail, "__mul__", counting)
     phi = random_function(3, seed=5, decay=0.9)
     g = high_tail(3, 6, seed=6)
     nonlinear_part(phi, g)
@@ -298,3 +304,17 @@ def test_picard_h_norm_matches_tail(extremizer16):
     _, g, _ = decompose(scaled, eps=0.05)
     # the fixed point h reproduces the actual tail of the rescaled profile
     assert abs(rep.h_norm - l2_norm(g)) < 1e-6
+
+
+def test_picard_lambda_is_the_rayleigh_value(extremizer16, monkeypatch):
+    # lambda_fit comes from modes |m| <= N of Q, not from el_residual's
+    # full-band report, and agrees with that report's value
+    f = extremizer16.f
+    want = el_residual(f).lambda_fit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("picard_iterate called el_residual")
+
+    monkeypatch.setattr(tscircle.variational, "el_residual", refuse)
+    rep = picard_iterate(f, eps=0.05)
+    assert abs(rep.lambda_used - want) <= 1e-12 * want

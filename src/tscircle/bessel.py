@@ -342,18 +342,29 @@ def _six_bessel_rows(keys: np.ndarray, grid: RadialGrid,
     (nonnegative orders, six per row), with its error bound.
 
     Each row costs one six-row product over the grid's nodes plus the
-    closed-form tail; rows are processed in chunks of at most `chunk`.  The
-    error is the tail model's bound, since the grid resolves the head to
-    rounding.
+    closed-form tail; rows are processed in chunks of at most `chunk`.
+    Within a chunk the product J_{k1} J_{k2} J_{k3} is formed once per
+    distinct leading triple and each row multiplies it by its last three
+    rows, the same left-to-right product as row by row.  The error is the
+    tail model's bound, since the grid resolves the head to rounding.
     """
-    jc = grid.j_matrix(int(keys.max()))
+    top = int(keys.max()) + 1
+    jc = grid.j_matrix(top - 1)
     w = grid.weights * grid.nodes
     P = grid.cutoff
     vals = np.empty(keys.shape[0])
     for lo in range(0, keys.shape[0], chunk):
         kk = keys[lo:lo + chunk]
-        prod = jc[kk[:, 0]].copy()
-        for j in range(1, 6):
+        lead = kk[:, :3].astype(np.int64)
+        _, first, row = np.unique((lead[:, 0] * top + lead[:, 1]) * top
+                                  + lead[:, 2], return_index=True,
+                                  return_inverse=True)
+        lead = lead[first]
+        part = jc[lead[:, 0]]
+        part *= jc[lead[:, 1]]
+        part *= jc[lead[:, 2]]
+        prod = part[row]
+        for j in range(3, 6):
             prod *= jc[kk[:, j]]
         vals[lo:lo + chunk] = prod @ w + bessel_product_tail(kk, P)
     return vals, _tail_error_bound(keys, P)
@@ -386,23 +397,26 @@ def _encode(keys: np.ndarray, base: int) -> np.ndarray:
 
 
 def enumerate_keys(N: int) -> np.ndarray:
-    """Canonical storage keys at bandwidth N: sorted |order| sextuples.
+    """Canonical storage keys at bandwidth N: sorted |order| sextuples, in
+    lexicographic (storage) order.
 
     A sextuple of magnitudes is reachable iff some signed arrangement
     satisfies the selection rule, i.e. iff signs exist with
     sum eps_i a_i = 0.  Keys are generated as (five free magnitudes <= N,
     sixth = |signed sum|), which covers every contraction the quintic
     convolution needs (output mode up to 5N) and in particular every
-    admissible tuple with all six magnitudes <= N.
+    admissible tuple with all six magnitudes <= N.  Opposite signs give
+    the same |sum|, so the first sign is kept at +1.
     """
     ms = np.array(list(itertools.combinations_with_replacement(range(N + 1), 5)),
                   dtype=np.int64)
-    eps = np.array(list(itertools.product([1, -1], repeat=5)), dtype=np.int64)
-    sums = np.abs(ms @ eps.T)                       # (M, 32)
+    eps = _sign_patterns(5).astype(np.int64)
+    sums = np.abs(ms @ eps.T)                       # (M, 16)
     keys = np.concatenate([np.repeat(ms, eps.shape[0], axis=0),
                            sums.reshape(-1, 1)], axis=1)
     keys.sort(axis=1)
-    return np.unique(keys, axis=0)
+    _, first = np.unique(_encode(keys, 5 * N + 2), return_index=True)
+    return keys[first]
 
 
 class BesselTensor:
@@ -439,7 +453,7 @@ class BesselTensor:
         if keys.size and int(keys.max()) >= self._base:
             raise PreconditionError(
                 f"order {int(keys.max())} outside tensor range N={self.N}")
-        codes = _encode(np.asarray(keys, dtype=np.int64), self._base)
+        codes = _encode(keys, self._base)
         pos = np.searchsorted(self._codes, codes)
         bad = (pos >= self._codes.size) | (self._codes[np.minimum(pos, self._codes.size - 1)] != codes)
         if np.any(bad):

@@ -100,6 +100,10 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
 
 
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
+    """The tensor route.  A row n2..n5 of the inner sum enters a term only
+    through its class (the sorted |n2|..|n5|), its sum s and its parity
+    sign, so each n1 looks up one sorted key (|n1|, class, |n1 + s|) per
+    distinct (class, s) pair of the rows, not one per row."""
     Ns = [f.N for f in fs]
     if max(Ns) > tensor.N:
         raise PreconditionError(
@@ -112,21 +116,29 @@ def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
         cc = cc * fs[j + 1].coeffs[n2345[:, j] + Ns[j + 1]]
     s2345 = n2345.sum(axis=1)
     odd2345 = ((n2345 < 0) & (n2345 % 2 != 0)).sum(axis=1)
+    sign2345 = np.where(odd2345 % 2 == 0, 1.0, -1.0)        # J_{-n} = (-1)^n J_n
+    mags = np.sort(np.abs(n2345), axis=1)
+    code = s2345 + M
+    for j in range(4):
+        code = code * (M + 1) + mags[:, j]
+    _, first, pair = np.unique(code, return_index=True, return_inverse=True)
+    inner, s = mags[first], s2345[first]                      # per pair
 
     out = np.zeros(2 * M + 1, dtype=np.complex128)
+    keys = np.empty((first.size, 6), dtype=np.int64)
     for n1 in range(-Ns[0], Ns[0] + 1):
-        m = n1 + s2345
-        keys = np.empty((n2345.shape[0], 6), dtype=np.int64)
+        m = n1 + s
         keys[:, 0] = abs(n1)
-        keys[:, 1:5] = np.abs(n2345)
+        keys[:, 1:5] = inner
         keys[:, 5] = np.abs(m)
         keys.sort(axis=1)
-        odd = odd2345 + ((m < 0) & (m % 2 != 0))
+        odd = (m < 0) & (m % 2 != 0)
         if n1 < 0 and n1 % 2 != 0:
-            odd = odd + 1
-        sign = np.where(odd % 2 == 0, 1.0, -1.0)
-        w = fs[0].coeffs[n1 + Ns[0]] * cc * sign * tensor.lookup_sorted_abs(keys)
-        idx = m + M
+            odd = ~odd
+        sign = sign2345 * np.where(odd, -1.0, 1.0)[pair]
+        value = tensor.lookup_sorted_abs(keys)[pair]
+        w = fs[0].coeffs[n1 + Ns[0]] * cc * sign * value
+        idx = s2345 + (n1 + M)
         out.real += np.bincount(idx, weights=w.real, minlength=2 * M + 1)
         out.imag += np.bincount(idx, weights=w.imag, minlength=2 * M + 1)
     return CircleFunction(out * TAU ** 4)

@@ -14,6 +14,7 @@ from tscircle.bessel import (
     BesselTensor,
     RadialGrid,
     _miller_block,
+    _six_bessel_rows,
     bessel_product_tail,
     build_tensor,
     default_grid,
@@ -152,6 +153,40 @@ def test_six_bessel_rejects_inadmissible():
         six_bessel_integral(1, 0, 0, 0, 0, 0)
 
 
+def six_rows_plain(keys, grid, chunk=1024):
+    # one six-row gather and product per key, chunk by chunk
+    jc = grid.j_matrix(int(keys.max()))
+    w = grid.weights * grid.nodes
+    vals = np.empty(keys.shape[0])
+    for lo in range(0, keys.shape[0], chunk):
+        kk = keys[lo:lo + chunk]
+        prod = jc[kk[:, 0]].copy()
+        for j in range(1, 6):
+            prod *= jc[kk[:, j]]
+        vals[lo:lo + chunk] = prod @ w + bessel_product_tail(kk, grid.cutoff)
+    return vals
+
+
+def test_six_bessel_rows_are_the_plain_products():
+    # sharing J_{k1} J_{k2} J_{k3} across rows changes no bit, in storage
+    # order and with the leading triples scattered over the chunks
+    grid = default_grid()
+    keys = enumerate_keys(8)
+    for kk in (keys, keys[np.random.default_rng(3).permutation(len(keys))]):
+        vals, _ = _six_bessel_rows(kk, grid)
+        assert np.array_equal(vals, six_rows_plain(kk, grid))
+
+
+@pytest.mark.parametrize("P", [200.0, 800.0])
+def test_five_a1_is_t0(P):
+    # modulation is a symmetry of the extension problem, so the second
+    # variation at the constants is exact along e_{+-1}: 5 a_1 = T_0 with
+    # a_1 = int J_0^4 J_1^2 rho drho, within the two reported tail bounds
+    keys = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1]])
+    (t0, a1), (e0, e1) = _six_bessel_rows(keys, RadialGrid(cutoff=P))
+    assert abs(5.0 * a1 - t0) <= 5.0 * e1 + e0
+
+
 def test_tail_cutoff_consistency():
     # values at different splitting points must agree within their
     # reported error bars, and tighten as the cutoff grows
@@ -253,6 +288,17 @@ def test_enumerate_keys_known_counts():
     assert len(enumerate_keys(0)) == 1
     assert len(enumerate_keys(1)) == 10
     assert len(enumerate_keys(4)) == 396
+    assert len(enumerate_keys(8)) == 5731
+
+
+def test_enumerate_keys_in_storage_order():
+    # sorted rows, strictly increasing lexicographically: unique, and in
+    # the order BesselTensor stores them
+    keys = enumerate_keys(8)
+    assert np.all(np.diff(keys, axis=1) >= 0)
+    step = np.diff(keys, axis=0)
+    lead = (step != 0).argmax(axis=1)
+    assert np.all(step[np.arange(len(step)), lead] > 0)
 
 
 def test_tensor_lookup_all_signed_tuples(tensor8):

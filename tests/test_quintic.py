@@ -27,7 +27,9 @@ from tscircle import (
     sup_bound_check,
 )
 import tscircle.quintic
-from tscircle.errors import ConfigError, GridSizeError, SingularRadiusError
+from tscircle.bessel import BesselTensor, _encode
+from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
+                             SingularRadiusError)
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
                               _self_product, leibniz_terms)
 
@@ -48,6 +50,65 @@ def test_tensor_and_polar_routes_agree(tensor8):
         qp = quintic_convolve(fs, method="polar")
         scale = np.max(np.abs(qt.coeffs))
         assert np.max(np.abs(qt.coeffs - qp.coeffs)) < 1e-10 * scale
+
+
+def convolve_per_tuple(fs, tensor):
+    # the tensor route with one sorted, encoded and searched key per
+    # ordered tuple (n1..n5, m), signs and accumulation as in the library
+    Ns = [f.N for f in fs]
+    M = sum(Ns)
+    grids = np.meshgrid(*(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")
+    n2345 = np.stack([g.ravel() for g in grids], axis=1)
+    cc = np.ones(n2345.shape[0], dtype=np.complex128)
+    for j in range(4):
+        cc = cc * fs[j + 1].coeffs[n2345[:, j] + Ns[j + 1]]
+    s2345 = n2345.sum(axis=1)
+    odd2345 = ((n2345 < 0) & (n2345 % 2 != 0)).sum(axis=1)
+    out = np.zeros(2 * M + 1, dtype=np.complex128)
+    for n1 in range(-Ns[0], Ns[0] + 1):
+        m = n1 + s2345
+        keys = np.empty((n2345.shape[0], 6), dtype=np.int64)
+        keys[:, 0] = abs(n1)
+        keys[:, 1:5] = np.abs(n2345)
+        keys[:, 5] = np.abs(m)
+        keys.sort(axis=1)
+        codes = _encode(keys, tensor._base)
+        pos = np.searchsorted(tensor._codes, codes)
+        assert np.array_equal(tensor._codes[pos], codes)
+        odd = odd2345 + ((m < 0) & (m % 2 != 0))
+        if n1 < 0 and n1 % 2 != 0:
+            odd = odd + 1
+        sign = np.where(odd % 2 == 0, 1.0, -1.0)
+        w = fs[0].coeffs[n1 + Ns[0]] * cc * sign * tensor.values[pos]
+        out.real += np.bincount(m + M, weights=w.real, minlength=2 * M + 1)
+        out.imag += np.bincount(m + M, weights=w.imag, minlength=2 * M + 1)
+    return out * TAU ** 4
+
+
+def test_tensor_route_is_the_per_tuple_contraction(tensor8):
+    # resolving each (class, sum) pair once changes no bit of the result
+    cases = [five_random(8, 10 * seed) for seed in range(3)]
+    cases.append([random_function(N, seed=60 + i, decay=0.8)
+                  for i, N in enumerate((8, 2, 0, 5, 3))])
+    cases.append(five_random(3, 80))
+    for fs in cases:
+        got = quintic_convolve(fs, tensor=tensor8).coeffs
+        assert np.array_equal(got, convolve_per_tuple(fs, tensor8))
+
+
+def test_tensor_route_names_a_missing_class(tensor8):
+    # without the class (0,0,0,0,8,8), which n = (8, -8, 0, 0, 0) and m = 0
+    # reach, an N = 8 contraction refuses; an N = 2 one never reads that
+    # class and is unchanged
+    keep = ~np.all(tensor8.keys == (0, 0, 0, 0, 8, 8), axis=1)
+    assert np.count_nonzero(~keep) == 1
+    reduced = BesselTensor(8, tensor8.cutoff, tensor8.keys[keep],
+                           tensor8.values[keep], tensor8.errors[keep])
+    with pytest.raises(PreconditionError, match=r"\(0, 0, 0, 0, 8, 8\)"):
+        quintic_convolve(five_random(8, 90), tensor=reduced)
+    fs = five_random(2, 95)
+    assert np.array_equal(quintic_convolve(fs, tensor=reduced).coeffs,
+                          quintic_convolve(fs, tensor=tensor8).coeffs)
 
 
 def test_el_quintic_is_the_five_slot_convolution():

@@ -10,13 +10,14 @@ large-rho form beyond the cutoff (a FieldTail): every mode replaced by its
 two-term asymptotics, a polynomial in e^{+-i rho} and 1/rho with
 angle-dependent coefficients.  What is built from several fields is a
 field expression, a plain function over `*`, `+`, scalar `*` and
-`.conj()`.  _polar_reduce evaluates it once on the tails and then on
-cache-sized row blocks of the samples, each reduced to the modes read and
-summed radially at once; the quintic convolution and the L^6 norm (whose
-tail |F|^6 rho ~ rho^-2 is kept in closed form) are its callers.  A real
-input (c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi): its
-field keeps J/2 angles, and mode 0 of a product of such fields is the
-real part of the mean over them.
+`.conj()`.  A field holds no samples, only its folded phase table.
+_polar_reduce evaluates an expression once on the tails and then on
+cache-sized row blocks of samples, each synthesized from the tables just
+before, reduced to the modes read and summed radially at once; the
+quintic convolution and the L^6 norm (whose tail |F|^6 rho ~ rho^-2 is
+kept in closed form) are its callers.  A real input (c_{-n} = conj c_n)
+has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
+mode 0 of a product of such fields is the real part of the mean over them.
 """
 
 from __future__ import annotations
@@ -95,15 +96,6 @@ def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
     return modes @ _phase_table((modes.shape[-1] - 1) // 2, J, J)
 
 
-def angular_analyze(values: np.ndarray, M: int) -> np.ndarray:
-    """Inverse of angular_synthesize: modes -M..M along the last axis."""
-    values = np.asarray(values, dtype=np.complex128)
-    J = values.shape[-1]
-    if J < 2 * M + 2:
-        raise GridSizeError(f"J={J} samples cannot resolve modes +-{M}")
-    return _analyze(values, M)
-
-
 class FieldTail:
     """The large-rho form of a field expression: the polynomial `poly`
     T[j, k, p] over J angles (see field_tail_rep), the bandwidth `N`, and
@@ -136,42 +128,46 @@ class FieldTail:
 
 
 class ExtensionField:
-    """The extension of one circle function: `samples` on grid.nodes x the
-    J = n_angles uniform angles (the first J/2 when tail.symmetric, J even
-    and f real: the rest are their conjugates), the large-rho `tail` with
-    the bandwidth N, and F(0).  Fields combine only in _polar_reduce."""
+    """The extension of one circle function, held as what defines it: the
+    folded phase table `table`, the real view of the (N+1) x J' complex
+    matrix whose row n is the angular factor shared by the modes +-n (J' =
+    J/2 when tail.symmetric, J = n_angles even and f real: the other angles
+    are the conjugates of these; J' = J otherwise), the grid, the large-rho
+    `tail` with the bandwidth N, and F(0).  Samples exist only as the row
+    blocks that rows() synthesizes; fields combine only in _polar_reduce."""
 
-    def __init__(self, grid: RadialGrid, samples: np.ndarray, tail: FieldTail,
+    def __init__(self, grid: RadialGrid, table: np.ndarray, tail: FieldTail,
                  n_angles: int, origin_value: complex):
         self.grid = grid
-        self.samples = samples
+        self.table = table
         self.tail = tail
         self.N = tail.N
         self.n_angles = int(n_angles)
         self.origin_value = origin_value
-        self.angles = np.arange(self.n_angles) * (TAU / self.n_angles)
 
     def __repr__(self):
         return (f"ExtensionField(K={self.grid.nodes.size}, J={self.n_angles}, "
                 f"N={self.N}, cutoff={self.grid.cutoff:g})")
 
     def rows(self, lo: int, hi: int, half: bool = False) -> np.ndarray:
-        """Samples of nodes lo..hi-1 on all J angles, or as stored (half)."""
-        block = self.samples[lo:hi]
+        """Samples of nodes lo..hi-1 on the angles j 2 pi / J, j < J, or on
+        the table's J' (half), as one real matmul against the Bessel rows.
+        A lone row would take numpy's matrix-vector product, which sums in
+        another order than the matrix product: it borrows a neighbour, so
+        no sample depends on the height of the block it comes in."""
+        jm = self.grid.j_matrix(self.N)                        # (N+1, K)
+        a = min(lo, max(hi - 2, 0))
+        b = max(hi, min(a + 2, jm.shape[1]))
+        block = (jm[:, a:b].T @ self.table).view(np.complex128)[lo - a:hi - a]
         if half or not self.tail.symmetric:
             return block
         return np.concatenate([block, np.conj(block)], axis=1)
 
-    @property
-    def values(self) -> np.ndarray:
-        """All K x J samples."""
-        return self.rows(0, self.grid.nodes.size)
-
 
 def extend(f: CircleFunction, grid: RadialGrid | None = None,
            n_angles: int | None = None) -> ExtensionField:
-    """Sample the extension of f on a polar grid, with its large-rho tail;
-    the default angle count resolves a five-fold product of such fields."""
+    """The extension of f on a polar grid, with its large-rho tail; the
+    default angle count resolves a five-fold product of such fields."""
     grid = grid or default_grid()
     J = n_angles or angle_count(5 * f.N)
     n = np.arange(-f.N, f.N + 1)
@@ -180,24 +176,24 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     symmetric = (J % 2 == 0
                  and np.array_equal(f.coeffs, np.conj(f.coeffs[::-1])))
     # modes n and -n share the real row J_|n| (the sign is in `factor`), so
-    # one real matmul against the folded table gives the samples
+    # folding them gives one real table for the row-block matmuls
     C = factor[:, None] * _phase_table(f.N, J, J // 2 if symmetric else J)
     C[f.N + 1:] += C[f.N - 1::-1]
-    jm = grid.j_matrix(f.N)                                    # (N+1, K)
-    samples = (jm.T @ C[f.N:].view(np.float64)).view(np.complex128)
+    table = C[f.N:].view(np.float64).copy()
     tail = FieldTail(field_tail_rep(0.5 * factor, J, grid.cutoff), f.N,
                      symmetric)
-    return ExtensionField(grid, samples, tail, J, TAU * f.coeff(0))
+    return ExtensionField(grid, table, tail, J, TAU * f.coeff(0))
 
 
 def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
     """sum_k radial[m, k] P_m(rho_k) for m = -M..M, P_m the m-th angular
     mode of the field expression expr(*fields), and its tail's modes,
     (2d+1, 2, 2M+1).  The expression runs once on the tails, giving its
-    bandwidth N, then on row blocks of BLOCK_SAMPLES samples, each reduced
-    to its modes at once.  Mode 0 alone is the angular mean (of J/2 angles,
-    real part, when inputs and tail are symmetric).  The fields must share
-    grid and angles, and J > N + M, or the modes alias."""
+    bandwidth N, then on row blocks of BLOCK_SAMPLES samples synthesized
+    from the fields' tables, each reduced to its modes at once.  Mode 0
+    alone is the angular mean (of J/2 angles, real part, when inputs and
+    tail are symmetric).  The fields must share grid and angles, and
+    J > N + M, or the modes alias."""
     grid = fields[0].grid
     J = fields[0].n_angles
     K = grid.nodes.size
@@ -315,7 +311,13 @@ def decay_check(field: ExtensionField, rho_min: float = 10.0) -> DecayReport:
     sel = nodes >= rho_min
     if not np.any(sel):
         raise GridSizeError(f"no grid nodes beyond rho_min={rho_min}")
-    # |conj F| = |F|: the stored samples of a symmetric field suffice
-    prof = np.sqrt(nodes[sel]) * np.abs(field.samples[sel]).max(axis=1)
+    # |conj F| = |F|: the table's angles suffice; rows from the first node
+    # beyond rho_min on, in the kernel's block height
+    first, K = int(np.argmax(sel)), nodes.size
+    step = max(1, BLOCK_SAMPLES // (field.table.shape[1] // 2))
+    peak = np.concatenate([
+        np.abs(field.rows(lo, min(lo + step, K), half=True)).max(axis=1)
+        for lo in range(first, K, step)])
+    prof = np.sqrt(nodes[sel]) * peak[sel[first:]]
     i = int(np.argmax(prof))
     return DecayReport(float(prof[i]), float(nodes[sel][i]), rho_min)

@@ -292,8 +292,7 @@ def _mass_profile(radii, values, valid):
     return float(TAU * _integrate.simpson(r * v, x=r))
 
 
-def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
-                 grid: RadialGrid | None = None,
+def auto_density(k: int, n_points: int = 801, grid: RadialGrid | None = None,
                  exclusion: float = 0.05) -> RadialDensity:
     """Radial density profile of the k-fold arclength self-convolution.
 
@@ -302,11 +301,11 @@ def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
     `exclusion` of a genuinely singular radius are masked out (k = 4 keeps
     a hard floor: below r ~ 0.03 its logarithmic blowup is unresolvable).
 
-    Mass is 2 pi int r mu_k dr over the support, expected (2 pi)^k; for
-    k = 4 the masked neighborhoods are simply omitted, so the reported
-    number undershoots slightly.  `r_max` may not exceed k: mu_k vanishes
-    beyond its support [0, k], and the radial grid resolves the Hankel
-    integrands only up to r = k (see RadialGrid).
+    The profile covers the support [0, k]: mu_k vanishes beyond it, and the
+    radial grid resolves the Hankel integrands only up to r = k (see
+    RadialGrid).  Mass is 2 pi int r mu_k dr, expected (2 pi)^k; for k = 4,
+    5 it is Simpson's rule on the reported profile, where k = 4 simply
+    omits the masked neighborhoods, so its number undershoots slightly.
     """
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
@@ -315,10 +314,7 @@ def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
         raise ConfigError("exclusion must be positive")
     if k == 4:
         exclusion = max(exclusion, 0.03)
-    r_max = float(r_max if r_max is not None else k)
-    if r_max > k:
-        raise ConfigError(f"r_max {r_max:g} beyond the support [0, {k}] of mu_{k}")
-    radii = np.linspace(0.0, r_max, n_points)
+    radii = np.linspace(0.0, float(k), n_points)
     sing = SINGULAR_RADII[k]
     valid = np.ones(n_points, dtype=bool)
     for s in sing:
@@ -339,15 +335,9 @@ def auto_density(k: int, n_points: int = 801, r_max: float | None = None,
         meta["mass_method"] = "adaptive"
     else:
         values = TAU ** (k - 1) * _hankel_density(k, radii, grid.cutoff)
-        if k == 5:
-            rd = np.linspace(0.0, 5.0, max(2 * n_points + 1, 2001))
-            vd = TAU ** 4 * _hankel_density(5, rd, grid.cutoff)
-            mass = _mass_profile(rd, vd, np.ones_like(rd, bool))
-            meta["mass_method"] = "simpson_dense"
-        else:
-            valid &= ~np.isnan(values)
-            mass = _mass_profile(radii, values, valid)
-            meta["mass_method"] = "masked_simpson"
+        valid &= ~np.isnan(values)
+        mass = _mass_profile(radii, values, valid)
+        meta["mass_method"] = "masked_simpson"
     valid &= ~np.isnan(values) & np.isfinite(values)
     return RadialDensity(k, radii, values, valid, sing, mass,
                          TAU ** k, exclusion, meta)
@@ -388,12 +378,10 @@ class SupBoundReport:
     singular_radii: tuple
 
 
-def sup_bound_check(k: int, n_points: int = 1001, r_max: float | None = None,
-                    exclusion: float = 0.05,
+def sup_bound_check(k: int, n_points: int = 1001, exclusion: float = 0.05,
                     grid: RadialGrid | None = None) -> SupBoundReport:
     """Sup of mu_k over a masked radial grid, with its mass diagnostic."""
-    d = auto_density(k, n_points=n_points, r_max=r_max, grid=grid,
-                     exclusion=exclusion)
+    d = auto_density(k, n_points=n_points, grid=grid, exclusion=exclusion)
     return SupBoundReport(k, d.sup(), d.arg_sup(), d.mass, d.mass_expected,
                           n_points, d.exclusion, d.singular_radii)
 

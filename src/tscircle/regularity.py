@@ -253,16 +253,6 @@ def triangle_wave(N: int) -> CircleFunction:
     return CircleFunction(c)
 
 
-def _lip_quotient(f: CircleFunction, M: int, ts=None) -> float:
-    ts = dyadic_ts(1, 10) if ts is None else np.asarray(ts, dtype=float)
-    s0 = synthesize(f, M)
-    best = 0.0
-    for t in ts:
-        diff = np.max(np.abs(synthesize(rotate(f, t), M) - s0))
-        best = max(best, float(diff) / t)
-    return best
-
-
 @dataclass
 class SmoothingReport:
     n: int
@@ -303,8 +293,10 @@ def smoothing_experiment(n: int = 64, grid: RadialGrid | None = None,
 
     tri = triangle_wave(n)
     G = quintic_convolve([tri, tri, tri, tri, sq], grid=grid, method="polar")
-    lc = _lip_quotient(G, lip_grid)
-    lf = _lip_quotient(G, 2 * lip_grid)
+    # Lipschitz quotients: holder_estimate's alpha = 1 sup-norm quotients
+    lc, lf = (max(holder_estimate(G, 1.0, M, dyadic_ts(1, 10))
+                  .quotients.values())
+              for M in (lip_grid, 2 * lip_grid))
     return SmoothingReport(
         n=n, input_slope=islope.slope, output_slope=oslope.slope,
         gain=islope.slope - oslope.slope, in_band=in_band, out_band=out_band,

@@ -5,6 +5,8 @@ Bessel functions at arbitrary points, and the L^6 norm against closed
 forms at the constant function.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -21,7 +23,7 @@ from tscircle import (
     ts_functional,
 )
 import tscircle.extension
-from tscircle.extension import (angle_count, angular_analyze,
+from tscircle.extension import (_analyze, angle_count,
                                 angular_synthesize, hpoly_mul)
 
 
@@ -33,26 +35,37 @@ def field_oracle(f, rho, phi):
     return TAU * acc
 
 
+def samples(field):
+    """The field on every node and on the angles j 2 pi / J, (K, J)."""
+    return field.rows(0, field.grid.nodes.size)
+
+
+def angle(field, j):
+    return j * (TAU / field.n_angles)
+
+
 def test_field_matches_mode_sum():
     f = random_function(6, seed=0, decay=0.8)
     field = extend(f)
+    values = samples(field)
     rng = np.random.default_rng(3)
     # sample exact grid points of the field
     for _ in range(40):
         i = rng.integers(0, field.grid.nodes.size)
         j = rng.integers(0, field.n_angles)
         rho = field.grid.nodes[i]
-        phi = field.angles[j]
-        assert abs(field.values[i, j] - field_oracle(f, rho, phi)) < 1e-10
+        phi = angle(field, j)
+        assert abs(values[i, j] - field_oracle(f, rho, phi)) < 1e-10
 
 
 def test_constant_field_is_j0():
     field = extend(constant_function(1.0))
+    values = samples(field)
     rho = field.grid.nodes
-    np.testing.assert_allclose(field.values[:, 0], TAU * sps.jv(0, rho),
+    np.testing.assert_allclose(values[:, 0], TAU * sps.jv(0, rho),
                                rtol=0, atol=1e-12)
     # radially symmetric
-    spread = np.max(np.abs(field.values - field.values[:, :1]))
+    spread = np.max(np.abs(values - values[:, :1]))
     assert spread < 1e-12
     assert abs(field.origin_value - TAU) < 1e-14
 
@@ -69,7 +82,7 @@ def test_extension_of_conjugate_reflection_is_conjugate_field():
     f = random_function(5, seed=2, decay=0.85)
     a = extend(conjugate_reflect(f))
     b = extend(f)
-    np.testing.assert_allclose(a.values, np.conj(b.values), atol=1e-12)
+    np.testing.assert_allclose(samples(a), np.conj(samples(b)), atol=1e-12)
     np.testing.assert_allclose(a.tail.poly, b.tail.conj().poly, atol=1e-12)
 
 
@@ -138,40 +151,94 @@ def test_angular_synthesis_is_exact_below_the_bandwidth():
         direct = modes @ np.exp(1j * np.outer(n, theta))
         np.testing.assert_allclose(angular_synthesize(modes, J), direct,
                                    rtol=0, atol=1e-12)
-    np.testing.assert_allclose(angular_analyze(angular_synthesize(modes, 64),
-                                               20), modes, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_analyze(angular_synthesize(modes, 64), 20),
+                               modes, rtol=0, atol=1e-13)
 
 
 def test_angular_analysis_paths_agree(monkeypatch):
     # the analysis table and the FFT read the same modes
     rng = np.random.default_rng(6)
     modes = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
-    samples = angular_synthesize(modes, 64)
+    values = angular_synthesize(modes, 64)
     results = []
     for limit in (10 ** 6, 0):
         monkeypatch.setattr(tscircle.extension, "DIRECT_ANALYSIS_MODES", limit)
-        results.append(angular_analyze(samples, 20))
+        results.append(_analyze(values, 20))
     np.testing.assert_allclose(results[0], results[1], rtol=0, atol=1e-13)
     np.testing.assert_allclose(results[0], modes, rtol=0, atol=1e-13)
 
 
 def test_symmetric_input_keeps_half_the_angles():
     # c_{-n} = conj c_n gives F(rho, phi + pi) = conj F(rho, phi): the field
-    # stores J/2 angles and the rest are their conjugates; n_angles is J
+    # keeps J/2 angles and the rest are their conjugates; n_angles is J
     f = random_function(6, seed=4, decay=0.8)
     real = CircleFunction(0.5 * (f.coeffs + np.conj(f.coeffs[::-1])))
     field = extend(real, n_angles=40)
+    K = field.grid.nodes.size
     assert field.tail.symmetric and field.n_angles == 40
-    assert field.samples.shape == (field.grid.nodes.size, 20)
+    assert field.table.shape == (7, 2 * 20)
+    assert field.rows(0, K, half=True).shape == (K, 20)
+    values = samples(field)
+    assert values.shape == (K, 40)
     rng = np.random.default_rng(8)
     for _ in range(20):
-        i = rng.integers(0, field.grid.nodes.size)
+        i = rng.integers(0, K)
         j = rng.integers(0, 40)
-        rho, phi = field.grid.nodes[i], field.angles[j]
-        assert abs(field.values[i, j] - field_oracle(real, rho, phi)) < 1e-10
+        rho, phi = field.grid.nodes[i], angle(field, j)
+        assert abs(values[i, j] - field_oracle(real, rho, phi)) < 1e-10
     # odd J or a non-symmetric input keep every angle
     assert not extend(real, n_angles=41).tail.symmetric
-    assert extend(f, n_angles=40).samples.shape[1] == 40
+    assert extend(f, n_angles=40).rows(0, K, half=True).shape == (K, 40)
+
+
+def whole_synthesis(field):
+    """All K x J' samples from one matmul of every Bessel row."""
+    jm = field.grid.j_matrix(field.N)
+    return (jm.T @ field.table).view(np.complex128)
+
+
+@pytest.mark.parametrize("J", [88, 89])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_row_blocks_are_the_whole_synthesis(J, symmetric):
+    # K = 1600 nodes in 7-row blocks (a 4-row block last), and in blocks of
+    # one and two rows at both ends: each equals its rows of one
+    # whole-array synthesis bit for bit.  (That needs the BLAS to run one
+    # kernel on a block and on the whole array; OpenBLAS 0.3.31 does for
+    # tables of at most 192 real columns, as here.)
+    f = random_function(8, seed=12, decay=0.8)
+    if symmetric:
+        f = CircleFunction(0.5 * (f.coeffs + np.conj(f.coeffs[::-1])))
+    field = extend(f, n_angles=J)
+    assert field.tail.symmetric == (symmetric and J % 2 == 0)
+    whole = whole_synthesis(field)
+    K = whole.shape[0]
+    blocks = np.concatenate([field.rows(lo, min(lo + 7, K), half=True)
+                             for lo in range(0, K, 7)])
+    assert np.array_equal(blocks, whole)
+    for lo, hi in ((0, 1), (1, 2), (0, 2), (K - 1, K), (K - 2, K), (5, 6)):
+        assert np.array_equal(field.rows(lo, hi, half=True), whole[lo:hi])
+    full = field.rows(0, K)
+    if field.tail.symmetric:
+        assert np.array_equal(full, np.concatenate([whole, np.conj(whole)], 1))
+    else:
+        assert np.array_equal(full, whole)
+
+
+def test_field_holds_no_samples():
+    # the field of a band-16 input at J = 168 is its folded (17, 168)
+    # complex table, 46 KB: no K x J (1600 x 168, 4.3 MB) array is made
+    f = random_function(16, seed=13, decay=0.8)
+    extend(f, n_angles=168)               # warm the phase and Bessel tables
+    tracemalloc.start()
+    try:
+        field = extend(f, n_angles=168)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert field.table.shape == (17, 2 * 168)
+    K, J = field.grid.nodes.size, field.n_angles
+    assert all(np.shape(v) != (K, J) for v in vars(field).values())
 
 
 def hpoly_mul_loop(A, B):

@@ -1,10 +1,11 @@
 """The blocked polar kernel against the whole-array assembly.
 
-The reference forms each product field on all K x J samples, takes its
-FFT and sums it radially: the assembly as it was before expressions were
-evaluated block by block with direct angular sums.  The kernel must give
-the same modes for every expression the package assembles, for every
-block height, and on half the angles when its inputs are real.
+The reference synthesizes each field on all K x J samples at once, forms
+the product field, takes its FFT and sums it radially: the assembly as it
+was before expressions were evaluated block by block with direct angular
+sums.  The kernel must give the same modes for every expression the
+package assembles, for every block height, and on half the angles when
+its inputs are real.
 """
 
 import numpy as np
@@ -30,7 +31,8 @@ def reference(expr, fields, M):
     modes of the product tail."""
     J = fields[0].n_angles
     keep = np.mod(np.arange(-M, M + 1), J)
-    values = expr(*(F.values for F in fields))
+    K = fields[0].grid.nodes.size
+    values = expr(*(F.rows(0, K) for F in fields))
     modes = (np.fft.fft(values, axis=1) / J)[:, keep]
     quad = np.einsum("km,mk->m", modes, radial_rows(fields[0].grid, M))
     tail = expr(*(F.tail for F in fields)).poly
@@ -113,14 +115,14 @@ def spy_rows(monkeypatch):
 
 
 def test_half_angles_match_full_angles_on_real_inputs(monkeypatch):
-    # mode 0 of a product of real |g|^2 fields from J/2 stored angles
+    # mode 0 of a product of real |g|^2 fields from J/2 angles
     # equals the full-angle FFT route's mode 0 to rounding
     seen = spy_rows(monkeypatch)
     for seed in (0, 5, 10):
         gs = [_abs2(random_function(8, seed=seed + i, decay=0.6))
               for i in range(5)]
         fields = [extend(g, n_angles=88) for g in gs]
-        assert all(F.samples.shape[1] == 44 for F in fields)
+        assert all(F.table.shape[1] == 2 * 44 for F in fields)
         seen.clear()
         quad, _ = kernel(_product, fields, 0)
         assert seen and all(seen)

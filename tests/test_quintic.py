@@ -28,7 +28,7 @@ from tscircle import (
 )
 import tscircle.quintic
 from tscircle.bessel import BesselTensor, _encode
-from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
+from tscircle.errors import (GridSizeError, PreconditionError,
                              SingularRadiusError)
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
                               _self_product, leibniz_terms)
@@ -264,11 +264,11 @@ def test_sup_bound_report():
 
 
 def test_density_stays_inside_support():
-    # mu_k vanishes beyond r = k, and the radial grid is sized for r <= k
-    with pytest.raises(ConfigError):
-        auto_density(5, n_points=11, r_max=5.5)
-    with pytest.raises(ConfigError):
-        sup_bound_check(4, n_points=11, r_max=14.0)
+    # mu_k vanishes beyond r = k, and the radial grid is sized for r <= k:
+    # every profile covers exactly the support [0, k]
+    for k in (2, 5):
+        dens = auto_density(k, n_points=11)
+        assert dens.radii[0] == 0.0 and dens.radii[-1] == k
     for k in (2, 3, 4, 5):
         assert mu_value(k, 14.0) == 0.0
 

@@ -43,6 +43,8 @@ from .errors import (AdmissibilityError, CacheError, ConfigError,
                      PreconditionError)
 
 DEFAULT_CUTOFF = 200.0
+PRODUCT_PANEL = 20.0 / 6          # frequency <= 6: six-factor products
+DENSITY_PANEL = 20.0 / 10         # frequency <= 10: the Hankel densities
 TAU = 2.0 * np.pi
 
 
@@ -115,19 +117,22 @@ def _miller_block(nmax: int, rho: np.ndarray, nmin: int = 0) -> np.ndarray:
 class RadialGrid:
     """Composite 16-point Gauss-Legendre panels on (0, P].
 
-    Every radial integrand here oscillates at frequency <= 10: six-factor
-    Bessel products (tensor, polar route, L^6 norm) at <= 6, and the
-    density integrands J_0(rho)^k J_0(r rho) at k + r <= 10, with r in the
-    support [0, k].  Gauss-Legendre needs about pi nodes per wavelength;
-    panels of length 2 give five at frequency 10, so the head agrees with
-    the doubled grid to rounding (a test checks it).  Panels of length 4
-    give 2.5 and put the mu_5 head 1.7e-9 off at r = 5.  Nodes are
-    strictly interior, weights positive and summing to P exactly.
+    Gauss-Legendre needs about pi nodes per wavelength, so a grid resolves
+    an integrand of top frequency w to rounding (a test checks each grid
+    against its doubling) when its panels have length 20/w: five nodes per
+    wavelength.  Six-factor Bessel products (tensor, polar route, L^6
+    norm, T_0) oscillate at frequency <= 6 and take the default panel
+    10/3; the density integrands J_0(rho)^k J_0(r rho) reach k + r <= 10,
+    with r in the support [0, k], and take panel 2 (DENSITY_PANEL).
+    Panels of 4 put a six-factor row 1.3e-14 off and a mu_5 head 1.7e-9
+    off at r = 5.  Nodes are strictly interior, weights positive and
+    summing to P exactly.
     """
 
     ROW_BLOCK = 64       # Bessel rows past the base order per Miller start
 
-    def __init__(self, cutoff: float = DEFAULT_CUTOFF, panel: float = 2.0):
+    def __init__(self, cutoff: float = DEFAULT_CUTOFF,
+                 panel: float = PRODUCT_PANEL):
         if not (0.0 < cutoff <= 1.0e5):
             raise ConfigError(f"cutoff {cutoff!r} out of range")
         if panel <= 0:
@@ -172,9 +177,10 @@ class RadialGrid:
         return rows[:nmax + 1]
 
 
-@lru_cache(maxsize=8)
-def _default_grid(cutoff: float = DEFAULT_CUTOFF) -> RadialGrid:
-    return RadialGrid(cutoff)
+@lru_cache(maxsize=16)
+def _default_grid(cutoff: float = DEFAULT_CUTOFF,
+                  panel: float = PRODUCT_PANEL) -> RadialGrid:
+    return RadialGrid(cutoff, panel)
 
 
 def default_grid(cutoff: float = DEFAULT_CUTOFF) -> RadialGrid:

@@ -25,6 +25,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -559,9 +560,11 @@ def _emit(env: dict, args) -> None:
         sys.stdout.write(text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, accepting only the flags it reads, each
-    spelled in full: a prefix such as `--n` for `--n-points` exits 2."""
+    spelled in full: a prefix such as `--n` for `--n-points` exits 2.
+    Built once per process; parsing leaves the parser unchanged."""
     p = argparse.ArgumentParser(
         prog="tscircle",
         description="circle-extension numerical laboratory (one experiment per run)")

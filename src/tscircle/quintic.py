@@ -41,9 +41,9 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
 
-from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
-                     default_grid, exp_tail_integral, first_order_coeff,
-                     radial_integrate)
+from .bessel import (DENSITY_PANEL, BesselTensor, RadialGrid, _default_grid,
+                     bessel_product_tail, default_grid, exp_tail_integral,
+                     first_order_coeff, radial_integrate)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
 from .extension import _polar_reduce, angle_count, extend, i_pow
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
@@ -241,7 +241,7 @@ def _mu3_point(r: float) -> float:
 
 
 def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
-    g = default_grid(cutoff)
+    g = _default_grid(cutoff, DENSITY_PANEL)
     j0 = g.j_matrix(0)[0]
     w = (j0 ** k) * g.nodes * g.weights
     scales = np.ones((rr.size, k + 1))
@@ -254,7 +254,7 @@ def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
 
 def _mu5_at_zero(cutoff: float) -> float:
     val, _ = radial_integrate(lambda rho: _sp.j0(rho) ** 5 * rho, (0,) * 5,
-                              default_grid(cutoff))
+                              _default_grid(cutoff, DENSITY_PANEL))
     return val
 
 

@@ -11,8 +11,10 @@ import pytest
 import scipy.special as sps
 
 from tscircle.bessel import (
+    DENSITY_PANEL,
     BesselTensor,
     RadialGrid,
+    _default_grid,
     _miller_block,
     _six_bessel_rows,
     bessel_product_tail,
@@ -203,9 +205,18 @@ def test_tail_cutoff_consistency():
     assert abs(out[2][0] - T_MIXED_REF) < abs(out[0][0] - T_MIXED_REF)
 
 
+def test_grid_sizes():
+    # panels of 20/frequency: 10/3 for six-factor products (frequency 6),
+    # 2 for the density integrands (frequency 10)
+    assert default_grid(200.0).nodes.size == 960
+    assert _default_grid(200.0, DENSITY_PANEL).nodes.size == 1600
+    assert default_grid(200.0).refine().nodes.size == 1920
+
+
 def test_head_quadrature_stable_under_grid_doubling():
-    # the default grid resolves every head it serves: halving the panels
-    # moves neither a six-factor row nor a mu_5 Hankel head
+    # each grid resolves every head it serves: halving the panels moves
+    # neither a six-factor row on the product grid nor a mu_5 Hankel head
+    # on the density grid
     def six_heads(grid, keys):
         j = grid.j_matrix(int(keys.max()))
         prod = j[keys[:, 0]].copy()
@@ -225,7 +236,7 @@ def test_head_quadrature_stable_under_grid_doubling():
         assert np.max(np.abs(six_heads(g, kk) - six_heads(fine, kk))) < 1e-13
     radii = np.array([0.5, 1.0, 2.5, 4.0, 5.0])
     for c in (200.0, 400.0, 800.0, 1600.0):
-        g = default_grid(c)
+        g = _default_grid(c, DENSITY_PANEL)
         gap = np.abs(mu5_heads(g, radii) - mu5_heads(g.refine(), radii))
         assert np.max(gap) < 1e-13, (c, gap)
 

@@ -262,6 +262,19 @@ def test_unread_flags_rejected(name, capsys):
         assert flag in capsys.readouterr().err
 
 
+def test_parser_built_once_and_rejections_repeat(capsys):
+    # one parser serves every call; a rejected argv leaves it as it was,
+    # so the same rejection and the same defaults come back next time
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        for argv in (["density", "--n", "51"], ["solve", "--alpha", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            capsys.readouterr()
+        assert build_parser().parse_args(["density"]).n_points == 801
+
+
 @pytest.mark.parametrize("argv", [
     ["functional", "--n", "2"],
     ["split"],

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tscircle.extension
-from tscircle import constant_function, random_function
+from tscircle import RadialGrid, constant_function, default_grid, random_function
 from tscircle.extension import ExtensionField, _polar_reduce, angle_count, extend
 from tscircle.quintic import _abs2, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
@@ -76,15 +76,20 @@ CASES = {
 @pytest.mark.parametrize("M", ["N", 16, 0])
 @pytest.mark.parametrize("name", list(CASES))
 def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
-    # K = 1600 nodes is a multiple neither of 7 rows nor of the module's
-    # block height at any J here (128, 113, 93, 78 and 48 rows at J = 64,
-    # 72, 88, 104 and 168)
+    # every case ends on a short block: the product grid's K = 960 nodes
+    # are a multiple neither of 7 rows nor of the module's block height at
+    # J = 64, 72, 88 and 104 (128, 113, 93 and 78 rows), but fill 20 blocks
+    # of 48 rows at J = 168, which therefore runs on K = 1600 nodes
     expr, inputs, bandwidth = CASES[name]
     M = bandwidth if M == "N" else M
     J = angle_count(bandwidth, M)
+    height = tscircle.extension.BLOCK_SAMPLES // J
     if seven_rows:
+        height = 7
         monkeypatch.setattr(tscircle.extension, "BLOCK_SAMPLES", 7 * J)
-    fields = [extend(f, n_angles=J) for f in inputs]
+    grid = RadialGrid(panel=2.0) if J == 168 else default_grid()
+    assert grid.nodes.size % height
+    fields = [extend(f, grid, J) for f in inputs]
     assert_matches(expr, fields, M)
 
 

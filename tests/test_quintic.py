@@ -18,6 +18,7 @@ from tscircle import (
     extend,
     inner_product,
     l2_norm,
+    l6_norm,
     lambda0_value,
     mu_value,
     quintic_convolve,
@@ -27,11 +28,12 @@ from tscircle import (
     sup_bound_check,
 )
 import tscircle.quintic
-from tscircle.bessel import BesselTensor, _encode
+from tscircle.bessel import BesselTensor, _encode, default_grid
 from tscircle.errors import (GridSizeError, PreconditionError,
                              SingularRadiusError)
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
                               _self_product, leibniz_terms)
+from tscircle.regularity import square_wave
 
 
 def five_random(n, base_seed, decay=0.8):
@@ -138,6 +140,21 @@ def test_el_quintic_low_modes_match_full_band(monkeypatch):
     assert low.N == 16
     assert l2_norm(low - full) <= 1e-13 * l2_norm(full)
     assert np.array_equal(el_quintic(f, M=99).coeffs, el_quintic(f).coeffs)
+
+
+def test_polar_route_stable_under_grid_doubling():
+    # the product grid resolves the polar route's radial sums: halving its
+    # panels moves Q, criterion 8's square-wave Q and the L^6 norm only at
+    # rounding
+    grid = default_grid()
+    fine = grid.refine()
+    for f in (random_function(16, seed=8, decay=0.8), square_wave(64)):
+        coarse = el_quintic(f, grid)
+        assert coarse.N == 5 * f.N
+        assert l2_norm(coarse - el_quintic(f, fine)) <= 1e-13 * l2_norm(coarse)
+    f = random_function(16, seed=9, decay=0.8)
+    norm = l6_norm(extend(f, grid))
+    assert abs(norm - l6_norm(extend(f, fine))) <= 1e-13 * norm
 
 
 def test_constants_give_lambda0():

@@ -23,10 +23,9 @@ from .bessel import (BesselTensor, RadialGrid, bessel_product_tail,
                      exp_tail_integral, radial_integrate, six_bessel_integral)
 from .extension import (DecayReport, ExtensionField, decay_check, extend,
                         l6_norm)
-from .quintic import (BoundRatioReport, RadialDensity, SupBoundReport,
-                      auto_density, el_quintic, mu_value,
-                      quintic_convolve, quintilinear_bound_ratio,
-                      sup_bound_check)
+from .quintic import (BoundRatioReport, RadialDensity, auto_density,
+                      el_quintic, mu_value, quintic_convolve,
+                      quintilinear_bound_ratio)
 from .variational import (ConstantReport, ELReport, constant_estimate,
                           constant_from_t0, el_residual, lambda0_value,
                           quotient, t0_value, ts_functional)

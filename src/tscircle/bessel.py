@@ -45,6 +45,7 @@ from .errors import (AdmissibilityError, CacheError, ConfigError,
 DEFAULT_CUTOFF = 200.0
 PRODUCT_PANEL = 20.0 / 6          # frequency <= 6: six-factor products
 DENSITY_PANEL = 20.0 / 10         # frequency <= 10: the Hankel densities
+ROW_CHUNK = 1024                  # six-Bessel rows per product block
 TAU = 2.0 * np.pi
 
 
@@ -114,6 +115,13 @@ def _miller_block(nmax: int, rho: np.ndarray, nmin: int = 0) -> np.ndarray:
 # radial quadrature grid
 # ---------------------------------------------------------------------------
 
+def check_cutoff(cutoff: float) -> float:
+    """The radial cutoff P as a float, refused outside (0, 1e5]."""
+    if not (0.0 < cutoff <= 1.0e5):
+        raise ConfigError(f"cutoff {cutoff!r} out of range")
+    return float(cutoff)
+
+
 class RadialGrid:
     """Composite 16-point Gauss-Legendre panels on (0, P].
 
@@ -133,11 +141,9 @@ class RadialGrid:
 
     def __init__(self, cutoff: float = DEFAULT_CUTOFF,
                  panel: float = PRODUCT_PANEL):
-        if not (0.0 < cutoff <= 1.0e5):
-            raise ConfigError(f"cutoff {cutoff!r} out of range")
         if panel <= 0:
             raise ConfigError("bad panel parameters")
-        self.cutoff = float(cutoff)
+        self.cutoff = check_cutoff(cutoff)
         self.panel = float(panel)
         npan = int(np.ceil(self.cutoff / self.panel))
         edges = np.linspace(0.0, self.cutoff, npan + 1)
@@ -342,13 +348,13 @@ def _signed_key(ns) -> tuple[float, np.ndarray]:
     return (-1.0 if odd % 2 else 1.0), key
 
 
-def _six_bessel_rows(keys: np.ndarray, grid: RadialGrid,
-                     chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+def _six_bessel_rows(keys: np.ndarray,
+                     grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """int_0^oo rho prod_j J_{k_j}(rho) drho for each row k of `keys`
     (nonnegative orders, six per row), with its error bound.
 
     Each row costs one six-row product over the grid's nodes plus the
-    closed-form tail; rows are processed in chunks of at most `chunk`.
+    closed-form tail; rows are processed in chunks of at most ROW_CHUNK.
     Within a chunk the product J_{k1} J_{k2} J_{k3} is formed once per
     distinct leading triple and each row multiplies it by its last three
     rows, the same left-to-right product as row by row.  The error is the
@@ -359,8 +365,8 @@ def _six_bessel_rows(keys: np.ndarray, grid: RadialGrid,
     w = grid.weights * grid.nodes
     P = grid.cutoff
     vals = np.empty(keys.shape[0])
-    for lo in range(0, keys.shape[0], chunk):
-        kk = keys[lo:lo + chunk]
+    for lo in range(0, keys.shape[0], ROW_CHUNK):
+        kk = keys[lo:lo + ROW_CHUNK]
         lead = kk[:, :3].astype(np.int64)
         _, first, row = np.unique((lead[:, 0] * top + lead[:, 1]) * top
                                   + lead[:, 2], return_index=True,
@@ -372,7 +378,7 @@ def _six_bessel_rows(keys: np.ndarray, grid: RadialGrid,
         prod = part[row]
         for j in range(3, 6):
             prod *= jc[kk[:, j]]
-        vals[lo:lo + chunk] = prod @ w + bessel_product_tail(kk, P)
+        vals[lo:lo + ROW_CHUNK] = prod @ w + bessel_product_tail(kk, P)
     return vals, _tail_error_bound(keys, P)
 
 
@@ -510,13 +516,12 @@ class BesselTensor:
                    rec["val"].copy(), rec["err"].copy())
 
 
-def build_tensor(N: int, grid: RadialGrid | None = None,
-                 chunk: int = 1024) -> BesselTensor:
+def build_tensor(N: int, grid: RadialGrid | None = None) -> BesselTensor:
     """Evaluate every stored symmetry class at bandwidth N, in the
     deterministic chunked order of `_six_bessel_rows`."""
     if not (0 <= N <= 48):
         raise ConfigError(f"tensor bandwidth N={N} outside [0, 48]")
     grid = grid or default_grid()
     keys = enumerate_keys(N)
-    vals, errs = _six_bessel_rows(keys, grid, chunk)
+    vals, errs = _six_bessel_rows(keys, grid)
     return BesselTensor(N, grid.cutoff, keys, vals, errs)

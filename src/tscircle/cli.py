@@ -36,7 +36,7 @@ from .bessel import (DEFAULT_CUTOFF, BesselTensor, RadialGrid, build_tensor,
                      default_grid, radial_integrate)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
 from .extension import decay_check, extend, l6_norm
-from .quintic import auto_density, mu_value, sup_bound_check
+from .quintic import auto_density, mu_value
 from .regularity import (calH_estimate, regularity_profile, sharp_flat_split,
                          smoothing_experiment)
 from .solver import (AscentConfig, ascend, decompose, expansion_residual,
@@ -287,8 +287,7 @@ def cmd_extend(args):
          {"k", "mass", "mass_expected", "sup", "arg_sup"},
          csv=("radii", "values", ("r", "value")))
 def cmd_density(args):
-    dens = auto_density(args.k, n_points=args.n_points,
-                        grid=default_grid(args.cutoff))
+    dens = auto_density(args.k, n_points=args.n_points, cutoff=args.cutoff)
     payload = {
         "k": dens.k,
         "mass": float(dens.mass),
@@ -320,21 +319,21 @@ def cmd_density(args):
 @command("sup-bound", {"--k": 5, "--n-points": 1001, "--cutoff": DEFAULT_CUTOFF},
          {"k", "sup", "at_radius", "mass_rel_error"})
 def cmd_sup_bound(args):
-    grid = default_grid(args.cutoff)
-    rep = sup_bound_check(args.k, n_points=args.n_points, grid=grid)
+    dens = auto_density(args.k, n_points=args.n_points, cutoff=args.cutoff)
+    sup = dens.sup()
     payload = {
-        "k": rep.k,
-        "sup": float(rep.sup),
-        "at_radius": float(rep.at_radius),
-        "mass_rel_error": float(abs(rep.mass - rep.mass_expected) / rep.mass_expected),
-        "n_points": rep.n_points,
-        "exclusion": float(rep.exclusion),
+        "k": dens.k,
+        "sup": float(sup),
+        "at_radius": float(dens.arg_sup()),
+        "mass_rel_error": float(abs(dens.mass - dens.mass_expected) / dens.mass_expected),
+        "n_points": args.n_points,
+        "exclusion": float(dens.exclusion),
     }
 
     def oracle():
-        fine = sup_bound_check(args.k, n_points=2 * args.n_points - 1,
-                               grid=grid)
-        drift = abs(fine.sup - rep.sup) / max(abs(rep.sup), 1e-300)
+        fine = auto_density(args.k, n_points=2 * args.n_points - 1,
+                            cutoff=args.cutoff).sup()
+        drift = abs(fine - sup) / max(abs(sup), 1e-300)
         return {"sup_drift_on_doubling": float(drift)}
 
     return payload, oracle

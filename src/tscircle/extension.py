@@ -40,6 +40,8 @@ DIRECT_ANALYSIS_MODES = 65
 # samples per row block of _polar_reduce: 128 KB, so the temporaries of a
 # Picard expression stay in L2 cache
 BLOCK_SAMPLES = 8192
+# decay_check reads the envelope rho^{1/2} |F| from this radius on
+DECAY_RHO_MIN = 10.0
 
 
 def i_pow(n):
@@ -306,13 +308,14 @@ class DecayReport:
                 f"envelope={self.envelope:.6g})")
 
 
-def decay_check(field: ExtensionField, rho_min: float = 10.0) -> DecayReport:
+def decay_check(field: ExtensionField) -> DecayReport:
+    """The decay envelope of the field from rho = DECAY_RHO_MIN on."""
     nodes = field.grid.nodes
-    sel = nodes >= rho_min
+    sel = nodes >= DECAY_RHO_MIN
     if not np.any(sel):
-        raise GridSizeError(f"no grid nodes beyond rho_min={rho_min}")
+        raise GridSizeError(f"no grid nodes beyond rho_min={DECAY_RHO_MIN}")
     # |conj F| = |F|: the table's angles suffice; rows from the first node
-    # beyond rho_min on, in the kernel's block height
+    # beyond DECAY_RHO_MIN on, in the kernel's block height
     first, K = int(np.argmax(sel)), nodes.size
     step = max(1, BLOCK_SAMPLES // (field.table.shape[1] // 2))
     peak = np.concatenate([
@@ -320,4 +323,4 @@ def decay_check(field: ExtensionField, rho_min: float = 10.0) -> DecayReport:
         for lo in range(first, K, step)])
     prof = np.sqrt(nodes[sel]) * peak[sel[first:]]
     i = int(np.argmax(prof))
-    return DecayReport(float(prof[i]), float(nodes[sel][i]), rho_min)
+    return DecayReport(float(prof[i]), float(nodes[sel][i]), DECAY_RHO_MIN)

@@ -35,20 +35,23 @@ with mu_2 in closed form and mu_3 as an angular convolution of it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
 
-from .bessel import (DENSITY_PANEL, BesselTensor, RadialGrid, _default_grid,
-                     bessel_product_tail, default_grid, exp_tail_integral,
-                     first_order_coeff, radial_integrate)
+from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
+                     _default_grid, bessel_product_tail, check_cutoff,
+                     default_grid, exp_tail_integral, first_order_coeff,
+                     radial_integrate)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
 from .extension import _polar_reduce, angle_count, extend, i_pow
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
+EXCLUSION = 0.05          # half-width of the mask around each singular radius
+HANKEL_FLOOR = 0.025      # smallest radius the Hankel buckets integrate
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,6 @@ class RadialDensity:
     mass: float
     mass_expected: float
     exclusion: float
-    meta: dict = dfield(default_factory=dict)
 
     def sup(self) -> float:
         return float(np.max(self.values[self.valid]))
@@ -260,29 +262,28 @@ def _mu5_at_zero(cutoff: float) -> float:
 
 def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray:
     """mu_k/(2 pi)^{k-1} on a radius grid; per-radius effective cutoff keeps
-    the last factor's asymptotics valid (r * P >= 40)."""
+    the last factor's asymptotics valid (r * P >= 40).  Below HANKEL_FLOOR
+    mu_5 is an even fit through exactly computed anchors and mu_4, which
+    diverges logarithmically at 0, is left NaN."""
     vals = np.full(radii.shape, np.nan)
     buckets = [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
-               (0.05, max(800.0, base_cutoff)), (0.025, max(1600.0, base_cutoff))]
-    lo_edge = 0.025
+               (0.05, max(800.0, base_cutoff)),
+               (HANKEL_FLOOR, max(1600.0, base_cutoff))]
     prev = np.inf
     for edge, cut in buckets:
         sel = (radii >= edge) & (radii < prev)
         prev = edge
         if np.any(sel):
             vals[sel] = _hankel_chunk(k, radii[sel], cut)
-    tiny = radii < lo_edge
-    if np.any(tiny):
-        if k == 5:
-            # even interpolation through exactly-computed anchors
-            anchors = np.array([0.03, 0.05, 0.08, 0.12])
-            av = _hankel_chunk(k, anchors, 1600.0)
-            a0 = _mu5_at_zero(base_cutoff)
-            xs = np.concatenate([[0.0], anchors]) ** 2
-            ys = np.concatenate([[a0], av])
-            coef = np.polynomial.polynomial.polyfit(xs, ys, 2)
-            vals[tiny] = np.polynomial.polynomial.polyval(radii[tiny] ** 2, coef)
-        # k = 4 diverges logarithmically at 0; leave NaN (masked)
+    tiny = radii < HANKEL_FLOOR
+    if k == 5 and np.any(tiny):
+        anchors = np.array([0.03, 0.05, 0.08, 0.12])
+        av = _hankel_chunk(k, anchors, 1600.0)
+        a0 = _mu5_at_zero(base_cutoff)
+        xs = np.concatenate([[0.0], anchors]) ** 2
+        ys = np.concatenate([[a0], av])
+        coef = np.polynomial.polynomial.polyfit(xs, ys, 2)
+        vals[tiny] = np.polynomial.polynomial.polyval(radii[tiny] ** 2, coef)
     return vals
 
 
@@ -292,39 +293,38 @@ def _mass_profile(radii, values, valid):
     return float(TAU * _integrate.simpson(r * v, x=r))
 
 
-def auto_density(k: int, n_points: int = 801, grid: RadialGrid | None = None,
-                 exclusion: float = 0.05) -> RadialDensity:
-    """Radial density profile of the k-fold arclength self-convolution.
+def auto_density(k: int, n_points: int = 801,
+                 cutoff: float = DEFAULT_CUTOFF) -> RadialDensity:
+    """Radial density profile of the k-fold arclength self-convolution at
+    n_points equally spaced radii; k = 4, 5 integrate up to `cutoff`.
 
     k = 2 is closed form; k = 3 integrates the k = 2 profile around the
-    circle; k = 4, 5 go through the Hankel representation.  Radii within
-    `exclusion` of a genuinely singular radius are masked out (k = 4 keeps
-    a hard floor: below r ~ 0.03 its logarithmic blowup is unresolvable).
+    circle; k = 4, 5 go through the Hankel representation on the panel-2
+    density grid at `cutoff`.  Radii within EXCLUSION of a genuinely
+    singular radius are masked out, and so is k = 4 below HANKEL_FLOOR,
+    where its logarithmic blowup is unresolved.
 
     The profile covers the support [0, k]: mu_k vanishes beyond it, and the
     radial grid resolves the Hankel integrands only up to r = k (see
     RadialGrid).  Mass is 2 pi int r mu_k dr, expected (2 pi)^k; for k = 4,
-    5 it is Simpson's rule on the reported profile, where k = 4 simply
-    omits the masked neighborhoods, so its number undershoots slightly.
+    5 it is Simpson's rule on the reported profile, which needs at least
+    three points, and k = 4 simply omits the masked neighborhoods, so its
+    number undershoots slightly.
     """
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
-    grid = grid or default_grid()
-    if exclusion <= 0:
-        raise ConfigError("exclusion must be positive")
-    if k == 4:
-        exclusion = max(exclusion, 0.03)
+    if n_points < 3:
+        raise ConfigError(f"n_points must be at least 3, got {n_points}")
+    cutoff = check_cutoff(cutoff)
     radii = np.linspace(0.0, float(k), n_points)
     sing = SINGULAR_RADII[k]
     valid = np.ones(n_points, dtype=bool)
     for s in sing:
-        valid &= np.abs(radii - s) > exclusion
+        valid &= np.abs(radii - s) > EXCLUSION
 
-    meta: dict = {"cutoff": grid.cutoff}
     if k == 2:
         values = _mu2(radii)
         mass = 4.0 * np.pi ** 2                      # exact
-        meta["mass_method"] = "analytic"
     elif k == 3:
         with warnings.catch_warnings():
             # radii skirting r = 1 converge slowly; they are masked anyway
@@ -332,23 +332,25 @@ def auto_density(k: int, n_points: int = 801, grid: RadialGrid | None = None,
             values = np.array([_mu3_point(r) for r in radii])
             mass, _ = _integrate.quad(lambda r: TAU * r * _mu3_point(r), 0.0,
                                       3.0, points=[1.0], limit=300)
-        meta["mass_method"] = "adaptive"
     else:
-        values = TAU ** (k - 1) * _hankel_density(k, radii, grid.cutoff)
+        values = TAU ** (k - 1) * _hankel_density(k, radii, cutoff)
         valid &= ~np.isnan(values)
         mass = _mass_profile(radii, values, valid)
-        meta["mass_method"] = "masked_simpson"
     valid &= ~np.isnan(values) & np.isfinite(values)
     return RadialDensity(k, radii, values, valid, sing, mass,
-                         TAU ** k, exclusion, meta)
+                         TAU ** k, EXCLUSION)
 
 
-def mu_value(k: int, r: float, grid: RadialGrid | None = None) -> float:
-    """Single-radius density value: zero beyond the support [0, k], and
-    refused at genuinely singular radii."""
+def mu_value(k: int, r: float, cutoff: float = DEFAULT_CUTOFF) -> float:
+    """Single-radius density value, k = 4, 5 integrated up to `cutoff`:
+    zero beyond the support [0, k]; refused at negative radii, at genuinely
+    singular radii, and for k = 4 below HANKEL_FLOOR, where the profile is
+    unresolved."""
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
     r = float(r)
+    if r < 0.0:
+        raise PreconditionError(f"radius must be nonnegative, got {r:g}")
     if r > k:
         return 0.0
     for s in SINGULAR_RADII[k]:
@@ -358,32 +360,13 @@ def mu_value(k: int, r: float, grid: RadialGrid | None = None) -> float:
         return float(_mu2(np.array([r]))[0])
     if k == 3:
         return _mu3_point(r)
-    grid = grid or default_grid()
-    if r == 0.0:
-        if k == 4:
-            raise SingularRadiusError("mu_4 diverges at r = 0")
-        return TAU ** 4 * _mu5_at_zero(grid.cutoff)
-    return float(TAU ** (k - 1) * _hankel_density(k, np.array([r]), grid.cutoff)[0])
-
-
-@dataclass
-class SupBoundReport:
-    k: int
-    sup: float
-    at_radius: float
-    mass: float
-    mass_expected: float
-    n_points: int
-    exclusion: float
-    singular_radii: tuple
-
-
-def sup_bound_check(k: int, n_points: int = 1001, exclusion: float = 0.05,
-                    grid: RadialGrid | None = None) -> SupBoundReport:
-    """Sup of mu_k over a masked radial grid, with its mass diagnostic."""
-    d = auto_density(k, n_points=n_points, grid=grid, exclusion=exclusion)
-    return SupBoundReport(k, d.sup(), d.arg_sup(), d.mass, d.mass_expected,
-                          n_points, d.exclusion, d.singular_radii)
+    if k == 4 and r < HANKEL_FLOOR:
+        raise SingularRadiusError(
+            f"mu_4 is unresolved below r = {HANKEL_FLOOR:g}, near its "
+            "logarithmic singularity at 0")
+    if r == 0.0:                                    # k = 5
+        return TAU ** 4 * _mu5_at_zero(cutoff)
+    return float(TAU ** (k - 1) * _hankel_density(k, np.array([r]), cutoff)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +416,6 @@ def leibniz_terms(fs, t: float) -> list:
 
 def quintilinear_bound_ratio(fs, s: float = 0.0,
                              grid: RadialGrid | None = None,
-                             tensor: BesselTensor | None = None,
                              mu5_at_1: float | None = None,
                              t_grid=None) -> BoundRatioReport:
     """Measured ratio of ||Q(f1..f5)|| against its convolution-density bound
@@ -455,7 +437,7 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
         raise ConfigError("need exactly five inputs")
     grid = grid or default_grid()
     if mu5_at_1 is None:
-        mu5_at_1 = mu_value(5, 1.0, grid)
+        mu5_at_1 = mu_value(5, 1.0, grid.cutoff)
     J = angle_count(2 * sum(f.N for f in fs), 0)
     J += J % 2                      # even: the |g|^2 fields keep J/2 angles
 
@@ -468,7 +450,7 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
                                     0)[0].real
         return float(np.sqrt(mu5_at_1 * max(val, 0.0)))
 
-    Q = quintic_convolve(fs, tensor=tensor, grid=grid)
+    Q = quintic_convolve(fs, grid=grid)
     lhs0 = l2_norm(Q)
     base: dict = {}                         # id(f_j) -> field of |f_j|^2
     rhs0 = bound(fs, base)

@@ -37,6 +37,14 @@ from .quintic import _assemble_polar, el_quintic
 from .spectral import (TAU, CircleFunction, inner_product, l2_norm,
                        random_function, weighted_norm)
 
+ASCENT_STEP = 1.0            # initial blend toward the power direction
+ASCENT_MIN_STEP = 1e-7       # smallest blend tried before the ascent stops
+ASCENT_TOL = 1e-15           # relative Phi increment considered flat
+ASCENT_FLAT_ITERS = 8        # keep power-stepping this long on the plateau
+ASCENT_START_DECAY = 1.0     # random start's coefficients fall like (1+|n|)^-1
+PICARD_TOL = 1e-11           # L^2 step size at which the iteration stops
+PICARD_S_NORM = 0.5          # s of the (1+n^2)^{s/2} weighted ratios
+
 
 def _normalized(f: CircleFunction) -> CircleFunction:
     nrm = l2_norm(f)
@@ -49,12 +57,7 @@ def _normalized(f: CircleFunction) -> CircleFunction:
 class AscentConfig:
     n: int = 16
     max_iter: int = 500
-    step: float = 1.0            # initial blend toward the power direction
-    min_step: float = 1e-7
-    tol: float = 1e-15           # relative Phi increment considered converged
-    flat_iters: int = 8          # keep power-stepping this long on the plateau
     seed: int | None = 0
-    start_decay: float = 1.0
 
 
 @dataclass
@@ -79,12 +82,12 @@ def ascend(f0: CircleFunction | None = None,
     cfg = config or AscentConfig()
     grid = grid or default_grid()
     if f0 is None:
-        f0 = random_function(cfg.n, cfg.seed, decay=cfg.start_decay)
+        f0 = random_function(cfg.n, cfg.seed, decay=ASCENT_START_DECAY)
     f = _normalized(f0.padded(cfg.n) if f0.N < cfg.n else f0.truncated(cfg.n))
 
     Q = el_quintic(f, grid, cfg.n)
     phi = inner_product(Q, f).real
-    step = cfg.step
+    step = ASCENT_STEP
     trace = []
     converged = False
     flat_count = 0
@@ -92,7 +95,7 @@ def ascend(f0: CircleFunction | None = None,
     for it in range(1, cfg.max_iter + 1):
         d = _normalized(Q)                  # Q has modes |m| <= n only
         accepted = False
-        while step >= cfg.min_step:
+        while step >= ASCENT_MIN_STEP:
             trial = _normalized(f * (1.0 - step) + d * step)
             Qt = el_quintic(trial, grid, cfg.n)
             phit = inner_product(Qt, trial).real
@@ -109,12 +112,12 @@ def ascend(f0: CircleFunction | None = None,
         if not accepted:
             converged = True          # no uphill left along the power direction
             break
-        if gain < cfg.tol:
+        if gain < ASCENT_TOL:
             flat_count += 1
             # Phi flattens quadratically before the iterate settles linearly,
             # so ride the plateau a while: each extra power step still cuts
             # the distance to the critical point by the spectral-gap factor.
-            if flat_count >= cfg.flat_iters:
+            if flat_count >= ASCENT_FLAT_ITERS:
                 converged = True
                 break
         else:
@@ -246,8 +249,7 @@ class PicardReport:
 
 def picard_iterate(f: CircleFunction, eps: float,
                    grid: RadialGrid | None = None,
-                   max_iter: int = 60, tol: float = 1e-11,
-                   s_norm: float = 0.5) -> PicardReport:
+                   max_iter: int = 60) -> PicardReport:
     """Rebuild the tail of a near-extremizer as a fixed point.
 
     f is rescaled to lambda_fit = 1 (fifth-degree homogeneity: f * lam^{-1/4}),
@@ -255,7 +257,8 @@ def picard_iterate(f: CircleFunction, eps: float,
     so reads modes |m| <= N of Q only.  The result is split by `decompose`
     and iterated h <- L(phi,g) + N(phi,h) from h_0 = L(phi,g).  Per-step
     contraction ratios are recorded in L^2 and in the (1+n^2)^{s/2} weighted
-    norm; the iterate diverging past 10x its starting size raises
+    norm, s = PICARD_S_NORM; the iteration stops at an L^2 step below
+    PICARD_TOL, and the iterate diverging past 10x its starting size raises
     DivergenceError.
     """
     grid = grid or default_grid()
@@ -288,7 +291,7 @@ def picard_iterate(f: CircleFunction, eps: float,
         h_next = (L + nonlinear_part(phi, h, grid, Nf)).truncated(Nf)
         d = h_next - h
         step_l2 = l2_norm(d)
-        step_s = weighted_norm(d, s_norm)
+        step_s = weighted_norm(d, PICARD_S_NORM)
         steps.append(step_l2)
         if prev_step is not None:
             ratios_l2.append(step_l2 / (prev_step[0] + 1e-300))
@@ -298,12 +301,12 @@ def picard_iterate(f: CircleFunction, eps: float,
         if l2_norm(h) > limit:
             raise DivergenceError(
                 f"iterate grew to {l2_norm(h):.3e} (> 10x initial scale)")
-        if step_l2 < tol:
+        if step_l2 < PICARD_TOL:
             converged = True
             break
     diff = l2_norm(h - g)
     return PicardReport(
-        eps=eps, K=K, s_norm=s_norm, lambda_used=float(lam),
+        eps=eps, K=K, s_norm=PICARD_S_NORM, lambda_used=float(lam),
         iterations=it, converged=converged,
         ratios_l2=[float(r) for r in ratios_l2],
         ratios_s=[float(r) for r in ratios_s],

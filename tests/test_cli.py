@@ -10,7 +10,7 @@ from tscircle import (AscentConfig, BesselTensor, RadialGrid, ascend,
                       auto_density, build_tensor, decompose, el_residual,
                       expansion_residual, extend, l6_norm, picard_iterate,
                       quotient, random_function, smoothing_experiment,
-                      sup_bound_check, t0_value, ts_functional)
+                      t0_value, ts_functional)
 from tscircle.cli import (
     COMMANDS,
     build_parser,
@@ -181,7 +181,7 @@ def test_smoothing_config_ignores_seed(tmp_path):
 def test_density_uses_cutoff(tmp_path):
     env = run_to_file(tmp_path, "d.json", [
         "density", "--k", "5", "--cutoff", "400", "--n-points", "51"])
-    direct = auto_density(5, 51, grid=RadialGrid(400))
+    direct = auto_density(5, 51, cutoff=400.0)
     assert env["config"]["cutoff"] == 400.0
     assert env["payload"]["mass"] == float(direct.mass)
     assert env["payload"]["values"] == [
@@ -243,10 +243,10 @@ def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):
 def test_sup_bound_uses_cutoff(tmp_path):
     env = run_to_file(tmp_path, "s.json", [
         "sup-bound", "--k", "5", "--cutoff", "400", "--n-points", "51"])
-    direct = sup_bound_check(5, 51, grid=RadialGrid(400))
+    direct = auto_density(5, 51, cutoff=400.0)
     assert env["config"]["cutoff"] == 400.0
-    assert env["payload"]["sup"] == float(direct.sup)
-    assert env["payload"]["at_radius"] == float(direct.at_radius)
+    assert env["payload"]["sup"] == direct.sup()
+    assert env["payload"]["at_radius"] == direct.arg_sup()
     assert env["payload"]["mass_rel_error"] == float(
         abs(direct.mass - direct.mass_expected) / direct.mass_expected)
 
@@ -362,6 +362,34 @@ def test_exit_code_precondition_error(tmp_path, capsys):
     rc = main(["functional", "--n", "6", "--tensor", str(path)])
     assert rc == 4
     assert "bandwidth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--k", "5", "--n-points", "0"],
+    ["density", "--k", "5", "--n-points", "-3"],
+    ["density", "--k", "5", "--n-points", "2"],
+    ["sup-bound", "--n-points", "0"],
+    ["sup-bound", "--n-points", "1"],
+    ["density", "--k", "2", "--cutoff", "0"],
+])
+def test_density_bad_configuration_exits_2(argv, capsys):
+    # Simpson's rule needs three points; the cutoff is checked even where
+    # a closed form never reads it
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_command_at_defaults_verifies(name, tmp_path):
+    # the whole contract at each command's default flags: exit 0, oracle
+    # run, envelope valid
+    argv = [name, "--verify", "--out", str(tmp_path / "env.json")]
+    if name == "tensor-build":
+        argv += ["--tensor", str(tmp_path / "t.b6t")]
+    assert main(argv) == 0
+    env = json.loads((tmp_path / "env.json").read_text())
+    validate_envelope(env)
+    assert isinstance(env["oracle"], dict) and env["oracle"]
 
 
 def test_exit_code_internal_error(monkeypatch, capsys):

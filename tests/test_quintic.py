@@ -25,7 +25,6 @@ from tscircle import (
     quintilinear_bound_ratio,
     random_function,
     rotate,
-    sup_bound_check,
 )
 import tscircle.quintic
 from tscircle.bessel import BesselTensor, _encode, default_grid
@@ -275,9 +274,23 @@ def test_singular_radius_rejection():
 
 
 def test_sup_bound_report():
-    rep = sup_bound_check(5, n_points=501)
-    assert rep.at_radius == pytest.approx(1.0, abs=0.02)
-    assert rep.sup == pytest.approx(lambda0_value(), rel=1e-4)
+    dens = auto_density(5, 501)
+    assert dens.arg_sup() == pytest.approx(1.0, abs=0.02)
+    assert dens.sup() == pytest.approx(lambda0_value(), rel=1e-4)
+
+
+@pytest.mark.parametrize("k,r,error", [
+    (2, -0.5, PreconditionError), (3, -0.5, PreconditionError),
+    (4, -0.5, PreconditionError), (5, -0.5, PreconditionError),
+    (4, 0.002, SingularRadiusError), (4, 0.01, SingularRadiusError),
+    (4, 0.024, SingularRadiusError), (4, 0.0, SingularRadiusError),
+])
+def test_mu_value_refuses_outside_its_domain(k, r, error):
+    # a negative radius, or mu_4 below the smallest radius its Hankel
+    # buckets resolve, is refused rather than answered with inf, NaN or an
+    # extrapolated fit
+    with pytest.raises(error):
+        mu_value(k, r)
 
 
 def test_density_stays_inside_support():

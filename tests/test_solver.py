@@ -284,7 +284,7 @@ def test_picard_contracts_from_extremizer(extremizer16):
 
 
 def test_picard_ratios_track_smooth_norm(extremizer16):
-    rep = picard_iterate(extremizer16.f, eps=0.05, s_norm=0.5)
+    rep = picard_iterate(extremizer16.f, eps=0.05)
     assert rep.s_norm == 0.5
     assert len(rep.ratios_s) == len(rep.ratios_l2)
     assert max(rep.ratios_s) < 1.0

@@ -26,9 +26,8 @@ from .extension import (DecayReport, ExtensionField, decay_check, extend,
 from .quintic import (BoundRatioReport, RadialDensity, auto_density,
                       el_quintic, mu_value, quintic_convolve,
                       quintilinear_bound_ratio)
-from .variational import (ConstantReport, ELReport, constant_estimate,
-                          constant_from_t0, el_residual, lambda0_value,
-                          quotient, t0_value, ts_functional)
+from .variational import (ELReport, constant_from_t0, el_residual,
+                          lambda0_value, quotient, t0_value, ts_functional)
 from .solver import (AscentConfig, AscentResult, PicardReport, ascend,
                      decompose, expansion_residual, linear_part,
                      nonlinear_part, picard_iterate)

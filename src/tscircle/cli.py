@@ -42,7 +42,7 @@ from .regularity import (calH_estimate, regularity_profile, sharp_flat_split,
 from .solver import (AscentConfig, ascend, decompose, expansion_residual,
                      picard_iterate)
 from .spectral import TAU, CircleFunction, constant_function, l2_norm, random_function
-from .variational import (constant_estimate, el_residual, lambda0_value, quotient,
+from .variational import (constant_from_t0, el_residual, lambda0_value, quotient,
                           t0_value, ts_functional)
 
 def _jsonable(x):
@@ -160,12 +160,11 @@ _FLAGS = {
     "--cutoff": {"type": float}, "--eps": {"type": float}, "--eta": {"type": float},
     "--s": {"type": float, "dest": "s_scale"},
     "--tensor": {"type": str}, "--out": {"type": str},
-    "--method": {"choices": ("constants", "solver")},
     "--format": {"choices": ("json", "csv")}, "--verify": {"action": "store_true"},
 }
 
-# flags of every command; the envelope contract records the seed
-_COMMON_FLAGS = {"--seed": 0, "--out": None, "--verify": False}
+# flags of every command
+_COMMON_FLAGS = {"--out": None, "--verify": False}
 
 
 def _dest(flag: str) -> str:
@@ -178,14 +177,12 @@ class Command:
     payload keys it must emit and, if it has one, the payload table
     (x key, y key, header) that --format csv writes.  The parser accepts
     `flags` and _COMMON_FLAGS (and --format with a csv table).  config
-    records `flags` and the seed, less the flags that `unread(args)` names
-    for these arguments: those are dropped, and an unread seed is recorded
-    as null, because every envelope keeps the seed's key."""
+    records `flags`; a command that reads no --seed records it as null,
+    because every envelope keeps the seed's key."""
     handler: Callable
     flags: dict
     payload_keys: set
     csv: tuple | None = None
-    unread: Callable | None = None
 
     def parser_flags(self) -> dict:
         flags = {**self.flags, **_COMMON_FLAGS}
@@ -194,21 +191,17 @@ class Command:
         return flags
 
     def config(self, args) -> dict:
-        unread = self.unread(args) if self.unread else set()
-        config = {_dest(f): getattr(args, _dest(f))
-                  for f in self.flags if f not in unread}
-        config["seed"] = None if "--seed" in unread else args.seed
-        return config
+        return {"seed": None,
+                **{_dest(f): getattr(args, _dest(f)) for f in self.flags}}
 
 
 COMMANDS: dict[str, Command] = {}
 
 
-def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None,
-            unread: Callable | None = None):
+def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None):
     """Register the decorated handler in COMMANDS under `name`."""
     def register(handler):
-        COMMANDS[name] = Command(handler, flags, payload_keys, csv, unread)
+        COMMANDS[name] = Command(handler, flags, payload_keys, csv)
         return handler
     return register
 
@@ -258,7 +251,7 @@ def cmd_tensor_build(args):
     return payload, oracle
 
 
-@command("extend", {"--n": 8, "--cutoff": DEFAULT_CUTOFF},
+@command("extend", {"--n": 8, "--seed": 0, "--cutoff": DEFAULT_CUTOFF},
          {"n", "l6", "origin_value", "decay_sup", "decay_envelope"})
 def cmd_extend(args):
     f = _random_input(args.n, args.seed)
@@ -309,8 +302,9 @@ def cmd_density(args):
             got = np.array([mu_value(2, float(r)) for r in rr])
             out["closed_form_max_gap"] = float(np.max(np.abs(got - exact)))
         if args.k == 5:
+            lam0 = lambda0_value(default_grid(args.cutoff))
             out["value_at_1_vs_lambda0_rel"] = float(
-                abs(mu_value(5, 1.0) - lambda0_value()) / lambda0_value())
+                abs(mu_value(5, 1.0, args.cutoff) - lam0) / lam0)
         return out
 
     return payload, oracle
@@ -339,7 +333,8 @@ def cmd_sup_bound(args):
     return payload, oracle
 
 
-@command("functional", {"--n": 8, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
+@command("functional", {"--n": 8, "--seed": 0,
+                        "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
          {"n", "phi", "quotient", "lambda_fit"})
 def cmd_functional(args):
     tensor = _load_tensor(args.tensor, args.cutoff)
@@ -364,7 +359,8 @@ def cmd_functional(args):
     return payload, oracle
 
 
-@command("el-residual", {"--n": 0, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
+@command("el-residual", {"--n": 0, "--seed": 0,
+                         "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
          {"n", "residual_rel", "residual_sup", "leakage", "lambda_fit"})
 def cmd_el_residual(args):
     tensor = _load_tensor(args.tensor, args.cutoff)
@@ -388,7 +384,8 @@ def cmd_el_residual(args):
     return payload, oracle
 
 
-@command("solve", {"--n": 16, "--max-iter": 500, "--cutoff": DEFAULT_CUTOFF},
+@command("solve", {"--n": 16, "--seed": 0,
+                   "--max-iter": 500, "--cutoff": DEFAULT_CUTOFF},
          {"n", "quotient", "phi", "iterations", "converged"})
 def cmd_solve(args):
     grid = default_grid(args.cutoff)
@@ -414,7 +411,7 @@ def cmd_solve(args):
     return payload, oracle
 
 
-@command("picard", {"--n": 16, "--eps": 0.05, "--cutoff": DEFAULT_CUTOFF},
+@command("picard", {"--n": 16, "--seed": 0, "--eps": 0.05, "--cutoff": DEFAULT_CUTOFF},
          {"eps", "K", "max_ratio", "h_minus_g_l2", "converged"})
 def cmd_picard(args):
     grid = default_grid(args.cutoff)
@@ -446,7 +443,7 @@ def cmd_picard(args):
     return payload, oracle
 
 
-@command("split", {"--n": 8, "--eta": 0.1, "--s": 0.5},
+@command("split", {"--n": 8, "--seed": 0, "--eta": 0.1, "--s": 0.5},
          {"eta", "K", "l2_flat", "lip_sharp"})
 def cmd_split(args):
     f = _random_input(args.n, args.seed)
@@ -469,8 +466,7 @@ def cmd_split(args):
 
 
 @command("smoothing", {"--n": 64, "--cutoff": DEFAULT_CUTOFF},
-         {"n", "gain", "input_slope", "output_slope", "lip_drift"},
-         unread=lambda args: {"--seed"})           # a fixed square wave
+         {"n", "gain", "input_slope", "output_slope", "lip_drift"})
 def cmd_smoothing(args):
     rep = smoothing_experiment(n=args.n, grid=default_grid(args.cutoff))
     payload = {
@@ -492,20 +488,19 @@ def cmd_smoothing(args):
     return payload, oracle
 
 
-@command("constant", {"--method": "constants", "--n": 16, "--cutoff": DEFAULT_CUTOFF},
-         {"value", "t0", "lambda0", "note"},
-         unread=lambda args: set() if args.method == "solver" else {"--n", "--seed"})
+@command("constant", {"--cutoff": DEFAULT_CUTOFF},
+         {"value", "t0", "lambda0", "note"})
 def cmd_constant(args):
-    rep = constant_estimate(method=args.method, n=args.n, seed=args.seed,
-                            grid=default_grid(args.cutoff))
+    t0 = t0_value(default_grid(args.cutoff))
     payload = {
-        "value": float(rep.value),
-        "t0": None if rep.t0 is None else float(rep.t0),
-        "lambda0": None if rep.lambda0 is None else float(rep.lambda0),
-        "method": rep.method,
-        "label": rep.label,
-        "note": ("value is the best constant for the sixth-power inequality: "
-                 "sup of ||extension||_L6 / ||f||_L2 over the unit sphere"),
+        "value": float(constant_from_t0(t0)),
+        "t0": float(t0),
+        "lambda0": float(TAU ** 4 * t0),
+        "note": ("value is R(1) = ((2 pi)^7 t0)^(1/6) / sqrt(2 pi), the "
+                 "sixth-power quotient ||extension||_L6 / ||f||_L2 at the "
+                 "constants: a critical value, a local maximum (Carneiro, "
+                 "Foschi, Oliveira e Silva, Thiele 2017), and conjecturally "
+                 "the best constant"),
     }
 
     def oracle():
@@ -516,7 +511,7 @@ def cmd_constant(args):
     return payload, oracle
 
 
-@command("regularity-profile", {"--n": 8},
+@command("regularity-profile", {"--n": 8, "--seed": 0},
          {"n", "l2", "decay_slope", "calH", "holder"})
 def cmd_regularity_profile(args):
     f = _random_input(args.n, args.seed)

@@ -321,6 +321,9 @@ def auto_density(k: int, n_points: int = 801,
     valid = np.ones(n_points, dtype=bool)
     for s in sing:
         valid &= np.abs(radii - s) > EXCLUSION
+    if not valid.any():
+        raise ConfigError(f"no radius of {n_points} points on [0, {k}] clears "
+                          f"the singular radii of mu_{k}")
 
     if k == 2:
         values = _mu2(radii)

@@ -22,6 +22,11 @@ from .quintic import el_quintic, quintic_convolve
 from .spectral import (TAU, CircleFunction, l2_norm, rotate, synthesize)
 
 
+LIP_GRID = 4096                        # smoothing's coarse Lipschitz samples
+PROFILE_S = (0.25, 0.5, 0.75, 1.0, 1.5)  # regularity_profile's calH scales
+PROFILE_ALPHAS = (0.25, 0.5, 1.0)        # and its Holder exponents
+
+
 def dyadic_ts(lo: int = 1, hi: int = 12) -> np.ndarray:
     return 2.0 ** -np.arange(lo, hi + 1)
 
@@ -38,12 +43,11 @@ def spectral_derivative(f: CircleFunction, m: int = 1) -> CircleFunction:
     return CircleFunction(f.coeffs * (1j * n) ** m)
 
 
-def sup_quotient(f: CircleFunction, s: float, ts=None) -> float:
-    ts = dyadic_ts() if ts is None else np.asarray(ts, dtype=float)
-    return max(difference_norm(f, t) / t ** s for t in ts)
+def sup_quotient(f: CircleFunction, s: float) -> float:
+    return max(difference_norm(f, t) / t ** s for t in dyadic_ts())
 
 
-def calH_estimate(f: CircleFunction, s: float, ts=None) -> float:
+def calH_estimate(f: CircleFunction, s: float) -> float:
     """Difference-quotient Sobolev-scale estimator.
 
     s = 0 is the exact L^2 norm.  For s = k + alpha the first k derivatives
@@ -58,7 +62,7 @@ def calH_estimate(f: CircleFunction, s: float, ts=None) -> float:
     total = l2_norm(f)
     for m in range(k + 1):
         alpha = min(s - m, 1.0)
-        total += sup_quotient(spectral_derivative(f, m), alpha, ts)
+        total += sup_quotient(spectral_derivative(f, m), alpha)
     return float(total)
 
 
@@ -150,14 +154,14 @@ def _lip_upper(f: CircleFunction) -> float:
     return float(np.max(np.abs(synthesize(d, max(8 * f.N + 16, 64)))))
 
 
-def sharp_flat_split(f: CircleFunction, eta: float, s_scale: float = 0.5,
-                     ts=None) -> SplitReport:
+def sharp_flat_split(f: CircleFunction, eta: float,
+                     s_scale: float = 0.5) -> SplitReport:
     """Frequency split f = sharp + flat with ||flat||_2 <= eta * scale norm,
     K minimal.  The sharp part is band-limited hence Lipschitz with an
     explicit constant; eta trades its size against the flat remainder."""
     if eta <= 0:
         raise ConfigError("eta must be positive")
-    scale = calH_estimate(f, s_scale, ts)
+    scale = calH_estimate(f, s_scale)
     target = eta * scale
     N = f.N
     p2 = TAU * np.abs(f.coeffs) ** 2
@@ -186,17 +190,16 @@ class EtaReport:
     Ks: np.ndarray
 
 
-def eta_optimization(f: CircleFunction, etas=None, s_scale: float = 0.5,
-                     ts=None) -> EtaReport:
-    """Measure the sharp-Lipschitz growth Lip(eta) ~ eta^{-p} and check the
-    optimized modulus min_eta [Lip t + 2 flat] behaves like t^{1/(1+p)}."""
-    etas = np.asarray(etas if etas is not None
-                      else np.logspace(-3.0, -0.7, 12))
+def eta_optimization(f: CircleFunction) -> EtaReport:
+    """Measure the sharp-Lipschitz growth Lip(eta) ~ eta^{-p} over a
+    logarithmic eta sweep, and check the optimized modulus
+    min_eta [Lip t + 2 flat] behaves like t^{1/(1+p)}."""
+    etas = np.logspace(-3.0, -0.7, 12)
     lips, flats, Ks = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for eta in etas:
-            rep = sharp_flat_split(f, float(eta), s_scale, ts)
+            rep = sharp_flat_split(f, float(eta))
             lips.append(rep.lip_sharp)
             flats.append(rep.l2_flat)
             Ks.append(rep.K)
@@ -213,17 +216,17 @@ def eta_optimization(f: CircleFunction, etas=None, s_scale: float = 0.5,
     return EtaReport(p, delta_fit, 1.0 / (1.0 + p), etas, lips, flats, Ks)
 
 
-def interpolation_constant(f: CircleFunction, beta: float, alpha: float,
-                           ts=None) -> float:
+def interpolation_constant(f: CircleFunction, beta: float,
+                           alpha: float) -> float:
     """Measured constant in the two-point interpolation inequality
 
         calH^beta  <=  C ||f||_2^{1-beta/alpha} (calH^alpha)^{beta/alpha}.
     """
     if not (0.0 < beta < alpha):
         raise ConfigError("need 0 < beta < alpha")
-    num = calH_estimate(f, beta, ts)
+    num = calH_estimate(f, beta)
     den = (l2_norm(f) ** (1.0 - beta / alpha)
-           * calH_estimate(f, alpha, ts) ** (beta / alpha))
+           * calH_estimate(f, alpha) ** (beta / alpha))
     if den == 0:
         raise ConfigError("interpolation constant undefined at f = 0")
     return float(num / den)
@@ -266,40 +269,35 @@ class SmoothingReport:
     lip_drift: float
 
 
-def smoothing_experiment(n: int = 64, grid: RadialGrid | None = None,
-                         in_band: tuple | None = None,
-                         out_band: tuple | None = None,
-                         lip_grid: int = 4096) -> SmoothingReport:
+def smoothing_experiment(n: int = 64,
+                         grid: RadialGrid | None = None) -> SmoothingReport:
     """Two measurements on the quintic convolution as a smoothing map.
 
-    (1) Slope gain: feed the square wave (decay slope ~ -1) through
-    Q(f,f,f,f~,f~) and compare log-log decay slopes over matched bands.
+    (1) Slope gain: feed the square wave (decay slope -1) through
+    Q(f,f,f,f~,f~) and compare log-log decay slopes over the band (4, n)
+    of both.
     (2) Stability: convolve four Lipschitz inputs with one merely-L^2
-    input and check the output Lipschitz quotient is grid-stable.
+    input and check the output Lipschitz quotient is stable from
+    LIP_GRID to 2 LIP_GRID sample points.
     """
     if n < 16:
         raise ConfigError("smoothing experiment needs n >= 16")
     grid = grid or default_grid()
     sq = square_wave(n)
-    in_band = in_band or (4, n)
-    out_band = out_band or (4, n)
-    islope = decay_slope(sq, band=in_band)
-    if not (-1.6 < islope.slope < -0.9):
-        raise PreconditionError(
-            f"input decay slope {islope.slope:.3f} outside the rough window "
-            "(-1.6, -0.9)")
+    band = (4, n)
+    islope = decay_slope(sq, band=band)
     Q = el_quintic(sq, grid)
-    oslope = decay_slope(Q, band=out_band)
+    oslope = decay_slope(Q, band=band)
 
     tri = triangle_wave(n)
     G = quintic_convolve([tri, tri, tri, tri, sq], grid=grid, method="polar")
     # Lipschitz quotients: holder_estimate's alpha = 1 sup-norm quotients
     lc, lf = (max(holder_estimate(G, 1.0, M, dyadic_ts(1, 10))
                   .quotients.values())
-              for M in (lip_grid, 2 * lip_grid))
+              for M in (LIP_GRID, 2 * LIP_GRID))
     return SmoothingReport(
         n=n, input_slope=islope.slope, output_slope=oslope.slope,
-        gain=islope.slope - oslope.slope, in_band=in_band, out_band=out_band,
+        gain=islope.slope - oslope.slope, in_band=band, out_band=band,
         lip_coarse=lc, lip_fine=lf,
         lip_drift=abs(lf - lc) / (lc + 1e-300))
 
@@ -323,15 +321,13 @@ class RegularityProfile:
         }
 
 
-def regularity_profile(f: CircleFunction,
-                       s_grid=(0.25, 0.5, 0.75, 1.0, 1.5),
-                       alpha_grid=(0.25, 0.5, 1.0),
-                       ts=None) -> RegularityProfile:
-    """One-stop regularity fingerprint of a circle function."""
+def regularity_profile(f: CircleFunction) -> RegularityProfile:
+    """One-stop regularity fingerprint of a circle function: the decay
+    slope, calH^s at PROFILE_S and C^alpha at PROFILE_ALPHAS."""
     try:
         decay = decay_slope(f)
     except (PreconditionError, ConfigError):
         decay = None
-    calh = {float(s): calH_estimate(f, s, ts) for s in s_grid}
-    hold = {float(a): holder_estimate(f, a, ts=ts).value for a in alpha_grid}
+    calh = {float(s): calH_estimate(f, s) for s in PROFILE_S}
+    hold = {float(a): holder_estimate(f, a).value for a in PROFILE_ALPHAS}
     return RegularityProfile(f.N, l2_norm(f), decay, calh, hold)

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .errors import BandwidthError, GridSizeError, PreconditionError
+from .errors import BandwidthError, ConfigError, GridSizeError, PreconditionError
 
 TAU = 2.0 * np.pi
 
@@ -209,6 +209,8 @@ def demodulate(f: CircleFunction, M: int | None = None):
 
 def random_function(N: int, seed, decay: float = 0.0) -> CircleFunction:
     """Random coefficients, complex standard normal scaled by (1+|n|)^-decay."""
+    if N < 0:
+        raise ConfigError(f"bandwidth must be nonnegative, got {N}")
     rng = np.random.default_rng(seed)
     n = np.arange(-N, N + 1)
     scale = (1.0 + np.abs(n).astype(float)) ** (-decay)

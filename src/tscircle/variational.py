@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselTensor, RadialGrid, default_grid, six_bessel_integral
+from .bessel import BesselTensor, RadialGrid, six_bessel_integral
 from .errors import ConfigError, NumericalError
 from .extension import extend, l6_norm
 from .quintic import el_quintic, quintic_convolve
@@ -108,7 +108,7 @@ def el_residual(f: CircleFunction, tensor: BesselTensor | None = None,
 
 
 # ---------------------------------------------------------------------------
-# the constant at the trivial critical point, three independent regimes
+# the constant at the trivial critical point
 # ---------------------------------------------------------------------------
 
 def t0_value(grid: RadialGrid | None = None) -> float:
@@ -122,46 +122,3 @@ def lambda0_value(grid: RadialGrid | None = None) -> float:
 def constant_from_t0(t0: float) -> float:
     """Quotient of the constant function: ((2 pi)^7 T0)^{1/6} / sqrt(2 pi)."""
     return (TAU ** 7 * t0) ** (1.0 / 6.0) / np.sqrt(TAU)
-
-
-@dataclass
-class ConstantReport:
-    method: str
-    label: str
-    value: float
-    t0: float | None
-    lambda0: float | None
-    detail: dict
-
-    def __repr__(self):
-        return (f"ConstantReport({self.method}: value={self.value:.12g} "
-                f"[{self.label}])")
-
-
-def constant_estimate(method: str = "constants", n: int = 16,
-                      seed: int | None = 0,
-                      grid: RadialGrid | None = None) -> ConstantReport:
-    """Best-constant estimate.
-
-    method="constants": evaluate the quotient at f = 1 through T0; this is
-    a certified numerical value for the constant AT the trivial point.
-    method="solver": run the ascent and report the best quotient found
-    (labelled conditional -- a search, not a proof of globality).
-    """
-    grid = grid or default_grid()
-    if method == "constants":
-        t0 = t0_value(grid)
-        return ConstantReport(
-            method="constants", label="stationary-value",
-            value=constant_from_t0(t0), t0=t0, lambda0=TAU ** 4 * t0,
-            detail={"cutoff": grid.cutoff})
-    if method == "solver":
-        from .solver import AscentConfig, ascend          # deferred: avoid cycle
-        res = ascend(config=AscentConfig(n=n, seed=seed), grid=grid)
-        return ConstantReport(
-            method="solver", label="conditional-search",
-            value=res.quotient, t0=None, lambda0=None,
-            detail={"n": n, "seed": seed, "iterations": res.iterations,
-                    "converged": res.converged,
-                    "lambda_fit": res.lambda_fit})
-    raise ConfigError(f"unknown method {method!r}")

@@ -2,15 +2,18 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tscircle import (AscentConfig, BesselTensor, RadialGrid, ascend,
-                      auto_density, build_tensor, decompose, el_residual,
-                      expansion_residual, extend, l6_norm, picard_iterate,
-                      quotient, random_function, smoothing_experiment,
-                      t0_value, ts_functional)
+                      auto_density, build_tensor, decompose, default_grid,
+                      el_residual, expansion_residual, extend, l6_norm,
+                      lambda0_value, mu_value, picard_iterate, quotient,
+                      random_function, smoothing_experiment, t0_value,
+                      ts_functional)
 from tscircle.cli import (
     COMMANDS,
     build_parser,
@@ -21,25 +24,23 @@ from tscircle.cli import (
 )
 from tscircle.errors import CacheError, ConfigError
 
-# the flags each command reads besides --seed, --out and --verify, which
-# every command takes; stated here independently of the command table
+# the flags each command reads besides --out and --verify, which every
+# command takes; stated here independently of the command table
 READS = {
     "tensor-build": {"--n", "--cutoff", "--tensor"},
-    "extend": {"--n", "--cutoff"},
+    "extend": {"--n", "--seed", "--cutoff"},
     "density": {"--k", "--n-points", "--cutoff", "--format"},
     "sup-bound": {"--k", "--n-points", "--cutoff"},
-    "functional": {"--n", "--cutoff", "--tensor"},
-    "el-residual": {"--n", "--cutoff", "--tensor"},
-    "solve": {"--n", "--max-iter", "--cutoff"},
-    "picard": {"--n", "--eps", "--cutoff"},
-    "split": {"--n", "--eta", "--s"},
+    "functional": {"--n", "--seed", "--cutoff", "--tensor"},
+    "el-residual": {"--n", "--seed", "--cutoff", "--tensor"},
+    "solve": {"--n", "--seed", "--max-iter", "--cutoff"},
+    "picard": {"--n", "--seed", "--eps", "--cutoff"},
+    "split": {"--n", "--seed", "--eta", "--s"},
     "smoothing": {"--n", "--cutoff"},
-    "constant": {"--method", "--n", "--cutoff"},
-    "regularity-profile": {"--n"},
+    "constant": {"--cutoff"},
+    "regularity-profile": {"--n", "--seed"},
 }
-# flags that a command takes but does not read for the given arguments:
-# config drops them, and records an unread seed as null
-UNREAD = {("constant",): {"--n", "--seed"}}
+SEEDED = sorted(name for name, flags in READS.items() if "--seed" in flags)
 SHARED_FLAGS = {"--n", "--cutoff", "--eps", "--eta", "--s", "--seed",
                 "--tensor", "--out", "--verify", "--format"}
 
@@ -95,7 +96,7 @@ def test_command_table_consistent():
     for name in COMMANDS:
         args = parser.parse_args([name])
         assert args.command == name
-        assert set(vars(args)) == ({"command", "seed", "out", "verify"}
+        assert set(vars(args)) == ({"command", "out", "verify"}
                                    | {dest(f) for f in READS[name]})
         assert COMMANDS[name].payload_keys
 
@@ -136,7 +137,7 @@ def test_payload_byte_reproducible(tmp_path):
 
 
 def test_constant_command_reports_convention(tmp_path):
-    env = run_to_file(tmp_path, "c.json", ["constant", "--method", "constants"])
+    env = run_to_file(tmp_path, "c.json", ["constant"])
     assert env["payload"]["value"] > 0
     assert "sixth" in env["payload"]["note"]
     assert env["payload"]["t0"] == pytest.approx(0.336827961766468, rel=1e-6)
@@ -148,44 +149,19 @@ def test_constant_uses_cutoff(tmp_path):
     assert env["payload"]["t0"] == t0_value(RadialGrid(400))
 
 
-def test_constant_solver_method_emits_null_t0(tmp_path):
-    # the search route has no T0; its payload says so instead of crashing
-    env = run_to_file(tmp_path, "s.json", [
-        "constant", "--method", "solver", "--n", "2"])
-    validate_envelope(env)
-    assert env["config"] == {"method": "solver", "n": 2, "seed": 0,
-                             "cutoff": 200.0}
-    assert env["payload"]["t0"] is None
-    assert env["payload"]["lambda0"] is None
-    assert env["payload"]["value"] > 0
-
-
-def test_constants_method_records_neither_n_nor_seed(tmp_path):
-    a = run_to_file(tmp_path, "a.json", ["constant", "--n", "99", "--seed", "7"])
-    b = run_to_file(tmp_path, "b.json", ["constant"])
-    assert a["config"] == b["config"] == {"method": "constants", "seed": None,
-                                          "cutoff": 200.0}
-    assert a["payload"] == b["payload"]
-
-
-def test_smoothing_config_ignores_seed(tmp_path):
-    # a fixed square-wave run: the seed changes nothing and is recorded null
-    a = run_to_file(tmp_path, "a.json", ["smoothing", "--seed", "3"])
-    b = run_to_file(tmp_path, "b.json", ["smoothing", "--seed", "4"])
-    validate_envelope(a)
-    assert a["config"] == b["config"]
-    assert a["config"]["seed"] is None
-    assert a["payload"] == b["payload"]
-
-
 def test_density_uses_cutoff(tmp_path):
     env = run_to_file(tmp_path, "d.json", [
-        "density", "--k", "5", "--cutoff", "400", "--n-points", "51"])
+        "density", "--k", "5", "--cutoff", "400", "--n-points", "51",
+        "--verify"])
     direct = auto_density(5, 51, cutoff=400.0)
     assert env["config"]["cutoff"] == 400.0
     assert env["payload"]["mass"] == float(direct.mass)
     assert env["payload"]["values"] == [
         float(v) if ok else None for v, ok in zip(direct.values, direct.valid)]
+    # the oracle compares mu_5(1) with lambda_0 at the same cutoff
+    lam0 = lambda0_value(default_grid(400.0))
+    assert env["oracle"]["value_at_1_vs_lambda0_rel"] == float(
+        abs(mu_value(5, 1.0, 400.0) - lam0) / lam0)
 
 
 def test_functional_uses_cutoff(tmp_path):
@@ -254,8 +230,8 @@ def test_sup_bound_uses_cutoff(tmp_path):
 @pytest.mark.parametrize("name", list(READS))
 def test_unread_flags_rejected(name, capsys):
     # a flag the command does not read exits 2 in argparse, before any work
-    for flag in sorted(SHARED_FLAGS - READS[name] - {"--seed", "--out",
-                                                     "--verify"}) + ["--alpha"]:
+    rejected = SHARED_FLAGS - READS[name] - {"--out", "--verify"}
+    for flag in sorted(rejected) + ["--alpha"]:
         with pytest.raises(SystemExit) as exc:
             main([name, flag, "1"])
         assert exc.value.code == 2, (name, flag)
@@ -285,10 +261,9 @@ def test_parser_built_once_and_rejections_repeat(capsys):
 def test_config_records_declared_flags(tmp_path, argv):
     env = run_to_file(tmp_path, "c.json", argv)
     parsed = vars(build_parser().parse_args(argv))
-    unread = UNREAD.get(tuple(argv), set())
-    want = {dest(f) for f in READS[argv[0]] - {"--format"} - unread}
-    config = {k: parsed[k] for k in want}
-    config["seed"] = None if "--seed" in unread else parsed["seed"]
+    config = {"seed": None}
+    config.update({dest(f): parsed[dest(f)]
+                   for f in READS[argv[0]] - {"--format"}})
     assert env["config"] == config
 
 
@@ -371,10 +346,13 @@ def test_exit_code_precondition_error(tmp_path, capsys):
     ["sup-bound", "--n-points", "0"],
     ["sup-bound", "--n-points", "1"],
     ["density", "--k", "2", "--cutoff", "0"],
+    ["density", "--k", "4", "--n-points", "3"],
+    ["sup-bound", "--k", "4", "--n-points", "3"],
 ])
 def test_density_bad_configuration_exits_2(argv, capsys):
     # Simpson's rule needs three points; the cutoff is checked even where
-    # a closed form never reads it
+    # a closed form never reads it; three radii on [0, 4] all sit on
+    # singular radii of mu_4
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -390,6 +368,29 @@ def test_every_command_at_defaults_verifies(name, tmp_path):
     env = json.loads((tmp_path / "env.json").read_text())
     validate_envelope(env)
     assert isinstance(env["oracle"], dict) and env["oracle"]
+    # config records exactly the declared flags, and a null seed where
+    # the command takes none
+    assert set(env["config"]) == {"seed"} | {
+        dest(f) for f in READS[name] - {"--format"}}
+    assert (env["config"]["seed"] is None) == ("--seed" not in READS[name])
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_negative_bandwidth_exits_2(name, capsys):
+    assert main([name, "--n", "-1"]) == 2
+    assert "bandwidth" in capsys.readouterr().err
+
+
+def test_readme_command_table_matches_parser():
+    # README's command table lists every command with the flags its
+    # parser accepts, less --out and --verify, which the text names once
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
+    assert set(rows) == set(COMMANDS)
+    for name, cell in rows.items():
+        assert set(re.findall(r"`(--[a-z-]+)", cell)) == (
+            set(COMMANDS[name].parser_flags()) - {"--out", "--verify"}), name
 
 
 def test_exit_code_internal_error(monkeypatch, capsys):

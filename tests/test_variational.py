@@ -5,7 +5,6 @@ import pytest
 
 from tscircle import (
     TAU,
-    constant_estimate,
     constant_from_t0,
     constant_function,
     el_residual,
@@ -83,15 +82,6 @@ def test_quotient_of_constants_formula():
     one = constant_function(1.0)
     assert quotient(one) == pytest.approx(constant_from_t0(t0_value()),
                                           rel=1e-10)
-
-
-def test_constant_estimate_methods_agree():
-    a = constant_estimate(method="constants")
-    b = constant_estimate(method="solver", n=8, seed=1)
-    assert a.value == pytest.approx(b.value, rel=1e-5)
-    assert a.t0 == pytest.approx(t0_value(), rel=1e-12)
-    with pytest.raises(ConfigError):
-        constant_estimate(method="nope")
 
 
 def test_zero_function_rejected():

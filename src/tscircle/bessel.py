@@ -208,19 +208,21 @@ def _fresnel_complement(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def exp_tail_integral(omega, nu: float, P: float):
-    """I_nu(omega) = int_P^oo rho^-nu e^{i omega rho} drho, nu > 1.
+    """The pair (I_nu, I_{nu+1}) of I_nu(omega) = int_P^oo rho^-nu
+    e^{i omega rho} drho, nu > 1, from one recurrence.
 
     Integer nu builds up from E1; half-integer nu from Fresnel integrals.
     Vectorized over omega.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.empty(om.shape, dtype=complex)
+    out = np.empty((2,) + om.shape, dtype=complex)
     zero = om == 0.0
     if np.any(zero):
         if nu <= 1.0:
             raise ConfigError(
                 f"tail integral diverges: omega = 0 with nu = {nu} <= 1")
-        out[zero] = P ** (1.0 - nu) / (nu - 1.0)
+        out[0, zero] = P ** (1.0 - nu) / (nu - 1.0)
+        out[1, zero] = P ** -nu / nu
     nz = ~zero
     if np.any(nz):
         w = om[nz]
@@ -232,13 +234,13 @@ def exp_tail_integral(omega, nu: float, P: float):
             base = 0.5
         e = np.exp(1j * w * P)
         k = base
-        while k < nu - 0.5:
-            cur = e / (k * P ** k) + (1j * w / k) * cur
+        while k < nu + 0.5:                 # the last step is I_nu -> I_nu+1
+            prev, cur = cur, e / (k * P ** k) + (1j * w / k) * cur
             k += 1.0
-        out[nz] = cur
+        out[0, nz], out[1, nz] = prev, cur
     if np.ndim(omega) == 0:
-        return complex(out[0])
-    return out
+        return complex(out[0, 0]), complex(out[1, 0])
+    return out[0], out[1]
 
 
 _EPS_CACHE: dict = {}
@@ -286,8 +288,7 @@ def bessel_product_tail(orders, P: float, scales=None):
     A = combine(first_order_coeff(orders, s, P) / s)
     freq, inv = np.unique(omega, return_inverse=True)
     inv = inv.reshape(omega.shape)
-    i2 = exp_tail_integral(freq, 0.5 * m - 1.0, P)[inv]
-    i3 = exp_tail_integral(freq, 0.5 * m, P)[inv]
+    i2, i3 = (i[inv] for i in exp_tail_integral(freq, 0.5 * m - 1.0, P))
     acc = (np.exp(-1j * psi) * (i2 + 1j * A * i3)).real.sum(axis=-1)
     pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(np.prod(s, axis=-1)) / 2.0 ** m
     out = pref * 2.0 * acc

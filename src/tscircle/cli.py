@@ -32,8 +32,8 @@ import numpy as np
 from scipy import special as _sp
 
 from . import __version__
-from .bessel import (DEFAULT_CUTOFF, BesselTensor, RadialGrid, build_tensor,
-                     default_grid, radial_integrate)
+from .bessel import (DEFAULT_CUTOFF, BesselTensor, build_tensor, default_grid,
+                     radial_integrate)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
 from .extension import decay_check, extend, l6_norm
 from .quintic import auto_density, mu_value
@@ -215,7 +215,7 @@ def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None)
 def cmd_tensor_build(args):
     if args.tensor is None:  # set on args so that config records the path used
         args.tensor = f"tensor_n{args.n}.b6t"
-    grid = RadialGrid(cutoff=args.cutoff)
+    grid = default_grid(args.cutoff)
     tensor = build_tensor(args.n, grid=grid)
     loaded = cache_roundtrip(tensor, args.tensor)
     payload = {
@@ -504,7 +504,7 @@ def cmd_constant(args):
     }
 
     def oracle():
-        vals = [t0_value(RadialGrid(cutoff=p)) for p in (200.0, 400.0, 800.0)]
+        vals = [t0_value(default_grid(p)) for p in (200.0, 400.0, 800.0)]
         return {"t0_regimes": [float(v) for v in vals],
                 "t0_regime_spread": float(max(vals) - min(vals))}
 

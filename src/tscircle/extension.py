@@ -284,8 +284,7 @@ def l6_norm(field: ExtensionField) -> float:
                                (grid.weights * grid.nodes)[None, :])
     mean = TAU * mean[..., 0]                          # angular integral
     k = np.arange(-6, 7)                               # tail k = -6..6
-    i2 = exp_tail_integral(k, 2.0, grid.cutoff)
-    i3 = exp_tail_integral(k, 3.0, grid.cutoff)
+    i2, i3 = exp_tail_integral(k, 2.0, grid.cutoff)
     tail = (2.0 / np.pi) ** 3 * float(
         np.sum(mean[:, 0] * i2).real + np.sum(mean[:, 1] * i3).real)
     total = float(TAU * quad[0].real) + tail

@@ -84,8 +84,7 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
                                Jrows * (grid.weights * grid.nodes))
     # That: (11, 2, 2M+1)
     ks = np.arange(-5, 6)
-    i2 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
-    i3 = exp_tail_integral(np.arange(-6, 7), 3.0, P)
+    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
     up, dn = ks + 1 + 6, ks - 1 + 6
     # J_m two-term form: (1/2)[e^{i(rho-phi_m)}(1 + i a_m/rho) + c.c.] s_m
     s_p0 = That[:, 0, :].T @ i2[up]
@@ -105,45 +104,53 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
     """The tensor route.  A row n2..n5 of the inner sum enters a term only
     through its class (the sorted |n2|..|n5|), its sum s and its parity
-    sign, so each n1 looks up one sorted key (|n1|, class, |n1 + s|) per
-    distinct (class, s) pair of the rows, not one per row."""
+    sign, which is folded into the row's coefficient product.  One lookup
+    resolves the key (|n1|, class, |n1 + s|) of every n1 and distinct
+    (class, s) pair, the parity signs of n1 and n1 + s folded into the
+    values.  Negation is exact: each output bin sums the per-tuple terms in
+    their order, bit for bit."""
     Ns = [f.N for f in fs]
     if max(Ns) > tensor.N:
         raise PreconditionError(
             f"input bandwidth {max(Ns)} exceeds tensor bandwidth {tensor.N}")
     M = sum(Ns)
-    grids = np.meshgrid(*(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")
-    n2345 = np.stack([g.ravel() for g in grids], axis=1)       # (T, 4)
-    cc = np.ones(n2345.shape[0], dtype=np.complex128)
-    for j in range(4):
-        cc = cc * fs[j + 1].coeffs[n2345[:, j] + Ns[j + 1]]
-    s2345 = n2345.sum(axis=1)
-    odd2345 = ((n2345 < 0) & (n2345 % 2 != 0)).sum(axis=1)
-    sign2345 = np.where(odd2345 % 2 == 0, 1.0, -1.0)        # J_{-n} = (-1)^n J_n
-    mags = np.sort(np.abs(n2345), axis=1)
+    rows = [g.ravel() for g in np.meshgrid(
+        *(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")]   # n2..n5
+    odd = sum((n < 0) & (n % 2 != 0) for n in rows)       # J_{-n} = (-1)^n J_n
+    cc = np.where(odd % 2 == 0, 1.0, -1.0).astype(np.complex128)
+    for n, f in zip(rows, fs[1:]):
+        cc = cc * f.coeffs[n + f.N]
+    s2345 = rows[0] + rows[1] + rows[2] + rows[3]
+    mag = [np.abs(n) for n in rows]
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):   # sorting network
+        mag[i], mag[j] = np.minimum(mag[i], mag[j]), np.maximum(mag[i], mag[j])
     code = s2345 + M
-    for j in range(4):
-        code = code * (M + 1) + mags[:, j]
+    for x in mag:
+        code = code * (M + 1) + x
     _, first, pair = np.unique(code, return_index=True, return_inverse=True)
-    inner, s = mags[first], s2345[first]                      # per pair
 
+    n1 = np.arange(-Ns[0], Ns[0] + 1)
+    m = n1[:, None] + s2345[first]                        # (n1, pair)
+    keys = np.empty(m.shape + (6,), dtype=np.int64)
+    keys[..., 0] = np.abs(n1)[:, None]
+    for j, x in enumerate(mag):
+        keys[..., j + 1] = x[first]
+    keys[..., 5] = np.abs(m)
+    keys.sort(axis=-1)
+    value = tensor.lookup_sorted_abs(keys.reshape(-1, 6)).reshape(m.shape)
+    flip = ((m < 0) & (m % 2 != 0)) ^ ((n1 < 0) & (n1 % 2 != 0))[:, None]
+    value = np.where(flip, -value, value)
+
+    # pass n1 writes the modes n1 + s, the slice out[i:i + L]; with each
+    # weight's real and imaginary parts interleaved (bins 2k, 2k + 1) one
+    # bincount sums both, each bin in row order
+    L = 2 * (M - Ns[0]) + 1
+    bins = ((2 * (s2345 + M - Ns[0]))[:, None] + (0, 1)).ravel()
     out = np.zeros(2 * M + 1, dtype=np.complex128)
-    keys = np.empty((first.size, 6), dtype=np.int64)
-    for n1 in range(-Ns[0], Ns[0] + 1):
-        m = n1 + s
-        keys[:, 0] = abs(n1)
-        keys[:, 1:5] = inner
-        keys[:, 5] = np.abs(m)
-        keys.sort(axis=1)
-        odd = (m < 0) & (m % 2 != 0)
-        if n1 < 0 and n1 % 2 != 0:
-            odd = ~odd
-        sign = sign2345 * np.where(odd, -1.0, 1.0)[pair]
-        value = tensor.lookup_sorted_abs(keys)[pair]
-        w = fs[0].coeffs[n1 + Ns[0]] * cc * sign * value
-        idx = s2345 + (n1 + M)
-        out.real += np.bincount(idx, weights=w.real, minlength=2 * M + 1)
-        out.imag += np.bincount(idx, weights=w.imag, minlength=2 * M + 1)
+    for i, c1 in enumerate(fs[0].coeffs):
+        w = (c1 * cc) * value[i][pair]
+        out[i:i + L] += np.bincount(bins, weights=w.view(np.float64),
+                                    minlength=2 * L).view(np.complex128)
     return CircleFunction(out * TAU ** 4)
 
 

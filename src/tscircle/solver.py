@@ -80,6 +80,8 @@ def ascend(f0: CircleFunction | None = None,
            grid: RadialGrid | None = None) -> AscentResult:
     """Monotone projected ascent of Phi on the unit sphere at bandwidth n."""
     cfg = config or AscentConfig()
+    if cfg.max_iter < 0:
+        raise ConfigError(f"max_iter must be nonnegative, got {cfg.max_iter}")
     grid = grid or default_grid()
     if f0 is None:
         f0 = random_function(cfg.n, cfg.seed, decay=ASCENT_START_DECAY)

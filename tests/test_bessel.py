@@ -100,7 +100,8 @@ def test_exp_tail_reference_against_quadosc():
 
 
 def test_exp_tail_integral_against_mpmath():
-    # int_P^oo rho^{-nu} e^{i omega rho} drho, integer and half-integer nu
+    # int_P^oo rho^{-nu} e^{i omega rho} drho, integer and half-integer nu,
+    # and the pair's second member at nu + 1;
     # integer nu runs on exp1 (machine precision); half-integer nu runs on
     # scipy's Fresnel pair, good to ~1e-8 relative in its asymptotic regime;
     # the reference is the incomplete-gamma closed form at 30 digits
@@ -108,17 +109,22 @@ def test_exp_tail_integral_against_mpmath():
     with mpmath.workdps(30):
         for omega in (-4.0, -1.0, 2.0, 6.0):
             for nu in (1.0, 1.5, 2.0, 2.5, 3.0):
-                got = complex(exp_tail_integral(np.array([omega]), nu, P)[0])
-                ref = complex(_exp_tail_reference(omega, nu, P))
-                tol = 1e-13 if float(nu).is_integer() else 1e-12 + 2e-8 * abs(ref)
-                assert abs(got - ref) < tol, (omega, nu)
+                pair = exp_tail_integral(np.array([omega]), nu, P)
+                for got, order in zip(pair, (nu, nu + 1.0)):
+                    got = complex(got[0])
+                    ref = complex(_exp_tail_reference(omega, order, P))
+                    tol = (1e-13 if float(order).is_integer()
+                           else 1e-12 + 2e-8 * abs(ref))
+                    assert abs(got - ref) < tol, (omega, order)
 
 
 def test_exp_tail_integral_zero_frequency():
     P = 200.0
     for nu in (2.0, 3.0):
-        got = complex(exp_tail_integral(np.array([0.0]), nu, P)[0])
-        assert abs(got - P ** (1 - nu) / (nu - 1)) < 1e-16
+        pair = exp_tail_integral(np.array([0.0]), nu, P)
+        for got, order in zip(pair, (nu, nu + 1.0)):
+            got = complex(got[0])
+            assert abs(got - P ** (1 - order) / (order - 1)) < 1e-16
 
 
 def test_six_bessel_within_reported_error_of_references():

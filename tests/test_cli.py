@@ -22,6 +22,7 @@ from tscircle.cli import (
     make_envelope,
     validate_envelope,
 )
+import tscircle.bessel
 from tscircle.errors import CacheError, ConfigError
 
 # the flags each command reads besides --out and --verify, which every
@@ -147,6 +148,26 @@ def test_constant_uses_cutoff(tmp_path):
     env = run_to_file(tmp_path, "c.json", ["constant", "--cutoff", "400"])
     assert env["config"]["cutoff"] == 400.0
     assert env["payload"]["t0"] == t0_value(RadialGrid(400))
+
+
+def test_constant_verify_reads_cached_grids(tmp_path, monkeypatch):
+    # the oracle's three T0 regimes come from the cached product grids,
+    # bit for bit the values of fresh grids, so a second run in the same
+    # process builds no Bessel rows at all
+    env = run_to_file(tmp_path, "c.json", ["constant", "--verify"])
+    assert env["oracle"]["t0_regimes"] == [
+        t0_value(RadialGrid(cutoff=p)) for p in (200.0, 400.0, 800.0)]
+    builds = []
+    real = tscircle.bessel._miller_block
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tscircle.bessel, "_miller_block", counting)
+    again = run_to_file(tmp_path, "d.json", ["constant", "--verify"])
+    assert again["oracle"] == env["oracle"]
+    assert builds == []
 
 
 def test_density_uses_cutoff(tmp_path):
@@ -278,12 +299,17 @@ def test_regularity_profile_command(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_tensor_build_writes_loadable_cache(tmp_path):
-    cache = tmp_path / "t1.b6t"
+    # the command reads the cached product grid, whose rows were grown past
+    # what N = 4 needs; it writes the bytes a fresh grid gives
+    default_grid(200.0).j_matrix(80)
+    cache = tmp_path / "t4.b6t"
     env = run_to_file(tmp_path, "t.json", [
-        "tensor-build", "--n", "1", "--tensor", str(cache), "--verify"])
-    assert cache.exists()
+        "tensor-build", "--n", "4", "--tensor", str(cache), "--verify"])
+    fresh = tmp_path / "fresh.b6t"
+    build_tensor(4, RadialGrid(200.0)).save(fresh)
+    assert cache.read_bytes() == fresh.read_bytes()
     loaded = BesselTensor.load(cache)
-    assert loaded.N == 1
+    assert loaded.N == 4
     assert env["payload"]["n_entries"] == len(loaded.keys)
     assert env["oracle"]["roundtrip_bit_identical"] is True
     assert env["oracle"]["spot_refine_drift"] < 1e-8
@@ -348,11 +374,12 @@ def test_exit_code_precondition_error(tmp_path, capsys):
     ["density", "--k", "2", "--cutoff", "0"],
     ["density", "--k", "4", "--n-points", "3"],
     ["sup-bound", "--k", "4", "--n-points", "3"],
+    ["solve", "--n", "2", "--max-iter", "-1"],
 ])
 def test_density_bad_configuration_exits_2(argv, capsys):
     # Simpson's rule needs three points; the cutoff is checked even where
     # a closed form never reads it; three radii on [0, 4] all sit on
-    # singular radii of mu_4
+    # singular radii of mu_4; the ascent takes no negative iteration count
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -87,10 +87,14 @@ def convolve_per_tuple(fs, tensor):
 
 
 def test_tensor_route_is_the_per_tuple_contraction(tensor8):
-    # resolving each (class, sum) pair once changes no bit of the result
+    # resolving each (class, sum) pair once, in one batched lookup with the
+    # parity signs folded in, changes no bit of the result, zero-bandwidth
+    # slots at either end included
     cases = [five_random(8, 10 * seed) for seed in range(3)]
-    cases.append([random_function(N, seed=60 + i, decay=0.8)
-                  for i, N in enumerate((8, 2, 0, 5, 3))])
+    for base, Ns in ((60, (8, 2, 0, 5, 3)), (100, (0, 8, 3, 0, 5)),
+                     (110, (5, 0, 0, 0, 8))):
+        cases.append([random_function(N, seed=base + i, decay=0.8)
+                      for i, N in enumerate(Ns)])
     cases.append(five_random(3, 80))
     for fs in cases:
         got = quintic_convolve(fs, tensor=tensor8).coeffs

@@ -45,7 +45,7 @@ from .errors import (AdmissibilityError, CacheError, ConfigError,
 DEFAULT_CUTOFF = 200.0
 PRODUCT_PANEL = 20.0 / 6          # frequency <= 6: six-factor products
 DENSITY_PANEL = 20.0 / 10         # frequency <= 10: the Hankel densities
-ROW_CHUNK = 1024                  # six-Bessel rows per product block
+ROW_CHUNK = 256                   # six-Bessel rows per product block
 TAU = 2.0 * np.pi
 
 
@@ -355,7 +355,8 @@ def _six_bessel_rows(keys: np.ndarray,
     (nonnegative orders, six per row), with its error bound.
 
     Each row costs one six-row product over the grid's nodes plus the
-    closed-form tail; rows are processed in chunks of at most ROW_CHUNK.
+    closed-form tail; rows are processed in chunks of at most ROW_CHUNK,
+    at which size BLAS sums a chunk alike under any thread count.
     Within a chunk the product J_{k1} J_{k2} J_{k3} is formed once per
     distinct leading triple and each row multiplies it by its last three
     rows, the same left-to-right product as row by row.  The error is the

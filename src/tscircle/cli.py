@@ -36,9 +36,9 @@ from .bessel import (DEFAULT_CUTOFF, BesselTensor, build_tensor, default_grid,
                      radial_integrate)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
 from .extension import decay_check, extend, l6_norm
-from .quintic import auto_density, mu_value
-from .regularity import (calH_estimate, regularity_profile, sharp_flat_split,
-                         smoothing_experiment)
+from .quintic import _hankel_density, auto_density, el_quintic, mu_value
+from .regularity import (calH_estimate, decay_slope, regularity_profile,
+                         sharp_flat_split, smoothing_experiment, square_wave)
 from .solver import (AscentConfig, ascend, decompose, expansion_residual,
                      picard_iterate)
 from .spectral import TAU, CircleFunction, constant_function, l2_norm, random_function
@@ -296,11 +296,13 @@ def cmd_density(args):
 
     def oracle():
         out = {"mass_rel_error": abs(dens.mass - dens.mass_expected) / dens.mass_expected}
-        if args.k == 2:
-            rr = np.array([0.3, 0.9, 1.5])
-            exact = 4.0 / (rr * np.sqrt(4.0 - rr ** 2))
-            got = np.array([mu_value(2, float(r)) for r in rr])
-            out["closed_form_max_gap"] = float(np.max(np.abs(got - exact)))
+        if args.k < 4:
+            # the closed form against the Hankel route at the same cutoff
+            rr = np.array([0.3, 0.9, 1.5] if args.k == 2 else [0.5, 1.5, 2.5])
+            exact = np.array([mu_value(args.k, r) for r in rr])
+            got = TAU ** (args.k - 1) * _hankel_density(args.k, rr, args.cutoff)
+            out["hankel_route_max_rel_gap"] = float(
+                np.max(np.abs(got - exact) / exact))
         if args.k == 5:
             lam0 = lambda0_value(default_grid(args.cutoff))
             out["value_at_1_vs_lambda0_rel"] = float(
@@ -395,7 +397,6 @@ def cmd_solve(args):
         "n": args.n,
         "quotient": float(res.quotient),
         "phi": float(res.phi),
-        "lambda_fit": float(res.lambda_fit),
         "iterations": int(res.iterations),
         "converged": bool(res.converged),
         "gap_to_constant_quotient": float(abs(
@@ -474,16 +475,17 @@ def cmd_smoothing(args):
         "input_slope": float(rep.input_slope),
         "output_slope": float(rep.output_slope),
         "gain": float(rep.gain),
-        "in_band": [int(b) for b in rep.in_band],
-        "out_band": [int(b) for b in rep.out_band],
+        "band": [int(b) for b in rep.band],
         "lip_coarse": float(rep.lip_coarse),
         "lip_fine": float(rep.lip_fine),
         "lip_drift": float(rep.lip_drift),
     }
 
     def oracle():
-        # square-wave coefficients are exactly c_n ~ 1/n, so slope -1
-        return {"input_slope_gap_from_minus_one": float(abs(rep.input_slope + 1.0))}
+        # the same square wave through Q at twice the cutoff
+        Q = el_quintic(square_wave(args.n), default_grid(2.0 * args.cutoff))
+        fine = decay_slope(Q, band=rep.band).slope
+        return {"output_slope_gap_on_doubling": float(abs(rep.output_slope - fine))}
 
     return payload, oracle
 

@@ -29,16 +29,16 @@ self-convolutions of arclength measure,
 
     mu_k(r) = (2 pi)^{k-1} int_0^oo J_0(rho)^k J_0(r rho) rho drho,
 
-with mu_2 in closed form and mu_3 as an angular convolution of it.
+that is (2 pi)^{k-1} p_k(r)/r, p_k the density of the distance after k unit
+steps of a uniform planar random walk: mu_2 and mu_3 in closed form, mu_4
+and mu_5 through that Hankel integral.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
@@ -227,26 +227,16 @@ def _mu2(r):
     return out
 
 
-def _mu3_point(r: float) -> float:
-    """Angular convolution of mu_2 against arclength (one radius)."""
-    r = float(r)
-    if r < 0:
-        raise PreconditionError("radius must be nonnegative")
-    if r > 3.0:
-        return 0.0
-
-    def g(u):
-        d2 = r * r + 1.0 - 2.0 * r * np.cos(u)
-        if d2 <= 0.0 or d2 >= 4.0:
-            return 0.0
-        return 4.0 / np.sqrt(d2 * (4.0 - d2))
-
-    pts = [p for p in (0.0,) if abs(r - 1.0) < 1e-12]
-    c = (r * r - 3.0) / (2.0 * r) if r > 0 else -2.0
-    if -1.0 <= c <= 1.0:
-        pts.append(float(np.arccos(c)))
-    val, _ = _integrate.quad(g, 0.0, np.pi, points=pts or None, limit=400)
-    return 2.0 * val
+def _mu3(r):
+    """(2 pi)^2 p_3(r)/r, with Borwein, Straub, Wan and Zudilin's (Densities
+    of short uniform random walks, 2012) p_3(r) = (2 sqrt 3/pi) r/(3 + r^2)
+    2F1(1/3, 2/3; 1; z): finite at 0, log-singular at 1 (z = 1), zero past
+    3.  1 - z is formed as 27 (1 - r^2)^2/(3 + r^2)^3, so z <= 1."""
+    r2 = np.asarray(r, dtype=float) ** 2
+    z = 1.0 - 27.0 * (1.0 - r2) ** 2 / (3.0 + r2) ** 3
+    val = (TAU ** 2 * 2.0 * np.sqrt(3.0) / np.pi / (3.0 + r2)
+           * _sp.hyp2f1(1.0 / 3.0, 2.0 / 3.0, 1.0, z))
+    return np.where(r2 > 9.0, 0.0, val)
 
 
 def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
@@ -294,10 +284,30 @@ def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray
     return vals
 
 
-def _mass_profile(radii, values, valid):
-    r = radii[valid]
-    v = values[valid]
-    return float(TAU * _integrate.simpson(r * v, x=r))
+def _mass_profile(radii, values, valid) -> float:
+    """2 pi int r mu dr over the valid radii by Simpson's rule, bit for bit
+    2 pi scipy.integrate.simpson(r mu, x=r): the irregular-spacing rule on
+    pairs of intervals, Cartwright's correction for the last interval of an
+    even count, the trapezoid for two points (masking leaves gaps)."""
+    x = radii[valid]
+    y = x * values[valid]
+    h = np.diff(x)
+    n = y.size
+    if n == 2:
+        return float(TAU * (0.5 * h[0] * (y[0] + y[1])))
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    out = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                               + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                               + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        out += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+                - b ** 3 / (6 * a * (a + b)) * y[-3])
+    return float(TAU * out)
 
 
 def auto_density(k: int, n_points: int = 801,
@@ -305,18 +315,17 @@ def auto_density(k: int, n_points: int = 801,
     """Radial density profile of the k-fold arclength self-convolution at
     n_points equally spaced radii; k = 4, 5 integrate up to `cutoff`.
 
-    k = 2 is closed form; k = 3 integrates the k = 2 profile around the
-    circle; k = 4, 5 go through the Hankel representation on the panel-2
-    density grid at `cutoff`.  Radii within EXCLUSION of a genuinely
+    k = 2, 3 are closed forms (_mu2, _mu3), whose mass is exactly the
+    expected (2 pi)^k; k = 4, 5 go through the Hankel representation on the
+    panel-2 density grid at `cutoff`.  Radii within EXCLUSION of a genuinely
     singular radius are masked out, and so is k = 4 below HANKEL_FLOOR,
     where its logarithmic blowup is unresolved.
 
     The profile covers the support [0, k]: mu_k vanishes beyond it, and the
     radial grid resolves the Hankel integrands only up to r = k (see
     RadialGrid).  Mass is 2 pi int r mu_k dr, expected (2 pi)^k; for k = 4,
-    5 it is Simpson's rule on the reported profile, which needs at least
-    three points, and k = 4 simply omits the masked neighborhoods, so its
-    number undershoots slightly.
+    5 it is Simpson's rule on the reported profile, and k = 4 simply omits
+    the masked neighborhoods, so its number undershoots slightly.
     """
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
@@ -332,21 +341,12 @@ def auto_density(k: int, n_points: int = 801,
         raise ConfigError(f"no radius of {n_points} points on [0, {k}] clears "
                           f"the singular radii of mu_{k}")
 
-    if k == 2:
-        values = _mu2(radii)
-        mass = 4.0 * np.pi ** 2                      # exact
-    elif k == 3:
-        with warnings.catch_warnings():
-            # radii skirting r = 1 converge slowly; they are masked anyway
-            warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-            values = np.array([_mu3_point(r) for r in radii])
-            mass, _ = _integrate.quad(lambda r: TAU * r * _mu3_point(r), 0.0,
-                                      3.0, points=[1.0], limit=300)
+    if k < 4:
+        values = (_mu2 if k == 2 else _mu3)(radii)
     else:
         values = TAU ** (k - 1) * _hankel_density(k, radii, cutoff)
-        valid &= ~np.isnan(values)
-        mass = _mass_profile(radii, values, valid)
-    valid &= ~np.isnan(values) & np.isfinite(values)
+    valid &= np.isfinite(values)
+    mass = TAU ** k if k < 4 else _mass_profile(radii, values, valid)
     return RadialDensity(k, radii, values, valid, sing, mass,
                          TAU ** k, EXCLUSION)
 
@@ -369,7 +369,7 @@ def mu_value(k: int, r: float, cutoff: float = DEFAULT_CUTOFF) -> float:
     if k == 2:
         return float(_mu2(np.array([r]))[0])
     if k == 3:
-        return _mu3_point(r)
+        return float(_mu3(r))
     if k == 4 and r < HANKEL_FLOOR:
         raise SingularRadiusError(
             f"mu_4 is unresolved below r = {HANKEL_FLOOR:g}, near its "

@@ -262,8 +262,7 @@ class SmoothingReport:
     input_slope: float
     output_slope: float
     gain: float
-    in_band: tuple
-    out_band: tuple
+    band: tuple                   # (4, n), for input and output slopes alike
     lip_coarse: float
     lip_fine: float
     lip_drift: float
@@ -297,7 +296,7 @@ def smoothing_experiment(n: int = 64,
               for M in (LIP_GRID, 2 * LIP_GRID))
     return SmoothingReport(
         n=n, input_slope=islope.slope, output_slope=oslope.slope,
-        gain=islope.slope - oslope.slope, in_band=band, out_band=band,
+        gain=islope.slope - oslope.slope, band=band,
         lip_coarse=lc, lip_fine=lf,
         lip_drift=abs(lf - lc) / (lc + 1e-300))
 

@@ -63,9 +63,8 @@ class AscentConfig:
 @dataclass
 class AscentResult:
     f: CircleFunction
-    phi: float
+    phi: float                    # also the Rayleigh value: ||f|| = 1
     quotient: float
-    lambda_fit: float
     iterations: int
     converged: bool
     trace: list = dfield(default_factory=list)
@@ -126,8 +125,7 @@ def ascend(f0: CircleFunction | None = None,
             flat_count = 0
     quot = (TAU ** 2 * phi) ** (1.0 / 6.0)        # ||f|| = 1 throughout
     return AscentResult(f=f, phi=float(phi), quotient=float(quot),
-                        lambda_fit=float(phi), iterations=it,
-                        converged=converged, trace=trace)
+                        iterations=it, converged=converged, trace=trace)
 
 
 # ---------------------------------------------------------------------------

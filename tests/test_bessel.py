@@ -12,6 +12,7 @@ import scipy.special as sps
 
 from tscircle.bessel import (
     DENSITY_PANEL,
+    ROW_CHUNK,
     BesselTensor,
     RadialGrid,
     _default_grid,
@@ -161,8 +162,8 @@ def test_six_bessel_rejects_inadmissible():
         six_bessel_integral(1, 0, 0, 0, 0, 0)
 
 
-def six_rows_plain(keys, grid, chunk=1024):
-    # one six-row gather and product per key, chunk by chunk
+def six_rows_plain(keys, grid, chunk=ROW_CHUNK):
+    # one six-row gather and product per key, in the kernel's chunks
     jc = grid.j_matrix(int(keys.max()))
     w = grid.weights * grid.nodes
     vals = np.empty(keys.shape[0])

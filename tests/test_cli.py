@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -221,11 +224,30 @@ def test_solver_commands_use_cutoff(tmp_path):
             == expansion_residual(phi, g, grid))
 
     env = run_to_file(tmp_path, "m.json", [
-        "smoothing", "--n", "16", "--cutoff", "400"])
+        "smoothing", "--n", "16", "--cutoff", "400", "--verify"])
     rep = smoothing_experiment(n=16, grid=grid)
     assert env["config"]["cutoff"] == 400.0
     assert env["payload"]["output_slope"] == rep.output_slope
     assert env["payload"]["lip_fine"] == rep.lip_fine
+    assert env["payload"]["band"] == [4, 16]
+    # the oracle reruns the output slope at twice the cutoff
+    fine = smoothing_experiment(n=16, grid=RadialGrid(800)).output_slope
+    assert (env["oracle"]["output_slope_gap_on_doubling"]
+            == abs(rep.output_slope - fine))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_density_closed_form_oracle_is_the_hankel_route(k, tmp_path):
+    # the closed forms' mass is exact; their oracle is the independent
+    # Hankel route, whose truncation gap falls as the cutoff grows
+    gaps = []
+    for c in ("200", "800"):
+        env = run_to_file(tmp_path, f"d{c}.json", [
+            "density", "--k", str(k), "--n-points", "51", "--cutoff", c,
+            "--verify"])
+        assert env["oracle"]["mass_rel_error"] == 0.0
+        gaps.append(env["oracle"]["hankel_route_max_rel_gap"])
+    assert gaps[1] < gaps[0] / 10 and gaps[0] < 2e-6
 
 
 def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):
@@ -313,6 +335,32 @@ def test_tensor_build_writes_loadable_cache(tmp_path):
     assert env["payload"]["n_entries"] == len(loaded.keys)
     assert env["oracle"]["roundtrip_bit_identical"] is True
     assert env["oracle"]["spot_refine_drift"] < 1e-8
+
+
+def _run_subprocess(args, env=None):
+    src = str(Path(tscircle.bessel.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+
+
+def test_tensor_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the six-Bessel reductions round alike under one and two BLAS threads
+    blobs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"t{threads}.b6t"
+        _run_subprocess(["-m", "tscircle.cli", "tensor-build", "--n", "8",
+                         "--tensor", str(path), "--out", os.devnull],
+                        env={"OPENBLAS_NUM_THREADS": threads})
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    out = _run_subprocess(["-c", "import sys, tscircle, tscircle.cli; "
+                           "print('scipy.integrate' in sys.modules)"])
+    assert out.stdout.strip() == "False"
 
 
 def test_cache_roundtrip_unit(tmp_path):

@@ -2,9 +2,11 @@
 
 The convolution has two fully independent implementations (cached weight
 tensor vs polar-grid assembly); densities get closed forms, Monte-Carlo,
-and a route-crossing at the critical radius.
+quadrature and hypergeometric references, and a route-crossing at the
+critical radius.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -238,15 +240,56 @@ def test_mu2_monte_carlo():
         assert hist[i] / n == pytest.approx(pa, rel=0.02)
 
 
+def _mu3_angular(r: float) -> float:
+    """mu_3(r) as the angular convolution of mu_2 against arclength,
+    2 int_0^pi mu_2(|r - e^{iu}|) du by adaptive quadrature, split at the
+    angle where |r - e^{iu}| = 2."""
+    from scipy.integrate import quad
+
+    def g(u):
+        d2 = r * r + 1.0 - 2.0 * r * np.cos(u)
+        if d2 <= 0.0 or d2 >= 4.0:
+            return 0.0
+        return 4.0 / np.sqrt(d2 * (4.0 - d2))
+
+    c = (r * r - 3.0) / (2.0 * r)
+    pts = [float(np.arccos(c))] if -1.0 <= c <= 1.0 else None
+    return 2.0 * quad(g, 0.0, np.pi, points=pts, limit=400)[0]
+
+
 def test_mu3_two_routes_cross():
-    # angular convolution of mu_2 against the direct Hankel profile
-    from tscircle.quintic import _mu3_point
+    # the 2F1 closed form against the angular convolution of mu_2
     dens = auto_density(3, n_points=401)
-    for r in (0.5, 1.5, 2.5):
+    for r in (0.2, 0.5, 0.9, 1.1, 1.5, 2.5, 2.9):
         i = int(np.argmin(np.abs(dens.radii - r)))
         assert dens.valid[i]
-        assert _mu3_point(dens.radii[i]) == pytest.approx(dens.values[i],
-                                                          rel=2e-6)
+        assert _mu3_angular(dens.radii[i]) == pytest.approx(dens.values[i],
+                                                            rel=1e-11)
+        assert mu_value(3, dens.radii[i]) == dens.values[i]
+
+
+def test_mu3_closed_form_at_zero():
+    # (2 pi)^2 (2 sqrt 3 / pi) / 3 = 2 pi mu_2(1): at r = 0 the convolution
+    # of mu_2 with arclength reads mu_2 on the unit circle
+    assert mu_value(3, 0.0) == pytest.approx(8.0 * np.pi / np.sqrt(3.0),
+                                             rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7, 1.5, 2.5, 3.5])
+def test_mu4_hankel_matches_3f2(r):
+    # p_4(r) = (2/pi^2) sqrt(16 - r^2)/r Re 3F2(1/2, 1/2, 1/2; 5/6, 7/6;
+    # (16 - r^2)^3 / (108 r^4)) (Borwein, Straub, Wan, Zudilin 2012) and
+    # mu_4 = (2 pi)^3 p_4 / r.  The Hankel value's error is its truncation
+    # at the cutoff, which the P = 200 -> 400 gap measures
+    with mpmath.workdps(30):
+        x = mpmath.mpf(r)
+        f = mpmath.hyp3f2(0.5, 0.5, 0.5, mpmath.mpf(5) / 6, mpmath.mpf(7) / 6,
+                          (16 - x * x) ** 3 / (108 * x ** 4))
+        exact = float(16 * mpmath.pi * mpmath.sqrt(16 - x * x)
+                      * mpmath.re(f) / (x * x))
+    got = mu_value(4, r)
+    gap = abs(got - mu_value(4, r, 400.0))
+    assert abs(got - exact) <= 2.0 * gap
 
 
 def test_mu5_at_one_is_lambda0():
@@ -257,6 +300,20 @@ def test_mu_masses():
     for k in (2, 3, 5):
         dens = auto_density(k, n_points=601)
         assert dens.mass == pytest.approx(TAU ** k, rel=2e-4), k
+    for k in (2, 3):                        # closed forms: exact
+        assert auto_density(k, n_points=11).mass == TAU ** k
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_mass_simpson_is_scipy_simpson(k):
+    # the mass rule is scipy's irregular-spacing Simpson bit for bit, on
+    # even and odd counts and on k = 4's gapped (masked) profiles
+    from scipy.integrate import simpson
+    for n in (4, 5, 6, 7, 11, 12, 51, 500, 801, 1001, 2001):
+        dens = auto_density(k, n_points=n)
+        r = dens.radii[dens.valid]
+        want = float(TAU * simpson(r * dens.values[dens.valid], x=r))
+        assert dens.mass == want, n
 
 
 def test_mu5_small_r_continuity():

@@ -65,7 +65,7 @@ def test_ascent_reaches_constant_quotient_multiseed():
 def test_ascent_result_is_nearly_critical(extremizer16):
     rep = el_residual(extremizer16.f)
     assert rep.residual_rel < 1e-6
-    assert rep.lambda_fit == pytest.approx(extremizer16.lambda_fit, rel=1e-6)
+    assert rep.lambda_fit == pytest.approx(extremizer16.phi, rel=1e-6)
 
 
 def test_converged_profile_decays(extremizer16):
@@ -120,7 +120,7 @@ def test_linear_part_vanishes_at_exact_solution():
     # at phi with Q(phi...) = lambda phi and lambda = 1 after rescaling,
     # L(phi, 0) = Q(phi..) - phi = 0
     res = ascend(config=AscentConfig(n=8, seed=4))
-    lam = res.lambda_fit
+    lam = res.phi                           # the Rayleigh value: ||f|| = 1
     phi = res.f * lam ** -0.25
     L = linear_part(phi, 0.0 * phi)
     assert l2_norm(L) / l2_norm(phi) < 1e-6

@@ -7,17 +7,18 @@ coordinates is
 
 sampled on a radial quadrature grid times a uniform angular grid, with its
 large-rho form beyond the cutoff (a FieldTail): every mode replaced by its
-two-term asymptotics, a polynomial in e^{+-i rho} and 1/rho with
-angle-dependent coefficients.  What is built from several fields is a
+two-term asymptotics (bessel_tail), a polynomial in e^{+-i rho} and 1/rho
+with angle-dependent coefficients.  What is built from several fields is a
 field expression, a plain function over `*`, `+`, scalar `*` and
 `.conj()`.  A field holds no samples, only its folded phase table.
 _polar_reduce evaluates an expression once on the tails and then on
 cache-sized row blocks of samples, each synthesized from the tables just
 before, reduced to the modes read and summed radially at once; the
-quintic convolution and the L^6 norm (whose tail |F|^6 rho ~ rho^-2 is
-kept in closed form) are its callers.  A real input (c_{-n} = conj c_n)
-has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
-mode 0 of a product of such fields is the real part of the mean over them.
+quintic convolution and the L^6 norm are its callers, each integrating
+its six-factor tail beyond the cutoff in closed form (tail_integral).  A
+real input (c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi): its
+field keeps J/2 angles, and mode 0 of a product of such fields is the real
+part of the mean over them.
 """
 
 from __future__ import annotations
@@ -232,22 +233,26 @@ def field_tail_rep(base: np.ndarray, J: int, P: float) -> np.ndarray:
     """Large-rho form of the field sum_n 2 base_n J_n(rho) e^{i n phi} as an
     array T[j, k, p], k in {-1,0,+1}, p in {0,1}:
 
-        F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_{k,p} T[j,k,p] e^{ik rho} rho^{-p}.
+        F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_{k,p} T[j,k,p] e^{ik rho} rho^{-p},
 
-    Only k = +-1 occur.  The first-order slot of a mode is zeroed when its
-    a_n exceeds P (factor-local validity rule shared with bessel tails).
-    """
+    the angular synthesis of each mode's 2 base_n bessel_tail(n)."""
     N = (base.size - 1) // 2
-    an = np.abs(np.arange(-N, N + 1))
-    phase = np.exp(-1j * (an * (np.pi / 2.0) + np.pi / 4.0))
-    a_eff = first_order_coeff(an, 1.0, P)
-    u = base * phase
-    v = base * np.conj(phase)
-    w = u * (1j * a_eff)
-    y = v * (-1j * a_eff)
-    T = np.zeros((J, 3, 2), dtype=np.complex128)
-    T[:, [2, 0, 2, 0], [0, 0, 1, 1]] = angular_synthesize(
-        np.stack([u, v, w, y]), J).T
+    modes = 2.0 * base[:, None, None] * bessel_tail(np.arange(-N, N + 1), P)
+    T = angular_synthesize(modes.reshape(2 * N + 1, 6).T, J)      # (6, J)
+    return np.ascontiguousarray(T.T).reshape(J, 3, 2)
+
+
+def bessel_tail(n, P: float) -> np.ndarray:
+    """The two-term large-rho form of J_|n| (DLMF 10.17.3) as a (..., 3, 2)
+    tail polynomial, J_n(rho) ~ sqrt(2/pi) rho^{-1/2} sum T[k,p] e^{ik rho}
+    rho^{-p}: T[+-1] = (1/2) e^{-+i chi_n} (1, +-i a_n), chi_n = |n| pi/2
+    + pi/4, a_n = first_order_coeff (zeroed where it exceeds P, the
+    factor-local validity rule shared with the Bessel-product tails)."""
+    n = np.abs(np.asarray(n))
+    T = np.zeros(n.shape + (3, 2), dtype=np.complex128)
+    T[..., 2, 0] = 0.5 * np.exp(-1j * (n * (np.pi / 2.0) + np.pi / 4.0))
+    T[..., 2, 1] = T[..., 2, 0] * (1j * first_order_coeff(n, 1.0, P))
+    T[..., 0, :] = np.conj(T[..., 2, :])
     return T
 
 
@@ -270,6 +275,16 @@ def hpoly_conj(A: np.ndarray) -> np.ndarray:
     return np.conj(A[:, ::-1, :])
 
 
+def tail_integral(T: np.ndarray, P: float) -> np.ndarray:
+    """(2/pi)^3 sum_k int_P^oo e^{ik rho} (T[..., k, 0] rho^-2 + T[..., k, 1]
+    rho^-3) drho over k = -6..6: the integral beyond P of rho times the
+    product of six tails, (2/pi)^3 rho^-3 sum T[..., k, p] e^{ik rho}
+    rho^-p, for T of shape (..., 13, 2)."""
+    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
+    return (2.0 / np.pi) ** 3 * (np.sum(T[..., 0] * i2, axis=-1)
+                                 + np.sum(T[..., 1] * i3, axis=-1))
+
+
 def _sixth_power(F):
     """|F|^6 as the field expression F^3 conj(F^3)."""
     F3 = F * F * F
@@ -282,11 +297,7 @@ def l6_norm(field: ExtensionField) -> float:
     grid = field.grid
     quad, mean = _polar_reduce(_sixth_power, [field], 0,
                                (grid.weights * grid.nodes)[None, :])
-    mean = TAU * mean[..., 0]                          # angular integral
-    k = np.arange(-6, 7)                               # tail k = -6..6
-    i2, i3 = exp_tail_integral(k, 2.0, grid.cutoff)
-    tail = (2.0 / np.pi) ** 3 * float(
-        np.sum(mean[:, 0] * i2).real + np.sum(mean[:, 1] * i3).real)
+    tail = float(tail_integral(TAU * mean[..., 0], grid.cutoff).real)
     total = float(TAU * quad[0].real) + tail
     if total < 0:
         raise NumericalError(f"negative sixth-power mass {total:.3e}")

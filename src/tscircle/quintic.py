@@ -21,8 +21,10 @@ kernel extension._polar_reduce.  The angular grid is sized for those modes
 too: J samples of a bandwidth-M product give its modes |m| <= M_out
 exactly when J > M + M_out (extension.angle_count), so a caller that reads
 mode 0 only samples at about M angles, not 2M, and takes that mode as an
-angular mean.  Both routes carry the same closed-form radial tail so their
-agreement tests bookkeeping, not a shared truncation.
+angular mean.  Both routes carry the same two-term radial tail model, coded
+twice (bessel.bessel_product_tail for the tensor, extension.bessel_tail and
+tail_integral for the polar route), so their agreement tests bookkeeping,
+not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -43,10 +45,10 @@ from scipy import special as _sp
 
 from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
-                     default_grid, exp_tail_integral, first_order_coeff,
-                     radial_integrate)
+                     default_grid, radial_integrate)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import _polar_reduce, angle_count, extend, i_pow
+from .extension import (_polar_reduce, angle_count, bessel_tail, extend,
+                        hpoly_mul, i_pow, tail_integral)
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -75,29 +77,16 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     plus M, or those modes alias.  Mode 0 alone (M = 0) is the angular mean
     of the samples and of the tail."""
     grid = fields[0].grid
-    P = grid.cutoff
     m = np.arange(-M, M + 1)
     am = np.abs(m)
     sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
     Jrows = grid.j_matrix(int(am.max()))[am] * sgn[:, None]
-    quad, That = _polar_reduce(expr, fields, M,
-                               Jrows * (grid.weights * grid.nodes))
-    # That: (11, 2, 2M+1)
-    ks = np.arange(-5, 6)
-    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
-    up, dn = ks + 1 + 6, ks - 1 + 6
-    # J_m two-term form: (1/2)[e^{i(rho-phi_m)}(1 + i a_m/rho) + c.c.] s_m
-    s_p0 = That[:, 0, :].T @ i2[up]
-    s_m0 = That[:, 0, :].T @ i2[dn]
-    s_p1 = That[:, 1, :].T @ i3[up]
-    s_m1 = That[:, 1, :].T @ i3[dn]
-    s_pa = That[:, 0, :].T @ i3[up]
-    s_ma = That[:, 0, :].T @ i3[dn]
-    phim = am * (np.pi / 2.0) + np.pi / 4.0
-    a_m = first_order_coeff(am, 1.0, P)
-    tail = (2.0 / np.pi) ** 3 * 0.5 * sgn * (
-        np.exp(-1j * phim) * (s_p0 + s_p1 + 1j * a_m * s_pa)
-        + np.exp(1j * phim) * (s_m0 + s_m1 - 1j * a_m * s_ma))
+    quad, tail_modes = _polar_reduce(expr, fields, M,
+                                     Jrows * (grid.weights * grid.nodes))
+    # each mode's tail times that of its J_m: a six-factor tail
+    Jm = sgn[:, None, None] * bessel_tail(am, grid.cutoff)
+    tail = tail_integral(hpoly_mul(Jm, np.moveaxis(tail_modes, -1, 0)),
+                         grid.cutoff)
     return i_pow(m) / TAU * (quad + tail)
 
 

@@ -141,15 +141,10 @@ def decompose(f: CircleFunction, eps: float):
     if eps <= 0:
         raise ConfigError("eps must be positive")
     N = f.N
-    p2 = TAU * np.abs(f.coeffs) ** 2
-    tail = np.zeros(N + 1)
-    for K in range(N):                      # tail mass strictly above K
-        sel = np.arange(-N, N + 1)
-        tail[K] = p2[np.abs(sel) > K].sum()
-    K = int(np.searchsorted(-tail, -eps * eps, side="right"))
-    K = min(K, N)
-    while K < N and tail[K] >= eps * eps:   # guard against float ties
-        K += 1
+    shell = np.bincount(np.abs(np.arange(-N, N + 1)),
+                        weights=TAU * np.abs(f.coeffs) ** 2)   # mass at |n|
+    above = np.append(np.cumsum(shell[:0:-1])[::-1], 0.0)    # mass above K
+    K = int(np.argmax(above < eps * eps))
     if K == 0:
         warnings.warn("decompose: eps exceeds the whole tail; phi is the mean",
                       stacklevel=2)

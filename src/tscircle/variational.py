@@ -61,7 +61,6 @@ def quotient(f: CircleFunction, grid: RadialGrid | None = None) -> float:
 @dataclass
 class ELReport:
     n: int
-    method: str
     phi: float
     lambda_fit: float
     lambda_from_quotient: float
@@ -85,7 +84,6 @@ def el_residual(f: CircleFunction, tensor: BesselTensor | None = None,
     nrm = l2_norm(f)
     if nrm == 0:
         raise ConfigError("residual undefined at f = 0")
-    method = "tensor" if tensor is not None else "polar"
     Q = _self_quintic(f, tensor, grid)
     phi = inner_product(Q, f).real
     lam = phi / nrm ** 2
@@ -100,7 +98,7 @@ def el_residual(f: CircleFunction, tensor: BesselTensor | None = None,
     quo = quotient(f, grid)
     lam_q = quo ** 6 * nrm ** 4 / TAU ** 2
     return ELReport(
-        n=f.N, method=method, phi=float(phi), lambda_fit=float(lam),
+        n=f.N, phi=float(phi), lambda_fit=float(lam),
         lambda_from_quotient=float(lam_q), quotient=float(quo),
         residual_l2=float(r_l2), residual_rel=float(r_l2 / (q_l2 + 1e-300)),
         residual_sup=float(np.max(np.abs(dense))),

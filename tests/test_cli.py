@@ -186,6 +186,9 @@ def test_density_uses_cutoff(tmp_path):
     lam0 = lambda0_value(default_grid(400.0))
     assert env["oracle"]["value_at_1_vs_lambda0_rel"] == float(
         abs(mu_value(5, 1.0, 400.0) - lam0) / lam0)
+    # and the Simpson mass of the Hankel profile with (2 pi)^5
+    assert env["oracle"]["mass_rel_error"] == float(
+        abs(direct.mass - direct.mass_expected) / direct.mass_expected)
 
 
 def test_functional_uses_cutoff(tmp_path):
@@ -238,14 +241,15 @@ def test_solver_commands_use_cutoff(tmp_path):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_density_closed_form_oracle_is_the_hankel_route(k, tmp_path):
-    # the closed forms' mass is exact; their oracle is the independent
-    # Hankel route, whose truncation gap falls as the cutoff grows
+    # the closed forms' mass is exact by construction, so it is no oracle;
+    # theirs is the independent Hankel route, whose truncation gap falls as
+    # the cutoff grows
     gaps = []
     for c in ("200", "800"):
         env = run_to_file(tmp_path, f"d{c}.json", [
             "density", "--k", str(k), "--n-points", "51", "--cutoff", c,
             "--verify"])
-        assert env["oracle"]["mass_rel_error"] == 0.0
+        assert "mass_rel_error" not in env["oracle"]
         gaps.append(env["oracle"]["hankel_route_max_rel_gap"])
     assert gaps[1] < gaps[0] / 10 and gaps[0] < 2e-6
 

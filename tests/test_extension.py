@@ -23,8 +23,8 @@ from tscircle import (
     ts_functional,
 )
 import tscircle.extension
-from tscircle.extension import (_analyze, angle_count,
-                                angular_synthesize, hpoly_mul)
+from tscircle.extension import (_analyze, angle_count, angular_synthesize,
+                                bessel_tail, hpoly_mul)
 
 
 def field_oracle(f, rho, phi):
@@ -260,3 +260,20 @@ def test_hpoly_mul_is_the_triple_loop():
         A = rng.standard_normal((16, na, 2)) + 1j * rng.standard_normal((16, na, 2))
         B = rng.standard_normal((16, nb, 2)) + 1j * rng.standard_normal((16, nb, 2))
         assert np.array_equal(hpoly_mul(A, B), hpoly_mul_loop(A, B))
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_bessel_tail_within_the_next_hankel_term(n):
+    # the two-term model misses J_n by about the next term of Hankel's
+    # expansion, sqrt(2/(pi rho)) |b_n|/rho^2 (as in _tail_error_bound);
+    # from n = 21 on a_n > P is zeroed and the model is off by more
+    P = 200.0
+    rho = np.linspace(P, 2 * P, 4001)
+    T = bessel_tail(n, P)
+    envelope = np.sqrt(2.0 / (np.pi * rho))
+    model = envelope * sum(T[k + 1, p] * np.exp(1j * k * rho) * rho ** -p
+                           for k in (-1, 0, 1) for p in (0, 1))
+    mu = 4.0 * n * n
+    bound = envelope * abs((mu - 1.0) * (mu - 9.0) / 128.0) / rho ** 2
+    assert np.all(np.abs(sps.jv(n, rho) - model.real) <= 1.01 * bound)
+    assert np.all(np.abs(model.imag) <= 1e-15 * envelope)

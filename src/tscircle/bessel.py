@@ -157,6 +157,7 @@ class RadialGrid:
         self.nodes = nodes
         self.weights = weights
         self._jrows = np.zeros((0, nodes.size))
+        self._row_base = _miller_start(0, float(nodes[-1])) - 22
 
     def __repr__(self):
         return (f"RadialGrid(cutoff={self.cutoff:g}, panel={self.panel:g}, "
@@ -171,8 +172,7 @@ class RadialGrid:
         depends on the grid and n alone: rows up to the base order share
         the start the largest node sets, and each further ROW_BLOCK rows
         start ROW_BLOCK orders higher, so growing never moves a row."""
-        rows = self._jrows
-        base = _miller_start(0, float(self.nodes[-1])) - 22
+        rows, base = self._jrows, self._row_base
         while rows.shape[0] <= nmax:
             have = rows.shape[0]
             top = (min(nmax, base) if have <= base

@@ -388,7 +388,7 @@ def cmd_el_residual(args):
 
 @command("solve", {"--n": 16, "--seed": 0,
                    "--max-iter": 500, "--cutoff": DEFAULT_CUTOFF},
-         {"n", "quotient", "phi", "iterations", "converged"})
+         {"n", "quotient", "phi", "iterations", "converged", "stop"})
 def cmd_solve(args):
     grid = default_grid(args.cutoff)
     res = ascend(config=AscentConfig(n=args.n, seed=args.seed,
@@ -399,6 +399,7 @@ def cmd_solve(args):
         "phi": float(res.phi),
         "iterations": int(res.iterations),
         "converged": bool(res.converged),
+        "stop": res.stop,
         "gap_to_constant_quotient": float(abs(
             res.quotient - quotient(constant_function(1.0), grid))),
         "coefficients": res.f.coeffs,

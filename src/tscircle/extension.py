@@ -8,17 +8,18 @@ coordinates is
 sampled on a radial quadrature grid times a uniform angular grid, with its
 large-rho form beyond the cutoff (a FieldTail): every mode replaced by its
 two-term asymptotics (bessel_tail), a polynomial in e^{+-i rho} and 1/rho
-with angle-dependent coefficients.  What is built from several fields is a
-field expression, a plain function over `*`, `+`, scalar `*` and
-`.conj()`.  A field holds no samples, only its folded phase table.
-_polar_reduce evaluates an expression once on the tails and then on
+with angle-dependent coefficients, held as its values at the phases
+e^{i rho} = z_l (TAIL_PHASES), where products are pointwise.  What is built
+from several fields is a field expression, a plain function over `*`, `+`,
+scalar `*` and `.conj()`.  A field holds no samples, only its folded phase
+table.  _polar_reduce evaluates an expression once on the tails and then on
 cache-sized row blocks of samples, each synthesized from the tables just
 before, reduced to the modes read and summed radially at once; the
 quintic convolution and the L^6 norm are its callers, each integrating
-its six-factor tail beyond the cutoff in closed form (tail_integral).  A
-real input (c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi): its
-field keeps J/2 angles, and mode 0 of a product of such fields is the real
-part of the mean over them.
+its six-factor tail beyond the cutoff in closed form (tail_integral, a dot
+product with weights cached per cutoff).  A real input (c_{-n} = conj c_n)
+has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
+mode 0 of a product of such fields is the real part of the mean over them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ DIRECT_ANALYSIS_MODES = 65
 BLOCK_SAMPLES = 8192
 # decay_check reads the envelope rho^{1/2} |F| from this radius on
 DECAY_RHO_MIN = 10.0
+# tails are sampled at z_l = e^{2 pi i l/13}: exact to degree 6 in e^{i rho}
+TAIL_PHASES = 13
 
 
 def i_pow(n):
@@ -100,12 +103,12 @@ def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
 
 
 class FieldTail:
-    """The large-rho form of a field expression: the polynomial `poly`
-    T[j, k, p] over J angles (see field_tail_rep), the bandwidth `N`, and
-    `symmetric`: T(phi + pi) = conj T(phi), as every input is real (see
+    """The large-rho form of a field expression: its phase samples `poly`
+    S[j, p, l] over J angles (see field_tail_rep), the bandwidth `N`, and
+    `symmetric`: S(phi + pi) = conj S(phi), as every input is real (see
     ExtensionField) and every scalar too.  `*` (by a tail or a scalar),
-    `+` and `conj()` act on the polynomial; N adds under `*`, maxes under
-    `+`."""
+    `+` and `conj()` (|z_l| = 1) act on the samples pointwise; N adds
+    under `*`, maxes under `+`."""
 
     def __init__(self, poly: np.ndarray, N: int, symmetric: bool):
         self.poly = poly
@@ -127,7 +130,7 @@ class FieldTail:
 
     def conj(self) -> "FieldTail":
         """The conjugate; for the extension of f, the tail of that of f~."""
-        return FieldTail(hpoly_conj(self.poly), self.N, self.symmetric)
+        return FieldTail(np.conj(self.poly), self.N, self.symmetric)
 
 
 class ExtensionField:
@@ -191,7 +194,7 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
 def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
     """sum_k radial[m, k] P_m(rho_k) for m = -M..M, P_m the m-th angular
     mode of the field expression expr(*fields), and its tail's modes,
-    (2d+1, 2, 2M+1).  The expression runs once on the tails, giving its
+    (2, TAIL_PHASES, 2M+1).  The expression runs once on the tails, giving its
     bandwidth N, then on row blocks of BLOCK_SAMPLES samples synthesized
     from the fields' tables, each reduced to its modes at once.  Mode 0
     alone is the angular mean (of J/2 angles, real part, when inputs and
@@ -226,20 +229,28 @@ def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# tail representations: polynomials in (e^{+-i rho}, 1/rho) over angles
+# tail representations: (e^{+-i rho}, 1/rho) polynomials at phases z_l
 # ---------------------------------------------------------------------------
 
+def _phase_samples(T: np.ndarray) -> np.ndarray:
+    """A (..., 2k+1, 2) tail polynomial, coefficients of e^{ik rho} rho^-p,
+    as its (..., 2, TAIL_PHASES) values at e^{i rho} = z_l; products of
+    up to six field tails stay within the degree these samples hold."""
+    table = _phase_table((T.shape[-2] - 1) // 2, TAIL_PHASES, TAIL_PHASES)
+    return np.swapaxes(T, -1, -2) @ table
+
+
 def field_tail_rep(base: np.ndarray, J: int, P: float) -> np.ndarray:
-    """Large-rho form of the field sum_n 2 base_n J_n(rho) e^{i n phi} as an
-    array T[j, k, p], k in {-1,0,+1}, p in {0,1}:
+    """Large-rho form of the field sum_n 2 base_n J_n(rho) e^{i n phi}, the
+    angular synthesis of each mode's 2 base_n bessel_tail(n), as phase
+    samples S[j, p, l] over J angles, at e^{i rho} = z_l:
 
-        F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_{k,p} T[j,k,p] e^{ik rho} rho^{-p},
-
-    the angular synthesis of each mode's 2 base_n bessel_tail(n)."""
+        F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_p S[j,p,l] rho^{-p}."""
     N = (base.size - 1) // 2
-    modes = 2.0 * base[:, None, None] * bessel_tail(np.arange(-N, N + 1), P)
-    T = angular_synthesize(modes.reshape(2 * N + 1, 6).T, J)      # (6, J)
-    return np.ascontiguousarray(T.T).reshape(J, 3, 2)
+    modes = 2.0 * base[:, None, None] * _phase_samples(
+        bessel_tail(np.arange(-N, N + 1), P))
+    S = angular_synthesize(modes.reshape(2 * N + 1, -1).T, J)
+    return np.ascontiguousarray(S.T).reshape(J, 2, TAIL_PHASES)
 
 
 def bessel_tail(n, P: float) -> np.ndarray:
@@ -257,32 +268,30 @@ def bessel_tail(n, P: float) -> np.ndarray:
 
 
 def hpoly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Multiply two (J, 2k+1, 2) harmonic polynomials, truncating rho^-2.
-    Each slot i of A meets all slots of B at once, so every output cell
-    takes its terms in the order i, then (q, r), as in the plain triple
-    loop: (0, 0) and (0, 1) in one step, then (1, 0)."""
-    J, na, _ = A.shape
-    nb = B.shape[1]
-    C = np.zeros((J, na + nb - 1, 2), dtype=np.complex128)
-    for i in range(na):
-        C[:, i:i + nb] += A[:, i, 0, None, None] * B
-        C[:, i:i + nb, 1] += A[:, i, 1, None] * B[:, :, 0]
+    """Multiply two (..., 2, TAIL_PHASES) phase-sampled tails pointwise, the
+    rho^-1 axis a dual part: (a0 b0, a0 b1 + a1 b0), rho^-2 truncated."""
+    C = A[..., :1, :] * B
+    C[..., 1, :] += A[..., 1, :] * B[..., 0, :]
     return C
 
 
-def hpoly_conj(A: np.ndarray) -> np.ndarray:
-    """Complex conjugate of the represented function (k axis flips)."""
-    return np.conj(A[:, ::-1, :])
+@lru_cache(maxsize=16)
+def _tail_weights(P: float) -> np.ndarray:
+    """(2, TAIL_PHASES) weights W with tail_integral(S) = sum S W: the
+    inverse phase transform folded into (2/pi)^3 I_{2+p}(k), k = -6..6."""
+    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
+    W = ((2.0 / np.pi) ** 3 / TAIL_PHASES * np.stack([i2, i3])
+         @ _phase_table(6, TAIL_PHASES, TAIL_PHASES)[::-1])     # z_l^{-k}
+    W.flags.writeable = False
+    return W
 
 
-def tail_integral(T: np.ndarray, P: float) -> np.ndarray:
+def tail_integral(S: np.ndarray, P: float) -> np.ndarray:
     """(2/pi)^3 sum_k int_P^oo e^{ik rho} (T[..., k, 0] rho^-2 + T[..., k, 1]
     rho^-3) drho over k = -6..6: the integral beyond P of rho times the
     product of six tails, (2/pi)^3 rho^-3 sum T[..., k, p] e^{ik rho}
-    rho^-p, for T of shape (..., 13, 2)."""
-    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
-    return (2.0 / np.pi) ** 3 * (np.sum(T[..., 0] * i2, axis=-1)
-                                 + np.sum(T[..., 1] * i3, axis=-1))
+    rho^-p, from its (..., 2, TAIL_PHASES) phase samples S."""
+    return S.reshape(S.shape[:-2] + (-1,)) @ _tail_weights(P).ravel()
 
 
 def _sixth_power(F):

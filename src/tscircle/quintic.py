@@ -24,7 +24,8 @@ mode 0 only samples at about M angles, not 2M, and takes that mode as an
 angular mean.  Both routes carry the same two-term radial tail model, coded
 twice (bessel.bessel_product_tail for the tensor, extension.bessel_tail and
 tail_integral for the polar route), so their agreement tests bookkeeping,
-not a shared truncation.
+not a shared truncation.  A polar mode's tail is the pointwise product of
+the phase samples of its P_m and J_m tails (the latter cached per M).
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -39,6 +40,7 @@ and mu_5 through that Hankel integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -47,8 +49,8 @@ from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
                      default_grid, radial_integrate)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import (_polar_reduce, angle_count, bessel_tail, extend,
-                        hpoly_mul, i_pow, tail_integral)
+from .extension import (_phase_samples, _polar_reduce, angle_count,
+                        bessel_tail, extend, hpoly_mul, i_pow, tail_integral)
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -71,23 +73,34 @@ def _self_product(F):
     return FF * F * FF.conj()
 
 
+@lru_cache(maxsize=64)
+def _mode_tables(P: float, M: int):
+    """For modes m = -M..M: |m|, the sign of J_m = (-1)^m J_|m| as a
+    column, i^m/2 pi and the phase samples of J_m's tail."""
+    m = np.arange(-M, M + 1)
+    am = np.abs(m)
+    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
+    tables = (am, sgn[:, None], i_pow(m) / TAU,
+              sgn[:, None, None] * _phase_samples(bessel_tail(am, P)))
+    for t in tables:
+        t.flags.writeable = False          # shared by every caller
+    return tables
+
+
 def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     """Modes -M..M of Q from the field expression expr(*fields) of its five
     inputs; the fields' J angles must exceed the expression's bandwidth
     plus M, or those modes alias.  Mode 0 alone (M = 0) is the angular mean
     of the samples and of the tail."""
     grid = fields[0].grid
-    m = np.arange(-M, M + 1)
-    am = np.abs(m)
-    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
-    Jrows = grid.j_matrix(int(am.max()))[am] * sgn[:, None]
+    am, sgn, scale, Jm = _mode_tables(grid.cutoff, M)
+    Jrows = grid.j_matrix(M)[am] * sgn
     quad, tail_modes = _polar_reduce(expr, fields, M,
                                      Jrows * (grid.weights * grid.nodes))
     # each mode's tail times that of its J_m: a six-factor tail
-    Jm = sgn[:, None, None] * bessel_tail(am, grid.cutoff)
     tail = tail_integral(hpoly_mul(Jm, np.moveaxis(tail_modes, -1, 0)),
                          grid.cutoff)
-    return i_pow(m) / TAU * (quad + tail)
+    return scale * (quad + tail)
 
 
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:

@@ -67,6 +67,7 @@ class AscentResult:
     quotient: float
     iterations: int
     converged: bool
+    stop: str                     # "no_uphill", "flat" or "max_iter"
     trace: list = dfield(default_factory=list)
 
     def __repr__(self):
@@ -90,7 +91,7 @@ def ascend(f0: CircleFunction | None = None,
     phi = inner_product(Q, f).real
     step = ASCENT_STEP
     trace = []
-    converged = False
+    stop = "max_iter"
     flat_count = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
@@ -111,7 +112,7 @@ def ascend(f0: CircleFunction | None = None,
                       "quotient": (TAU ** 2 * phi) ** (1.0 / 6.0),
                       "step": step, "accepted": accepted})
         if not accepted:
-            converged = True          # no uphill left along the power direction
+            stop = "no_uphill"    # no uphill left along the power direction
             break
         if gain < ASCENT_TOL:
             flat_count += 1
@@ -119,13 +120,14 @@ def ascend(f0: CircleFunction | None = None,
             # so ride the plateau a while: each extra power step still cuts
             # the distance to the critical point by the spectral-gap factor.
             if flat_count >= ASCENT_FLAT_ITERS:
-                converged = True
+                stop = "flat"
                 break
         else:
             flat_count = 0
     quot = (TAU ** 2 * phi) ** (1.0 / 6.0)        # ||f|| = 1 throughout
     return AscentResult(f=f, phi=float(phi), quotient=float(quot),
-                        iterations=it, converged=converged, trace=trace)
+                        iterations=it, converged=stop != "max_iter",
+                        stop=stop, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,26 @@ def test_j_matrix_rows_do_not_depend_on_history():
     assert np.array_equal(fresh.j_matrix(80), grown.j_matrix(80))
     assert np.array_equal(fresh.j_matrix(330)[295:], grown.j_matrix(330)[295:])
     assert np.array_equal(fresh.j_matrix(400), grown.j_matrix(400))
+
+
+def test_j_matrix_below_the_cached_order_runs_no_miller_work(monkeypatch):
+    # once rows 0..n exist, j_matrix(k <= n) is a slice of them: neither the
+    # start order nor a Miller block is computed again
+    import tscircle.bessel as bessel
+    grid = RadialGrid(100.0)
+    rows = grid.j_matrix(40).copy()
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("_miller_start", "_miller_block"):
+        monkeypatch.setattr(bessel, name, counting(name, getattr(bessel, name)))
+    for n in (0, 7, 40, 40):
+        assert np.array_equal(grid.j_matrix(n), rows[:n + 1])
+    assert calls == []
+    grid.j_matrix(41)                     # growing still runs Miller
+    assert "_miller_block" in calls

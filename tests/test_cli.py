@@ -214,6 +214,7 @@ def test_solver_commands_use_cutoff(tmp_path):
     res = ascend(config=AscentConfig(n=4, seed=0, max_iter=50), grid=grid)
     assert env["config"]["cutoff"] == 400.0
     assert env["payload"]["quotient"] == res.quotient
+    assert env["payload"]["stop"] == res.stop
 
     env = run_to_file(tmp_path, "p.json", [
         "picard", "--n", "6", "--cutoff", "400", "--verify"])

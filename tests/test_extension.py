@@ -23,8 +23,11 @@ from tscircle import (
     ts_functional,
 )
 import tscircle.extension
-from tscircle.extension import (_analyze, angle_count, angular_synthesize,
-                                bessel_tail, hpoly_mul)
+from tscircle.bessel import default_grid, exp_tail_integral
+from tscircle.extension import (TAIL_PHASES, _analyze, _phase_samples,
+                                angle_count, angular_synthesize, bessel_tail,
+                                hpoly_mul, tail_integral)
+from tscircle.quintic import el_quintic
 
 
 def field_oracle(f, rho, phi):
@@ -253,13 +256,63 @@ def hpoly_mul_loop(A, B):
     return C
 
 
-def test_hpoly_mul_is_the_triple_loop():
-    # vectorized over B's slots, the products stay bit-identical
+def random_poly(rng, slots, lead=16):
+    """A random (lead, slots, 2) coefficient tail polynomial."""
+    shape = (lead, slots, 2)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_hpoly_mul_is_the_triple_loop_in_phase_samples():
+    # the pointwise dual product of phase samples is the coefficient
+    # product of the plain loop, mapped to phases
     rng = np.random.default_rng(9)
-    for na, nb in ((3, 3), (5, 3), (3, 9), (7, 5)):
-        A = rng.standard_normal((16, na, 2)) + 1j * rng.standard_normal((16, na, 2))
-        B = rng.standard_normal((16, nb, 2)) + 1j * rng.standard_normal((16, nb, 2))
-        assert np.array_equal(hpoly_mul(A, B), hpoly_mul_loop(A, B))
+    for na, nb in ((3, 3), (5, 3), (3, 9), (7, 5), (3, 11)):
+        A, B = random_poly(rng, na), random_poly(rng, nb)
+        want = _phase_samples(hpoly_mul_loop(A, B))
+        got = hpoly_mul(_phase_samples(A), _phase_samples(B))
+        assert got.shape == (16, 2, TAIL_PHASES)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_conj_of_phase_samples_is_the_conjugate_polynomial():
+    # conj of sum_k T_k e^{ik rho} is sum_k conj(T_-k) e^{ik rho}: the k
+    # axis flips; on |z_l| = 1 that is the conjugate of the samples
+    rng = np.random.default_rng(10)
+    for slots in (3, 7, 13):
+        A = random_poly(rng, slots)
+        want = _phase_samples(np.conj(A[:, ::-1, :]))
+        got = np.conj(_phase_samples(A))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("P", [200.0, 800.0, 3200.0])
+def test_tail_integral_is_the_coefficient_sum(P):
+    # (2/pi)^3 sum_k T_k0 I_2(k) + T_k1 I_3(k), k = -6..6, from the phase
+    # samples of a degree-6 tail
+    rng = np.random.default_rng(int(P))
+    T = random_poly(rng, 13, lead=5)
+    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
+    want = (2.0 / np.pi) ** 3 * (T[..., 0] @ i2 + T[..., 1] @ i3)
+    got = tail_integral(_phase_samples(T), P)
+    scale = (2.0 / np.pi) ** 3 * (np.abs(T[..., 0]) @ np.abs(i2)
+                                  + np.abs(T[..., 1]) @ np.abs(i3))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
+    calls = []
+    real = tscircle.extension.exp_tail_integral
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(tscircle.extension, "exp_tail_integral", counting)
+    tscircle.extension._tail_weights.cache_clear()
+    f = random_function(3, seed=4, decay=0.8)
+    for cutoff in (200.0, 200.0, 400.0, 200.0, 400.0):
+        el_quintic(f, default_grid(cutoff))
+    assert calls == [200.0, 400.0]
 
 
 @pytest.mark.parametrize("n", range(21))

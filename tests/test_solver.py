@@ -55,6 +55,13 @@ def test_ascent_monotone_and_converges():
     assert res.quotient == pytest.approx(target, abs=1e-6)
 
 
+def test_ascent_reports_why_it_stopped(extremizer16):
+    assert extremizer16.converged
+    assert extremizer16.stop in ("flat", "no_uphill")
+    res = ascend(config=AscentConfig(n=16, seed=0, max_iter=1))
+    assert (res.stop, res.converged, res.iterations) == ("max_iter", False, 1)
+
+
 def test_ascent_reaches_constant_quotient_multiseed():
     target = quotient(constant_function(1.0))
     for seed in (1, 2, 3):

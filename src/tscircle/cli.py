@@ -344,17 +344,17 @@ def cmd_functional(args):
     f = _random_input(args.n, args.seed)
     phi = ts_functional(f, tensor=tensor, grid=grid)
     nrm = l2_norm(f)
+    l6 = l6_norm(extend(f, grid))
     payload = {
         "n": args.n,
         "phi": float(phi),
-        "quotient": float(quotient(f, grid)),
+        "quotient": float(l6 / nrm),
         "lambda_fit": float(phi / nrm ** 2),
         "l2": float(nrm),
         "coefficients": f.coeffs,
     }
 
     def oracle():
-        l6 = l6_norm(extend(f, grid))
         gap = abs(l6 ** 6 / TAU ** 2 - phi) / max(phi, 1e-300)
         return {"sixth_power_vs_functional_rel": float(gap)}
 

@@ -6,13 +6,14 @@ coordinates is
     F(rho, phi) = 2 pi sum_n (-i)^n c_n J_n(rho) e^{i n phi},
 
 sampled on a radial quadrature grid times a uniform angular grid, with its
-large-rho form beyond the cutoff (a FieldTail): every mode replaced by its
-two-term asymptotics (bessel_tail), a polynomial in e^{+-i rho} and 1/rho
-with angle-dependent coefficients, held as its values at the phases
-e^{i rho} = z_l (TAIL_PHASES), where products are pointwise.  What is built
-from several fields is a field expression, a plain function over `*`, `+`,
-scalar `*` and `.conj()`.  A field holds no samples, only its folded phase
-table.  _polar_reduce evaluates an expression once on the tails and then on
+large-rho form beyond the cutoff (a FieldTail): a polynomial in e^{+-i rho}
+and 1/rho with angle-dependent coefficients, held as its values at the
+phases e^{i rho} = z_l (TAIL_PHASES), where products are pointwise, and
+synthesized as the samples are, from the same table, with each mode's
+Bessel row replaced by the real phase samples of its two-term asymptotics
+(bessel_tail).  What is built from several fields is a field expression,
+a plain function over `*`, `+`, scalar `*` and `.conj()`.  A field holds
+no samples, only its folded phase table.  _polar_reduce evaluates an expression once on the tails and then on
 cache-sized row blocks of samples, each synthesized from the tables just
 before, reduced to the modes read and summed radially at once; the
 quintic convolution and the L^6 norm are its callers, each integrating
@@ -95,11 +96,16 @@ def _analyze(values: np.ndarray, M: int) -> np.ndarray:
     return spec[..., np.mod(np.arange(-M, M + 1), J)]
 
 
-def angular_synthesize(modes: np.ndarray, J: int) -> np.ndarray:
-    """Trig synthesis along the last axis, modes n = -N..N, on J uniform
-    angles; exact for any J, also with more modes than angles."""
-    modes = np.asarray(modes, dtype=np.complex128)
-    return modes @ _phase_table((modes.shape[-1] - 1) // 2, J, J)
+def _synthesize(rows: np.ndarray, table: np.ndarray,
+                unfold: bool) -> np.ndarray:
+    """Real rows (m, N+1), one per mode pair +-n, against a folded phase
+    table (the real view of an (N+1) x J' complex matrix): (m, J') complex
+    values, with the conjugates of the J' = J/2 angles appended (unfold) to
+    give all J."""
+    block = (rows @ table).view(np.complex128)
+    if not unfold:
+        return block
+    return np.concatenate([block, np.conj(block)], axis=1)
 
 
 class FieldTail:
@@ -164,10 +170,8 @@ class ExtensionField:
         jm = self.grid.j_matrix(self.N)                        # (N+1, K)
         a = min(lo, max(hi - 2, 0))
         b = max(hi, min(a + 2, jm.shape[1]))
-        block = (jm[:, a:b].T @ self.table).view(np.complex128)[lo - a:hi - a]
-        if half or not self.tail.symmetric:
-            return block
-        return np.concatenate([block, np.conj(block)], axis=1)
+        return _synthesize(jm[:, a:b].T, self.table,
+                           self.tail.symmetric and not half)[lo - a:hi - a]
 
 
 def extend(f: CircleFunction, grid: RadialGrid | None = None,
@@ -186,7 +190,7 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     C = factor[:, None] * _phase_table(f.N, J, J // 2 if symmetric else J)
     C[f.N + 1:] += C[f.N - 1::-1]
     table = C[f.N:].view(np.float64).copy()
-    tail = FieldTail(field_tail_rep(0.5 * factor, J, grid.cutoff), f.N,
+    tail = FieldTail(field_tail_rep(table, symmetric, grid.cutoff), f.N,
                      symmetric)
     return ExtensionField(grid, table, tail, J, TAU * f.coeff(0))
 
@@ -232,39 +236,33 @@ def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
 # tail representations: (e^{+-i rho}, 1/rho) polynomials at phases z_l
 # ---------------------------------------------------------------------------
 
-def _phase_samples(T: np.ndarray) -> np.ndarray:
-    """A (..., 2k+1, 2) tail polynomial, coefficients of e^{ik rho} rho^-p,
-    as its (..., 2, TAIL_PHASES) values at e^{i rho} = z_l; products of
-    up to six field tails stay within the degree these samples hold."""
-    table = _phase_table((T.shape[-2] - 1) // 2, TAIL_PHASES, TAIL_PHASES)
-    return np.swapaxes(T, -1, -2) @ table
-
-
-def field_tail_rep(base: np.ndarray, J: int, P: float) -> np.ndarray:
-    """Large-rho form of the field sum_n 2 base_n J_n(rho) e^{i n phi}, the
-    angular synthesis of each mode's 2 base_n bessel_tail(n), as phase
-    samples S[j, p, l] over J angles, at e^{i rho} = z_l:
+def field_tail_rep(table: np.ndarray, symmetric: bool, P: float) -> np.ndarray:
+    """Large-rho form of the field with the folded phase table `table`:
+    the synthesis of ExtensionField.rows() with each mode pair's Bessel row
+    replaced by the phase samples of its bessel_tail, as S[j, p, l] over
+    the J angles (the second half conjugates of the first when symmetric),
+    at e^{i rho} = z_l:
 
         F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_p S[j,p,l] rho^{-p}."""
-    N = (base.size - 1) // 2
-    modes = 2.0 * base[:, None, None] * _phase_samples(
-        bessel_tail(np.arange(-N, N + 1), P))
-    S = angular_synthesize(modes.reshape(2 * N + 1, -1).T, J)
-    return np.ascontiguousarray(S.T).reshape(J, 2, TAIL_PHASES)
+    N = table.shape[0] - 1
+    rows = bessel_tail(np.arange(N + 1), P).reshape(N + 1, -1)  # (N+1, 26)
+    S = _synthesize(rows.T, table, symmetric)
+    return np.ascontiguousarray(S.T).reshape(-1, 2, TAIL_PHASES)
 
 
 def bessel_tail(n, P: float) -> np.ndarray:
-    """The two-term large-rho form of J_|n| (DLMF 10.17.3) as a (..., 3, 2)
-    tail polynomial, J_n(rho) ~ sqrt(2/pi) rho^{-1/2} sum T[k,p] e^{ik rho}
-    rho^{-p}: T[+-1] = (1/2) e^{-+i chi_n} (1, +-i a_n), chi_n = |n| pi/2
-    + pi/4, a_n = first_order_coeff (zeroed where it exceeds P, the
-    factor-local validity rule shared with the Bessel-product tails)."""
+    """The two-term large-rho form of J_|n| (DLMF 10.17.3) as its real
+    (..., 2, TAIL_PHASES) phase samples, J_n(rho) ~ sqrt(2/pi) rho^{-1/2}
+    (S[0, l] + S[1, l]/rho) at e^{i rho} = z_l: S[0, l] = cos(theta_l -
+    chi_n) and S[1, l] = -a_n sin(theta_l - chi_n), theta_l = 2 pi l/13,
+    chi_n = |n| pi/2 + pi/4 (taken mod 2 pi as (|n| mod 4) pi/2 + pi/4),
+    a_n = first_order_coeff (zeroed where it exceeds P, the factor-local
+    validity rule shared with the Bessel-product tails)."""
     n = np.abs(np.asarray(n))
-    T = np.zeros(n.shape + (3, 2), dtype=np.complex128)
-    T[..., 2, 0] = 0.5 * np.exp(-1j * (n * (np.pi / 2.0) + np.pi / 4.0))
-    T[..., 2, 1] = T[..., 2, 0] * (1j * first_order_coeff(n, 1.0, P))
-    T[..., 0, :] = np.conj(T[..., 2, :])
-    return T
+    x = ((TAU / TAIL_PHASES) * np.arange(TAIL_PHASES)
+         - (np.mod(n, 4) * (np.pi / 2.0) + np.pi / 4.0)[..., None])
+    a = first_order_coeff(n, 1.0, P)[..., None]
+    return np.stack([np.cos(x), -a * np.sin(x)], axis=-2)
 
 
 def hpoly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

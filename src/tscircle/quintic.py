@@ -25,7 +25,8 @@ angular mean.  Both routes carry the same two-term radial tail model, coded
 twice (bessel.bessel_product_tail for the tensor, extension.bessel_tail and
 tail_integral for the polar route), so their agreement tests bookkeeping,
 not a shared truncation.  A polar mode's tail is the pointwise product of
-the phase samples of its P_m and J_m tails (the latter cached per M).
+the phase samples of its P_m tail and those of J_m, bessel_tail's real
+samples signed for m < 0 (cached per M).
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -47,10 +48,10 @@ from scipy import special as _sp
 
 from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
-                     default_grid, radial_integrate)
+                     default_grid)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import (_phase_samples, _polar_reduce, angle_count,
-                        bessel_tail, extend, hpoly_mul, i_pow, tail_integral)
+from .extension import (_polar_reduce, angle_count, bessel_tail, extend,
+                        hpoly_mul, i_pow, tail_integral)
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -81,7 +82,7 @@ def _mode_tables(P: float, M: int):
     am = np.abs(m)
     sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
     tables = (am, sgn[:, None], i_pow(m) / TAU,
-              sgn[:, None, None] * _phase_samples(bessel_tail(am, P)))
+              sgn[:, None, None] * bessel_tail(am, P))
     for t in tables:
         t.flags.writeable = False          # shared by every caller
     return tables
@@ -254,9 +255,11 @@ def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def _mu5_at_zero(cutoff: float) -> float:
-    val, _ = radial_integrate(lambda rho: _sp.j0(rho) ** 5 * rho, (0,) * 5,
-                              _default_grid(cutoff, DENSITY_PANEL))
-    return val
+    """int_0^oo J_0^5 rho drho: mu_5(0)/(2 pi)^4, on _hankel_chunk's grid
+    and Miller row."""
+    g = _default_grid(cutoff, DENSITY_PANEL)
+    head = float(g.weights @ (g.j_matrix(0)[0] ** 5 * g.nodes))
+    return head + bessel_product_tail(np.zeros(5, int), cutoff)
 
 
 def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .bessel import RadialGrid, default_grid
 from .errors import ConfigError, PreconditionError
 from .quintic import el_quintic, quintic_convolve
+from .solver import decompose
 from .spectral import (TAU, CircleFunction, l2_norm, rotate, synthesize)
 
 
@@ -156,25 +157,14 @@ def _lip_upper(f: CircleFunction) -> float:
 
 def sharp_flat_split(f: CircleFunction, eta: float,
                      s_scale: float = 0.5) -> SplitReport:
-    """Frequency split f = sharp + flat with ||flat||_2 <= eta * scale norm,
-    K minimal.  The sharp part is band-limited hence Lipschitz with an
-    explicit constant; eta trades its size against the flat remainder."""
+    """Frequency split f = sharp + flat with ||flat||_2 < eta * scale norm,
+    K minimal: solver.decompose at eps = eta * scale.  The sharp part is
+    band-limited hence Lipschitz with an explicit constant; eta trades its
+    size against the flat remainder."""
     if eta <= 0:
         raise ConfigError("eta must be positive")
     scale = calH_estimate(f, s_scale)
-    target = eta * scale
-    N = f.N
-    p2 = TAU * np.abs(f.coeffs) ** 2
-    nn = np.abs(np.arange(-N, N + 1))
-    K = 0
-    for K in range(N + 1):
-        if p2[nn > K].sum() <= target * target:
-            break
-    if K == 0:
-        warnings.warn("sharp_flat_split: flat part already within budget at "
-                      "K = 0; f is effectively smooth at this eta", stacklevel=2)
-    sharp = f.truncated(K)
-    flat = f - sharp
+    sharp, flat, K = decompose(f, eta * scale)
     return SplitReport(K, sharp, flat, eta, s_scale, float(scale),
                        float(l2_norm(flat)), _lip_upper(sharp))
 

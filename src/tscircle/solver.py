@@ -135,7 +135,8 @@ def ascend(f0: CircleFunction | None = None,
 # ---------------------------------------------------------------------------
 
 def decompose(f: CircleFunction, eps: float):
-    """Split f = phi + g at the smallest K with ||f - f_{<=K}||_2 < eps.
+    """Split f = phi + g at the smallest K with ||f - f_{<=K}||_2 < eps,
+    or K = N (g = 0) when no smaller K passes the test in squared masses.
 
     Returns (phi, g, K).  Warns when K = 0: the low part carries only the
     mean, which usually means eps was chosen larger than the whole tail.
@@ -146,7 +147,9 @@ def decompose(f: CircleFunction, eps: float):
     shell = np.bincount(np.abs(np.arange(-N, N + 1)),
                         weights=TAU * np.abs(f.coeffs) ** 2)   # mass at |n|
     above = np.append(np.cumsum(shell[:0:-1])[::-1], 0.0)    # mass above K
-    K = int(np.argmax(above < eps * eps))
+    small = above < eps * eps
+    small[N] = True               # K = N leaves no tail, even if eps^2 underflows
+    K = int(np.argmax(small))
     if K == 0:
         warnings.warn("decompose: eps exceeds the whole tail; phi is the mean",
                       stacklevel=2)

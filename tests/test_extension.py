@@ -23,10 +23,10 @@ from tscircle import (
     ts_functional,
 )
 import tscircle.extension
-from tscircle.bessel import default_grid, exp_tail_integral
-from tscircle.extension import (TAIL_PHASES, _analyze, _phase_samples,
-                                angle_count, angular_synthesize, bessel_tail,
-                                hpoly_mul, tail_integral)
+from tscircle.bessel import default_grid, exp_tail_integral, first_order_coeff
+from tscircle.extension import (TAIL_PHASES, _analyze, _phase_table,
+                                angle_count, bessel_tail, hpoly_mul, i_pow,
+                                tail_integral)
 from tscircle.quintic import el_quintic
 
 
@@ -143,26 +143,13 @@ def test_angle_count_grows_with_bandwidth():
     assert angle_count(80, 0) == 88
 
 
-def test_angular_synthesis_is_exact_below_the_bandwidth():
-    # sampling a trig polynomial is exact at any J: 24 samples of a
-    # bandwidth-20 polynomial fold its 41 modes onto 24 bins
-    rng = np.random.default_rng(5)
-    modes = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
-    n = np.arange(-20, 21)
-    for J in (24, 41, 64):
-        theta = np.arange(J) * (TAU / J)
-        direct = modes @ np.exp(1j * np.outer(n, theta))
-        np.testing.assert_allclose(angular_synthesize(modes, J), direct,
-                                   rtol=0, atol=1e-12)
-    np.testing.assert_allclose(_analyze(angular_synthesize(modes, 64), 20),
-                               modes, rtol=0, atol=1e-13)
-
-
 def test_angular_analysis_paths_agree(monkeypatch):
-    # the analysis table and the FFT read the same modes
+    # the analysis table and the FFT read the modes of a synthesis on 64
+    # angles
     rng = np.random.default_rng(6)
     modes = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
-    values = angular_synthesize(modes, 64)
+    phi = np.arange(64) * (TAU / 64)
+    values = modes @ np.exp(1j * np.outer(np.arange(-20, 21), phi))
     results = []
     for limit in (10 ** 6, 0):
         monkeypatch.setattr(tscircle.extension, "DIRECT_ANALYSIS_MODES", limit)
@@ -256,6 +243,33 @@ def hpoly_mul_loop(A, B):
     return C
 
 
+def phase_samples(T):
+    """The reference map from a (..., 2k+1, 2) tail polynomial, the
+    coefficients of e^{ik rho} rho^-p, to its (..., 2, TAIL_PHASES) values
+    at e^{i rho} = z_l."""
+    table = _phase_table((T.shape[-2] - 1) // 2, TAIL_PHASES, TAIL_PHASES)
+    return np.swapaxes(T, -1, -2) @ table
+
+
+def tail_model(S, rho):
+    """sqrt(2/(pi rho)) sum_p sum_{k=+-1} T[..., p, k] e^{ik rho} rho^-p,
+    the T[..., p, k] read from (..., 2, TAIL_PHASES) phase samples S by
+    the inverse transform, z_l^{-k}/13; a trailing rho axis."""
+    k = np.array([-1, 1])
+    l = np.arange(TAIL_PHASES)
+    T = S @ np.exp((-1j * TAU / TAIL_PHASES) * np.outer(l, k)) / TAIL_PHASES
+    waves = T @ np.exp(1j * np.outer(k, rho))                  # (..., 2, R)
+    return np.sqrt(2.0 / (np.pi * rho)) * (waves[..., 0, :]
+                                           + waves[..., 1, :] / rho)
+
+
+def next_hankel_term(n):
+    """|b_n| = |(mu - 1)(mu - 9)|/128, mu = 4 n^2: the coefficient of the
+    first term the two-term model drops."""
+    mu = 4.0 * np.asarray(n, dtype=float) ** 2
+    return np.abs((mu - 1.0) * (mu - 9.0) / 128.0)
+
+
 def random_poly(rng, slots, lead=16):
     """A random (lead, slots, 2) coefficient tail polynomial."""
     shape = (lead, slots, 2)
@@ -268,8 +282,8 @@ def test_hpoly_mul_is_the_triple_loop_in_phase_samples():
     rng = np.random.default_rng(9)
     for na, nb in ((3, 3), (5, 3), (3, 9), (7, 5), (3, 11)):
         A, B = random_poly(rng, na), random_poly(rng, nb)
-        want = _phase_samples(hpoly_mul_loop(A, B))
-        got = hpoly_mul(_phase_samples(A), _phase_samples(B))
+        want = phase_samples(hpoly_mul_loop(A, B))
+        got = hpoly_mul(phase_samples(A), phase_samples(B))
         assert got.shape == (16, 2, TAIL_PHASES)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -280,8 +294,8 @@ def test_conj_of_phase_samples_is_the_conjugate_polynomial():
     rng = np.random.default_rng(10)
     for slots in (3, 7, 13):
         A = random_poly(rng, slots)
-        want = _phase_samples(np.conj(A[:, ::-1, :]))
-        got = np.conj(_phase_samples(A))
+        want = phase_samples(np.conj(A[:, ::-1, :]))
+        got = np.conj(phase_samples(A))
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -293,7 +307,7 @@ def test_tail_integral_is_the_coefficient_sum(P):
     T = random_poly(rng, 13, lead=5)
     i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
     want = (2.0 / np.pi) ** 3 * (T[..., 0] @ i2 + T[..., 1] @ i3)
-    got = tail_integral(_phase_samples(T), P)
+    got = tail_integral(phase_samples(T), P)
     scale = (2.0 / np.pi) ** 3 * (np.abs(T[..., 0]) @ np.abs(i2)
                                   + np.abs(T[..., 1]) @ np.abs(i3))
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -315,6 +329,30 @@ def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
     assert calls == [200.0, 400.0]
 
 
+def bessel_tail_coefficients(n, P):
+    """The two-term model of J_|n| as a (..., 3, 2) coefficient polynomial,
+    T[+-1] = (1/2) e^{-+i chi_n} (1, +-i a_n), with e^{-i chi_n} =
+    (-i)^|n| e^{-i pi/4} exactly."""
+    n = np.abs(np.asarray(n))
+    T = np.zeros(n.shape + (3, 2), dtype=np.complex128)
+    T[..., 2, 0] = 0.5 * i_pow(-n) * np.exp(-0.25j * np.pi)
+    T[..., 2, 1] = T[..., 2, 0] * (1j * first_order_coeff(n, 1.0, P))
+    T[..., 0, :] = np.conj(T[..., 2, :])
+    return T
+
+
+@pytest.mark.parametrize("P", [200.0, 3200.0])
+def test_bessel_tail_samples_are_the_coefficient_model(P):
+    # real samples, equal to the e^{+-i rho} coefficient model mapped to
+    # phases; orders past n = 20 (P = 200) have a_n zeroed
+    n = np.arange(81)
+    got = bessel_tail(n, P)
+    want = phase_samples(bessel_tail_coefficients(n, P))
+    assert got.shape == (81, 2, TAIL_PHASES) and got.dtype == np.float64
+    scale = np.abs(want).max(axis=-1, keepdims=True)      # 0 where a_n is
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
 @pytest.mark.parametrize("n", range(21))
 def test_bessel_tail_within_the_next_hankel_term(n):
     # the two-term model misses J_n by about the next term of Hankel's
@@ -322,11 +360,30 @@ def test_bessel_tail_within_the_next_hankel_term(n):
     # from n = 21 on a_n > P is zeroed and the model is off by more
     P = 200.0
     rho = np.linspace(P, 2 * P, 4001)
-    T = bessel_tail(n, P)
+    model = tail_model(bessel_tail(n, P), rho)
     envelope = np.sqrt(2.0 / (np.pi * rho))
-    model = envelope * sum(T[k + 1, p] * np.exp(1j * k * rho) * rho ** -p
-                           for k in (-1, 0, 1) for p in (0, 1))
-    mu = 4.0 * n * n
-    bound = envelope * abs((mu - 1.0) * (mu - 9.0) / 128.0) / rho ** 2
+    bound = envelope * next_hankel_term(n) / rho ** 2
     assert np.all(np.abs(sps.jv(n, rho) - model.real) <= 1.01 * bound)
     assert np.all(np.abs(model.imag) <= 1e-15 * envelope)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_field_tail_is_the_field_beyond_the_cutoff(real):
+    # the model read from a field's tail samples (for a real input, half of
+    # them conjugates) on its J angles and rho in [P, 2P] misses the field
+    # by at most the summed next Hankel terms, 2 pi sum_n |c_n| times
+    # sqrt(2/(pi rho)) |b_n|/rho^2
+    f = random_function(8, seed=14, decay=0.8)
+    if real:
+        f = CircleFunction(0.5 * (f.coeffs + np.conj(f.coeffs[::-1])))
+    field = extend(f)
+    assert field.tail.symmetric == real
+    P = field.grid.cutoff
+    rho = np.linspace(P, 2 * P, 801)
+    phi = angle(field, np.arange(field.n_angles))
+    model = tail_model(field.tail.poly, rho)                   # (J, R)
+    exact = field_oracle(f, rho[None, :], phi[:, None])
+    n = np.arange(-f.N, f.N + 1)
+    bound = (TAU * (np.abs(f.coeffs) @ next_hankel_term(n))
+             * np.sqrt(2.0 / (np.pi * rho)) / rho ** 2)
+    assert np.all(np.abs(model - exact) <= 1.01 * bound)

@@ -5,6 +5,8 @@ quadrature oracle; the canonical waves have exactly known coefficients,
 slopes, and pointwise values, which pins down everything built on top.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,11 @@ def test_split_error_and_warning_paths():
         sharp_flat_split(f, eta=0.0)
     with pytest.warns(UserWarning):
         sharp_flat_split(constant_function(1.0).padded(4), eta=0.5)
+    # (eta * scale)^2 underflows: every mode is sharp, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sharp_flat_split(f, eta=1e-300)
+    assert rep.K == 8 and rep.l2_flat == 0.0
 
 
 def test_eta_optimization_matches_exponent_heuristic():

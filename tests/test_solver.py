@@ -113,6 +113,18 @@ def test_decompose_minimality():
         assert l2_norm(tail) > 0.25
 
 
+def test_decompose_keeps_all_of_f_where_eps_squared_underflows():
+    # below eps ~ 1e-162 eps^2 is 0 and no tail mass is below it: the split
+    # keeps every mode (K = N, g = 0), as it does at eps = 1e-150
+    f = random_function(6, seed=1, decay=0.5)
+    for eps in (1e-150, 1e-170, 1e-300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, g, K = decompose(f, eps)
+        assert K == 6 and l2_norm(g) == 0.0
+        assert np.array_equal(phi.coeffs, f.coeffs)
+
+
 def test_decompose_warns_when_trivial():
     f = constant_function(1.0)
     with pytest.warns(UserWarning):

@@ -158,6 +158,7 @@ class RadialGrid:
         self.weights = weights
         self._jrows = np.zeros((0, nodes.size))
         self._row_base = _miller_start(0, float(nodes[-1])) - 22
+        self._mode_weights = np.zeros((0, nodes.size))
 
     def __repr__(self):
         return (f"RadialGrid(cutoff={self.cutoff:g}, panel={self.panel:g}, "
@@ -181,6 +182,21 @@ class RadialGrid:
                 [rows, _miller_block(top, self.nodes, nmin=have)])
         self._jrows = rows
         return rows[:nmax + 1]
+
+    def mode_weights(self, M: int) -> np.ndarray:
+        """The radial weights of modes m = -M..M, J_m(rho_k) rho_k w_k with
+        J_m = (-1)^m J_|m|, (2M+1, K), read-only: the middle rows of one
+        table, built again only for a larger M (row m depends on m alone)."""
+        table = self._mode_weights
+        if table.shape[0] < 2 * M + 1:
+            m = np.arange(-M, M + 1)
+            sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
+            table = (self.j_matrix(M)[np.abs(m)] * sgn[:, None]
+                     * (self.weights * self.nodes))
+            table.flags.writeable = False
+            self._mode_weights = table
+        top = table.shape[0] // 2
+        return table[top - M:top + M + 1]
 
 
 @lru_cache(maxsize=16)

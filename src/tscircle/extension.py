@@ -13,12 +13,15 @@ synthesized as the samples are, from the same table, with each mode's
 Bessel row replaced by the real phase samples of its two-term asymptotics
 (bessel_tail).  What is built from several fields is a field expression,
 a plain function over `*`, `+`, scalar `*` and `.conj()`.  A field holds
-no samples, only its folded phase table.  _polar_reduce evaluates an expression once on the tails and then on
-cache-sized row blocks of samples, each synthesized from the tables just
-before, reduced to the modes read and summed radially at once; the
-quintic convolution and the L^6 norm are its callers, each integrating
-its six-factor tail beyond the cutoff in closed form (tail_integral, a dot
-product with weights cached per cutoff).  A real input (c_{-n} = conj c_n)
+no samples, only its folded phase table.  _polar_reduce evaluates an
+expression once on the tails and then on cache-sized row blocks of
+samples, each synthesized from the tables just before and summed radially
+at once, per output mode, into one accumulator over the angles whose modes
+are read after the last block (above a measured mode count, each block's
+modes are its FFT, summed radially); the quintic convolution and the L^6
+norm are its callers, each integrating its six-factor tail beyond the
+cutoff in closed form (tail_integral, a dot product with weights cached
+per cutoff).  A real input (c_{-n} = conj c_n)
 has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
 mode 0 of a product of such fields is the real part of the mean over them.
 """
@@ -36,10 +39,11 @@ from .spectral import TAU, CircleFunction
 
 _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
-# Angular analysis is a matmul against a cached table up to this many modes
-# and an FFT above (crossover measured on 2 cores, one BLAS thread).
-# Synthesis is always a table matmul.
-DIRECT_ANALYSIS_MODES = 65
+# Up to this many modes, angular analysis is a matmul against a cached
+# table, and _polar_reduce sums each block radially before that analysis,
+# which then runs once; above, each block's modes are its FFT (crossover
+# measured on 2 cores, one BLAS thread).  Synthesis is always a table matmul.
+DIRECT_ANALYSIS_MODES = 121
 # samples per row block of _polar_reduce: 128 KB, so the temporaries of a
 # Picard expression stay in L2 cache
 BLOCK_SAMPLES = 8192
@@ -200,10 +204,13 @@ def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
     mode of the field expression expr(*fields), and its tail's modes,
     (2, TAIL_PHASES, 2M+1).  The expression runs once on the tails, giving its
     bandwidth N, then on row blocks of BLOCK_SAMPLES samples synthesized
-    from the fields' tables, each reduced to its modes at once.  Mode 0
-    alone is the angular mean (of J/2 angles, real part, when inputs and
-    tail are symmetric).  The fields must share grid and angles, and
-    J > N + M, or the modes alias."""
+    from the fields' tables.  Up to DIRECT_ANALYSIS_MODES modes each block
+    is summed radially first, one real matmul into a (2M+1, J') accumulator
+    Z whose row m is then read at mode m once, after the last block, against
+    the analysis table (mode 0 alone: the mean over the J' angles, of J/2
+    angles, real part, when inputs and tail are symmetric); above that each
+    block's modes are its FFT, summed radially at once.  The fields must
+    share grid and angles, and J > N + M, or the modes alias."""
     grid = fields[0].grid
     J = fields[0].n_angles
     K = grid.nodes.size
@@ -215,16 +222,25 @@ def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
         raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
                             f"{tail.N} product (needs J > {tail.N + M})")
     half = M == 0 and tail.symmetric and all(F.tail.symmetric for F in fields)
-    step = max(1, BLOCK_SAMPLES // (J // 2 if half else J))
+    width = J // 2 if half else J
+    step = max(1, BLOCK_SAMPLES // width)
+    radial_first = 2 * M + 1 <= DIRECT_ANALYSIS_MODES
     quad = np.zeros(2 * M + 1, dtype=np.complex128)
+    Z = np.zeros((2 * M + 1, width if radial_first else 0),
+                 dtype=np.complex128)
+    Zr = Z.view(np.float64)
     for lo in range(0, K, step):
         hi = min(lo + step, K)
         block = expr(*(F.rows(lo, hi, half) for F in fields))
-        if M == 0:
-            mean = block.mean(axis=1)
-            quad[0] += radial[0, lo:hi] @ (mean.real if half else mean)
+        if radial_first:
+            Zr += radial[:, lo:hi] @ block.view(np.float64)
         else:
             quad += np.einsum("km,mk->m", _analyze(block, M), radial[:, lo:hi])
+    if radial_first:
+        quad = (Z.mean(axis=1) if M == 0
+                else np.einsum("mj,jm->m", Z, _analysis_table(M, J)))
+    if half:
+        quad = quad.real + 0j
     if M == 0:
         tail_modes = tail.poly.mean(axis=0)[..., None]
     else:
@@ -244,10 +260,16 @@ def field_tail_rep(table: np.ndarray, symmetric: bool, P: float) -> np.ndarray:
     at e^{i rho} = z_l:
 
         F(rho,phi_j) ~ sqrt(2/pi) rho^{-1/2} sum_p S[j,p,l] rho^{-p}."""
-    N = table.shape[0] - 1
-    rows = bessel_tail(np.arange(N + 1), P).reshape(N + 1, -1)  # (N+1, 26)
-    S = _synthesize(rows.T, table, symmetric)
+    S = _synthesize(_tail_rows(table.shape[0] - 1, P).T, table, symmetric)
     return np.ascontiguousarray(S.T).reshape(-1, 2, TAIL_PHASES)
+
+
+@lru_cache(maxsize=32)
+def _tail_rows(N: int, P: float) -> np.ndarray:
+    """bessel_tail of the orders 0..N as rows, (N+1, 2 TAIL_PHASES)."""
+    rows = bessel_tail(np.arange(N + 1), P).reshape(N + 1, -1)
+    rows.flags.writeable = False
+    return rows
 
 
 def bessel_tail(n, P: float) -> np.ndarray:

@@ -76,13 +76,11 @@ def _self_product(F):
 
 @lru_cache(maxsize=64)
 def _mode_tables(P: float, M: int):
-    """For modes m = -M..M: |m|, the sign of J_m = (-1)^m J_|m| as a
-    column, i^m/2 pi and the phase samples of J_m's tail."""
+    """For modes m = -M..M: i^m/2 pi and the phase samples of J_m's tail,
+    J_m = (-1)^m J_|m|."""
     m = np.arange(-M, M + 1)
-    am = np.abs(m)
     sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
-    tables = (am, sgn[:, None], i_pow(m) / TAU,
-              sgn[:, None, None] * bessel_tail(am, P))
+    tables = (i_pow(m) / TAU, sgn[:, None, None] * bessel_tail(np.abs(m), P))
     for t in tables:
         t.flags.writeable = False          # shared by every caller
     return tables
@@ -91,13 +89,10 @@ def _mode_tables(P: float, M: int):
 def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     """Modes -M..M of Q from the field expression expr(*fields) of its five
     inputs; the fields' J angles must exceed the expression's bandwidth
-    plus M, or those modes alias.  Mode 0 alone (M = 0) is the angular mean
-    of the samples and of the tail."""
+    plus M, or those modes alias."""
     grid = fields[0].grid
-    am, sgn, scale, Jm = _mode_tables(grid.cutoff, M)
-    Jrows = grid.j_matrix(M)[am] * sgn
-    quad, tail_modes = _polar_reduce(expr, fields, M,
-                                     Jrows * (grid.weights * grid.nodes))
+    scale, Jm = _mode_tables(grid.cutoff, M)
+    quad, tail_modes = _polar_reduce(expr, fields, M, grid.mode_weights(M))
     # each mode's tail times that of its J_m: a six-factor tail
     tail = tail_integral(hpoly_mul(Jm, np.moveaxis(tail_modes, -1, 0)),
                          grid.cutoff)
@@ -265,8 +260,10 @@ def _mu5_at_zero(cutoff: float) -> float:
 def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray:
     """mu_k/(2 pi)^{k-1} on a radius grid; per-radius effective cutoff keeps
     the last factor's asymptotics valid (r * P >= 40).  Below HANKEL_FLOOR
-    mu_5 is an even fit through exactly computed anchors and mu_4, which
-    diverges logarithmically at 0, is left NaN."""
+    mu_5 is an even quadratic in r^2 through mu_5(0) (_mu5_at_zero, as
+    mu_value reports it), its other two coefficients fit to four exactly
+    computed anchors; mu_4, which diverges logarithmically at 0, is left
+    NaN."""
     vals = np.full(radii.shape, np.nan)
     buckets = [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
                (0.05, max(800.0, base_cutoff)),
@@ -282,9 +279,10 @@ def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray
         anchors = np.array([0.03, 0.05, 0.08, 0.12])
         av = _hankel_chunk(k, anchors, 1600.0)
         a0 = _mu5_at_zero(base_cutoff)
-        xs = np.concatenate([[0.0], anchors]) ** 2
-        ys = np.concatenate([[a0], av])
-        coef = np.polynomial.polynomial.polyfit(xs, ys, 2)
+        x = anchors ** 2
+        c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1), av - a0,
+                              rcond=None)[0]
+        coef = np.concatenate([[a0], c12])
         vals[tiny] = np.polynomial.polynomial.polyval(radii[tiny] ** 2, coef)
     return vals
 

@@ -44,6 +44,7 @@ ASCENT_FLAT_ITERS = 8        # keep power-stepping this long on the plateau
 ASCENT_START_DECAY = 1.0     # random start's coefficients fall like (1+|n|)^-1
 PICARD_TOL = 1e-11           # L^2 step size at which the iteration stops
 PICARD_S_NORM = 0.5          # s of the (1+n^2)^{s/2} weighted ratios
+NONLINEAR_DEGREES = (2, 3, 4, 5)   # the numbers of h factors in N(phi, h)
 
 
 def _normalized(f: CircleFunction) -> CircleFunction:
@@ -158,16 +159,14 @@ def decompose(f: CircleFunction, eps: float):
     return phi, g, K
 
 
-def _extend_pair(phi: CircleFunction, h: CircleFunction, degrees,
-                 grid: RadialGrid | None, M: int | None):
-    """The fields X of phi and Y of h, each extended once, on the angles that
-    modes -M..M (all of them when M is None) of a sum of five-fold products
-    with k factors from h, k in `degrees`, need; returns (X, Y, M)."""
-    grid = grid or default_grid()
+def _angles(phi: CircleFunction, h: CircleFunction, degrees,
+            M: int | None):
+    """The angle count that modes -M..M (all of them when M is None) of a
+    sum of five-fold products with k factors from h, k in `degrees`, need,
+    and that M; phi and h are extended on these angles."""
     bandwidth = max((5 - k) * phi.N + k * h.N for k in degrees)
     M = bandwidth if M is None else min(M, bandwidth)
-    J = angle_count(bandwidth, M)
-    return extend(phi, grid, J), extend(h, grid, J), M
+    return angle_count(bandwidth, M), M
 
 
 def _linear_field(X, Y):
@@ -200,7 +199,9 @@ def linear_part(phi: CircleFunction, g: CircleFunction,
     Q(phi,phi,phi,phi~,phi~) - phi + 2 Q(phi,phi,phi,phi~,g~)
                              + 3 Q(phi,phi,g,phi~,phi~).
     """
-    X, Y, M = _extend_pair(phi, g, (0, 1), grid, M)
+    grid = grid or default_grid()
+    J, M = _angles(phi, g, (0, 1), M)
+    X, Y = extend(phi, grid, J), extend(g, grid, J)
     return CircleFunction(_assemble_polar(_linear_field, (X, Y), M)) - phi
 
 
@@ -210,7 +211,14 @@ def nonlinear_part(phi: CircleFunction, h: CircleFunction,
     """N(phi, h): the nine remaining classes of Q(phi+h, .., (phi+h)~, ..),
     at least quadratic in h (binomial weights 3-choose-a times 2-choose-b);
     modes -M..M of it when M is given (all of them by default)."""
-    X, Y, M = _extend_pair(phi, h, (2, 3, 4, 5), grid, M)
+    J, M = _angles(phi, h, NONLINEAR_DEGREES, M)
+    return _nonlinear(extend(phi, grid or default_grid(), J), h, M)
+
+
+def _nonlinear(X, h: CircleFunction, M: int) -> CircleFunction:
+    """Modes -M..M of N(phi, h) from the field X of phi, h extended on its
+    grid and angles."""
+    Y = extend(h, X.grid, X.n_angles)
     return CircleFunction(_assemble_polar(_nonlinear_field, (X, Y), M))
 
 
@@ -274,9 +282,12 @@ def picard_iterate(f: CircleFunction, eps: float,
     # The lab works in the band-limited space of f: every iterate is cut
     # back to bandwidth N, where g itself lives and where the fixed-point
     # identity holds up to the ascent residual.  L and N are assembled for
-    # those modes only, on the angles they need.
+    # those modes only, on the angles they need.  Every iterate has the
+    # bandwidth of g, so phi's field for N is built once for the whole run.
     Nf = fs.N
     L = linear_part(phi, g, grid, Nf).truncated(Nf)
+    J, M = _angles(phi, g, NONLINEAR_DEGREES, Nf)
+    X = extend(phi, grid, J)
     h = L
     h0_norm = l2_norm(h)
     ball = eps ** 0.75
@@ -288,7 +299,7 @@ def picard_iterate(f: CircleFunction, eps: float,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        h_next = (L + nonlinear_part(phi, h, grid, Nf)).truncated(Nf)
+        h_next = (L + _nonlinear(X, h, M)).truncated(Nf)
         d = h_next - h
         step_l2 = l2_norm(d)
         step_s = weighted_norm(d, PICARD_S_NORM)

@@ -329,6 +329,26 @@ def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
     assert calls == [200.0, 400.0]
 
 
+def test_tail_rows_are_built_once_per_bandwidth_and_cutoff(monkeypatch):
+    # a field's tail synthesis reads bessel_tail of the orders 0..N, which
+    # depend on N and the cutoff alone, not on the input or its angles
+    calls = []
+    real = tscircle.extension.bessel_tail
+
+    def counting(n, P):
+        calls.append((int(np.max(n)), P))
+        return real(n, P)
+
+    monkeypatch.setattr(tscircle.extension, "bessel_tail", counting)
+    tscircle.extension._tail_rows.cache_clear()
+    for seed, N, cutoff, J in ((1, 3, 200.0, 64), (2, 3, 200.0, 96),
+                               (3, 3, 400.0, 64), (4, 5, 200.0, 64),
+                               (5, 3, 200.0, 64), (6, 5, 200.0, 80),
+                               (7, 3, 400.0, 72)):
+        extend(random_function(N, seed=seed), default_grid(cutoff), J)
+    assert calls == [(3, 200.0), (3, 400.0), (5, 200.0)]
+
+
 def bessel_tail_coefficients(n, P):
     """The two-term model of J_|n| as a (..., 3, 2) coefficient polynomial,
     T[+-1] = (1/2) e^{-+i chi_n} (1, +-i a_n), with e^{-i chi_n} =

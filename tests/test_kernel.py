@@ -2,10 +2,11 @@
 
 The reference synthesizes each field on all K x J samples at once, forms
 the product field, takes its FFT and sums it radially: the assembly as it
-was before expressions were evaluated block by block with direct angular
-sums.  The kernel must give the same modes for every expression the
-package assembles, for every block height, and on half the angles when
-its inputs are real.
+was before expressions were evaluated block by block.  The kernel must give
+the same modes for every expression the package assembles, for every block
+height, on either side of its crossover (each block summed radially first
+and its modes read once at the end, or each block's modes taken by FFT),
+and on half the angles when its inputs are real.
 """
 
 import numpy as np
@@ -91,6 +92,43 @@ def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
     assert grid.nodes.size % height
     fields = [extend(f, grid, J) for f in inputs]
     assert_matches(expr, fields, M)
+
+
+# the crossover at its two extremes: every block summed radially first, or
+# every block's modes taken by FFT
+PATHS = {"radial first": 10 ** 6, "fft per block": 0}
+
+
+@pytest.mark.parametrize("M", ["N", 16, 0])
+@pytest.mark.parametrize("name", list(CASES))
+@pytest.mark.parametrize("path", list(PATHS))
+def test_each_reduction_path_matches_whole_array_assembly(path, name, M,
+                                                          monkeypatch):
+    monkeypatch.setattr(tscircle.extension, "DIRECT_ANALYSIS_MODES",
+                        PATHS[path])
+    expr, inputs, bandwidth = CASES[name]
+    M = bandwidth if M == "N" else M
+    J = angle_count(bandwidth, M)
+    assert_matches(expr, [extend(f, n_angles=J) for f in inputs], M)
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_each_reduction_path_on_mixed_bandwidths_and_half_angles(
+        path, monkeypatch):
+    monkeypatch.setattr(tscircle.extension, "DIRECT_ANALYSIS_MODES",
+                        PATHS[path])
+    fs = [F16] + [constant_function(0.5 + 0.25 * j) for j in range(4)]
+    for M in (16, 0):
+        J = angle_count(16, M)
+        assert_matches(_product, [extend(f, n_angles=J) for f in fs], M)
+    seen = spy_rows(monkeypatch)
+    gs = [_abs2(random_function(8, seed=i, decay=0.6)) for i in range(5)]
+    fields = [extend(g, n_angles=88) for g in gs]
+    quad, _ = kernel(_product, fields, 0)
+    assert seen and all(seen)
+    ref, _ = reference(_product, fields, 0)
+    assert quad[0].imag == 0.0
+    assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
 
 
 def test_kernel_mixed_bandwidths():

@@ -6,6 +6,9 @@ quadrature and hypergeometric references, and a route-crossing at the
 critical radius.
 """
 
+import gc
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from tscircle import (
     rotate,
 )
 import tscircle.quintic
-from tscircle.bessel import BesselTensor, _encode, default_grid
+from tscircle.bessel import BesselTensor, RadialGrid, _encode, default_grid
 from tscircle.errors import (GridSizeError, PreconditionError,
                              SingularRadiusError)
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
@@ -324,6 +327,13 @@ def test_mu5_small_r_continuity():
     assert np.max(np.abs(np.diff(v, 2))) < 1e-3
 
 
+def test_mu5_profile_passes_through_mu5_at_zero():
+    # the small-r fit keeps the value mu_value reports at r = 0
+    dens = auto_density(5)
+    assert dens.radii[0] == 0.0
+    assert dens.values[0] == mu_value(5, 0.0)
+
+
 def test_singular_radius_rejection():
     with pytest.raises(SingularRadiusError):
         mu_value(2, 2.0)
@@ -500,3 +510,35 @@ def test_leibniz_difference_identity():
     for term in leibniz_terms(fs, t):
         rhs = rhs + quintic_convolve(term, method="polar").coeffs
     np.testing.assert_allclose(lhs, rhs, atol=1e-11 * max(1.0, np.max(np.abs(lhs))))
+
+
+def test_radial_weights_are_built_once_per_grid_and_mode_count():
+    # each grid keeps one table of signed J_m rows times the radial weights,
+    # built again only for a larger M; smaller M read its middle rows
+    f = random_function(4, seed=3, decay=0.8)
+    for grid in (RadialGrid(), RadialGrid(400.0)):
+        built = []
+        for M in (8, 8, 4, 8, 0, 12, 4, 12):
+            el_quintic(f, grid, M)
+            table = grid._mode_weights
+            if not built or built[-1] is not table:
+                built.append(table)
+        assert [t.shape[0] for t in built] == [17, 25]
+    rows = grid.mode_weights(4)
+    assert not rows.flags.writeable and np.shares_memory(rows, built[-1])
+    m = np.arange(-4, 5)
+    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
+    want = (grid.j_matrix(4)[np.abs(m)] * sgn[:, None]
+            * (grid.weights * grid.nodes))
+    assert np.array_equal(rows, want)
+
+
+def test_a_dropped_grid_is_collected():
+    # the polar route's per-grid tables live on the grid, and no cache
+    # keyed by a grid keeps it alive
+    grid = RadialGrid(300.0)
+    el_quintic(random_function(3, seed=2, decay=0.8), grid, 6)
+    ref = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert ref() is None

@@ -302,6 +302,24 @@ def test_picard_contracts_from_extremizer(extremizer16):
     assert rep.ball_radius == pytest.approx(0.05 ** 0.75)
 
 
+def test_picard_extends_phi_once_per_run(extremizer16, monkeypatch):
+    # lambda's el_quintic extends f, L extends phi and g, and N reuses one
+    # field of phi for the whole run, so each step extends its iterate only
+    calls = []
+    real = tscircle.extension.extend
+
+    def counting(f, *args, **kwargs):
+        calls.append(f.N)
+        return real(f, *args, **kwargs)
+
+    for mod in (tscircle.quintic, tscircle.solver):
+        monkeypatch.setattr(mod, "extend", counting)
+    rep = picard_iterate(extremizer16.f, eps=0.05)
+    assert rep.converged and rep.K < 16
+    assert len(calls) == 4 + rep.iterations
+    assert calls.count(rep.K) == 2          # phi: once for L, once for N
+
+
 def test_picard_ratios_track_smooth_norm(extremizer16):
     rep = picard_iterate(extremizer16.f, eps=0.05)
     assert rep.s_norm == 0.5

@@ -1,5 +1,6 @@
-"""Bessel rows by Miller recurrence, oscillatory radial quadrature, and the
-six-factor product tensor.
+"""Bessel rows by forward recurrence below the turning point and Miller
+recurrence elsewhere, oscillatory radial quadrature, and the six-factor
+product tensor.
 
 Every integral in this package reduces to the form
 
@@ -46,12 +47,37 @@ DEFAULT_CUTOFF = 200.0
 PRODUCT_PANEL = 20.0 / 6          # frequency <= 6: six-factor products
 DENSITY_PANEL = 20.0 / 10         # frequency <= 10: the Hankel densities
 ROW_CHUNK = 256                   # six-Bessel rows per product block
+HANKEL_RHO = 30.0                 # J_0, J_1 from their Hankel series from here
+HANKEL_TERMS = 17                 # series terms a_0..a_16
 TAU = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
 # Bessel rows
 # ---------------------------------------------------------------------------
+
+def _hankel_j01(rho: np.ndarray) -> np.ndarray:
+    """J_0 and J_1 at rho >= HANKEL_RHO, (2, K), from their Hankel series
+    (DLMF 10.17.3): J_nu = sqrt(2/(pi rho)) (P_nu cos w_nu - Q_nu sin w_nu),
+    w_nu = rho - nu pi/2 - pi/4, P_nu = sum_m (-1)^m a_2m(nu) rho^-2m,
+    Q_nu = sum_m (-1)^m a_2m+1(nu) rho^-2m-1, a_k(nu) = prod_{j <= k}
+    (4 nu^2 - (2j - 1)^2)/(8j).  The first omitted term is below 5e-18 at
+    HANKEL_RHO.  sqrt 2 cos w_nu and sqrt 2 sin w_nu are sums of cos rho
+    and sin rho of the node itself: a phase rho - w formed in floating
+    point would lose digits of the envelope at large rho."""
+    c, s = np.cos(rho), np.sin(rho)
+    y = rho ** -2.0
+    out = np.empty((2, rho.size))
+    for nu, (cw, sw) in enumerate(((c + s, s - c), (s - c, -(c + s)))):
+        a = np.cumprod([1.0] + [(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j)
+                                for j in range(1, HANKEL_TERMS)])
+        a[2::4] *= -1.0                   # the signs (-1)^m of P and Q
+        a[3::4] *= -1.0
+        p = np.polynomial.polynomial.polyval(y, a[0::2])
+        q = np.polynomial.polynomial.polyval(y, a[1::2]) / rho
+        out[nu] = (p * cw - q * sw) / np.sqrt(np.pi * rho)
+    return out
+
 
 def _miller_start(nmax: int, top: float) -> int:
     """Even start order of the downward recurrence for rows 0..nmax at
@@ -137,7 +163,7 @@ class RadialGrid:
     summing to P exactly.
     """
 
-    ROW_BLOCK = 64       # Bessel rows past the base order per Miller start
+    ROW_BLOCK = 64       # Bessel rows per Miller start
 
     def __init__(self, cutoff: float = DEFAULT_CUTOFF,
                  panel: float = PRODUCT_PANEL):
@@ -157,7 +183,6 @@ class RadialGrid:
         self.nodes = nodes
         self.weights = weights
         self._jrows = np.zeros((0, nodes.size))
-        self._row_base = _miller_start(0, float(nodes[-1])) - 22
         self._mode_weights = np.zeros((0, nodes.size))
 
     def __repr__(self):
@@ -169,19 +194,45 @@ class RadialGrid:
         return RadialGrid(self.cutoff, 0.5 * self.panel)
 
     def j_matrix(self, nmax: int) -> np.ndarray:
-        """Rows J_0..J_nmax on the nodes; cached, grown on demand.  Row n
-        depends on the grid and n alone: rows up to the base order share
-        the start the largest node sets, and each further ROW_BLOCK rows
-        start ROW_BLOCK orders higher, so growing never moves a row."""
-        rows, base = self._jrows, self._row_base
-        while rows.shape[0] <= nmax:
-            have = rows.shape[0]
-            top = (min(nmax, base) if have <= base
-                   else have - 1 + self.ROW_BLOCK)
-            rows = np.concatenate(
-                [rows, _miller_block(top, self.nodes, nmin=have)])
-        self._jrows = rows
-        return rows[:nmax + 1]
+        """Rows J_0..J_nmax on the nodes; cached, grown on demand.
+
+        Below the turning point forward recurrence is stable (Gautschi,
+        SIAM Review 1967): at nodes rho >= HANKEL_RHO the orders n <= rho/2
+        run J_{n+1} = (2n/rho) J_n - J_{n-1} up from the Hankel J_0, J_1.
+        Every other (node, order) comes from _miller_block, one start per
+        ROW_BLOCK orders over the nodes below max(HANKEL_RHO, 2 x the
+        block's last order).  Regime and start depend on the node and the
+        order's block alone, so row n depends on the grid and n alone and
+        growing never moves a row; the cost is O(nmax K), not O(P K)."""
+        while self._jrows.shape[0] <= nmax:
+            have = self._jrows.shape[0]
+            end = have - have % self.ROW_BLOCK + self.ROW_BLOCK - 1
+            self._jrows = np.concatenate(
+                [self._jrows, self._rows(have, min(nmax, end), end)])
+        return self._jrows[:nmax + 1]
+
+    def _rows(self, lo: int, hi: int, end: int) -> np.ndarray:
+        """Rows lo..hi, lo the number cached, within the block ending at
+        order `end`.  The nodes ascend, so each regime is a run of them."""
+        rho = self.nodes
+        new = np.empty((hi - lo + 1, rho.size))
+        f = np.searchsorted(rho, max(HANKEL_RHO, 2.0 * lo))
+        if f < rho.size:                  # nodes with a forward row here
+            t = 2.0 / rho[f:]
+            n0 = max(lo - 2, 0)
+            jn, jn1 = (_hankel_j01(rho[f:]) if lo < 2
+                       else self._jrows[n0:lo, f:])      # J_n0, J_n0+1
+            for n in range(n0, hi + 1):
+                if n >= lo:
+                    new[n - lo, f:] = jn
+                jn, jn1 = jn1, (n + 1) * t * jn1 - jn
+        m = np.searchsorted(rho, max(HANKEL_RHO, 2.0 * end))
+        if m:                             # nodes with a Miller row in the block
+            order = np.arange(lo, hi + 1)[:, None]
+            np.copyto(new[:, :m],
+                      _miller_block(end, rho[:m], nmin=lo)[:hi - lo + 1],
+                      where=(rho[:m] < HANKEL_RHO) | (2 * order > rho[:m]))
+        return new
 
     def mode_weights(self, M: int) -> np.ndarray:
         """The radial weights of modes m = -M..M, J_m(rho_k) rho_k w_k with

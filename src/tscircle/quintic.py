@@ -251,7 +251,7 @@ def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
 
 def _mu5_at_zero(cutoff: float) -> float:
     """int_0^oo J_0^5 rho drho: mu_5(0)/(2 pi)^4, on _hankel_chunk's grid
-    and Miller row."""
+    and J_0 row."""
     g = _default_grid(cutoff, DENSITY_PANEL)
     head = float(g.weights @ (g.j_matrix(0)[0] ** 5 * g.nodes))
     return head + bessel_product_tail(np.zeros(5, int), cutoff)

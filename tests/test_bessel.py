@@ -1,8 +1,9 @@
 """Bessel rows, radial quadrature, closed-form tails, weight cache.
 
 scipy.special.jv and mpmath are used strictly as oracles; every digit in
-the weight tensor comes from the library's own Miller-recurrence rows
-(`_miller_block`), so the oracles check it against independent code.
+the weight tensor comes from the library's own rows (forward recurrence
+from its Hankel J_0, J_1, and `_miller_block`), so the oracles check it
+against independent code.
 """
 
 import numpy as np
@@ -416,3 +417,55 @@ def test_j_matrix_below_the_cached_order_runs_no_miller_work(monkeypatch):
     assert calls == []
     grid.j_matrix(41)                     # growing still runs Miller
     assert "_miller_block" in calls
+
+
+@pytest.mark.parametrize("cutoff", [1600.0, 25600.0])
+def test_j_matrix_rows_against_mpmath(cutoff):
+    # forward rows from the Hankel J_0, J_1 and the Miller rows they meet
+    # (order rho/2 -> rho/2 + 1), sampled at nodes rho >= 30, hold to 1e-14
+    # of the envelope sqrt(2/(pi rho)) at both ends of the range of cutoffs
+    grid = RadialGrid(cutoff)
+    rows = grid.j_matrix(64)
+    rho = grid.nodes
+    first = int(np.searchsorted(rho, 30.0))
+    near = np.arange(first, np.searchsorted(rho, 140.0), 37)
+    far = np.linspace(near[-1], rho.size - 1, 12).astype(int)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for k in np.concatenate([near, far]):
+            half = int(rho[k] // 2)
+            for n in {0, 1, 17, 64, half, half + 1} & set(range(65)):
+                ref = float(mpmath.besselj(n, mpmath.mpf(float(rho[k]))))
+                env = np.sqrt(2.0 / (np.pi * rho[k]))
+                worst = max(worst, abs(rows[n, k] - ref) / env)
+    assert worst < 1e-14
+
+
+def test_j_matrix_rows_where_regimes_meet_do_not_depend_on_history():
+    # at P = 1600 the forward and Miller regimes meet inside every row
+    # block up to order 400; growing 0 -> 64 -> 400 moves no row
+    fresh = RadialGrid(1600.0)
+    grown = RadialGrid(1600.0)
+    grown.j_matrix(64)
+    grown.j_matrix(400)
+    assert np.array_equal(fresh.j_matrix(400), grown.j_matrix(400))
+
+
+def test_j_matrix_at_large_cutoff_keeps_miller_to_small_nodes(monkeypatch):
+    # the cost guard: rows 0..64 at P = 12,800 hand Miller only the nodes
+    # below a few hundred, so a cold grid costs O(nmax K) rather than O(P K)
+    import tscircle.bessel as bessel
+    seen = []
+    real = bessel._miller_block
+
+    def recording(nmax, rho, nmin=0):
+        seen.append((nmax, float(np.max(rho)), rho.size))
+        return real(nmax, rho, nmin)
+
+    monkeypatch.setattr(bessel, "_miller_block", recording)
+    grid = RadialGrid(12800.0)
+    grid.j_matrix(64)
+    assert seen
+    assert max(nmax for nmax, _, _ in seen) < 2 * RadialGrid.ROW_BLOCK
+    assert max(top for _, top, _ in seen) < 300.0
+    assert sum(size for _, _, size in seen) < 0.05 * grid.nodes.size

@@ -17,6 +17,7 @@ from tscircle import (
     t0_value,
     ts_functional,
 )
+from tscircle.bessel import RadialGrid
 from tscircle.errors import ConfigError
 from tscircle.spectral import CircleFunction
 
@@ -90,3 +91,30 @@ def test_zero_function_rejected():
         quotient(z)
     with pytest.raises(ConfigError):
         el_residual(z)
+
+
+def test_gaussian_caps_approach_the_concentration_limit():
+    """Caps c_n = exp(-n^2/(2 sigma^2)), |n| <= 6 sigma, concentrate at
+    theta = 0 as sigma grows, and their quotients fall towards the 1D
+    Strichartz constant (Gaussians attain it: Foschi, JEMS 2007).
+
+    Derivation in this normalization: F(x) = int f(theta) e^{-i x . omega}
+    dtheta with ||f||^2 = int |f|^2 dtheta.  Near theta = 0, x . omega =
+    x1 (1 - theta^2/2) + x2 theta + O(theta^3), so with (x, t) = (x2,
+    -x1/2), whose Jacobian is dx1 dx2 = 2 dx dt, |F| tends to |E g|, E g(x,
+    t) = int g(xi) e^{-i(x xi + t xi^2)} dxi, and ||F||_6^6 -> 2 ||E g||_6^6.
+    For g = exp(-xi^2/2), |E g|^2 = 2 pi (1 + 4t^2)^{-1/2} exp(-x^2/(1 +
+    4t^2)); integrating its cube over x gives (2 pi)^3 sqrt(pi/3)/(1 + 4t^2)
+    and then over t a factor pi/2, while ||g||^6 = pi^{3/2}.  So
+    L^6 = 2 (2 pi)^3/(2 sqrt 3) and L = 2^{1/6} (2 pi)^{1/2} 12^{-1/12}.
+    The gaps to L fall like sigma^-2, so (4 q_8 - q_4)/3 extrapolates."""
+    limit = 2.0 ** (1 / 6) * TAU ** 0.5 * 12.0 ** (-1 / 12)
+    assert limit == pytest.approx(2.2873353, abs=5e-8)
+    grid = RadialGrid(12800.0)
+    q = {}
+    for sigma in (2, 4, 8):
+        n = np.arange(-6 * sigma, 6 * sigma + 1)
+        cap = CircleFunction(np.exp(-n ** 2 / (2.0 * sigma ** 2)))
+        q[sigma] = quotient(cap, grid)
+    assert q[2] > q[4] > q[8] > limit
+    assert abs((4.0 * q[8] - q[4]) / 3.0 - limit) < 5e-5 * limit

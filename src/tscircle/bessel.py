@@ -56,6 +56,13 @@ TAU = 2.0 * np.pi
 # Bessel rows
 # ---------------------------------------------------------------------------
 
+def parity_sign(n) -> np.ndarray:
+    """The sign s_n with J_n = s_n J_|n|: -1 for odd n < 0, else +1, from
+    J_{-n} = (-1)^n J_n."""
+    n = np.asarray(n)
+    return np.where((n < 0) & (n % 2 != 0), -1.0, 1.0)
+
+
 def _hankel_j01(rho: np.ndarray) -> np.ndarray:
     """J_0 and J_1 at rho >= HANKEL_RHO, (2, K), from their Hankel series
     (DLMF 10.17.3): J_nu = sqrt(2/(pi rho)) (P_nu cos w_nu - Q_nu sin w_nu),
@@ -241,8 +248,7 @@ class RadialGrid:
         table = self._mode_weights
         if table.shape[0] < 2 * M + 1:
             m = np.arange(-M, M + 1)
-            sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
-            table = (self.j_matrix(M)[np.abs(m)] * sgn[:, None]
+            table = (self.j_matrix(M)[np.abs(m)] * parity_sign(m)[:, None]
                      * (self.weights * self.nodes))
             table.flags.writeable = False
             self._mode_weights = table
@@ -279,7 +285,7 @@ def exp_tail_integral(omega, nu: float, P: float):
     e^{i omega rho} drho, nu > 1, from one recurrence.
 
     Integer nu builds up from E1; half-integer nu from Fresnel integrals.
-    Vectorized over omega.
+    Vectorized over the array omega.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.empty((2,) + om.shape, dtype=complex)
@@ -305,8 +311,6 @@ def exp_tail_integral(omega, nu: float, P: float):
             prev, cur = cur, e / (k * P ** k) + (1j * w / k) * cur
             k += 1.0
         out[0, nz], out[1, nz] = prev, cur
-    if np.ndim(omega) == 0:
-        return complex(out[0, 0]), complex(out[1, 0])
     return out[0], out[1]
 
 
@@ -411,9 +415,8 @@ def _signed_key(ns) -> tuple[float, np.ndarray]:
     """
     if sum(ns[:3]) != sum(ns[3:]):
         raise AdmissibilityError(f"tuple {ns} violates n1+n2+n3 = n4+n5+n6")
-    odd = sum(1 for n in ns if n < 0 and n % 2 != 0)
-    key = np.sort(np.abs(np.asarray(ns, dtype=np.int64)))[None, :]
-    return (-1.0 if odd % 2 else 1.0), key
+    ns = np.asarray(ns, dtype=np.int64)
+    return float(np.prod(parity_sign(ns))), np.sort(np.abs(ns))[None, :]
 
 
 def _six_bessel_rows(keys: np.ndarray,

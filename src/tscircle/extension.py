@@ -18,12 +18,14 @@ expression once on the tails and then on cache-sized row blocks of
 samples, each synthesized from the tables just before and summed radially
 at once, per output mode, into one accumulator over the angles whose modes
 are read after the last block (above a measured mode count, each block's
-modes are its FFT, summed radially); the quintic convolution and the L^6
-norm are its callers, each integrating its six-factor tail beyond the
-cutoff in closed form (tail_integral, a dot product with weights cached
-per cutoff).  A real input (c_{-n} = conj c_n)
-has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
-mode 0 of a product of such fields is the real part of the mean over them.
+modes are its FFT, summed radially).  It returns each mode's whole radial
+integral: the head against the caller's node weights plus the tail's modes
+against the caller's per-mode weights over the phase samples, which fold
+the closed-form integral beyond the cutoff (_tail_weights, cached per
+cutoff).  The quintic convolution and the L^6 norm are its callers.  A
+real input (c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi):
+its field keeps J/2 angles, and mode 0 of a product of such fields is the
+real part of the mean over them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import (RadialGrid, default_grid, exp_tail_integral,
-                     first_order_coeff)
+                     first_order_coeff, parity_sign)
 from .errors import GridSizeError, NumericalError
 from .spectral import TAU, CircleFunction
 
@@ -185,8 +187,7 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     grid = grid or default_grid()
     J = n_angles or angle_count(5 * f.N)
     n = np.arange(-f.N, f.N + 1)
-    parity = np.where((n < 0) & (n % 2 != 0), -1.0, 1.0)
-    factor = TAU * minus_i_pow(n) * parity * f.coeffs          # (2N+1,)
+    factor = TAU * minus_i_pow(n) * parity_sign(n) * f.coeffs  # (2N+1,)
     symmetric = (J % 2 == 0
                  and np.array_equal(f.coeffs, np.conj(f.coeffs[::-1])))
     # modes n and -n share the real row J_|n| (the sign is in `factor`), so
@@ -199,29 +200,33 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     return ExtensionField(grid, table, tail, J, TAU * f.coeff(0))
 
 
-def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
-    """sum_k radial[m, k] P_m(rho_k) for m = -M..M, P_m the m-th angular
-    mode of the field expression expr(*fields), and its tail's modes,
-    (2, TAIL_PHASES, 2M+1).  The expression runs once on the tails, giving its
-    bandwidth N, then on row blocks of BLOCK_SAMPLES samples synthesized
-    from the fields' tables.  Up to DIRECT_ANALYSIS_MODES modes each block
-    is summed radially first, one real matmul into a (2M+1, J') accumulator
-    Z whose row m is then read at mode m once, after the last block, against
-    the analysis table (mode 0 alone: the mean over the J' angles, of J/2
-    angles, real part, when inputs and tail are symmetric); above that each
-    block's modes are its FFT, summed radially at once.  The fields must
-    share grid and angles, and J > N + M, or the modes alias."""
+def _polar_reduce(expr, fields, M: int, head: np.ndarray,
+                  tail: np.ndarray) -> np.ndarray:
+    """The radial integrals of modes m = -M..M of the field expression
+    expr(*fields), (2M+1,): sum_k head[m, k] P_m(rho_k), P_m its m-th
+    angular mode, plus sum_{p,l} tail[m, p, l] S_m[p, l], S_m the m-th
+    angular mode of its tail's phase samples, so `tail` (2M+1, 2,
+    TAIL_PHASES) carries each mode's measure beyond the cutoff.  The
+    expression runs once on the tails, giving its bandwidth N, then on row
+    blocks of BLOCK_SAMPLES samples synthesized from the fields' tables.
+    Up to DIRECT_ANALYSIS_MODES modes each block is summed radially first,
+    one real matmul into a (2M+1, J') accumulator Z whose row m is then
+    read at mode m once, after the last block, against the analysis table
+    of the J' angles read (at mode 0, with inputs and tail symmetric, J/2
+    of them, real part taken); above that each block's modes are its FFT,
+    summed radially at once.  The fields must share grid and angles, and
+    J > N + M, or the modes alias."""
     grid = fields[0].grid
     J = fields[0].n_angles
     K = grid.nodes.size
     for F in fields:
         if (F.n_angles, F.grid.cutoff, F.grid.nodes.size) != (J, grid.cutoff, K):
             raise GridSizeError(f"cannot combine {fields[0]!r} with {F!r}")
-    tail = expr(*(F.tail for F in fields))
-    if J <= tail.N + M:
+    ends = expr(*(F.tail for F in fields))
+    if J <= ends.N + M:
         raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
-                            f"{tail.N} product (needs J > {tail.N + M})")
-    half = M == 0 and tail.symmetric and all(F.tail.symmetric for F in fields)
+                            f"{ends.N} product (needs J > {ends.N + M})")
+    half = M == 0 and ends.symmetric and all(F.tail.symmetric for F in fields)
     width = J // 2 if half else J
     step = max(1, BLOCK_SAMPLES // width)
     radial_first = 2 * M + 1 <= DIRECT_ANALYSIS_MODES
@@ -233,19 +238,15 @@ def _polar_reduce(expr, fields, M: int, radial: np.ndarray):
         hi = min(lo + step, K)
         block = expr(*(F.rows(lo, hi, half) for F in fields))
         if radial_first:
-            Zr += radial[:, lo:hi] @ block.view(np.float64)
+            Zr += head[:, lo:hi] @ block.view(np.float64)
         else:
-            quad += np.einsum("km,mk->m", _analyze(block, M), radial[:, lo:hi])
+            quad += np.einsum("km,mk->m", _analyze(block, M), head[:, lo:hi])
     if radial_first:
-        quad = (Z.mean(axis=1) if M == 0
-                else np.einsum("mj,jm->m", Z, _analysis_table(M, J)))
+        quad = np.einsum("mj,jm->m", Z, _analysis_table(M, width))
     if half:
         quad = quad.real + 0j
-    if M == 0:
-        tail_modes = tail.poly.mean(axis=0)[..., None]
-    else:
-        tail_modes = _analyze(np.moveaxis(tail.poly, 0, -1), M)
-    return quad, tail_modes
+    modes = _analyze(np.moveaxis(ends.poly, 0, -1), M)     # (2, TAIL_PHASES, 2M+1)
+    return quad + np.einsum("mpl,plm->m", tail, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +298,16 @@ def hpoly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _tail_weights(P: float) -> np.ndarray:
-    """(2, TAIL_PHASES) weights W with tail_integral(S) = sum S W: the
-    inverse phase transform folded into (2/pi)^3 I_{2+p}(k), k = -6..6."""
+    """(2, TAIL_PHASES) weights W of the integral beyond P of rho times a
+    six-factor tail, sum_{p,l} S[p, l] W[p, l] from its phase samples S:
+    the tail is (2/pi)^3 rho^-3 sum_k T[k, p] e^{ik rho} rho^-p, k = -6..6,
+    so the integral is (2/pi)^3 sum_k T[k, 0] I_2(k) + T[k, 1] I_3(k), the
+    inverse phase transform folded into (2/pi)^3 I_{2+p}(k)."""
     i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
     W = ((2.0 / np.pi) ** 3 / TAIL_PHASES * np.stack([i2, i3])
          @ _phase_table(6, TAIL_PHASES, TAIL_PHASES)[::-1])     # z_l^{-k}
     W.flags.writeable = False
     return W
-
-
-def tail_integral(S: np.ndarray, P: float) -> np.ndarray:
-    """(2/pi)^3 sum_k int_P^oo e^{ik rho} (T[..., k, 0] rho^-2 + T[..., k, 1]
-    rho^-3) drho over k = -6..6: the integral beyond P of rho times the
-    product of six tails, (2/pi)^3 rho^-3 sum T[..., k, p] e^{ik rho}
-    rho^-p, from its (..., 2, TAIL_PHASES) phase samples S."""
-    return S.reshape(S.shape[:-2] + (-1,)) @ _tail_weights(P).ravel()
 
 
 def _sixth_power(F):
@@ -322,12 +318,11 @@ def _sixth_power(F):
 
 def l6_norm(field: ExtensionField) -> float:
     """|| F ||_{L^6(R^2)}: |F|^6 = F^3 conj(F^3) integrated over the polar
-    samples, plus its closed-form tail beyond the cutoff."""
+    samples against rho w, plus its closed-form tail beyond the cutoff."""
     grid = field.grid
-    quad, mean = _polar_reduce(_sixth_power, [field], 0,
-                               (grid.weights * grid.nodes)[None, :])
-    tail = float(tail_integral(TAU * mean[..., 0], grid.cutoff).real)
-    total = float(TAU * quad[0].real) + tail
+    total = TAU * float(_polar_reduce(_sixth_power, [field], 0,
+                                      (grid.weights * grid.nodes)[None, :],
+                                      _tail_weights(grid.cutoff)[None])[0].real)
     if total < 0:
         raise NumericalError(f"negative sixth-power mass {total:.3e}")
     return total ** (1.0 / 6.0)

@@ -23,10 +23,11 @@ exactly when J > M + M_out (extension.angle_count), so a caller that reads
 mode 0 only samples at about M angles, not 2M, and takes that mode as an
 angular mean.  Both routes carry the same two-term radial tail model, coded
 twice (bessel.bessel_product_tail for the tensor, extension.bessel_tail and
-tail_integral for the polar route), so their agreement tests bookkeeping,
-not a shared truncation.  A polar mode's tail is the pointwise product of
-the phase samples of its P_m tail and those of J_m, bessel_tail's real
-samples signed for m < 0 (cached per M).
+_tail_weights for the polar route), so their agreement tests bookkeeping,
+not a shared truncation.  The kernel returns each mode's whole integral:
+J_m's tail, bessel_tail's real samples signed for m < 0, is folded once
+per cutoff and M into mode m's weights over the phase samples of P_m's
+tail, so a polar mode is the head plus one dot product.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -48,10 +49,10 @@ from scipy import special as _sp
 
 from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
-                     default_grid)
+                     default_grid, parity_sign)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import (_polar_reduce, angle_count, bessel_tail, extend,
-                        hpoly_mul, i_pow, tail_integral)
+from .extension import (_polar_reduce, _tail_weights, angle_count,
+                        bessel_tail, extend, i_pow)
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -76,11 +77,16 @@ def _self_product(F):
 
 @lru_cache(maxsize=64)
 def _mode_tables(P: float, M: int):
-    """For modes m = -M..M: i^m/2 pi and the phase samples of J_m's tail,
-    J_m = (-1)^m J_|m|."""
+    """For modes m = -M..M: i^m/2 pi and mode m's tail weights, (2M+1, 2,
+    TAIL_PHASES): the product of a tail S with J_m's, A = (-1)^m
+    bessel_tail(|m|) (a dual product, rho^-2 dropped), integrated by the
+    weights W, is sum S_0 (W_0 A_0 + W_1 A_1) + S_1 W_1 A_0."""
     m = np.arange(-M, M + 1)
-    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
-    tables = (i_pow(m) / TAU, sgn[:, None, None] * bessel_tail(np.abs(m), P))
+    A = parity_sign(m)[:, None, None] * bessel_tail(np.abs(m), P)
+    W = _tail_weights(P)
+    tables = (i_pow(m) / TAU,
+              np.stack([W[0] * A[:, 0] + W[1] * A[:, 1], W[1] * A[:, 0]],
+                       axis=1))
     for t in tables:
         t.flags.writeable = False          # shared by every caller
     return tables
@@ -91,12 +97,8 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     inputs; the fields' J angles must exceed the expression's bandwidth
     plus M, or those modes alias."""
     grid = fields[0].grid
-    scale, Jm = _mode_tables(grid.cutoff, M)
-    quad, tail_modes = _polar_reduce(expr, fields, M, grid.mode_weights(M))
-    # each mode's tail times that of its J_m: a six-factor tail
-    tail = tail_integral(hpoly_mul(Jm, np.moveaxis(tail_modes, -1, 0)),
-                         grid.cutoff)
-    return scale * (quad + tail)
+    scale, tail = _mode_tables(grid.cutoff, M)
+    return scale * _polar_reduce(expr, fields, M, grid.mode_weights(M), tail)
 
 
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
@@ -114,8 +116,7 @@ def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
     M = sum(Ns)
     rows = [g.ravel() for g in np.meshgrid(
         *(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")]   # n2..n5
-    odd = sum((n < 0) & (n % 2 != 0) for n in rows)       # J_{-n} = (-1)^n J_n
-    cc = np.where(odd % 2 == 0, 1.0, -1.0).astype(np.complex128)
+    cc = np.prod([parity_sign(n) for n in rows], axis=0).astype(np.complex128)
     for n, f in zip(rows, fs[1:]):
         cc = cc * f.coeffs[n + f.N]
     s2345 = rows[0] + rows[1] + rows[2] + rows[3]
@@ -136,8 +137,7 @@ def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
     keys[..., 5] = np.abs(m)
     keys.sort(axis=-1)
     value = tensor.lookup_sorted_abs(keys.reshape(-1, 6)).reshape(m.shape)
-    flip = ((m < 0) & (m % 2 != 0)) ^ ((n1 < 0) & (n1 % 2 != 0))[:, None]
-    value = np.where(flip, -value, value)
+    value = value * (parity_sign(m) * parity_sign(n1)[:, None])
 
     # pass n1 writes the modes n1 + s, the slice out[i:i + L]; with each
     # weight's real and imaginary parts interleaved (bins 2k, 2k + 1) one

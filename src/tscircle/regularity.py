@@ -55,8 +55,8 @@ def calH_estimate(f: CircleFunction, s: float) -> float:
     enter through quotients with exponent clipped to (0, 1] -- the naive
     unclipped quotient of a smooth function degenerates as t -> 0.
     """
-    if s < 0:
-        raise ConfigError("s must be nonnegative")
+    if not (np.isfinite(s) and s >= 0):
+        raise ConfigError(f"s must be finite and nonnegative, got {s!r}")
     if s == 0:
         return l2_norm(f)
     k = max(0, int(np.ceil(s)) - 1)
@@ -161,8 +161,8 @@ def sharp_flat_split(f: CircleFunction, eta: float,
     K minimal: solver.decompose at eps = eta * scale.  The sharp part is
     band-limited hence Lipschitz with an explicit constant; eta trades its
     size against the flat remainder."""
-    if eta <= 0:
-        raise ConfigError("eta must be positive")
+    if not (eta > 0):
+        raise ConfigError(f"eta must be positive, got {eta!r}")
     scale = calH_estimate(f, s_scale)
     sharp, flat, K = decompose(f, eta * scale)
     return SplitReport(K, sharp, flat, eta, s_scale, float(scale),

@@ -142,8 +142,8 @@ def decompose(f: CircleFunction, eps: float):
     Returns (phi, g, K).  Warns when K = 0: the low part carries only the
     mean, which usually means eps was chosen larger than the whole tail.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not (eps > 0):
+        raise ConfigError(f"eps must be positive, got {eps!r}")
     N = f.N
     shell = np.bincount(np.abs(np.arange(-N, N + 1)),
                         weights=TAU * np.abs(f.coeffs) ** 2)   # mass at |n|

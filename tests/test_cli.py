@@ -437,6 +437,19 @@ def test_density_bad_configuration_exits_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["split", "--s", "nan"],
+    ["split", "--s", "inf"],
+    ["split", "--eta", "nan"],
+    ["picard", "--n", "2", "--eps", "nan"],
+])
+def test_non_finite_flag_values_exit_2(argv, capsys):
+    # NaN passes a check written as x <= 0, and an infinite s has no
+    # integer part: both are configuration errors, not internal ones
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_every_command_at_defaults_verifies(name, tmp_path):
     # the whole contract at each command's default flags: exit 0, oracle

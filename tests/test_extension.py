@@ -25,9 +25,9 @@ from tscircle import (
 import tscircle.extension
 from tscircle.bessel import default_grid, exp_tail_integral, first_order_coeff
 from tscircle.extension import (TAIL_PHASES, _analyze, _phase_table,
-                                angle_count, bessel_tail, hpoly_mul, i_pow,
-                                tail_integral)
-from tscircle.quintic import el_quintic
+                                _tail_weights, angle_count, bessel_tail,
+                                hpoly_mul, i_pow)
+from tscircle.quintic import _mode_tables, el_quintic
 
 
 def field_oracle(f, rho, phi):
@@ -299,18 +299,44 @@ def test_conj_of_phase_samples_is_the_conjugate_polynomial():
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def tail_integral_of_coefficients(T, P):
+    """(2/pi)^3 sum_k T_k0 I_2(k) + T_k1 I_3(k) over k = -6..6 of a
+    (..., 13, 2) six-factor tail polynomial, and the same sum of the
+    magnitudes, its rounding scale."""
+    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
+    c = (2.0 / np.pi) ** 3
+    return (c * (T[..., 0] @ i2 + T[..., 1] @ i3),
+            c * (np.abs(T[..., 0]) @ np.abs(i2) + np.abs(T[..., 1]) @ np.abs(i3)))
+
+
 @pytest.mark.parametrize("P", [200.0, 800.0, 3200.0])
 def test_tail_integral_is_the_coefficient_sum(P):
-    # (2/pi)^3 sum_k T_k0 I_2(k) + T_k1 I_3(k), k = -6..6, from the phase
-    # samples of a degree-6 tail
+    # the weights take the phase samples of a degree-6 tail to the sum
+    # over its coefficients
     rng = np.random.default_rng(int(P))
     T = random_poly(rng, 13, lead=5)
-    i2, i3 = exp_tail_integral(np.arange(-6, 7), 2.0, P)
-    want = (2.0 / np.pi) ** 3 * (T[..., 0] @ i2 + T[..., 1] @ i3)
-    got = tail_integral(phase_samples(T), P)
-    scale = (2.0 / np.pi) ** 3 * (np.abs(T[..., 0]) @ np.abs(i2)
-                                  + np.abs(T[..., 1]) @ np.abs(i3))
+    want, scale = tail_integral_of_coefficients(T, P)
+    got = np.sum(phase_samples(T) * _tail_weights(P), axis=(-2, -1))
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("P", [200.0, 3200.0])
+def test_mode_tail_weights_are_the_product_with_j_m_then_the_sum(P):
+    # each mode's folded weights on the phase samples of a degree-5 tail
+    # equal the plain loop product with J_m's tail, then the coefficient
+    # sum; M = 24 reaches orders whose a_m is zeroed at P = 200.  The
+    # scale is the sum of the magnitudes of the terms the weights add.
+    M = 24
+    m = np.arange(-M, M + 1)
+    sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)     # J_-n = (-1)^n J_n
+    T = random_poly(np.random.default_rng(int(P) + 1), 11, lead=m.size)
+    Jm = sign[:, None, None] * bessel_tail_coefficients(m, P)
+    want, _ = tail_integral_of_coefficients(hpoly_mul_loop(T, Jm), P)
+    S = phase_samples(T)
+    got = np.sum(_mode_tables(P, M)[1] * S, axis=(-2, -1))
+    scale = np.sum(hpoly_mul(np.abs(bessel_tail(m, P)), np.abs(S))
+                   * np.abs(_tail_weights(P)), axis=(-2, -1))
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
@@ -323,6 +349,7 @@ def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
 
     monkeypatch.setattr(tscircle.extension, "exp_tail_integral", counting)
     tscircle.extension._tail_weights.cache_clear()
+    _mode_tables.cache_clear()             # which holds each cutoff's weights
     f = random_function(3, seed=4, decay=0.8)
     for cutoff in (200.0, 200.0, 400.0, 200.0, 400.0):
         el_quintic(f, default_grid(cutoff))

@@ -1,12 +1,14 @@
 """The blocked polar kernel against the whole-array assembly.
 
 The reference synthesizes each field on all K x J samples at once, forms
-the product field, takes its FFT and sums it radially: the assembly as it
-was before expressions were evaluated block by block.  The kernel must give
-the same modes for every expression the package assembles, for every block
-height, on either side of its crossover (each block summed radially first
-and its modes read once at the end, or each block's modes taken by FFT),
-and on half the angles when its inputs are real.
+the product field, takes its FFT and sums it radially, and adds the FFT
+modes of the product's tail through the same tail weights: the assembly as
+it was before expressions were evaluated block by block.  The kernel must
+give the same integrals for every expression the package assembles, for
+every block height, on either side of its crossover (each block summed
+radially first and its modes read once at the end, or each block's modes
+taken by FFT), and on half the angles when its inputs are real.  The tail
+part, far below the head, is also checked alone.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import tscircle.extension
 from tscircle import RadialGrid, constant_function, default_grid, random_function
 from tscircle.extension import ExtensionField, _polar_reduce, angle_count, extend
-from tscircle.quintic import _abs2, _product, _self_product
+from tscircle.quintic import _abs2, _mode_tables, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
 
 
@@ -27,30 +29,35 @@ def radial_rows(grid, M):
     return rows * (grid.weights * grid.nodes)
 
 
-def reference(expr, fields, M):
-    """Product of the whole samples, its FFT, the radial sum; and the FFT
-    modes of the product tail."""
+def reference(expr, fields, M, head, tail):
+    """Product of the whole samples, its FFT, the radial sum against
+    `head`; plus the FFT modes of the product tail against `tail`."""
     J = fields[0].n_angles
     keep = np.mod(np.arange(-M, M + 1), J)
     K = fields[0].grid.nodes.size
     values = expr(*(F.rows(0, K) for F in fields))
     modes = (np.fft.fft(values, axis=1) / J)[:, keep]
-    quad = np.einsum("km,mk->m", modes, radial_rows(fields[0].grid, M))
-    tail = expr(*(F.tail for F in fields)).poly
-    tail_modes = (np.fft.fft(np.moveaxis(tail, 0, -1), axis=-1) / J)[..., keep]
-    return quad, tail_modes
+    quad = np.einsum("km,mk->m", modes, head)
+    ends = expr(*(F.tail for F in fields)).poly
+    tail_modes = (np.fft.fft(np.moveaxis(ends, 0, -1), axis=-1) / J)[..., keep]
+    return quad + np.einsum("mpl,plm->m", tail, tail_modes)
 
 
-def kernel(expr, fields, M):
-    return _polar_reduce(expr, fields, M, radial_rows(fields[0].grid, M))
+def measure(grid, M, head=1.0, tail=1.0):
+    """The assembly's measure, the radial rows and J_m's folded tail
+    weights, each scaled by `head` and `tail` (0 drops it)."""
+    return (head * radial_rows(grid, M),
+            tail * _mode_tables(grid.cutoff, M)[1])
 
 
 def assert_matches(expr, fields, M, rel=1e-13):
-    quad, tail_modes = kernel(expr, fields, M)
-    ref_quad, ref_tail = reference(expr, fields, M)
-    assert quad.shape == ref_quad.shape == (2 * M + 1,)
-    assert np.max(np.abs(quad - ref_quad)) <= rel * np.max(np.abs(ref_quad))
-    assert np.max(np.abs(tail_modes - ref_tail)) <= rel * np.max(np.abs(ref_tail))
+    for head in (1.0, 0.0):               # the whole integral, the tail alone
+        w = measure(fields[0].grid, M, head=head)
+        got = _polar_reduce(expr, fields, M, *w)
+        want = reference(expr, fields, M, *w)
+        assert got.shape == want.shape == (2 * M + 1,)
+        assert np.max(np.abs(want)) > 0
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 def high_tail(n_lo, n_hi, seed):
@@ -124,11 +131,13 @@ def test_each_reduction_path_on_mixed_bandwidths_and_half_angles(
     seen = spy_rows(monkeypatch)
     gs = [_abs2(random_function(8, seed=i, decay=0.6)) for i in range(5)]
     fields = [extend(g, n_angles=88) for g in gs]
-    quad, _ = kernel(_product, fields, 0)
+    w = measure(fields[0].grid, 0, tail=0.0)
+    quad = _polar_reduce(_product, fields, 0, *w)
     assert seen and all(seen)
-    ref, _ = reference(_product, fields, 0)
+    ref = reference(_product, fields, 0, *w)
     assert quad[0].imag == 0.0
     assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
+    assert_matches(_product, fields, 0)
 
 
 def test_kernel_mixed_bandwidths():
@@ -167,9 +176,10 @@ def test_half_angles_match_full_angles_on_real_inputs(monkeypatch):
         fields = [extend(g, n_angles=88) for g in gs]
         assert all(F.table.shape[1] == 2 * 44 for F in fields)
         seen.clear()
-        quad, _ = kernel(_product, fields, 0)
+        w = measure(fields[0].grid, 0, tail=0.0)
+        quad = _polar_reduce(_product, fields, 0, *w)
         assert seen and all(seen)
-        ref, _ = reference(_product, fields, 0)
+        ref = reference(_product, fields, 0, *w)
         assert abs(quad[0].imag) == 0.0
         assert abs(quad[0] - ref[0]) <= 1e-14 * abs(ref[0])
 
@@ -186,11 +196,12 @@ def test_non_symmetric_input_never_takes_half_angles(monkeypatch):
     odd = [extend(g, n_angles=89) for g in gs]
     for expr, fs in ((_product, mixed), (rotated, fields), (_product, odd)):
         seen.clear()
-        quad, _ = kernel(expr, fs, 0)
+        w = measure(fs[0].grid, 0)
+        quad = _polar_reduce(expr, fs, 0, *w)
         assert seen and not any(seen)
-        ref, _ = reference(expr, fs, 0)
+        ref = reference(expr, fs, 0, *w)
         assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
     # the same real inputs at M = 1 read every angle too
     seen.clear()
-    kernel(_product, fields, 1)
+    _polar_reduce(_product, fields, 1, *measure(fields[0].grid, 1))
     assert seen and not any(seen)

@@ -8,8 +8,8 @@ Every integral in this package reduces to the form
 
 absolutely convergent once there are at least five factors (six factors
 decay like rho^-3 before the measure).  Values are computed as composite
-Gauss-Legendre quadrature on [0, P] plus a closed-form tail: each factor is
-replaced by its large-argument form
+Gauss-Legendre quadrature on [0, P], P >= 30, plus a closed-form tail: each
+factor is replaced by its large-argument form
 
     J_n(rho) ~ sqrt(2/(pi rho)) [cos chi_n - (a_n/rho) sin chi_n],
     chi_n = rho - n pi/2 - pi/4,    a_n = (4 n^2 - 1)/8,
@@ -20,14 +20,14 @@ the product is expanded into combination-phase exponentials, and
 
 is evaluated exactly through the exponential integral (integer nu) or
 Fresnel integrals (half-integer nu).  The head is one quadrature pass on a
-grid sized from the highest frequency in play (see RadialGrid), so every
-reported error bound is the tail model's bound.  First-order 1/rho terms
-are kept, truncated at total order one; dropping them leaves
-non-oscillatory mass ~ sum(a_n)/P^2 which is visible at the 1e-6 level
-for P = 200.  The first-order coefficient of a factor is dropped when
-a_n > s_n P, where the asymptotic series is meaningless; the rule is
-factor-local so that every code path organizing the same product
-truncates identically.
+grid sized from the highest frequency w in play, 32-point panels of length
+57/w, 3.5 nodes per wavelength (see RadialGrid), so every reported error
+bound is the tail model's bound.  First-order 1/rho terms are kept,
+truncated at total order one; dropping them leaves non-oscillatory mass
+~ sum(a_n)/P^2 which is visible at the 1e-6 level for P = 200.  The
+first-order coefficient of a factor is dropped when a_n > s_n P, where the
+asymptotic series is meaningless; the rule is factor-local so that every
+code path organizing the same product truncates identically.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .errors import (AdmissibilityError, CacheError, ConfigError,
                      PreconditionError)
 
 DEFAULT_CUTOFF = 200.0
-PRODUCT_PANEL = 20.0 / 6          # frequency <= 6: six-factor products
-DENSITY_PANEL = 20.0 / 10         # frequency <= 10: the Hankel densities
+PRODUCT_PANEL = 57.0 / 6          # frequency <= 6: six-factor products
+DENSITY_PANEL = 57.0 / 10         # frequency <= 10: the Hankel densities
 ROW_CHUNK = 256                   # six-Bessel rows per product block
 HANKEL_RHO = 30.0                 # J_0, J_1 from their Hankel series from here
 HANKEL_TERMS = 17                 # series terms a_0..a_16
@@ -149,27 +149,44 @@ def _miller_block(nmax: int, rho: np.ndarray, nmin: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_cutoff(cutoff: float) -> float:
-    """The radial cutoff P as a float, refused outside (0, 1e5]."""
-    if not (0.0 < cutoff <= 1.0e5):
-        raise ConfigError(f"cutoff {cutoff!r} out of range")
+    """The radial cutoff P as a float, refused outside [HANKEL_RHO, 1e5]:
+    below HANKEL_RHO the two-term tail does not hold even for J_0."""
+    if not (HANKEL_RHO <= cutoff <= 1.0e5):
+        raise ConfigError(f"cutoff {cutoff!r} outside [{HANKEL_RHO:g}, 1e5]")
     return float(cutoff)
 
 
 class RadialGrid:
-    """Composite 16-point Gauss-Legendre panels on (0, P].
+    """Composite 32-point Gauss-Legendre panels on (0, P].
 
-    Gauss-Legendre needs about pi nodes per wavelength, so a grid resolves
-    an integrand of top frequency w to rounding (a test checks each grid
-    against its doubling) when its panels have length 20/w: five nodes per
-    wavelength.  Six-factor Bessel products (tensor, polar route, L^6
-    norm, T_0) oscillate at frequency <= 6 and take the default panel
-    10/3; the density integrands J_0(rho)^k J_0(r rho) reach k + r <= 10,
-    with r in the support [0, k], and take panel 2 (DENSITY_PANEL).
-    Panels of 4 put a six-factor row 1.3e-14 off and a mu_5 head 1.7e-9
-    off at r = 5.  Nodes are strictly interior, weights positive and
-    summing to P exactly.
+    Gauss-Legendre rules need pi nodes per wavelength in the limit of
+    many nodes, a factor pi/2 above the optimal 2, lost to the clustering
+    of their nodes at the panel ends (Hale and Trefethen, SIAM J. Numer.
+    Anal. 2008); short low-order panels fall further from that limit.  So
+    a grid resolves an integrand of top frequency w to rounding with
+    32-point panels of length 57/w, 2 pi 32/57 = 3.5 nodes per wavelength.
+    Six-factor Bessel products (tensor, polar route, L^6 norm, T_0)
+    oscillate at frequency <= 6 and take the default panel 57/6, K = 704
+    nodes at P = 200; the density integrands J_0(rho)^k J_0(r rho) reach
+    k + r <= 10, with r in the support [0, k], and take panel 57/10
+    (DENSITY_PANEL), K = 1152.  The largest head deviation of each default
+    grid from 16-point panels of 5/w (about 20 nodes per wavelength), next
+    to that of the 16-point panels of 20/w (five nodes per wavelength,
+    K = 960 and 1600) that this rule replaced; a test bounds the rows by
+    3e-16 and 2e-17 and the mu_5 heads by 7e-16:
+
+        heads                                    57/w, 32 pt   20/w, 16 pt
+        six-factor rows, enumerate_keys(8)       2.2e-16       1.5e-16
+        2000 six-factor rows, orders <= 80       5.1e-18       4.5e-18
+        mu_5 at 49 radii in [0.2, 5], P = 200    3.9e-16       5.0e-16
+        mu_5 at 49 radii in [0.2, 5], P = 1600   5.0e-16       5.6e-16
+
+    16-point panels of length 5 put a six-factor row 1.1e-11 off and a
+    mu_5 head 8.7e-6 off.  Nodes are strictly interior, weights positive
+    and summing to P to rounding.
     """
 
+    PANEL_NODES = 32     # Gauss-Legendre nodes per panel
     ROW_BLOCK = 64       # Bessel rows per Miller start
 
     def __init__(self, cutoff: float = DEFAULT_CUTOFF,
@@ -180,7 +197,7 @@ class RadialGrid:
         self.panel = float(panel)
         npan = int(np.ceil(self.cutoff / self.panel))
         edges = np.linspace(0.0, self.cutoff, npan + 1)
-        x, w = np.polynomial.legendre.leggauss(16)
+        x, w = np.polynomial.legendre.leggauss(self.PANEL_NODES)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -46,9 +46,12 @@ _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 # which then runs once; above, each block's modes are its FFT (crossover
 # measured on 2 cores, one BLAS thread).  Synthesis is always a table matmul.
 DIRECT_ANALYSIS_MODES = 121
-# samples per row block of _polar_reduce: 128 KB, so the temporaries of a
-# Picard expression stay in L2 cache
-BLOCK_SAMPLES = 8192
+# samples per row block of _polar_reduce: 64 KB per complex array, so the
+# temporaries of a Picard expression stay in L2 cache and stay below the
+# C allocator's heap-trim threshold when a call frees them (at 8192 and
+# K = 704 they did not: their pages went back to the system and were
+# faulted in again by the next call, about 9,000 faults per contraction op)
+BLOCK_SAMPLES = 4096
 # decay_check reads the envelope rho^{1/2} |F| from this radius on
 DECAY_RHO_MIN = 10.0
 # tails are sampled at z_l = e^{2 pi i l/13}: exact to degree 6 in e^{i rho}

@@ -320,9 +320,10 @@ def auto_density(k: int, n_points: int = 801,
 
     k = 2, 3 are closed forms (_mu2, _mu3), whose mass is exactly the
     expected (2 pi)^k; k = 4, 5 go through the Hankel representation on the
-    panel-2 density grid at `cutoff`.  Radii within EXCLUSION of a genuinely
-    singular radius are masked out, and so is k = 4 below HANKEL_FLOOR,
-    where its logarithmic blowup is unresolved.
+    density grid at `cutoff`, panels of DENSITY_PANEL = 57/10.  Radii
+    within EXCLUSION of a genuinely singular radius are masked out, and so
+    is k = 4 below HANKEL_FLOOR, where its logarithmic blowup is
+    unresolved.
 
     The profile covers the support [0, k]: mu_k vanishes beyond it, and the
     radial grid resolves the Hankel integrands only up to r = k (see

@@ -214,28 +214,59 @@ def test_tail_cutoff_consistency():
 
 
 def test_grid_sizes():
-    # panels of 20/frequency: 10/3 for six-factor products (frequency 6),
-    # 2 for the density integrands (frequency 10)
-    assert default_grid(200.0).nodes.size == 960
-    assert _default_grid(200.0, DENSITY_PANEL).nodes.size == 1600
-    assert default_grid(200.0).refine().nodes.size == 1920
+    # 32-point panels of 57/frequency: 57/6 for six-factor products
+    # (frequency 6), 57/10 for the density integrands (frequency 10)
+    assert default_grid(200.0).nodes.size == 704
+    assert _default_grid(200.0, DENSITY_PANEL).nodes.size == 1152
+    assert default_grid(200.0).refine().nodes.size == 1376
+    assert [_default_grid(c, DENSITY_PANEL).nodes.size
+            for c in (400.0, 800.0, 1600.0)] == [2272, 4512, 8992]
+
+
+def six_heads(grid, keys):
+    """The heads int_0^P rho prod_j J_{k_j} drho of the rows of `keys`."""
+    j = grid.j_matrix(int(keys.max()))
+    prod = j[keys[:, 0]].copy()
+    for col in range(1, 6):
+        prod *= j[keys[:, col]]
+    return prod @ (grid.weights * grid.nodes)
+
+
+def mu5_heads(grid, radii):
+    """The mu_5 Hankel heads int_0^P J_0(r rho) J_0(rho)^5 rho drho."""
+    rho = grid.nodes
+    return (sps.j0(np.outer(radii, rho)) * sps.j0(rho) ** 5) @ (grid.weights * rho)
+
+
+class Gauss16Grid(RadialGrid):
+    """The grid rule with 16-point panels."""
+    PANEL_NODES = 16
+
+
+def test_default_grids_match_a_fourfold_refined_16_point_rule():
+    # the reference has 16-point panels of 5/w, about 20 nodes per
+    # wavelength of an integrand of top frequency w; each default grid
+    # (3.5 nodes per wavelength) lands within these bounds of it, and so
+    # did the 16-point panels of 20/w that it replaced.  16-point panels of
+    # length 5 miss the six-factor heads by 1.1e-11.
+    g = default_grid(200.0)
+    ref = Gauss16Grid(200.0, 5.0 / 6)
+    keys = enumerate_keys(8)
+    assert np.max(np.abs(six_heads(g, keys) - six_heads(ref, keys))) <= 3e-16
+    rng = np.random.default_rng(2016)
+    keys = np.sort(rng.integers(0, 81, size=(2000, 6)), axis=1)
+    assert np.max(np.abs(six_heads(g, keys) - six_heads(ref, keys))) <= 2e-17
+    radii = np.linspace(0.2, 5.0, 49)
+    for c in (200.0, 1600.0):
+        gap = (mu5_heads(_default_grid(c, DENSITY_PANEL), radii)
+               - mu5_heads(Gauss16Grid(c, 0.5), radii))
+        assert np.max(np.abs(gap)) <= 7e-16, c
 
 
 def test_head_quadrature_stable_under_grid_doubling():
     # each grid resolves every head it serves: halving the panels moves
     # neither a six-factor row on the product grid nor a mu_5 Hankel head
     # on the density grid
-    def six_heads(grid, keys):
-        j = grid.j_matrix(int(keys.max()))
-        prod = j[keys[:, 0]].copy()
-        for col in range(1, 6):
-            prod *= j[keys[:, col]]
-        return prod @ (grid.weights * grid.nodes)
-
-    def mu5_heads(grid, radii):
-        rho = grid.nodes
-        return (sps.j0(np.outer(radii, rho)) * sps.j0(rho) ** 5) @ (grid.weights * rho)
-
     g = default_grid(200.0)
     fine = g.refine()
     keys = enumerate_keys(8)

@@ -437,6 +437,28 @@ def test_density_bad_configuration_exits_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff", ["1e-300", "1e-100", "1e-50", "29.9"])
+@pytest.mark.parametrize("name", ["constant", "functional", "density",
+                                  "tensor-build", "el-residual", "solve"])
+def test_cutoff_below_the_hankel_radius_exits_2(name, cutoff, tmp_path,
+                                                capsys):
+    # below rho = 30 the two-term tail does not hold even for J_0: such
+    # cutoffs overflowed the tail integrals (exit 3), or gave NaN or a
+    # lambda_0 of 5e51 with exit 0
+    argv = [name, "--cutoff", cutoff, "--out", str(tmp_path / "env.json")]
+    if name == "tensor-build":
+        argv += ["--tensor", str(tmp_path / "t.b6t")]
+    assert main(argv) == 2
+    assert "cutoff" in capsys.readouterr().err
+    assert not (tmp_path / "env.json").exists()
+
+
+def test_cutoff_at_the_hankel_radius_is_accepted(tmp_path):
+    env = run_to_file(tmp_path, "c.json", ["constant", "--cutoff", "30"])
+    assert env["config"]["cutoff"] == 30.0
+    assert np.isfinite(env["payload"]["lambda0"])
+
+
 @pytest.mark.parametrize("argv", [
     ["split", "--s", "nan"],
     ["split", "--s", "inf"],

@@ -190,7 +190,7 @@ def whole_synthesis(field):
 @pytest.mark.parametrize("J", [88, 89])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_row_blocks_are_the_whole_synthesis(J, symmetric):
-    # K = 960 nodes in 7-row blocks (a 1-row block last), and in blocks of
+    # K = 704 nodes in 7-row blocks (a 4-row block last), and in blocks of
     # one and two rows at both ends: each equals its rows of one
     # whole-array synthesis bit for bit.  (That needs the BLAS to run one
     # kernel on a block and on the whole array; OpenBLAS 0.3.31 does for
@@ -216,7 +216,7 @@ def test_row_blocks_are_the_whole_synthesis(J, symmetric):
 
 def test_field_holds_no_samples():
     # the field of a band-16 input at J = 168 is its folded (17, 168)
-    # complex table, 46 KB: no K x J (960 x 168, 2.6 MB) array is made
+    # complex table, 46 KB: no K x J (704 x 168, 1.9 MB) array is made
     f = random_function(16, seed=13, decay=0.8)
     extend(f, n_angles=168)               # warm the phase and Bessel tables
     tracemalloc.start()

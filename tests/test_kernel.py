@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tscircle.extension
-from tscircle import RadialGrid, constant_function, default_grid, random_function
+from tscircle import constant_function, default_grid, random_function
 from tscircle.extension import ExtensionField, _polar_reduce, angle_count, extend
 from tscircle.quintic import _abs2, _mode_tables, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
@@ -84,10 +84,11 @@ CASES = {
 @pytest.mark.parametrize("M", ["N", 16, 0])
 @pytest.mark.parametrize("name", list(CASES))
 def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
-    # every case ends on a short block: the product grid's K = 960 nodes
+    # every case ends on a short block: the product grid's K = 704 nodes
     # are a multiple neither of 7 rows nor of the module's block height at
-    # J = 64, 72, 88 and 104 (128, 113, 93 and 78 rows), but fill 20 blocks
-    # of 48 rows at J = 168, which therefore runs on K = 1600 nodes
+    # J = 72, 88, 104 and 168 (56, 46, 39 and 24 rows), but fill 11 blocks
+    # of 64 rows at J = 64, which therefore runs on the refined grid's
+    # K = 1376 nodes
     expr, inputs, bandwidth = CASES[name]
     M = bandwidth if M == "N" else M
     J = angle_count(bandwidth, M)
@@ -95,7 +96,7 @@ def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
     if seven_rows:
         height = 7
         monkeypatch.setattr(tscircle.extension, "BLOCK_SAMPLES", 7 * J)
-    grid = RadialGrid(panel=2.0) if J == 168 else default_grid()
+    grid = default_grid().refine() if J == 64 else default_grid()
     assert grid.nodes.size % height
     fields = [extend(f, grid, J) for f in inputs]
     assert_matches(expr, fields, M)

@@ -207,7 +207,6 @@ class RadialGrid:
         self.nodes = nodes
         self.weights = weights
         self._jrows = np.zeros((0, nodes.size))
-        self._mode_weights = np.zeros((0, nodes.size))
 
     def __repr__(self):
         return (f"RadialGrid(cutoff={self.cutoff:g}, panel={self.panel:g}, "
@@ -257,20 +256,6 @@ class RadialGrid:
                       _miller_block(end, rho[:m], nmin=lo)[:hi - lo + 1],
                       where=(rho[:m] < HANKEL_RHO) | (2 * order > rho[:m]))
         return new
-
-    def mode_weights(self, M: int) -> np.ndarray:
-        """The radial weights of modes m = -M..M, J_m(rho_k) rho_k w_k with
-        J_m = (-1)^m J_|m|, (2M+1, K), read-only: the middle rows of one
-        table, built again only for a larger M (row m depends on m alone)."""
-        table = self._mode_weights
-        if table.shape[0] < 2 * M + 1:
-            m = np.arange(-M, M + 1)
-            table = (self.j_matrix(M)[np.abs(m)] * parity_sign(m)[:, None]
-                     * (self.weights * self.nodes))
-            table.flags.writeable = False
-            self._mode_weights = table
-        top = table.shape[0] // 2
-        return table[top - M:top + M + 1]
 
 
 @lru_cache(maxsize=16)

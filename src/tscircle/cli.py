@@ -114,8 +114,11 @@ def validate_envelope(env: dict) -> None:
 
 def cache_roundtrip(tensor: BesselTensor, path) -> BesselTensor:
     """Write `tensor` to `path`, read it back, and insist on bit identity."""
-    tensor.save(path)
-    loaded = BesselTensor.load(path)
+    try:
+        tensor.save(path)
+        loaded = BesselTensor.load(path)
+    except OSError as exc:
+        raise ConfigError(f"--tensor {path}: {exc.strerror}") from exc
     same = (
         loaded.N == tensor.N
         and loaded.cutoff == tensor.cutoff
@@ -133,7 +136,10 @@ def cache_roundtrip(tensor: BesselTensor, path) -> BesselTensor:
 def _load_tensor(path, cutoff: float) -> BesselTensor:
     if path is None:
         return None
-    tensor = BesselTensor.load(path)
+    try:
+        tensor = BesselTensor.load(path)
+    except OSError as exc:
+        raise ConfigError(f"--tensor {path}: {exc.strerror}") from exc
     if tensor.cutoff != cutoff:
         raise ConfigError(f"--cutoff {cutoff:g} differs from the cutoff "
                           f"{tensor.cutoff:g} stored in {path}")
@@ -551,8 +557,11 @@ def _emit(env: dict, args) -> None:
     else:
         text = json.dumps(env, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

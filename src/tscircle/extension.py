@@ -3,7 +3,7 @@
 For f(theta) = sum c_n e^{i n theta}, the extended field in polar
 coordinates is
 
-    F(rho, phi) = 2 pi sum_n (-i)^n c_n J_n(rho) e^{i n phi},
+    F(rho, phi) = 2 pi sum_n (-i)^|n| c_n J_|n|(rho) e^{i n phi},
 
 sampled on a radial quadrature grid times a uniform angular grid, with its
 large-rho form beyond the cutoff (a FieldTail): a polynomial in e^{+-i rho}
@@ -16,16 +16,17 @@ a plain function over `*`, `+`, scalar `*` and `.conj()`.  A field holds
 no samples, only its folded phase table.  _polar_reduce evaluates an
 expression once on the tails and then on cache-sized row blocks of
 samples, each synthesized from the tables just before and summed radially
-at once, per output mode, into one accumulator over the angles whose modes
-are read after the last block (above a measured mode count, each block's
-modes are its FFT, summed radially).  It returns each mode's whole radial
-integral: the head against the caller's node weights plus the tail's modes
-against the caller's per-mode weights over the phase samples, which fold
-the closed-form integral beyond the cutoff (_tail_weights, cached per
-cutoff).  The quintic convolution and the L^6 norm are its callers.  A
-real input (c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi):
-its field keeps J/2 angles, and mode 0 of a product of such fields is the
-real part of the mean over them.
+at once, per Bessel order, into one accumulator over the angles whose
+modes are read after the last block (above a measured mode count, each
+block's modes are its FFT, summed radially).  It returns each mode m's
+whole radial integral against the row of its order |m| (the sign of J_m
+is the caller's phase): the head against the caller's rows times rho w,
+plus the tail's modes against the caller's per-order weights over the
+phase samples, which fold the closed-form integral beyond the cutoff
+(_tail_weights, cached per cutoff).  The quintic convolution and the L^6
+norm are its callers.  A real input (c_{-n} = conj c_n) has F(rho, phi +
+pi) = conj F(rho, phi): its field keeps J/2 angles, and mode 0 of a
+product of such fields is the real part of the mean over them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import (RadialGrid, default_grid, exp_tail_integral,
-                     first_order_coeff, parity_sign)
+                     first_order_coeff)
 from .errors import GridSizeError, NumericalError
 from .spectral import TAU, CircleFunction
 
@@ -61,10 +62,6 @@ TAIL_PHASES = 13
 def i_pow(n):
     """Exact i^n for integer arrays (table lookup, no complex power)."""
     return _I_POW[np.mod(n, 4)]
-
-
-def minus_i_pow(n):
-    return _I_POW[np.mod(-np.asarray(n), 4)]
 
 
 def angle_count(M: int, M_out: int | None = None) -> int:
@@ -190,11 +187,11 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     grid = grid or default_grid()
     J = n_angles or angle_count(5 * f.N)
     n = np.arange(-f.N, f.N + 1)
-    factor = TAU * minus_i_pow(n) * parity_sign(n) * f.coeffs  # (2N+1,)
+    # (-i)^n J_n = (-i)^|n| J_|n|: modes n and -n share the real row J_|n|,
+    # so folding them gives one real table for the row-block matmuls
+    factor = TAU * i_pow(-np.abs(n)) * f.coeffs                # (2N+1,)
     symmetric = (J % 2 == 0
                  and np.array_equal(f.coeffs, np.conj(f.coeffs[::-1])))
-    # modes n and -n share the real row J_|n| (the sign is in `factor`), so
-    # folding them gives one real table for the row-block matmuls
     C = factor[:, None] * _phase_table(f.N, J, J // 2 if symmetric else J)
     C[f.N + 1:] += C[f.N - 1::-1]
     table = C[f.N:].view(np.float64).copy()
@@ -203,20 +200,21 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     return ExtensionField(grid, table, tail, J, TAU * f.coeff(0))
 
 
-def _polar_reduce(expr, fields, M: int, head: np.ndarray,
+def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
                   tail: np.ndarray) -> np.ndarray:
     """The radial integrals of modes m = -M..M of the field expression
-    expr(*fields), (2M+1,): sum_k head[m, k] P_m(rho_k), P_m its m-th
-    angular mode, plus sum_{p,l} tail[m, p, l] S_m[p, l], S_m the m-th
-    angular mode of its tail's phase samples, so `tail` (2M+1, 2,
-    TAIL_PHASES) carries each mode's measure beyond the cutoff.  The
-    expression runs once on the tails, giving its bandwidth N, then on row
-    blocks of BLOCK_SAMPLES samples synthesized from the fields' tables.
-    Up to DIRECT_ANALYSIS_MODES modes each block is summed radially first,
-    one real matmul into a (2M+1, J') accumulator Z whose row m is then
-    read at mode m once, after the last block, against the analysis table
-    of the J' angles read (at mode 0, with inputs and tail symmetric, J/2
-    of them, real part taken); above that each block's modes are its FFT,
+    expr(*fields), (2M+1,): sum_k rows[|m|, k] rho_k w_k P_m(rho_k), P_m
+    its m-th angular mode, plus sum_{p,l} tail[|m|, p, l] S_m[p, l], S_m
+    the m-th angular mode of its tail's phase samples, so `rows` (M+1, K)
+    and `tail` (M+1, 2, TAIL_PHASES) carry each order's measure, the polar
+    measure rho_k w_k applied block by block.  The expression runs once on
+    the tails, giving its bandwidth N, then on row blocks of BLOCK_SAMPLES
+    samples synthesized from the fields' tables.  Up to
+    DIRECT_ANALYSIS_MODES modes each block is summed radially first, one
+    real matmul into an (M+1, J') accumulator Z whose row |m| is then read
+    at mode m once, after the last block, against the analysis table of
+    the J' angles read (at mode 0, with inputs and tail symmetric, J/2 of
+    them, real part taken); above that each block's modes are its FFT,
     summed radially at once.  The fields must share grid and angles, and
     J > N + M, or the modes alias."""
     grid = fields[0].grid
@@ -233,23 +231,25 @@ def _polar_reduce(expr, fields, M: int, head: np.ndarray,
     width = J // 2 if half else J
     step = max(1, BLOCK_SAMPLES // width)
     radial_first = 2 * M + 1 <= DIRECT_ANALYSIS_MODES
+    order = np.abs(np.arange(-M, M + 1))
+    measure = grid.weights * grid.nodes
     quad = np.zeros(2 * M + 1, dtype=np.complex128)
-    Z = np.zeros((2 * M + 1, width if radial_first else 0),
-                 dtype=np.complex128)
+    Z = np.zeros((M + 1, width if radial_first else 0), dtype=np.complex128)
     Zr = Z.view(np.float64)
     for lo in range(0, K, step):
         hi = min(lo + step, K)
         block = expr(*(F.rows(lo, hi, half) for F in fields))
+        head = rows[:, lo:hi] * measure[lo:hi]
         if radial_first:
-            Zr += head[:, lo:hi] @ block.view(np.float64)
+            Zr += head @ block.view(np.float64)
         else:
-            quad += np.einsum("km,mk->m", _analyze(block, M), head[:, lo:hi])
+            quad += np.einsum("km,mk->m", _analyze(block, M), head[order])
     if radial_first:
-        quad = np.einsum("mj,jm->m", Z, _analysis_table(M, width))
+        quad = np.einsum("mj,jm->m", Z[order], _analysis_table(M, width))
     if half:
         quad = quad.real + 0j
     modes = _analyze(np.moveaxis(ends.poly, 0, -1), M)     # (2, TAIL_PHASES, 2M+1)
-    return quad + np.einsum("mpl,plm->m", tail, modes)
+    return quad + np.einsum("mpl,plm->m", tail[order], modes)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def l6_norm(field: ExtensionField) -> float:
     samples against rho w, plus its closed-form tail beyond the cutoff."""
     grid = field.grid
     total = TAU * float(_polar_reduce(_sixth_power, [field], 0,
-                                      (grid.weights * grid.nodes)[None, :],
+                                      np.ones((1, grid.nodes.size)),
                                       _tail_weights(grid.cutoff)[None])[0].real)
     if total < 0:
         raise NumericalError(f"negative sixth-power mass {total:.3e}")
@@ -332,7 +332,10 @@ def l6_norm(field: ExtensionField) -> float:
 
 
 class DecayReport:
-    """sup_{rho >= rho_min} rho^{1/2} max_phi |F| and where it is attained."""
+    """max rho_k^{1/2} |F(rho_k, phi_j)| over the grid's nodes rho_k >=
+    rho_min and the field's angles, and where it is attained: a maximum
+    over samples at about 3.5 nodes per wavelength, not the sup over rho,
+    so it moves with the quadrature rule."""
 
     def __init__(self, sup: float, at_rho: float, rho_min: float):
         self.sup = sup
@@ -346,7 +349,7 @@ class DecayReport:
 
 
 def decay_check(field: ExtensionField) -> DecayReport:
-    """The decay envelope of the field from rho = DECAY_RHO_MIN on."""
+    """The decay envelope of the field at the nodes from DECAY_RHO_MIN on."""
     nodes = field.grid.nodes
     sel = nodes >= DECAY_RHO_MIN
     if not np.any(sel):

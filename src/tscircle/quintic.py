@@ -11,23 +11,25 @@ which is the "tensor" route: a contraction against the precomputed
 six-factor integrals.  The independent "polar" route multiplies the five
 extended fields and inverts mode by mode,
 
-    Q_m = (2 pi)^{-1} i^m int_0^oo P_m(rho) J_m(rho) rho drho,
+    Q_m = (2 pi)^{-1} i^|m| int_0^oo P_m(rho) J_|m|(rho) rho drho,
 
-P_m the m-th angular coefficient of the product field.  _assemble_polar
-is that one inversion: every polar caller writes its product (sums of
-products included) as one field expression over the extensions of its
-inputs and assembles it once, for the modes it needs, through the blocked
-kernel extension._polar_reduce.  The angular grid is sized for those modes
-too: J samples of a bandwidth-M product give its modes |m| <= M_out
-exactly when J > M + M_out (extension.angle_count), so a caller that reads
-mode 0 only samples at about M angles, not 2M, and takes that mode as an
-angular mean.  Both routes carry the same two-term radial tail model, coded
-twice (bessel.bessel_product_tail for the tensor, extension.bessel_tail and
-_tail_weights for the polar route), so their agreement tests bookkeeping,
-not a shared truncation.  The kernel returns each mode's whole integral:
-J_m's tail, bessel_tail's real samples signed for m < 0, is folded once
-per cutoff and M into mode m's weights over the phase samples of P_m's
-tail, so a polar mode is the head plus one dot product.
+P_m the m-th angular coefficient of the product field (i^m J_m = i^|m|
+J_|m|, as J_-m = (-1)^m J_m: the modes +-m read one Bessel row).
+_assemble_polar is that one inversion: every polar caller writes its
+product (sums of products included) as one field expression over the
+extensions of its inputs and assembles it once, for the modes it needs,
+through the blocked kernel extension._polar_reduce.  The angular grid is
+sized for those modes too: J samples of a bandwidth-M product give its
+modes |m| <= M_out exactly when J > M + M_out (extension.angle_count), so a
+caller that reads mode 0 only samples at about M angles, not 2M, and takes
+that mode as an angular mean.  Both routes carry the same two-term radial
+tail model, coded twice (bessel.bessel_product_tail for the tensor,
+extension.bessel_tail and _tail_weights for the polar route), so their
+agreement tests bookkeeping, not a shared truncation.  The kernel returns
+each mode's whole integral: J_n's tail, bessel_tail's real samples of order
+n (the cached extension._tail_rows), is folded once per cutoff and M into
+order n's weights over the phase samples of the tails of P_{+-n}, so a
+polar mode is the head plus one dot product.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -51,8 +53,8 @@ from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
                      default_grid, parity_sign)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import (_polar_reduce, _tail_weights, angle_count,
-                        bessel_tail, extend, i_pow)
+from .extension import (TAIL_PHASES, _polar_reduce, _tail_rows, _tail_weights,
+                        angle_count, extend, i_pow)
 from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -77,14 +79,13 @@ def _self_product(F):
 
 @lru_cache(maxsize=64)
 def _mode_tables(P: float, M: int):
-    """For modes m = -M..M: i^m/2 pi and mode m's tail weights, (2M+1, 2,
-    TAIL_PHASES): the product of a tail S with J_m's, A = (-1)^m
-    bessel_tail(|m|) (a dual product, rho^-2 dropped), integrated by the
-    weights W, is sum S_0 (W_0 A_0 + W_1 A_1) + S_1 W_1 A_0."""
-    m = np.arange(-M, M + 1)
-    A = parity_sign(m)[:, None, None] * bessel_tail(np.abs(m), P)
+    """i^|m|/2 pi for modes m = -M..M and the tail weights of the orders
+    0..M, (M+1, 2, TAIL_PHASES): the product of a tail S with J_n's, A =
+    _tail_rows (a dual product, rho^-2 dropped), integrated by the weights
+    W, is sum S_0 (W_0 A_0 + W_1 A_1) + S_1 W_1 A_0."""
+    A = _tail_rows(M, P).reshape(M + 1, 2, TAIL_PHASES)
     W = _tail_weights(P)
-    tables = (i_pow(m) / TAU,
+    tables = (i_pow(np.abs(np.arange(-M, M + 1))) / TAU,
               np.stack([W[0] * A[:, 0] + W[1] * A[:, 1], W[1] * A[:, 0]],
                        axis=1))
     for t in tables:
@@ -98,7 +99,7 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     plus M, or those modes alias."""
     grid = fields[0].grid
     scale, tail = _mode_tables(grid.cutoff, M)
-    return scale * _polar_reduce(expr, fields, M, grid.mode_weights(M), tail)
+    return scale * _polar_reduce(expr, fields, M, grid.j_matrix(M), tail)
 
 
 def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:

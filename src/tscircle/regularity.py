@@ -279,7 +279,7 @@ def smoothing_experiment(n: int = 64,
     oslope = decay_slope(Q, band=band)
 
     tri = triangle_wave(n)
-    G = quintic_convolve([tri, tri, tri, tri, sq], grid=grid, method="polar")
+    G = quintic_convolve([tri, tri, tri, tri, sq], grid=grid)
     # Lipschitz quotients: holder_estimate's alpha = 1 sup-norm quotients
     lc, lf = (max(holder_estimate(G, 1.0, M, dyadic_ts(1, 10))
                   .quotients.values())

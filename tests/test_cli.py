@@ -418,6 +418,23 @@ def test_exit_code_precondition_error(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["functional", "--n", "2", "--tensor", "{tmp}/absent.b6t"], "--tensor"),
+    (["tensor-build", "--n", "1", "--tensor", "{tmp}/absent/x.b6t"],
+     "--tensor"),
+    (["constant", "--out", "{tmp}/absent/x.json"], "--out"),
+    (["functional", "--tensor", "{tmp}"], "--tensor"),
+], ids=["missing tensor", "tensor in a missing directory",
+        "out in a missing directory", "tensor is a directory"])
+def test_unusable_path_exits_2_naming_its_flag(argv, flag, tmp_path, capsys):
+    # a path that cannot be opened is a configuration error, not an
+    # internal one (exit 3 with a traceback)
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--k", "5", "--n-points", "0"],
     ["density", "--k", "5", "--n-points", "-3"],

@@ -23,7 +23,8 @@ from tscircle import (
     ts_functional,
 )
 import tscircle.extension
-from tscircle.bessel import default_grid, exp_tail_integral, first_order_coeff
+from tscircle.bessel import (default_grid, exp_tail_integral,
+                             first_order_coeff, parity_sign)
 from tscircle.extension import (TAIL_PHASES, _analyze, _phase_table,
                                 _tail_weights, angle_count, bessel_tail,
                                 hpoly_mul, i_pow)
@@ -322,10 +323,11 @@ def test_tail_integral_is_the_coefficient_sum(P):
 
 @pytest.mark.parametrize("P", [200.0, 3200.0])
 def test_mode_tail_weights_are_the_product_with_j_m_then_the_sum(P):
-    # each mode's folded weights on the phase samples of a degree-5 tail
-    # equal the plain loop product with J_m's tail, then the coefficient
-    # sum; M = 24 reaches orders whose a_m is zeroed at P = 200.  The
-    # scale is the sum of the magnitudes of the terms the weights add.
+    # each mode's folded weights on the phase samples of a degree-5 tail,
+    # those of order |m| signed by (-1)^m, equal the plain loop product
+    # with J_m's tail, then the coefficient sum; M = 24 reaches orders whose
+    # a_m is zeroed at P = 200.  The scale is the sum of the magnitudes of
+    # the terms the weights add.
     M = 24
     m = np.arange(-M, M + 1)
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)     # J_-n = (-1)^n J_n
@@ -333,10 +335,21 @@ def test_mode_tail_weights_are_the_product_with_j_m_then_the_sum(P):
     Jm = sign[:, None, None] * bessel_tail_coefficients(m, P)
     want, _ = tail_integral_of_coefficients(hpoly_mul_loop(T, Jm), P)
     S = phase_samples(T)
-    got = np.sum(_mode_tables(P, M)[1] * S, axis=(-2, -1))
+    weights = _mode_tables(P, M)[1]
+    assert weights.shape == (M + 1, 2, TAIL_PHASES)
+    got = sign * np.sum(weights[np.abs(m)] * S, axis=(-2, -1))
     scale = np.sum(hpoly_mul(np.abs(bessel_tail(m, P)), np.abs(S))
                    * np.abs(_tail_weights(P)), axis=(-2, -1))
     assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_phases_fold_the_parity_sign_exactly():
+    # the polar route reads J_|n| for modes +-n: i^m J_m = i^|m| J_|m| on
+    # the output side, (-i)^n J_n = (-i)^|n| J_|n| on the input side
+    n = np.arange(-400, 401)
+    minus_i = np.array([1, -1j, -1, 1j])[np.mod(n, 4)]      # (-i)^n
+    assert np.array_equal(i_pow(np.abs(n)), i_pow(n) * parity_sign(n))
+    assert np.array_equal(i_pow(-np.abs(n)), minus_i * parity_sign(n))
 
 
 def test_tail_weights_are_built_once_per_cutoff(monkeypatch):

@@ -1,9 +1,12 @@
 """The blocked polar kernel against the whole-array assembly.
 
 The reference synthesizes each field on all K x J samples at once, forms
-the product field, takes its FFT and sums it radially, and adds the FFT
-modes of the product's tail through the same tail weights: the assembly as
-it was before expressions were evaluated block by block.  The kernel must
+the product field, takes its FFT and sums it radially against the signed
+rows J_m = (-1)^m J_|m| of all 2M+1 modes times the radial weights, and
+adds the FFT modes of the product's tail through J_m's signed tail
+weights: the assembly as it was before expressions were evaluated block by
+block and read the unweighted rows by order |m|.  The kernel, its modes
+m < 0 signed by (-1)^m, must
 give the same integrals for every expression the package assembles, for
 every block height, on either side of its crossover (each block summed
 radially first and its modes read once at the end, or each block's modes
@@ -21,40 +24,50 @@ from tscircle.quintic import _abs2, _mode_tables, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
 
 
-def radial_rows(grid, M):
-    """sign-corrected J_|m| rows times the radial weights, as assembled."""
+def parity(M):
+    """The signs s_m of J_m = s_m J_|m|, m = -M..M."""
     m = np.arange(-M, M + 1)
-    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
-    rows = grid.j_matrix(int(np.abs(m).max()))[np.abs(m)] * sgn[:, None]
+    return np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
+
+
+def radial_rows(grid, M):
+    """sign-corrected J_|m| rows times the radial weights, (2M+1, K)."""
+    m = np.arange(-M, M + 1)
+    rows = grid.j_matrix(M)[np.abs(m)] * parity(M)[:, None]
     return rows * (grid.weights * grid.nodes)
 
 
-def reference(expr, fields, M, head, tail):
-    """Product of the whole samples, its FFT, the radial sum against
-    `head`; plus the FFT modes of the product tail against `tail`."""
+def reference(expr, fields, M, head=1.0, tail=1.0):
+    """Product of the whole samples, its FFT, the radial sum against the
+    signed rows of modes -M..M times the radial weights; plus the FFT modes
+    of the product tail against J_m's signed tail weights, each part scaled
+    by `head` and `tail` (0 drops it)."""
     J = fields[0].n_angles
+    grid = fields[0].grid
     keep = np.mod(np.arange(-M, M + 1), J)
-    K = fields[0].grid.nodes.size
-    values = expr(*(F.rows(0, K) for F in fields))
+    values = expr(*(F.rows(0, grid.nodes.size) for F in fields))
     modes = (np.fft.fft(values, axis=1) / J)[:, keep]
-    quad = np.einsum("km,mk->m", modes, head)
+    quad = np.einsum("km,mk->m", modes, head * radial_rows(grid, M))
     ends = expr(*(F.tail for F in fields)).poly
     tail_modes = (np.fft.fft(np.moveaxis(ends, 0, -1), axis=-1) / J)[..., keep]
-    return quad + np.einsum("mpl,plm->m", tail, tail_modes)
+    weights = (tail * parity(M)[:, None, None]
+               * _mode_tables(grid.cutoff, M)[1][np.abs(np.arange(-M, M + 1))])
+    return quad + np.einsum("mpl,plm->m", weights, tail_modes)
 
 
-def measure(grid, M, head=1.0, tail=1.0):
-    """The assembly's measure, the radial rows and J_m's folded tail
-    weights, each scaled by `head` and `tail` (0 drops it)."""
-    return (head * radial_rows(grid, M),
-            tail * _mode_tables(grid.cutoff, M)[1])
+def kernel(expr, fields, M, head=1.0, tail=1.0):
+    """The kernel on the unweighted rows J_0..J_M and their tail weights,
+    each scaled by `head` and `tail`, its modes m < 0 signed by s_m: mode
+    m reads order |m|, so this is the reference's signed integral."""
+    grid = fields[0].grid
+    return parity(M) * _polar_reduce(expr, fields, M, head * grid.j_matrix(M),
+                                     tail * _mode_tables(grid.cutoff, M)[1])
 
 
 def assert_matches(expr, fields, M, rel=1e-13):
     for head in (1.0, 0.0):               # the whole integral, the tail alone
-        w = measure(fields[0].grid, M, head=head)
-        got = _polar_reduce(expr, fields, M, *w)
-        want = reference(expr, fields, M, *w)
+        got = kernel(expr, fields, M, head=head)
+        want = reference(expr, fields, M, head=head)
         assert got.shape == want.shape == (2 * M + 1,)
         assert np.max(np.abs(want)) > 0
         assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
@@ -132,10 +145,9 @@ def test_each_reduction_path_on_mixed_bandwidths_and_half_angles(
     seen = spy_rows(monkeypatch)
     gs = [_abs2(random_function(8, seed=i, decay=0.6)) for i in range(5)]
     fields = [extend(g, n_angles=88) for g in gs]
-    w = measure(fields[0].grid, 0, tail=0.0)
-    quad = _polar_reduce(_product, fields, 0, *w)
+    quad = kernel(_product, fields, 0, tail=0.0)
     assert seen and all(seen)
-    ref = reference(_product, fields, 0, *w)
+    ref = reference(_product, fields, 0, tail=0.0)
     assert quad[0].imag == 0.0
     assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
     assert_matches(_product, fields, 0)
@@ -177,10 +189,9 @@ def test_half_angles_match_full_angles_on_real_inputs(monkeypatch):
         fields = [extend(g, n_angles=88) for g in gs]
         assert all(F.table.shape[1] == 2 * 44 for F in fields)
         seen.clear()
-        w = measure(fields[0].grid, 0, tail=0.0)
-        quad = _polar_reduce(_product, fields, 0, *w)
+        quad = kernel(_product, fields, 0, tail=0.0)
         assert seen and all(seen)
-        ref = reference(_product, fields, 0, *w)
+        ref = reference(_product, fields, 0, tail=0.0)
         assert abs(quad[0].imag) == 0.0
         assert abs(quad[0] - ref[0]) <= 1e-14 * abs(ref[0])
 
@@ -197,12 +208,11 @@ def test_non_symmetric_input_never_takes_half_angles(monkeypatch):
     odd = [extend(g, n_angles=89) for g in gs]
     for expr, fs in ((_product, mixed), (rotated, fields), (_product, odd)):
         seen.clear()
-        w = measure(fs[0].grid, 0)
-        quad = _polar_reduce(expr, fs, 0, *w)
+        quad = kernel(expr, fs, 0)
         assert seen and not any(seen)
-        ref = reference(expr, fs, 0, *w)
+        ref = reference(expr, fs, 0)
         assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
     # the same real inputs at M = 1 read every angle too
     seen.clear()
-    _polar_reduce(_product, fields, 1, *measure(fields[0].grid, 1))
+    kernel(_product, fields, 1)
     assert seen and not any(seen)

@@ -6,14 +6,37 @@ the warm peaks of the same calls before the radial-first kernel (1.99,
 2.58 and 3.44 MB; el_quintic's first call peaked at 4.19 MB), so a change
 that brings back a per-call K x J array or a per-call table shows here
 before it shows in a process's resident size.
+
+At a large cutoff the K-long tables dominate instead, and a fresh
+process's peak resident size bounds them: a full-band el_quintic of the
+n = 64 Dirichlet kernel at P = 12,800 (K = 43,136) peaked at 614 MB with
+a signed (2M+1)-row table of weighted Bessel rows on the grid, and at 297
+MB reading the rows J_0..J_M themselves by order |m|.  The peak is the
+process's VmHWM, not its ru_maxrss: on Linux a process's ru_maxrss also
+counts the resident size of the process it was started from, at the
+fork, so under pytest it reads the test runner's size.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import tscircle
 from tscircle import (el_quintic, mu_value, picard_iterate,
                       quintilinear_bound_ratio, random_function)
 
 MB = 1e6
+
+FULL_BAND_AT_LARGE_CUTOFF = """
+import numpy as np
+from tscircle import CircleFunction, RadialGrid, el_quintic
+Q = el_quintic(CircleFunction(np.ones(129)), RadialGrid(12800.0))
+assert Q.N == 320 and np.all(np.isfinite(Q.coeffs))
+print(next(line for line in open("/proc/self/status")
+           if line.startswith("VmHWM:")))
+"""
 
 
 def traced_peak(call):
@@ -43,3 +66,14 @@ def test_el_quintic_memory(extremizer16):
     f = extremizer16.f
     peak = traced_peak(lambda: el_quintic(f))
     assert peak <= 1.1 * 3.44 * MB
+
+
+def test_full_band_el_quintic_at_large_cutoff_resident_size():
+    src = str(Path(tscircle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", FULL_BAND_AT_LARGE_CUTOFF],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    peak_kib = int(out.stdout.split()[1])           # "VmHWM: <n> kB"
+    assert peak_kib <= 400 * 1024

@@ -512,30 +512,9 @@ def test_leibniz_difference_identity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-11 * max(1.0, np.max(np.abs(lhs))))
 
 
-def test_radial_weights_are_built_once_per_grid_and_mode_count():
-    # each grid keeps one table of signed J_m rows times the radial weights,
-    # built again only for a larger M; smaller M read its middle rows
-    f = random_function(4, seed=3, decay=0.8)
-    for grid in (RadialGrid(), RadialGrid(400.0)):
-        built = []
-        for M in (8, 8, 4, 8, 0, 12, 4, 12):
-            el_quintic(f, grid, M)
-            table = grid._mode_weights
-            if not built or built[-1] is not table:
-                built.append(table)
-        assert [t.shape[0] for t in built] == [17, 25]
-    rows = grid.mode_weights(4)
-    assert not rows.flags.writeable and np.shares_memory(rows, built[-1])
-    m = np.arange(-4, 5)
-    sgn = np.where((m < 0) & (m % 2 != 0), -1.0, 1.0)
-    want = (grid.j_matrix(4)[np.abs(m)] * sgn[:, None]
-            * (grid.weights * grid.nodes))
-    assert np.array_equal(rows, want)
-
-
 def test_a_dropped_grid_is_collected():
-    # the polar route's per-grid tables live on the grid, and no cache
-    # keyed by a grid keeps it alive
+    # the polar route's one per-grid table, the Bessel rows, lives on the
+    # grid, and no cache keyed by a grid keeps it alive
     grid = RadialGrid(300.0)
     el_quintic(random_function(3, seed=2, decay=0.8), grid, 6)
     ref = weakref.ref(grid)

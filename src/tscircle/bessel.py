@@ -136,8 +136,8 @@ def _miller_block(nmax: int, rho: np.ndarray, nmin: int = 0) -> np.ndarray:
 
     norm = np.where(pos, norm, 1.0)
     with np.errstate(under="ignore"):
-        fix = np.power(1e-250, (nscale[None, :] - row_scale).astype(float))
-    out = out * fix / norm
+        out *= np.power(1e-250, (nscale[None, :] - row_scale).astype(float))
+    out /= norm
     out[:, ~pos] = 0.0
     if nmin == 0 and not np.all(pos):
         out[0, ~pos] = 1.0
@@ -217,7 +217,9 @@ class RadialGrid:
         return RadialGrid(self.cutoff, 0.5 * self.panel)
 
     def j_matrix(self, nmax: int) -> np.ndarray:
-        """Rows J_0..J_nmax on the nodes; cached, grown on demand.
+        """Rows J_0..J_nmax on the nodes; cached, grown on demand into one
+        array of the new height, filled block by block in place, so growing
+        peaks near the rows kept.
 
         Below the turning point forward recurrence is stable (Gautschi,
         SIAM Review 1967): at nodes rho >= HANKEL_RHO the orders n <= rho/2
@@ -227,18 +229,24 @@ class RadialGrid:
         block's last order).  Regime and start depend on the node and the
         order's block alone, so row n depends on the grid and n alone and
         growing never moves a row; the cost is O(nmax K), not O(P K)."""
-        while self._jrows.shape[0] <= nmax:
-            have = self._jrows.shape[0]
-            end = have - have % self.ROW_BLOCK + self.ROW_BLOCK - 1
-            self._jrows = np.concatenate(
-                [self._jrows, self._rows(have, min(nmax, end), end)])
+        have = self._jrows.shape[0]
+        if have <= nmax:
+            rows = np.empty((nmax + 1, self.nodes.size))
+            rows[:have] = self._jrows
+            self._jrows = rows
+            while have <= nmax:
+                end = have - have % self.ROW_BLOCK + self.ROW_BLOCK - 1
+                hi = min(nmax, end)
+                self._rows(have, hi, end)
+                have = hi + 1
         return self._jrows[:nmax + 1]
 
-    def _rows(self, lo: int, hi: int, end: int) -> np.ndarray:
-        """Rows lo..hi, lo the number cached, within the block ending at
-        order `end`.  The nodes ascend, so each regime is a run of them."""
+    def _rows(self, lo: int, hi: int, end: int) -> None:
+        """Fill rows lo..hi of the cache, rows below lo already there,
+        within the block ending at order `end`.  The nodes ascend, so each
+        regime is a run of them."""
         rho = self.nodes
-        new = np.empty((hi - lo + 1, rho.size))
+        new = self._jrows[lo:hi + 1]
         f = np.searchsorted(rho, max(HANKEL_RHO, 2.0 * lo))
         if f < rho.size:                  # nodes with a forward row here
             t = 2.0 / rho[f:]
@@ -255,7 +263,6 @@ class RadialGrid:
             np.copyto(new[:, :m],
                       _miller_block(end, rho[:m], nmin=lo)[:hi - lo + 1],
                       where=(rho[:m] < HANKEL_RHO) | (2 * order > rho[:m]))
-        return new
 
 
 @lru_cache(maxsize=16)
@@ -317,6 +324,8 @@ def exp_tail_integral(omega, nu: float, P: float):
 
 
 _EPS_CACHE: dict = {}
+_ROOTS8 = np.array([1, 1 - 1j, -1j, -1 - 1j, -1, -1 + 1j, 1j, 1 + 1j])
+_ROOTS8[1::2] *= np.sqrt(0.5)      # e^{-i pi k/4}, k = 0..7, correctly rounded
 
 
 def _sign_patterns(m: int) -> np.ndarray:
@@ -342,27 +351,34 @@ def bessel_product_tail(orders, P: float, scales=None):
     else one value per row.  Each distinct combination frequency eps . s is
     integrated once, and each row is reduced on its own, without matrix
     products, so a row's value does not depend on the batch it sits in.
+    The sign-pattern sums are built one factor at a time, in the order of a
+    length-m reduce, and the phase psi = (pi/4) sum eps_j (2 n_j + 1) of a
+    pattern is a multiple of pi/4, so e^{-i psi} is read exactly from the
+    eighth roots of unity at that integer mod 8.
     """
     orders = np.asarray(orders, dtype=int)
     s = (np.ones(orders.shape[-1]) if scales is None
          else np.asarray(scales, dtype=float))
-    if np.any(s <= 0):
+    if not np.all(s > 0):
         raise PreconditionError("tail scales must be positive")
     single = orders.ndim == 1 and s.ndim == 1
     orders, s = np.atleast_2d(orders), np.atleast_2d(s)
     m = orders.shape[1]
     eps = _sign_patterns(m)
 
-    def combine(rows):                      # (R, m) -> (R, E): rows . eps
-        return (rows[:, None, :] * eps).sum(axis=-1)
+    def combine(rows, eps):                 # (R, m) -> (R, E): rows . eps
+        out = rows[:, :1] * eps[:, 0]
+        for j in range(1, m):
+            out = out + rows[:, j:j + 1] * eps[:, j]
+        return out
 
-    omega = combine(s)
-    psi = combine(orders * (np.pi / 2.0) + np.pi / 4.0)
-    A = combine(first_order_coeff(orders, s, P) / s)
+    omega = combine(s, eps)
+    phase = _ROOTS8[combine(2 * orders + 1, eps.astype(int)) % 8]
+    A = combine(first_order_coeff(orders, s, P) / s, eps)
     freq, inv = np.unique(omega, return_inverse=True)
     inv = inv.reshape(omega.shape)
     i2, i3 = (i[inv] for i in exp_tail_integral(freq, 0.5 * m - 1.0, P))
-    acc = (np.exp(-1j * psi) * (i2 + 1j * A * i3)).real.sum(axis=-1)
+    acc = (phase * (i2 + 1j * A * i3)).real.sum(axis=-1)
     pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(np.prod(s, axis=-1)) / 2.0 ** m
     out = pref * 2.0 * acc
     return float(out[0]) if single else out
@@ -517,12 +533,16 @@ class BesselTensor:
                  values: np.ndarray, errors: np.ndarray):
         self.N = int(N)
         self.cutoff = float(cutoff)
-        order = np.lexsort(keys.T[::-1])
-        self.keys = np.ascontiguousarray(keys[order], dtype=np.int16)
-        self.values = np.ascontiguousarray(values[order])
-        self.errors = np.ascontiguousarray(errors[order])
         self._base = 5 * self.N + 2
-        self._codes = _encode(self.keys.astype(np.int64), self._base)
+        codes = _encode(np.asarray(keys, dtype=np.int64), self._base)
+        if not np.all(codes[1:] > codes[:-1]):   # not yet in storage order
+            order = np.lexsort(keys.T[::-1])
+            keys, values, errors = keys[order], values[order], errors[order]
+            codes = codes[order]
+        self.keys = np.array(keys, dtype=np.int16, order="C")
+        self.values = np.array(values, order="C")       # copies: frozen below
+        self.errors = np.array(errors, order="C")
+        self._codes = codes
         for a in (self.keys, self.values, self.errors, self._codes):
             a.flags.writeable = False
 

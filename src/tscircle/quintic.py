@@ -8,8 +8,13 @@ The convolution takes five circle functions to the restriction of
                   int_0^oo J_{n1}..J_{n5} J_m  rho drho,
 
 which is the "tensor" route: a contraction against the precomputed
-six-factor integrals.  The independent "polar" route multiplies the five
-extended fields and inverts mode by mode,
+six-factor integrals.  It pays per symmetry class and per read mode: the
+terms of the inner sum are grouped by the class and sum of n2..n5, one
+lookup per (|n1|, class, |m|) resolves them, and a caller that reads modes
+|m| <= M (Phi = <Q, f> reads |m| <= N) looks up and sums only the terms
+that land there, each mode bit for bit the full contraction's.  The
+independent "polar" route multiplies the five extended fields and inverts
+mode by mode,
 
     Q_m = (2 pi)^{-1} i^|m| int_0^oo P_m(rho) J_|m|(rho) rho drho,
 
@@ -102,81 +107,109 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     return scale * _polar_reduce(expr, fields, M, grid.j_matrix(M), tail)
 
 
-def _convolve_tensor(fs, tensor: BesselTensor) -> CircleFunction:
-    """The tensor route.  A row n2..n5 of the inner sum enters a term only
-    through its class (the sorted |n2|..|n5|), its sum s and its parity
-    sign, which is folded into the row's coefficient product.  One lookup
-    resolves the key (|n1|, class, |n1 + s|) of every n1 and distinct
-    (class, s) pair, the parity signs of n1 and n1 + s folded into the
-    values.  Negation is exact: each output bin sums the per-tuple terms in
-    their order, bit for bit."""
+def _convolve_tensor(fs, tensor: BesselTensor, M: int) -> CircleFunction:
+    """The tensor route, modes -M..M.  A row n2..n5 of the inner sum enters
+    a term only through its class (the sorted |n2|..|n5|), its sum s and
+    its parity sign, which is folded into the row's coefficient product.
+    The rows that reach a read mode are sorted stably by s, and so are the
+    distinct (class, s) pairs, so pass n1 reads a slice of each.  One
+    lookup resolves the key (|n1|, class, |n1 + s|) of every n1 >= 0 and
+    pair with |n1 + s| <= M; (-n1, class, -s) has the same key, and the
+    parity signs of n1 and n1 + s are folded into the values.  Each read bin
+    sums the per-tuple terms in their order, bit for bit."""
     Ns = [f.N for f in fs]
     if max(Ns) > tensor.N:
         raise PreconditionError(
             f"input bandwidth {max(Ns)} exceeds tensor bandwidth {tensor.N}")
-    M = sum(Ns)
+    top, N1 = sum(Ns), Ns[0]
     rows = [g.ravel() for g in np.meshgrid(
         *(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")]   # n2..n5
-    cc = np.prod([parity_sign(n) for n in rows], axis=0).astype(np.complex128)
-    for n, f in zip(rows, fs[1:]):
-        cc = cc * f.coeffs[n + f.N]
     s2345 = rows[0] + rows[1] + rows[2] + rows[3]
+    order = np.argsort(s2345.astype(np.int16), kind="stable")
+    order = order[np.abs(s2345[order]) <= M + N1]
+    rows = [n[order] for n in rows]
+    s2345 = s2345[order]
+    cc = 1.0                       # J_n's parity sign rides on c(n), exactly
+    for n, f in zip(rows, fs[1:]):
+        cc = cc * (parity_sign(np.arange(-f.N, f.N + 1)) * f.coeffs)[n + f.N]
     mag = [np.abs(n) for n in rows]
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):   # sorting network
         mag[i], mag[j] = np.minimum(mag[i], mag[j]), np.maximum(mag[i], mag[j])
-    code = s2345 + M
+    base = top + 1
+    code = s2345 + top
     for x in mag:
-        code = code * (M + 1) + x
-    _, first, pair = np.unique(code, return_index=True, return_inverse=True)
+        code = code * base + x
+    uniq, pair = np.unique(code, return_inverse=True)
+    sp, cls = np.divmod(uniq, base ** 4)
+    sp -= top                                             # each pair's s
 
-    n1 = np.arange(-Ns[0], Ns[0] + 1)
-    m = n1[:, None] + s2345[first]                        # (n1, pair)
-    keys = np.empty(m.shape + (6,), dtype=np.int64)
-    keys[..., 0] = np.abs(n1)[:, None]
-    for j, x in enumerate(mag):
-        keys[..., j + 1] = x[first]
-    keys[..., 5] = np.abs(m)
-    keys.sort(axis=-1)
-    value = tensor.lookup_sorted_abs(keys.reshape(-1, 6)).reshape(m.shape)
-    value = value * (parity_sign(m) * parity_sign(n1)[:, None])
+    n1 = np.arange(N1 + 1)
+    plo = np.searchsorted(sp, -M - n1, side="left")
+    count = np.searchsorted(sp, M - n1, side="right") - plo
+    i1 = np.repeat(n1, count)                    # the (n1 >= 0, pair) read
+    ip = np.arange(i1.size) + np.repeat(plo - np.cumsum(count) + count, count)
+    keys = ([i1] + [cls[ip] // base ** (3 - j) % base for j in range(4)]
+            + [np.abs(i1 + sp[ip])])
+    for i in (0, 1, 2, 3, 4, 3, 2, 1, 0):  # |n1| up the sorted class, |m| down
+        keys[i], keys[i + 1] = (np.minimum(keys[i], keys[i + 1]),
+                                np.maximum(keys[i], keys[i + 1]))
+    half = np.zeros((N1 + 1, uniq.size))
+    half[i1, ip] = tensor.lookup_sorted_abs(np.stack(keys, axis=1))
+    mirror = np.searchsorted(uniq, uniq - 2 * sp * base ** 4)   # (class, -s)
+    n1 = np.arange(-N1, N1 + 1)
+    value = np.concatenate([half[:0:-1, mirror], half])   # -n1 reads |n1|
+    value *= parity_sign(n1[:, None] + sp) * parity_sign(n1)[:, None]
 
-    # pass n1 writes the modes n1 + s, the slice out[i:i + L]; with each
-    # weight's real and imaginary parts interleaved (bins 2k, 2k + 1) one
-    # bincount sums both, each bin in row order
-    L = 2 * (M - Ns[0]) + 1
-    bins = ((2 * (s2345 + M - Ns[0]))[:, None] + (0, 1)).ravel()
-    out = np.zeros(2 * M + 1, dtype=np.complex128)
+    # pass n1 writes the modes n1 + s of its rows into out[i:i + L]; with
+    # each weight's real and imaginary parts interleaved (bins 2k, 2k + 1)
+    # one bincount sums both, each bin in row order
+    lo = np.searchsorted(s2345, -M - n1, side="left")
+    hi = np.searchsorted(s2345, M - n1, side="right")
+    L = 2 * (M + N1) + 1
+    bins = ((2 * (s2345 + M + N1))[:, None] + (0, 1)).ravel()
+    out = np.zeros(2 * (M + 2 * N1) + 1, dtype=np.complex128)
     for i, c1 in enumerate(fs[0].coeffs):
-        w = (c1 * cc) * value[i][pair]
-        out[i:i + L] += np.bincount(bins, weights=w.view(np.float64),
+        w = (c1 * cc[lo[i]:hi[i]]) * value[i][pair[lo[i]:hi[i]]]
+        out[i:i + L] += np.bincount(bins[2 * lo[i]:2 * hi[i]],
+                                    weights=w.view(np.float64),
                                     minlength=2 * L).view(np.complex128)
-    return CircleFunction(out * TAU ** 4)
+    return CircleFunction(out[2 * N1:2 * (N1 + M) + 1] * TAU ** 4)
 
 
 def quintic_convolve(fs, tensor: BesselTensor | None = None,
                      grid: RadialGrid | None = None,
-                     method: str = "auto") -> CircleFunction:
-    """Five circle functions -> their quintic convolution on the circle.
+                     method: str = "auto",
+                     M: int | None = None) -> CircleFunction:
+    """Five circle functions -> their quintic convolution on the circle,
+    modes -M..M of it when M is given (all N1 + .. + N5 by default).
 
     method: "tensor" (contraction against a BesselTensor), "polar"
     (pointwise field product, per-mode inversion), or "auto" (tensor when
-    one is supplied).
+    one is supplied).  Either route computes the modes it returns only:
+    the tensor route looks up and sums the terms that land in them, bit
+    for bit the full contraction's, and the polar route samples the
+    product field at angle_count(N1 + .. + N5, M) angles.
     """
     fs = list(fs)
     if len(fs) != 5:
         raise ConfigError(f"need exactly five inputs, got {len(fs)}")
+    top = sum(f.N for f in fs)
+    if M is None:
+        M = top
+    elif M < 0:
+        raise ConfigError(f"mode count M={M} is negative")
+    M = min(int(M), top)
     if method == "auto":
         method = "tensor" if tensor is not None else "polar"
     if method == "tensor":
         if tensor is None:
             raise ConfigError("method='tensor' requires a tensor")
-        return _convolve_tensor(fs, tensor)
+        return _convolve_tensor(fs, tensor, M)
     if method != "polar":
         raise ConfigError(f"unknown method {method!r}")
     grid = grid or default_grid()
-    M = sum(f.N for f in fs)
     distinct = {id(f): f for f in fs}           # each input extended once
-    fields = {key: extend(f, grid, angle_count(M))
+    fields = {key: extend(f, grid, angle_count(top, M))
               for key, f in distinct.items()}
     return CircleFunction(_assemble_polar(_product, [fields[id(f)] for f in fs],
                                           M))
@@ -364,7 +397,7 @@ def mu_value(k: int, r: float, cutoff: float = DEFAULT_CUTOFF) -> float:
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
     r = float(r)
-    if r < 0.0:
+    if not (r >= 0.0):
         raise PreconditionError(f"radius must be nonnegative, got {r:g}")
     if r > k:
         return 0.0

@@ -29,18 +29,21 @@ from .spectral import (TAU, CircleFunction, conjugate_reflect, inner_product,
 
 
 def _self_quintic(f: CircleFunction, tensor: BesselTensor | None,
-                  grid: RadialGrid | None) -> CircleFunction:
-    """Q(f,f,f,f~,f~): tensor contraction if a tensor is given, else polar."""
+                  grid: RadialGrid | None,
+                  M: int | None = None) -> CircleFunction:
+    """Q(f,f,f,f~,f~), modes -M..M of it when M is given: tensor
+    contraction if a tensor is given, else polar."""
     if tensor is not None:
         fr = conjugate_reflect(f)
-        return quintic_convolve([f, f, f, fr, fr], tensor=tensor)
-    return el_quintic(f, grid)
+        return quintic_convolve([f, f, f, fr, fr], tensor=tensor, M=M)
+    return el_quintic(f, grid, M)
 
 
 def ts_functional(f: CircleFunction, tensor: BesselTensor | None = None,
                   grid: RadialGrid | None = None) -> float:
-    """Phi(f); raises if the computed value has detectable imaginary part."""
-    Q = _self_quintic(f, tensor, grid)
+    """Phi(f); raises if the computed value has detectable imaginary part.
+    <Q, f> reads the modes |m| <= N of Q only, so only those are computed."""
+    Q = _self_quintic(f, tensor, grid, f.N)
     val = inner_product(Q, f)
     scale = abs(val) + 1e-300
     if abs(val.imag) > 1e-9 * scale:

@@ -2,12 +2,17 @@
 
 bench/spans.py wraps tscircle functions by dotted name and skips a target
 that does not exist, so a renamed function would silently read 0 in its
-per-layer figure.  This test reads the tracer's source (without importing
-or editing it) and resolves every name it wraps or counts.
+per-layer figure; it also drops a target's work counts when an argument
+name it reads is no longer a parameter.  These tests read the tracer's
+source (without importing or editing it) and resolve every name it wraps
+or counts, and every argument name its WORK table reads.
 """
 
 import ast
 import importlib
+import inspect
+
+import numpy as np
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -67,3 +72,36 @@ def test_span_targets_resolve_in_the_package():
         assert required in names
     missing = sorted(n for n in names if not _resolves(n))
     assert missing == sorted(KNOWN_STALE)
+
+
+def _work_arguments():
+    """WORK's span names with the argument names each one reads."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "WORK"):
+            return {ast.literal_eval(k): ast.literal_eval(v.elts[0])
+                    for k, v in zip(node.value.keys, node.value.values)}
+    raise AssertionError("bench/spans.py defines no WORK table")
+
+
+def _resolve(name):
+    module, *attrs = name.split(".")
+    obj = (np.fft if module == "fft"
+           else importlib.import_module(f"tscircle.{module}"))
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_span_work_arguments_are_parameters():
+    work = _work_arguments()
+    assert work["quintic.quintic_convolve"] == ("tensor", "method")
+    stale = []
+    for name, argnames in work.items():
+        if name in KNOWN_STALE:
+            continue
+        params = inspect.signature(_resolve(name)).parameters
+        stale += [f"{name}({a})" for a in argnames if a not in params]
+    assert stale == []

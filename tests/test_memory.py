@@ -15,6 +15,11 @@ MB reading the rows J_0..J_M themselves by order |m|.  The peak is the
 process's VmHWM, not its ru_maxrss: on Linux a process's ru_maxrss also
 counts the resident size of the process it was started from, at the
 fork, so under pytest it reads the test runner's size.
+
+The Bessel rows themselves are grown in place: a call that asks for more
+rows allocates their new height once and fills it block by block, so its
+peak stays near the rows it keeps (it was twice that while each 64-order
+block was appended by a copy).
 """
 
 import os
@@ -24,7 +29,7 @@ import tracemalloc
 from pathlib import Path
 
 import tscircle
-from tscircle import (el_quintic, mu_value, picard_iterate,
+from tscircle import (RadialGrid, el_quintic, mu_value, picard_iterate,
                       quintilinear_bound_ratio, random_function)
 
 MB = 1e6
@@ -77,3 +82,16 @@ def test_full_band_el_quintic_at_large_cutoff_resident_size():
                          timeout=120)
     peak_kib = int(out.stdout.split()[1])           # "VmHWM: <n> kB"
     assert peak_kib <= 400 * 1024
+
+
+def test_j_matrix_growth_memory():
+    # J_0..J_320 on the P = 3200 grid keep 27.7 MB; appending each block
+    # by a copy peaked at 2.0x that
+    grid = RadialGrid(3200.0)
+    tracemalloc.start()
+    try:
+        rows = grid.j_matrix(320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rows.nbytes

@@ -32,8 +32,9 @@ from tscircle import (
     rotate,
 )
 import tscircle.quintic
-from tscircle.bessel import BesselTensor, RadialGrid, _encode, default_grid
-from tscircle.errors import (GridSizeError, PreconditionError,
+from tscircle.bessel import (BesselTensor, RadialGrid, _encode,
+                             bessel_product_tail, default_grid)
+from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
                              SingularRadiusError)
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
                               _self_product, leibniz_terms)
@@ -104,6 +105,46 @@ def test_tensor_route_is_the_per_tuple_contraction(tensor8):
     for fs in cases:
         got = quintic_convolve(fs, tensor=tensor8).coeffs
         assert np.array_equal(got, convolve_per_tuple(fs, tensor8))
+
+
+def per_tuple_cases():
+    cases = [five_random(8, 10 * seed) for seed in range(3)]
+    for base, Ns in ((60, (8, 2, 0, 5, 3)), (100, (0, 8, 3, 0, 5)),
+                     (110, (5, 0, 0, 0, 8))):
+        cases.append([random_function(N, seed=base + i, decay=0.8)
+                      for i, N in enumerate(Ns)])
+    cases.append(five_random(3, 80))
+    return cases
+
+
+def test_tensor_route_reads_only_the_requested_modes(tensor8):
+    # modes -M..M alone are the full contraction's, bit for bit: the rows
+    # and lookups they skip land in no read bin
+    for fs in per_tuple_cases():
+        top = sum(f.N for f in fs)
+        full = convolve_per_tuple(fs, tensor8)
+        for M in (0, fs[0].N, 8, top):
+            got = quintic_convolve(fs, tensor=tensor8, M=M)
+            assert got.N == M
+            assert np.array_equal(got.coeffs, full[top - M:top + M + 1])
+
+
+def test_polar_route_reads_only_the_requested_modes():
+    # on angle_count(N1 + .. + N5, M) angles the modes -M..M match the full
+    # call's; an M past the output band is the full call
+    for fs in (five_random(4, 30), [random_function(N, seed=40 + i)
+                                    for i, N in enumerate((6, 0, 3, 2, 5))]):
+        top = sum(f.N for f in fs)
+        full = quintic_convolve(fs).coeffs
+        scale = np.max(np.abs(full))
+        for M in (0, 3, 8, top):
+            got = quintic_convolve(fs, M=M).coeffs
+            assert got.size == 2 * M + 1
+            gap = np.max(np.abs(got - full[top - M:top + M + 1]))
+            assert gap <= 1e-15 * scale
+        assert np.array_equal(quintic_convolve(fs, M=top + 5).coeffs, full)
+    with pytest.raises(ConfigError):
+        quintic_convolve(fs, M=-1)
 
 
 def test_tensor_route_names_a_missing_class(tensor8):
@@ -362,6 +403,19 @@ def test_mu_value_refuses_outside_its_domain(k, r, error):
     # extrapolated fit
     with pytest.raises(error):
         mu_value(k, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mu_value(5, np.nan),
+    lambda: mu_value(4, np.nan),
+    lambda: bessel_product_tail(np.zeros(6, dtype=int), 200.0,
+                                [1.0, 1.0, 1.0, 1.0, 1.0, np.nan]),
+], ids=["mu5", "mu4", "tail-scale"])
+def test_nan_radius_or_scale_is_refused(call):
+    # a NaN fails every comparison, so the domain checks are written to
+    # accept only what passes them, not to refuse what fails the opposite
+    with pytest.raises(PreconditionError):
+        call()
 
 
 def test_density_stays_inside_support():

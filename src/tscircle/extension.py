@@ -68,10 +68,11 @@ def angle_count(M: int, M_out: int | None = None) -> int:
     """Angular sample count for a product field of bandwidth M whose modes
     -M_out..M_out are read (M_out defaults to M).  J uniform samples alias
     mode m onto m + J, so modes |m| <= M_out come out exactly when
-    J > M + M_out; the count is M + M_out + 8, and never < 64."""
+    J > M + M_out; the count is the smallest even J that does (even, so a
+    real input's field keeps J/2 angles), and never < 64."""
     if M_out is None:
         M_out = M
-    return max(64, M + M_out + 8)
+    return max(64, M + M_out + 2 - (M + M_out) % 2)
 
 
 @lru_cache(maxsize=32)

@@ -25,16 +25,17 @@ product (sums of products included) as one field expression over the
 extensions of its inputs and assembles it once, for the modes it needs,
 through the blocked kernel extension._polar_reduce.  The angular grid is
 sized for those modes too: J samples of a bandwidth-M product give its
-modes |m| <= M_out exactly when J > M + M_out (extension.angle_count), so a
-caller that reads mode 0 only samples at about M angles, not 2M, and takes
-that mode as an angular mean.  Both routes carry the same two-term radial
-tail model, coded twice (bessel.bessel_product_tail for the tensor,
-extension.bessel_tail and _tail_weights for the polar route), so their
-agreement tests bookkeeping, not a shared truncation.  The kernel returns
-each mode's whole integral: J_n's tail, bessel_tail's real samples of order
-n (the cached extension._tail_rows), is folded once per cutoff and M into
-order n's weights over the phase samples of the tails of P_{+-n}, so a
-polar mode is the head plus one dot product.
+modes |m| <= M_out exactly when J > M + M_out, and extension.angle_count
+takes the smallest even such J (64 at least), so a caller that reads mode 0
+only samples at M + 2 angles, not 2M + 2, and takes that mode as an angular
+mean.  Both routes carry the same two-term radial tail model, coded twice
+(bessel.bessel_product_tail for the tensor, extension.bessel_tail and
+_tail_weights for the polar route), so their agreement tests bookkeeping,
+not a shared truncation.  The kernel returns each mode's whole integral:
+J_n's tail, bessel_tail's real samples of order n (the cached
+extension._tail_rows), is folded once per cutoff and M into order n's
+weights over the phase samples of the tails of P_{+-n}, so a polar mode is
+the head plus one dot product.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -60,7 +61,7 @@ from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
 from .errors import ConfigError, PreconditionError, SingularRadiusError
 from .extension import (TAIL_PHASES, _polar_reduce, _tail_rows, _tail_weights,
                         angle_count, extend, i_pow)
-from .spectral import TAU, CircleFunction, analyze, l2_norm, rotate, synthesize
+from .spectral import TAU, CircleFunction, l2_norm, rotate
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 EXCLUSION = 0.05          # half-width of the mask around each singular radius
@@ -422,12 +423,11 @@ def mu_value(k: int, r: float, cutoff: float = DEFAULT_CUTOFF) -> float:
 # ---------------------------------------------------------------------------
 
 def _abs2(f: CircleFunction) -> CircleFunction:
-    """|f|^2 as a bandwidth-2N circle function (exact via oversampling),
-    its coefficients made exactly conjugate-symmetric, as those of a real
-    function are, so that its field keeps half the angles."""
-    M = max(4 * f.N + 8, 16)
-    s = synthesize(f, M)
-    c = analyze(s * np.conj(s), 2 * f.N).coeffs
+    """|f|^2 = f conj(f) as a bandwidth-2N circle function: the convolution
+    of f's coefficients with those of conj(f), conj(c_{-n}), made exactly
+    conjugate-symmetric, as those of a real function are, so that its field
+    keeps half the angles."""
+    c = np.convolve(f.coeffs, np.conj(f.coeffs[::-1]))
     return CircleFunction(0.5 * (c + np.conj(c[::-1])))
 
 
@@ -487,7 +487,6 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     if mu5_at_1 is None:
         mu5_at_1 = mu_value(5, 1.0, grid.cutoff)
     J = angle_count(2 * sum(f.N for f in fs), 0)
-    J += J % 2                      # even: the |g|^2 fields keep J/2 angles
 
     def bound(gs, fields: dict) -> float:
         # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled

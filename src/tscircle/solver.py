@@ -183,11 +183,28 @@ def _nonlinear_field(X, Y):
     grouped by how many plain slots hold h (none, one, two or three),
 
         X^3 conj(Y^2) + 3 X^2 Y conj(2XY + Y^2)
-                      + (3XY^2 + Y^3) conj((X + Y)^2)."""
+                      + (3XY^2 + Y^3) conj((X + Y)^2).
+
+    On sample blocks the temporaries are reused in place, never X or Y;
+    a FieldTail has no in-place operators, so there `*=` and `+=` are `*`
+    and `+`."""
     XX, YY = X * X, Y * Y
-    S = 2 * (X * Y) + YY
-    return (XX * X * YY.conj() + 3 * (XX * Y) * S.conj()
-            + YY * (3 * X + Y) * (XX + S).conj())
+    S = X * Y
+    S *= 2
+    S += YY                                 # 2XY + Y^2
+    out = XX * X
+    out *= YY.conj()
+    T = XX * Y
+    T *= 3
+    T *= S.conj()
+    out += T
+    T = 3 * X
+    T += Y
+    YY *= T                                 # Y^2 (3X + Y)
+    XX += S                                 # (X + Y)^2
+    YY *= XX.conj()
+    out += YY
+    return out
 
 
 def linear_part(phi: CircleFunction, g: CircleFunction,

@@ -127,9 +127,12 @@ def analyze(samples, N: int) -> CircleFunction:
 
 
 def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
-    """<f, g> = \\int f conj(g) dtheta = 2 pi sum c_n conj(d_n)."""
-    N = max(f.N, g.N)
-    return TAU * complex(np.vdot(g.padded(N).coeffs, f.padded(N).coeffs))
+    """<f, g> = \\int f conj(g) dtheta = 2 pi sum c_n conj(d_n), summed
+    over the shared band |n| <= min(N_f, N_g), where the products live, so
+    zero coefficients beyond it do not change the sum's rounding."""
+    N = min(f.N, g.N)
+    return TAU * complex(np.vdot(g.coeffs[g.N - N:g.N + N + 1],
+                                 f.coeffs[f.N - N:f.N + N + 1]))
 
 
 def l2_norm(f: CircleFunction) -> float:

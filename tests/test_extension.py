@@ -136,12 +136,18 @@ def test_decay_envelope_scales_with_l2_mass():
 def test_angle_count_grows_with_bandwidth():
     # the argument is the bandwidth of the product field to resolve
     assert angle_count(0) == 64
-    assert angle_count(5 * 16) == 168
+    assert angle_count(5 * 16) == 162
     assert angle_count(5 * 16) > 2 * 5 * 16  # enough for quintic products
     # J > M + M_out: the modes a caller reads set the count, not 2M alone
-    assert angle_count(80) == 168
-    assert angle_count(80, 16) == 104
-    assert angle_count(80, 0) == 88
+    assert angle_count(80) == 162
+    assert angle_count(80, 16) == 98
+    assert angle_count(80, 0) == 82
+    # the smallest even J above M + M_out, 64 at least
+    for M in range(0, 130, 3):
+        for M_out in range(0, M + 1, 5):
+            J = angle_count(M, M_out)
+            assert J % 2 == 0 and J > M + M_out and J >= 64
+            assert J == 64 or J - 2 <= M + M_out
 
 
 def test_angular_analysis_paths_agree(monkeypatch):

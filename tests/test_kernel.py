@@ -99,7 +99,7 @@ CASES = {
 def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
     # every case ends on a short block: the product grid's K = 704 nodes
     # are a multiple neither of 7 rows nor of the module's block height at
-    # J = 72, 88, 104 and 168 (56, 46, 39 and 24 rows), but fill 11 blocks
+    # J = 66, 82, 98 and 162 (62, 49, 41 and 25 rows), but fill 11 blocks
     # of 64 rows at J = 64, which therefore runs on the refined grid's
     # K = 1376 nodes
     expr, inputs, bandwidth = CASES[name]

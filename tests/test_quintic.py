@@ -36,6 +36,7 @@ from tscircle.bessel import (BesselTensor, RadialGrid, _encode,
                              bessel_product_tail, default_grid)
 from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
                              SingularRadiusError)
+from tscircle.extension import angle_count
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
                               _self_product, leibniz_terms)
 from tscircle.regularity import square_wave
@@ -147,6 +148,39 @@ def test_polar_route_reads_only_the_requested_modes():
         quintic_convolve(fs, M=-1)
 
 
+# (expression, inputs, bandwidth of the product, read modes M): above the
+# 64-angle floor, with M + bandwidth even and odd
+ALIAS_ONE = [random_function(16, seed=8)]
+ALIAS_FIVE = [random_function(N, seed=60 + i)
+              for i, N in enumerate((12, 9, 8, 5, 7))]
+ALIASING_CASES = {
+    "el_quintic full": (_self_product, ALIAS_ONE, 80, 80),
+    "el_quintic low": (_self_product, ALIAS_ONE, 80, 16),
+    "el_quintic mode 0": (_self_product, ALIAS_ONE, 80, 0),
+    "five inputs odd": (_product, ALIAS_FIVE, 41, 41),
+    "five inputs low": (_product, ALIAS_FIVE, 41, 24),
+}
+
+
+@pytest.mark.parametrize("name", list(ALIASING_CASES))
+def test_polar_assembly_at_the_exact_aliasing_bound(name):
+    # on angle_count(B, M) angles modes -M..M match those of the full band
+    # on twice the angles; two fewer alias, and the kernel refuses
+    expr, fs, B, M = ALIASING_CASES[name]
+    J = angle_count(B, M)
+    assert J > 64 and J % 2 == 0
+
+    def assemble(n_angles, modes):
+        return _assemble_polar(expr, [extend(f, n_angles=n_angles)
+                                      for f in fs], modes)
+
+    full = assemble(2 * B + 64, B)[B - M:B + M + 1]
+    got = assemble(J, M)
+    assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+    with pytest.raises(GridSizeError):
+        assemble(J - 2, M)
+
+
 def test_tensor_route_names_a_missing_class(tensor8):
     # without the class (0,0,0,0,8,8), which n = (8, -8, 0, 0, 0) and m = 0
     # reach, an N = 8 contraction refuses; an N = 2 one never reads that
@@ -172,7 +206,7 @@ def test_el_quintic_is_the_five_slot_convolution():
 
 def test_el_quintic_low_modes_match_full_band(monkeypatch):
     # modes |m| <= 16 of the bandwidth-80 product, on angle_count(80, 16)
-    # = 104 angles instead of 168, are the full result cut to 16
+    # = 98 angles instead of 162, are the full result cut to 16
     angles = []
     real = tscircle.quintic.extend
 
@@ -185,7 +219,7 @@ def test_el_quintic_low_modes_match_full_band(monkeypatch):
     f = random_function(16, seed=8, decay=0.8)
     full = el_quintic(f).truncated(16)
     low = el_quintic(f, M=16)
-    assert angles == [168, 104]
+    assert angles == [162, 98]
     assert low.N == 16
     assert l2_norm(low - full) <= 1e-13 * l2_norm(full)
     assert np.array_equal(el_quintic(f, M=99).coeffs, el_quintic(f).coeffs)
@@ -509,7 +543,7 @@ def test_bound_chain_extends_each_abs2_once(monkeypatch):
     quintilinear_bound_ratio(fs, 0.5, mu5_at_1=1.0,
                              t_grid=2.0 ** -np.arange(1, 5))
     assert len(angles) == 46
-    assert set(angles) == {88}     # angle_count(80, 0): mode 0 is read
+    assert set(angles) == {82}     # angle_count(80, 0): mode 0 is read
 
 
 def bound_chain_reference(fs, s, ts):

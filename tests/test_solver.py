@@ -29,7 +29,7 @@ import tscircle.solver
 import tscircle.variational
 from tscircle.errors import DivergenceError
 from tscircle.extension import FieldTail, angle_count, extend
-from tscircle.quintic import _assemble_polar
+from tscircle.quintic import _assemble_polar, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
 
 
@@ -215,6 +215,34 @@ def test_slot_grouped_fields_match_class_products():
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("rows", [40, None], ids=["block", "whole grid"])
+def test_field_expressions_leave_their_inputs_alone(rows):
+    # the expressions reuse their own temporaries in place: the sample
+    # blocks and tails they are given, read-only views included (as a block
+    # cut from cached rows would be), come back unchanged
+    phi = random_function(4, seed=53, decay=0.9)
+    h = high_tail(4, 8, seed=54, scale=0.3)
+    J = angle_count(5 * h.N)
+    X, Y = extend(phi, n_angles=J), extend(h, n_angles=J)
+    K = rows or X.grid.nodes.size
+    cases = ((_nonlinear_field, 2), (_linear_field, 2), (_self_product, 1),
+             (_product, 5))
+    for expr, arity in cases:
+        blocks = [X.rows(0, K), Y.rows(0, K)] * 3
+        views = [b[:] for b in blocks[:arity]]
+        for v in views:
+            v.flags.writeable = False
+        kept = [v.copy() for v in views]
+        expr(*views)
+        assert all(np.array_equal(v, k) for v, k in zip(views, kept))
+        tails = [X.tail, Y.tail] * 3
+        kept = [(t.poly.copy(), t.N, t.symmetric) for t in tails[:arity]]
+        expr(*tails[:arity])
+        for t, (poly, N, symmetric) in zip(tails, kept):
+            assert np.array_equal(t.poly, poly)
+            assert (t.N, t.symmetric) == (N, symmetric)
+
+
 def test_parts_multiply_fields_slot_grouped(monkeypatch):
     # one product per class factor would take 36 field-by-field products
     # for N and 12 for L; grouped by slot they take at most 12 and 6 (counted
@@ -239,8 +267,8 @@ def test_parts_multiply_fields_slot_grouped(monkeypatch):
 
 def test_parts_for_low_modes_match_full_band(monkeypatch):
     # assembled for modes |m| <= 16 only, on angle_count(M, 16) angles
-    # (N: bandwidth M = 80, 104 instead of 168; L: M = 32, 64 instead of
-    # 72), N and L are the full results cut to 16
+    # (N: bandwidth M = 80, 98 instead of 162; L: M = 32, 64 instead of
+    # 66), N and L are the full results cut to 16
     angles = []
     real = tscircle.solver.extend
 
@@ -252,8 +280,8 @@ def test_parts_for_low_modes_match_full_band(monkeypatch):
     monkeypatch.setattr(tscircle.solver, "extend", recording)
     phi = random_function(4, seed=41, decay=0.9)
     g = high_tail(4, 16, seed=42)
-    for part, J_full, J_low in ((nonlinear_part, 168, 104),
-                                (linear_part, 72, 64)):
+    for part, J_full, J_low in ((nonlinear_part, 162, 98),
+                                (linear_part, 66, 64)):
         angles.clear()
         full = part(phi, g).truncated(16)
         low = part(phi, g, M=16)

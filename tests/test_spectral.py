@@ -73,6 +73,20 @@ def test_inner_product_direct():
     assert abs(inner_product(f, g) - TAU * acc) < 1e-12
 
 
+def test_inner_product_ignores_zero_padding():
+    # <Q, f> sums over the shared band only: Q at 17 coefficients or padded
+    # with zeros to 81 gives the same bits, and so does a Q whose modes
+    # beyond f's band are not zero, in either slot
+    for seed in range(50):
+        f = random_function(8, seed=seed)
+        wide = random_function(40, seed=100 + seed)
+        Q = wide.truncated(8)
+        want = inner_product(Q, f)
+        assert inner_product(Q.padded(40), f) == want
+        assert inner_product(wide, f) == want
+        assert inner_product(f, Q.padded(40)) == inner_product(f, Q)
+
+
 def test_weighted_norm_closed_form():
     f = CircleFunction(np.array([0.5j, 2.0, -1.0 + 1j]))  # modes -1, 0, 1
     s = 0.75

@@ -12,26 +12,31 @@ phases e^{i rho} = z_l (TAIL_PHASES), where products are pointwise, and
 synthesized as the samples are, from the same table, with each mode's
 Bessel row replaced by the real phase samples of its two-term asymptotics
 (bessel_tail).  What is built from several fields is a field expression,
-a plain function over `*`, `+`, scalar `*` and `.conj()`.  A field holds
-no samples, only its folded phase table.  _polar_reduce evaluates an
+a plain function over `*`, `+`, scalar `*` and `.conj()`, or several
+products at once, a generator over per-field readers that yields them.  A
+field holds no samples and no tail, only its folded phase table, from
+which both are synthesized when read.  _polar_reduce evaluates an
 expression once on the tails and then on cache-sized row blocks of
-samples, each synthesized from the tables just before and summed radially
-at once, per Bessel order, into one accumulator over the angles whose
-modes are read after the last block (above a measured mode count, each
-block's modes are its FFT, summed radially).  It returns each mode m's
-whole radial integral against the row of its order |m| (the sign of J_m
-is the caller's phase): the head against the caller's rows times rho w,
-plus the tail's modes against the caller's per-order weights over the
-phase samples, which fold the closed-form integral beyond the cutoff
-(_tail_weights, cached per cutoff).  The quintic convolution and the L^6
-norm are its callers.  A real input (c_{-n} = conj c_n) has F(rho, phi +
-pi) = conj F(rho, phi): its field keeps J/2 angles, and mode 0 of a
-product of such fields is the real part of the mean over them.
+samples, each field's block synthesized when the expression reads it,
+and each product summed radially at once, per Bessel order, into its own
+accumulator over the angles whose modes are read after the last block
+(above a measured mode count, each block's modes are its FFT, summed
+radially).  It returns each mode m's whole radial integral against the
+row of its order |m| (the sign of J_m is the caller's phase): the head
+against the caller's rows times rho w, plus the tail's modes against the
+caller's per-order weights over the phase samples, which fold the
+closed-form integral beyond the cutoff (_tail_weights, cached per
+cutoff).  The quintic convolution, the bound chain and the L^6 norm are
+its callers.  A real input (c_{-n} = conj c_n) has F(rho, phi + pi) =
+conj F(rho, phi): its field keeps J/2 angles, and mode 0 of a product of
+such fields is the real part of the mean over them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import inspect
+from functools import lru_cache, partial
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -150,23 +155,31 @@ class ExtensionField:
     """The extension of one circle function, held as what defines it: the
     folded phase table `table`, the real view of the (N+1) x J' complex
     matrix whose row n is the angular factor shared by the modes +-n (J' =
-    J/2 when tail.symmetric, J = n_angles even and f real: the other angles
-    are the conjugates of these; J' = J otherwise), the grid, the large-rho
-    `tail` with the bandwidth N, and F(0).  Samples exist only as the row
-    blocks that rows() synthesizes; fields combine only in _polar_reduce."""
+    J/2 when `symmetric`, J = n_angles even and f real: the other angles
+    are the conjugates of these; J' = J otherwise), the bandwidth N, the
+    grid and F(0).  Neither samples nor the large-rho form are stored:
+    rows() synthesizes row blocks, and `tail` is synthesized from the same
+    table on each read; fields combine only in _polar_reduce."""
 
-    def __init__(self, grid: RadialGrid, table: np.ndarray, tail: FieldTail,
-                 n_angles: int, origin_value: complex):
+    def __init__(self, grid: RadialGrid, table: np.ndarray, N: int,
+                 symmetric: bool, n_angles: int, origin_value: complex):
         self.grid = grid
         self.table = table
-        self.tail = tail
-        self.N = tail.N
+        self.N = int(N)
+        self.symmetric = bool(symmetric)
         self.n_angles = int(n_angles)
         self.origin_value = origin_value
 
     def __repr__(self):
         return (f"ExtensionField(K={self.grid.nodes.size}, J={self.n_angles}, "
                 f"N={self.N}, cutoff={self.grid.cutoff:g})")
+
+    @property
+    def tail(self) -> FieldTail:
+        """The large-rho form, a new FieldTail built from the table."""
+        return FieldTail(field_tail_rep(self.table, self.symmetric,
+                                        self.grid.cutoff),
+                         self.N, self.symmetric)
 
     def rows(self, lo: int, hi: int, half: bool = False) -> np.ndarray:
         """Samples of nodes lo..hi-1 on the angles j 2 pi / J, j < J, or on
@@ -178,13 +191,14 @@ class ExtensionField:
         a = min(lo, max(hi - 2, 0))
         b = max(hi, min(a + 2, jm.shape[1]))
         return _synthesize(jm[:, a:b].T, self.table,
-                           self.tail.symmetric and not half)[lo - a:hi - a]
+                           self.symmetric and not half)[lo - a:hi - a]
 
 
 def extend(f: CircleFunction, grid: RadialGrid | None = None,
            n_angles: int | None = None) -> ExtensionField:
-    """The extension of f on a polar grid, with its large-rho tail; the
-    default angle count resolves a five-fold product of such fields."""
+    """The extension of f on a polar grid, held as its folded phase table
+    (its tail is built from that table when read); the default angle count
+    resolves a five-fold product of such fields."""
     grid = grid or default_grid()
     J = n_angles or angle_count(5 * f.N)
     n = np.arange(-f.N, f.N + 1)
@@ -196,9 +210,7 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     C = factor[:, None] * _phase_table(f.N, J, J // 2 if symmetric else J)
     C[f.N + 1:] += C[f.N - 1::-1]
     table = C[f.N:].view(np.float64).copy()
-    tail = FieldTail(field_tail_rep(table, symmetric, grid.cutoff), f.N,
-                     symmetric)
-    return ExtensionField(grid, table, tail, J, TAU * f.coeff(0))
+    return ExtensionField(grid, table, f.N, symmetric, J, TAU * f.coeff(0))
 
 
 def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
@@ -208,49 +220,79 @@ def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
     its m-th angular mode, plus sum_{p,l} tail[|m|, p, l] S_m[p, l], S_m
     the m-th angular mode of its tail's phase samples, so `rows` (M+1, K)
     and `tail` (M+1, 2, TAIL_PHASES) carry each order's measure, the polar
-    measure rho_k w_k applied block by block.  The expression runs once on
-    the tails, giving its bandwidth N, then on row blocks of BLOCK_SAMPLES
-    samples synthesized from the fields' tables.  Up to
-    DIRECT_ANALYSIS_MODES modes each block is summed radially first, one
-    real matmul into an (M+1, J') accumulator Z whose row |m| is then read
-    at mode m once, after the last block, against the analysis table of
-    the J' angles read (at mode 0, with inputs and tail symmetric, J/2 of
-    them, real part taken); above that each block's modes are its FFT,
-    summed radially at once.  The fields must share grid and angles, and
-    J > N + M, or the modes alias."""
+    measure rho_k w_k applied block by block.
+
+    A plain expression is a function of the fields' values.  A generator
+    function is a multi-product expression: it gets one reader per field
+    and yields products, each reduced as soon as it is formed, so the
+    products of one pass share their reads and partial products; the
+    result is then (products, 2M+1), row p the p-th product's modes.
+
+    The expression runs once on the tails (each built from its field's
+    table when read), giving the bandwidth N, then on row blocks of
+    BLOCK_SAMPLES samples, each field's block synthesized from its table
+    when the expression reads it.  Up to DIRECT_ANALYSIS_MODES modes each
+    product's block is summed radially first, one real matmul into that
+    product's (M+1, J') accumulator Z, whose row |m| is then read at mode m
+    once, after the last block, against the analysis table of the J'
+    angles read (at mode 0, with inputs and tails symmetric, J/2 of them,
+    real part taken); above that each block's modes are its FFT, summed
+    radially at once.  The fields must share grid and angles, and J > N +
+    M, or the modes alias."""
     grid = fields[0].grid
     J = fields[0].n_angles
     K = grid.nodes.size
     for F in fields:
         if (F.n_angles, F.grid.cutoff, F.grid.nodes.size) != (J, grid.cutoff, K):
             raise GridSizeError(f"cannot combine {fields[0]!r} with {F!r}")
-    ends = expr(*(F.tail for F in fields))
-    if J <= ends.N + M:
+    multi = inspect.isgeneratorfunction(expr)
+
+    def products(read):
+        # the products of the expression over the fields' values read(F):
+        # what a multi-product expression yields as it calls its per-field
+        # readers, or the one value of a plain expression
+        if multi:
+            return expr(*(partial(read, F) for F in fields))
+        return (expr(*map(read, fields)),)
+
+    order = np.abs(np.arange(-M, M + 1))
+    ends, N, symmetric = [], 0, True
+    for S in products(attrgetter("tail")):
+        modes = _analyze(np.moveaxis(S.poly, 0, -1), M)    # (2, TAIL_PHASES, 2M+1)
+        ends.append(np.einsum("mpl,plm->m", tail[order], modes))
+        N, symmetric = max(N, S.N), symmetric and S.symmetric
+    if J <= N + M:
         raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
-                            f"{ends.N} product (needs J > {ends.N + M})")
-    half = M == 0 and ends.symmetric and all(F.tail.symmetric for F in fields)
+                            f"{N} product (needs J > {N + M})")
+    half = M == 0 and symmetric and all(F.symmetric for F in fields)
     width = J // 2 if half else J
     step = max(1, BLOCK_SAMPLES // width)
     radial_first = 2 * M + 1 <= DIRECT_ANALYSIS_MODES
-    order = np.abs(np.arange(-M, M + 1))
     measure = grid.weights * grid.nodes
-    quad = np.zeros(2 * M + 1, dtype=np.complex128)
-    Z = np.zeros((M + 1, width if radial_first else 0), dtype=np.complex128)
-    Zr = Z.view(np.float64)
+    quad = np.zeros((len(ends), 2 * M + 1), dtype=np.complex128)
+    Z = np.zeros((len(ends), M + 1, width if radial_first else 0),
+                 dtype=np.complex128)
+    # each product's accumulator as a view added to in place (Z[p] += x
+    # would also copy the sum back)
+    acc = list(Z.view(np.float64)) if radial_first else list(quad)
     for lo in range(0, K, step):
         hi = min(lo + step, K)
-        block = expr(*(F.rows(lo, hi, half) for F in fields))
         head = rows[:, lo:hi] * measure[lo:hi]
-        if radial_first:
-            Zr += head @ block.view(np.float64)
-        else:
-            quad += np.einsum("km,mk->m", _analyze(block, M), head[order])
+        read = methodcaller("rows", lo, hi, half)
+        for p, block in enumerate(products(read)):
+            if radial_first:
+                acc[p] += head @ block.view(np.float64)
+            else:
+                acc[p] += np.einsum("km,mk->m", _analyze(block, M),
+                                    head[order])
     if radial_first:
-        quad = np.einsum("mj,jm->m", Z[order], _analysis_table(M, width))
+        for p in range(len(ends)):
+            quad[p] = np.einsum("mj,jm->m", Z[p][order],
+                                _analysis_table(M, width))
     if half:
         quad = quad.real + 0j
-    modes = _analyze(np.moveaxis(ends.poly, 0, -1), M)     # (2, TAIL_PHASES, 2M+1)
-    return quad + np.einsum("mpl,plm->m", tail[order], modes)
+    out = quad + np.array(ends).reshape(quad.shape)
+    return out if multi else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ J_|m|, as J_-m = (-1)^m J_m: the modes +-m read one Bessel row).
 _assemble_polar is that one inversion: every polar caller writes its
 product (sums of products included) as one field expression over the
 extensions of its inputs and assembles it once, for the modes it needs,
-through the blocked kernel extension._polar_reduce.  The angular grid is
+through the blocked kernel extension._polar_reduce; the bound chain's
+products, which share most of their factors, are one multi-product
+expression (_bound_chain) assembled in one pass.  The angular grid is
 sized for those modes too: J samples of a bandwidth-M product give its
 modes |m| <= M_out exactly when J > M + M_out, and extension.angle_count
 takes the smallest even such J (64 at least), so a caller that reads mode 0
@@ -104,6 +106,8 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     inputs; the fields' J angles must exceed the expression's bandwidth
     plus M, or those modes alias."""
     grid = fields[0].grid
+    if M < 0:
+        raise ConfigError(f"mode count M={M} is negative")
     scale, tail = _mode_tables(grid.cutoff, M)
     return scale * _polar_reduce(expr, fields, M, grid.j_matrix(M), tail)
 
@@ -462,6 +466,39 @@ def leibniz_terms(fs, t: float) -> list:
     return [rot[:i] + [rot[i] - fs[i]] + fs[i + 1:] for i in range(len(fs))]
 
 
+def _bound_chain(*read):
+    """The products of the bound chain as one multi-product expression over
+    the fields of |f_0|^2..|f_4|^2 and then, nine per offset, of |rot
+    f_j|^2 (j < 4) and |rot f_i - f_i|^2 (i < 5): the product of the
+    |f_j|^2, then per offset Leibniz term i's, prefix_i D_i suffix_i, with
+    suffix_i the product of the |f_j|^2 over j > i, formed once and shared
+    by every offset, and prefix_i the running product of the offset's
+    |rot f_j|^2 over j < i.  Each field is read once, just before its first
+    use; products are formed in place on blocks read for them."""
+    suffix = [None] * 5
+    for i in (3, 2, 1, 0):
+        suffix[i] = read[i + 1]()
+        if i < 3:
+            suffix[i] *= suffix[i + 1]
+    term = read[0]()
+    term *= suffix[0]
+    yield term
+    for k in range(5, len(read), 9):
+        rot, diff = read[k:k + 4], read[k + 4:k + 9]
+        prefix = None
+        for i in range(5):
+            term = diff[i]()
+            if i < 4:
+                term *= suffix[i]
+            if prefix is not None:
+                term *= prefix
+            yield term
+            if i == 0:
+                prefix = rot[0]()
+            elif i < 4:
+                prefix *= rot[i]()
+
+
 def quintilinear_bound_ratio(fs, s: float = 0.0,
                              grid: RadialGrid | None = None,
                              mu5_at_1: float | None = None,
@@ -473,50 +510,62 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     saturated when every input is constant.  For s > 0 the same bound is
     pushed through difference quotients slot by slot (five-term telescoping
     of the rotation), and the ratio compares the quotient-augmented norms.
+    s must be finite and nonnegative, and for s > 0 t_grid (2^-1..2^-8 by
+    default) a nonempty list of positive finite offsets.
 
     The bound reads mode 0 of a bandwidth-2(N1+..+N5) product, so its fields
     take angle_count(M, 0) angles, an even count, of which each real |g|^2
-    field samples half; each distinct |g|^2 is extended once:
-    |f_j|^2 once per call, |rot f_j|^2 and |rot f_j - f_j|^2 once per offset.
+    field samples half; each distinct |g|^2 is extended once per call:
+    |f_j|^2, and per offset |rot f_j|^2 (j < 4) and |rot f_j - f_j|^2.  The
+    1 + 5T bounds of T offsets come out of one polar pass (_bound_chain),
+    which reads each field's row block once and shares partial products.
     Every call also reports the s = 0 ratio as ratio0.
     """
     fs = list(fs)
     if len(fs) != 5:
         raise ConfigError("need exactly five inputs")
+    if not (np.isfinite(s) and s >= 0.0):
+        raise ConfigError(f"smoothness s={s} must be finite and nonnegative")
+    if s > 0.0:
+        ts = np.asarray(t_grid if t_grid is not None
+                        else 2.0 ** -np.arange(1, 9), dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise ConfigError(f"t_grid must be a nonempty list, got {ts}")
+        if not np.all(np.isfinite(ts) & (ts > 0.0)):
+            raise ConfigError(f"offsets must be positive and finite, got {ts}")
+    else:
+        ts = np.zeros(0)
     grid = grid or default_grid()
     if mu5_at_1 is None:
         mu5_at_1 = mu_value(5, 1.0, grid.cutoff)
     J = angle_count(2 * sum(f.N for f in fs), 0)
 
-    def bound(gs, fields: dict) -> float:
-        # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled
-        for g in gs:
-            if id(g) not in fields:
-                fields[id(g)] = extend(_abs2(g), grid, J)
-        val = TAU * _assemble_polar(_product, [fields[id(g)] for g in gs],
-                                    0)[0].real
-        return float(np.sqrt(mu5_at_1 * max(val, 0.0)))
+    def field(g):
+        return extend(_abs2(g), grid, J)
 
     Q = quintic_convolve(fs, grid=grid)
     lhs0 = l2_norm(Q)
-    base: dict = {}                         # id(f_j) -> field of |f_j|^2
-    rhs0 = bound(fs, base)
+    distinct = {id(f): f for f in fs}       # each |f_j|^2 extended once
+    base = {key: field(f) for key, f in distinct.items()}
+    chain = [base[id(f)] for f in fs]
+    for t in ts:
+        terms = leibniz_terms(fs, t)
+        chain += ([field(g) for g in terms[-1][:4]]          # rot f_j, j < 4
+                  + [field(slots[i]) for i, slots in enumerate(terms)])
+    # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled
+    vals = TAU * _assemble_polar(_bound_chain, chain, 0)[:, 0].real
+    bounds = [float(np.sqrt(mu5_at_1 * max(v, 0.0))) for v in vals]
+    rhs0 = bounds[0]
     if s == 0.0:
         return BoundRatioReport(0.0, lhs0, rhs0, lhs0 / rhs0, lhs0 / rhs0,
                                 mu5_at_1)
 
-    ts = np.asarray(t_grid if t_grid is not None else 2.0 ** -np.arange(1, 9))
     per_t = {}
     sup_n = 0.0
     sup_d = 0.0
-    for t in ts:
+    for k, t in enumerate(ts):
         numer = l2_norm(rotate(Q, t) - Q) / t ** s
-        fields = dict(base)                 # one offset's fields alive at a time
-        denom = 0.0
-        for i, slots in enumerate(leibniz_terms(fs, t)):
-            denom += bound(slots, fields)
-            del fields[id(slots[i])]        # slot i's difference is in term i only
-        denom /= t ** s
+        denom = sum(bounds[5 * k + 1:5 * k + 6]) / t ** s
         per_t[float(t)] = (numer, denom, numer / denom)
         sup_n = max(sup_n, numer)
         sup_d = max(sup_d, denom)

@@ -376,8 +376,9 @@ def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
 
 
 def test_tail_rows_are_built_once_per_bandwidth_and_cutoff(monkeypatch):
-    # a field's tail synthesis reads bessel_tail of the orders 0..N, which
-    # depend on N and the cutoff alone, not on the input or its angles
+    # a field's tail synthesis (on each read of .tail) reads bessel_tail of
+    # the orders 0..N, which depend on N and the cutoff alone, not on the
+    # input or its angles
     calls = []
     real = tscircle.extension.bessel_tail
 
@@ -391,7 +392,7 @@ def test_tail_rows_are_built_once_per_bandwidth_and_cutoff(monkeypatch):
                                (3, 3, 400.0, 64), (4, 5, 200.0, 64),
                                (5, 3, 200.0, 64), (6, 5, 200.0, 80),
                                (7, 3, 400.0, 72)):
-        extend(random_function(N, seed=seed), default_grid(cutoff), J)
+        extend(random_function(N, seed=seed), default_grid(cutoff), J).tail
     assert calls == [(3, 200.0), (3, 400.0), (5, 200.0)]
 
 

@@ -19,6 +19,7 @@ import pytest
 
 import tscircle.extension
 from tscircle import constant_function, default_grid, random_function
+from tscircle.errors import GridSizeError
 from tscircle.extension import ExtensionField, _polar_reduce, angle_count, extend
 from tscircle.quintic import _abs2, _mode_tables, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
@@ -216,3 +217,54 @@ def test_non_symmetric_input_never_takes_half_angles(monkeypatch):
     seen.clear()
     kernel(_product, fields, 1)
     assert seen and not any(seen)
+
+
+# one pass of several products: each product alone, as a plain expression
+# over the same four fields, and the generator that yields them all from
+# shared reads (A read twice, D never read)
+ALONE = (lambda A, B, C, D: A * B * C,
+         lambda A, B, C, D: A * A.conj() * B,
+         lambda A, B, C, D: (B * B).conj())
+
+
+def shared(A, B, C, D):
+    a, b = A(), B()
+    yield a * b * C()
+    yield a * A().conj() * b
+    yield (b * b).conj()
+
+
+FOUR = [random_function(4, seed=70 + i, decay=0.75) for i in range(4)]
+INPUTS = {"complex": FOUR, "real |g|^2": [_abs2(f) for f in FOUR]}
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+@pytest.mark.parametrize("inputs", list(INPUTS))
+@pytest.mark.parametrize("M", [0, 16])
+def test_multi_product_pass_matches_each_product_alone(M, inputs, path,
+                                                       monkeypatch):
+    monkeypatch.setattr(tscircle.extension, "DIRECT_ANALYSIS_MODES",
+                        PATHS[path])
+    seen = spy_rows(monkeypatch)
+    fs = INPUTS[inputs]
+    J = angle_count(3 * max(f.N for f in fs), M)
+    fields = [extend(f, n_angles=J) for f in fs]
+    for head in (1.0, 0.0):               # the whole integral, the tail alone
+        got = kernel(shared, fields, M, head=head)
+        assert got.shape == (len(ALONE), 2 * M + 1)
+        for p, alone in enumerate(ALONE):
+            want = kernel(alone, fields, M, head=head)
+            assert np.max(np.abs(want)) > 0
+            gap = np.max(np.abs(got[p] - want))
+            assert gap <= 1e-15 * np.max(np.abs(want))
+    # real inputs read mode 0 on half the angles, in one pass as alone
+    assert all(seen) == (M == 0 and inputs != "complex")
+
+
+def test_multi_product_pass_refuses_aliased_modes():
+    # the aliasing bound is that of the widest product: 64 angles carry
+    # modes |m| <= 51 of the bandwidth-12 products, not 52
+    fields = [extend(f, n_angles=64) for f in FOUR]
+    assert kernel(shared, fields, 51).shape == (3, 103)
+    with pytest.raises(GridSizeError):
+        kernel(shared, fields, 52)

@@ -25,7 +25,9 @@ from tscircle import (
     l2_norm,
     l6_norm,
     lambda0_value,
+    linear_part,
     mu_value,
+    nonlinear_part,
     quintic_convolve,
     quintilinear_bound_ratio,
     random_function,
@@ -36,7 +38,7 @@ from tscircle.bessel import (BesselTensor, RadialGrid, _encode,
                              bessel_product_tail, default_grid)
 from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
                              SingularRadiusError)
-from tscircle.extension import angle_count
+from tscircle.extension import ExtensionField, angle_count
 from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
                               _self_product, leibniz_terms)
 from tscircle.regularity import square_wave
@@ -544,6 +546,71 @@ def test_bound_chain_extends_each_abs2_once(monkeypatch):
                              t_grid=2.0 ** -np.arange(1, 5))
     assert len(angles) == 46
     assert set(angles) == {82}     # angle_count(80, 0): mode 0 is read
+
+
+def test_bound_chain_synthesizes_each_field_once_per_row_block(monkeypatch):
+    # the chain's 1 + 5 * 4 bounds come out of one pass over its 5 + 4 * 9
+    # = 41 |g|^2 fields, each field's block synthesized once per row block
+    # (one pass per bound made 21 * 5 = 105 syntheses per row block); Q's
+    # pass, at M = 40, reads full angles and is not counted
+    seen = []
+    real = ExtensionField.rows
+
+    def rows(self, lo, hi, half=False):
+        if half:
+            seen.append((id(self), lo))
+        return real(self, lo, hi, half)
+
+    monkeypatch.setattr(ExtensionField, "rows", rows)
+    fs = five_random(8, 400, decay=0.6)
+    quintilinear_bound_ratio(fs, 0.5, mu5_at_1=1.0,
+                             t_grid=2.0 ** -np.arange(1, 5))
+    blocks = {lo for _, lo in seen}
+    assert len(blocks) == 8                 # 704 nodes, 99 rows of 41 angles
+    assert len({key for key, _ in seen}) == 41
+    assert len(set(seen)) == len(seen) == 41 * len(blocks)
+
+
+FIVE_N4 = [random_function(4, seed=430 + i, decay=0.7) for i in range(5)]
+
+
+@pytest.mark.parametrize("s", [-1.0, np.nan, np.inf])
+def test_bound_chain_refuses_a_bad_smoothness(s):
+    with pytest.raises(ConfigError, match="smoothness"):
+        quintilinear_bound_ratio(FIVE_N4, s, mu5_at_1=1.0)
+
+
+def test_bound_chain_refuses_an_empty_offset_list():
+    # with no offsets the quotient part had no terms: ratio came out as the
+    # s = 0 ratio and max_t_ratio was None; a bare number failed to iterate
+    for t_grid in ([], 0.5):
+        with pytest.raises(ConfigError, match="nonempty list"):
+            quintilinear_bound_ratio(FIVE_N4, 0.5, mu5_at_1=1.0,
+                                     t_grid=t_grid)
+    quintilinear_bound_ratio(FIVE_N4, 0.0, mu5_at_1=1.0, t_grid=[])
+
+
+@pytest.mark.parametrize("t", [0.0, -0.25, np.nan, np.inf])
+def test_bound_chain_refuses_a_bad_offset(t):
+    # t = 0 divided by zero into a NaN per-offset ratio, which max() skipped
+    with pytest.raises(ConfigError, match="offsets"):
+        quintilinear_bound_ratio(FIVE_N4, 0.5, mu5_at_1=1.0,
+                                 t_grid=[0.5, t])
+
+
+NEGATIVE_M = {
+    "el_quintic": lambda f, g: el_quintic(f, M=-1),
+    "linear_part": lambda f, g: linear_part(f, g, M=-1),
+    "nonlinear_part": lambda f, g: nonlinear_part(f, g, M=-2),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_M))
+def test_polar_assembly_refuses_a_negative_mode_count(name):
+    f = random_function(4, seed=440, decay=0.8)
+    g = random_function(6, seed=441, decay=0.8)
+    with pytest.raises(ConfigError, match="negative"):
+        NEGATIVE_M[name](f, g - g.truncated(4))
 
 
 def bound_chain_reference(fs, s, ts):

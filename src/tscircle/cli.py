@@ -50,14 +50,19 @@ def _jsonable(x):
 
     Complex numbers become [re, im] pairs so payloads stay valid JSON while
     round-tripping exactly (float repr is deterministic for a given double).
+    Python floats in a list pass through, and a real, integer or boolean
+    array is its tolist(), which holds only plain floats, ints and bools
+    (not for long doubles, which tolist() keeps as numpy scalars).
     """
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return _jsonable(dataclasses.asdict(x))
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [v if type(v) is float else _jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
+        if x.dtype.kind in "fiub" and x.dtype != np.longdouble:
+            return x.tolist()
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, (np.bool_, bool)):
         return bool(x)

@@ -46,11 +46,18 @@ self-convolutions of arclength measure,
 
 that is (2 pi)^{k-1} p_k(r)/r, p_k the density of the distance after k unit
 steps of a uniform planar random walk: mu_2 and mu_3 in closed form, mu_4
-and mu_5 through that Hankel integral.
+and mu_5 through that Hankel integral, a closed-form tail past the cutoff
+plus a head on the density grid.  The heads of a profile, the J_0(r rho)
+samples of 128 radii at a time against one weight row, are most of its
+cost; they are dealt alternately to the calling thread and one helper
+thread, which computes nothing but those samples and their products, so
+each value is bit for bit the one-thread sum (_hankel_density).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -276,20 +283,32 @@ def _mu3(r):
     return np.where(r2 > 9.0, 0.0, val)
 
 
-def _hankel_chunk(k: int, rr: np.ndarray, cutoff: float) -> np.ndarray:
-    g = _default_grid(cutoff, DENSITY_PANEL)
-    j0 = g.j_matrix(0)[0]
-    w = (j0 ** k) * g.nodes * g.weights
-    scales = np.ones((rr.size, k + 1))
-    scales[:, k] = rr
-    out = bessel_product_tail(np.zeros(k + 1, int), cutoff, scales)
-    for lo in range(0, rr.size, 128):
-        out[lo:lo + 128] += _sp.j0(np.outer(rr[lo:lo + 128], g.nodes)) @ w
-    return out
+def _hankel_heads(jobs, buf: np.ndarray) -> list:
+    """j0(outer(r, nodes)) @ w for each job (r, nodes, w), the J_0 samples
+    formed in place in the flat buffer buf.  numpy and scipy only, on the
+    arrays handed in, so it may run off the calling thread."""
+    heads = []
+    for r, nodes, w in jobs:
+        x = buf[:r.size * nodes.size].reshape(r.size, nodes.size)
+        np.multiply.outer(r, nodes, out=x)
+        heads.append(_sp.j0(x, out=x) @ w)
+    return heads
+
+
+@lru_cache(maxsize=1)
+def _helper() -> ThreadPoolExecutor:
+    """The one helper thread of the Hankel heads, started by its first job."""
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="tscircle-hankel")
+
+
+# a child forked after the helper started inherits its executor, not its
+# thread, and would wait on it forever
+os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
 def _mu5_at_zero(cutoff: float) -> float:
-    """int_0^oo J_0^5 rho drho: mu_5(0)/(2 pi)^4, on _hankel_chunk's grid
+    """int_0^oo J_0^5 rho drho: mu_5(0)/(2 pi)^4, on _hankel_density's grid
     and J_0 row."""
     g = _default_grid(cutoff, DENSITY_PANEL)
     head = float(g.weights @ (g.j_matrix(0)[0] ** 5 * g.nodes))
@@ -302,24 +321,65 @@ def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray
     mu_5 is an even quadratic in r^2 through mu_5(0) (_mu5_at_zero, as
     mu_value reports it), its other two coefficients fit to four exactly
     computed anchors; mu_4, which diverges logarithmically at 0, is left
-    NaN."""
+    NaN.
+
+    Each value is its tail, one bessel_product_tail call per bucket, plus
+    its head: the samples J_0(r rho) at the bucket grid's nodes against the
+    row w of J_0^k rho times the quadrature weights.  The heads, most of
+    the work, run as jobs of 128 radii dealt alternately to two lanes, the
+    calling thread and one helper thread (_helper), since scipy's j0 and
+    the matrix-vector product release the GIL.  The calling thread
+    resolves every grid, J_0 row and w before it hands out a job, because
+    RadialGrid.j_matrix fills its rows in place and is not thread-safe; it
+    also allocates each lane's buffer.  The helper runs _hankel_heads
+    alone, no other tscircle function.  The caller submits the helper's
+    lane, forms the tails, runs its own lane and adds each head into its
+    tail, bit for bit the one-thread sum.  A call of one job runs inline
+    and starts no thread."""
     vals = np.full(radii.shape, np.nan)
-    buckets = [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
-               (0.05, max(800.0, base_cutoff)),
-               (HANKEL_FLOOR, max(1600.0, base_cutoff))]
+    edges = [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
+             (0.05, max(800.0, base_cutoff)),
+             (HANKEL_FLOOR, max(1600.0, base_cutoff))]
+    buckets = []                             # (selector, radii, cutoff)
     prev = np.inf
-    for edge, cut in buckets:
+    for edge, cut in edges:
         sel = (radii >= edge) & (radii < prev)
         prev = edge
         if np.any(sel):
-            vals[sel] = _hankel_chunk(k, radii[sel], cut)
+            buckets.append((sel, radii[sel], cut))
     tiny = radii < HANKEL_FLOOR
-    if k == 5 and np.any(tiny):
+    fit = k == 5 and bool(np.any(tiny))
+    if fit:
         anchors = np.array([0.03, 0.05, 0.08, 0.12])
-        av = _hankel_chunk(k, anchors, 1600.0)
+        buckets.append((None, anchors, 1600.0))
+    jobs = []
+    for _, rr, cut in buckets:
+        g = _default_grid(cut, DENSITY_PANEL)
+        w = (g.j_matrix(0)[0] ** k) * g.nodes * g.weights
+        jobs += [(rr[lo:lo + 128], g.nodes, w)
+                 for lo in range(0, rr.size, 128)]
+    size = max(r.size * nodes.size for r, nodes, _ in jobs)
+    helper = (_helper().submit(_hankel_heads, jobs[1::2], np.empty(size))
+              if len(jobs) > 1 else None)
+    tails = []
+    for _, rr, cut in buckets:
+        scales = np.ones((rr.size, k + 1))
+        scales[:, k] = rr
+        tails.append(bessel_product_tail(np.zeros(k + 1, int), cut, scales))
+    heads = [None] * len(jobs)
+    heads[::2] = _hankel_heads(jobs[::2], np.empty(size))
+    if helper is not None:
+        heads[1::2] = helper.result()
+    it = iter(heads)
+    for (sel, rr, _), out in zip(buckets, tails):
+        for lo in range(0, rr.size, 128):
+            out[lo:lo + 128] += next(it)
+        if sel is not None:
+            vals[sel] = out
+    if fit:
         a0 = _mu5_at_zero(base_cutoff)
         x = anchors ** 2
-        c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1), av - a0,
+        c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1), tails[-1] - a0,
                               rcond=None)[0]
         coef = np.concatenate([[a0], c12])
         vals[tiny] = np.polynomial.polynomial.polyval(radii[tiny] ** 2, coef)

@@ -19,6 +19,7 @@ from tscircle import (AscentConfig, BesselTensor, RadialGrid, ascend,
                       ts_functional)
 from tscircle.cli import (
     COMMANDS,
+    _jsonable,
     build_parser,
     cache_roundtrip,
     main,
@@ -360,6 +361,73 @@ def test_tensor_bytes_do_not_depend_on_blas_threads(tmp_path):
                         env={"OPENBLAS_NUM_THREADS": threads})
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("name", ["density", "sup-bound"])
+def test_mu5_payload_does_not_depend_on_blas_threads(name, tmp_path):
+    # the Hankel heads' matrix-vector products round alike under one and two
+    # BLAS threads, on whichever lane runs them
+    payloads = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"{name}{threads}.json"
+        _run_subprocess(["-m", "tscircle.cli", name, "--k", "5",
+                         "--out", str(path)],
+                        env={"OPENBLAS_NUM_THREADS": threads})
+        payloads.append(json.dumps(json.loads(path.read_text())["payload"],
+                                   sort_keys=True))
+    assert payloads[0] == payloads[1]
+
+
+def _recursive_jsonable(x):
+    # the element-by-element coercion that cli._jsonable shortcuts
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return _recursive_jsonable(dataclasses.asdict(x))
+    if isinstance(x, dict):
+        return {str(k): _recursive_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_recursive_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_recursive_jsonable(v) for v in x.tolist()]
+    if isinstance(x, (np.bool_, bool)):
+        return bool(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if isinstance(x, (np.floating, float)):
+        return float(x)
+    if isinstance(x, (np.complexfloating, complex)):
+        return [float(x.real), float(x.imag)]
+    return x
+
+
+@dataclasses.dataclass
+class _Record:
+    name: str
+    values: np.ndarray
+    weight: np.float32
+
+
+def test_jsonable_writes_the_recursive_coercions_bytes():
+    rng = np.random.default_rng(5)
+    payload = {
+        "scalars": [np.float64(0.1), np.float32(1 / 3), np.int64(-7),
+                    np.uint8(200), np.bool_(True), np.complex128(1 - 2j),
+                    np.longdouble(0.3), 2.5, 3, True, 1j, None, "text"],
+        "floats": [0.1 * i for i in range(9)] + [float("nan"), None],
+        "real": rng.standard_normal(7),
+        "nan": np.array([1.0, np.nan, -np.inf]),
+        "complex": rng.standard_normal(4) + 1j * rng.standard_normal(4),
+        "matrix": rng.standard_normal((3, 4)),
+        "ints": np.arange(-3, 3).reshape(2, 3),
+        "unsigned": np.arange(5, dtype=np.uint16),
+        "bools": np.array([[True, False], [False, True]]),
+        "single": rng.standard_normal(3).astype(np.float32),
+        "long": np.array([0.25, 1 / 3], dtype=np.longdouble),
+        "tuple": (1.5, np.float64(2.5), (np.int32(4), [np.nan])),
+        "record": _Record("r", rng.standard_normal(2), np.float32(0.7)),
+        7: {"nested": [{"deep": np.array([1 + 1j])}, np.array([])]},
+    }
+    want = json.dumps(_recursive_jsonable(payload), sort_keys=True, indent=2)
+    assert json.dumps(_jsonable(payload), sort_keys=True, indent=2) == want
 
 
 def test_package_import_leaves_scipy_integrate_out():

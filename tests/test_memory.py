@@ -25,6 +25,13 @@ The Bessel rows themselves are grown in place: a call that asks for more
 rows allocates their new height once and fills it block by block, so its
 peak stays near the rows it keeps (it was twice that while each 64-order
 block was appended by a copy).
+
+A mu_5 profile's Hankel heads run on two lanes, the calling thread and one
+helper, each forming its J_0 samples in a buffer of 128 radii that the
+calling thread allocates: auto_density(5) at 801 points peaked at 2.43 MB
+warm on one lane, and peaks at 3.79 MB on two, the helper's 1.18 MB buffer
+alive while the calling thread forms the tails.  Its bound is 10% above the
+two-lane peak, below twice the one-lane peak.
 """
 
 import os
@@ -34,8 +41,8 @@ import tracemalloc
 from pathlib import Path
 
 import tscircle
-from tscircle import (RadialGrid, el_quintic, extend, mu_value,
-                      picard_iterate, quintilinear_bound_ratio,
+from tscircle import (RadialGrid, auto_density, el_quintic, extend,
+                      mu_value, picard_iterate, quintilinear_bound_ratio,
                       random_function)
 from tscircle.quintic import _abs2
 
@@ -64,6 +71,11 @@ def traced_peak(call):
 def test_picard_run_memory(extremizer16):
     peak = traced_peak(lambda: picard_iterate(extremizer16.f, 0.05))
     assert peak <= 1.1 * 1.99 * MB
+
+
+def test_density_memory():
+    peak = traced_peak(lambda: auto_density(5))
+    assert peak <= 1.1 * 3.79 * MB
 
 
 def test_bound_chain_memory():

@@ -7,11 +7,17 @@ critical radius.
 """
 
 import gc
+import os
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from tscircle import (
     TAU,
@@ -34,13 +40,13 @@ from tscircle import (
     rotate,
 )
 import tscircle.quintic
-from tscircle.bessel import (BesselTensor, RadialGrid, _encode,
+from tscircle.bessel import (DENSITY_PANEL, BesselTensor, RadialGrid, _encode,
                              bessel_product_tail, default_grid)
 from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
                              SingularRadiusError)
 from tscircle.extension import ExtensionField, angle_count
-from tscircle.quintic import (SINGULAR_RADII, _assemble_polar, _product,
-                              _self_product, leibniz_terms)
+from tscircle.quintic import (HANKEL_FLOOR, SINGULAR_RADII, _assemble_polar,
+                              _product, _self_product, leibniz_terms)
 from tscircle.regularity import square_wave
 
 
@@ -462,6 +468,136 @@ def test_density_stays_inside_support():
         assert dens.radii[0] == 0.0 and dens.radii[-1] == k
     for k in (2, 3, 4, 5):
         assert mu_value(k, 14.0) == 0.0
+
+
+def _one_thread_hankel_density(k, radii, base_cutoff):
+    """The Hankel profile as one thread sums it, bucket by bucket: the tail,
+    then each 128-radius chunk's head added in."""
+    def chunk(rr, cutoff):
+        g = tscircle.bessel._default_grid(cutoff, DENSITY_PANEL)
+        w = (g.j_matrix(0)[0] ** k) * g.nodes * g.weights
+        scales = np.ones((rr.size, k + 1))
+        scales[:, k] = rr
+        out = bessel_product_tail(np.zeros(k + 1, int), cutoff, scales)
+        for lo in range(0, rr.size, 128):
+            out[lo:lo + 128] += special.j0(np.outer(rr[lo:lo + 128],
+                                                    g.nodes)) @ w
+        return out
+
+    vals = np.full(radii.shape, np.nan)
+    prev = np.inf
+    for edge, cut in [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
+                      (0.05, max(800.0, base_cutoff)),
+                      (HANKEL_FLOOR, max(1600.0, base_cutoff))]:
+        sel = (radii >= edge) & (radii < prev)
+        prev = edge
+        if np.any(sel):
+            vals[sel] = chunk(radii[sel], cut)
+    tiny = radii < HANKEL_FLOOR
+    if k == 5 and np.any(tiny):
+        anchors = np.array([0.03, 0.05, 0.08, 0.12])
+        a0 = tscircle.quintic._mu5_at_zero(base_cutoff)
+        x = anchors ** 2
+        c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1),
+                              chunk(anchors, 1600.0) - a0, rcond=None)[0]
+        vals[tiny] = np.polynomial.polynomial.polyval(
+            radii[tiny] ** 2, np.concatenate([[a0], c12]))
+    return vals
+
+
+@pytest.mark.parametrize("k,n_points", [(5, 801), (4, 801), (5, 1001)])
+def test_two_lane_density_from_cold_grids_is_the_one_thread_sum(k, n_points):
+    # the density grids are built, J_0 rows and all, inside the call that
+    # splits the heads between two threads; every value matches the one
+    # thread's sum bit for bit
+    tscircle.bessel._default_grid.cache_clear()
+    dens = auto_density(k, n_points)
+    want = TAU ** (k - 1) * _one_thread_hankel_density(k, dens.radii, 200.0)
+    assert np.array_equal(dens.values, want, equal_nan=True)
+
+
+def test_density_grids_and_tails_stay_on_the_calling_thread(monkeypatch):
+    # RadialGrid.j_matrix grows its rows in place, so grids, rows and tails
+    # are all resolved on the calling thread; only numpy and scipy run on
+    # the helper
+    seen = {}
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    tscircle.bessel._default_grid.cache_clear()
+    q = tscircle.quintic
+    monkeypatch.setattr(q, "bessel_product_tail",
+                        record("tail", q.bessel_product_tail))
+    monkeypatch.setattr(q, "_default_grid", record("grid", q._default_grid))
+    monkeypatch.setattr(RadialGrid, "j_matrix",
+                        record("rows", RadialGrid.j_matrix))
+    for k in (5, 4):
+        auto_density(k)
+    assert seen == {name: {threading.get_ident()}
+                    for name in ("tail", "grid", "rows")}
+
+
+HELPER_THREADS = """
+import threading
+from tscircle import auto_density, mu_value
+
+def helpers():
+    return sum(t.name.startswith("tscircle-hankel")
+               for t in threading.enumerate())
+
+start = threading.active_count()
+mu_value(5, 1.0)
+mu_value(5, 0.01)
+print(start, threading.active_count(), helpers())
+auto_density(5)
+print(start, threading.active_count(), helpers())
+auto_density(5)
+print(start, threading.active_count(), helpers())
+"""
+
+
+def test_one_job_calls_run_inline_and_profiles_share_one_helper():
+    # mu_value is one 128-radius job and starts no thread; a profile starts
+    # the one helper and the next profile reuses it
+    src = str(Path(tscircle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", HELPER_THREADS],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    (s0, n0, h0), (s1, n1, h1), (s2, n2, h2) = (
+        map(int, line.split()) for line in out.stdout.splitlines())
+    assert (n0, h0) == (s0, 0)
+    assert (n1, h1) == (s1 + 1, 1)
+    assert (n2, h2) == (s2 + 1, 1)
+
+
+FORK_AFTER_PROFILE = """
+import os, signal
+from tscircle import auto_density
+
+want = auto_density(5).values.tobytes()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)                 # a child left waiting ends, not hangs
+    os._exit(0 if auto_density(5).values.tobytes() == want else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_a_child_forked_after_a_profile_starts_its_own_helper():
+    # the fork copies the parent's executor but not its thread
+    src = str(Path(tscircle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", FORK_AFTER_PROFILE],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------

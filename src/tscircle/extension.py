@@ -11,32 +11,31 @@ and 1/rho with angle-dependent coefficients, held as its values at the
 phases e^{i rho} = z_l (TAIL_PHASES), where products are pointwise, and
 synthesized as the samples are, from the same table, with each mode's
 Bessel row replaced by the real phase samples of its two-term asymptotics
-(bessel_tail).  What is built from several fields is a field expression,
-a plain function over `*`, `+`, scalar `*` and `.conj()`, or several
-products at once, a generator over per-field readers that yields them.  A
-field holds no samples and no tail, only its folded phase table, from
-which both are synthesized when read.  _polar_reduce evaluates an
-expression once on the tails and then on cache-sized row blocks of
-samples, each field's block synthesized when the expression reads it,
-and each product summed radially at once, per Bessel order, into its own
-accumulator over the angles whose modes are read after the last block
-(above a measured mode count, each block's modes are its FFT, summed
-radially).  It returns each mode m's whole radial integral against the
-row of its order |m| (the sign of J_m is the caller's phase): the head
-against the caller's rows times rho w, plus the tail's modes against the
-caller's per-order weights over the phase samples, which fold the
-closed-form integral beyond the cutoff (_tail_weights, cached per
-cutoff).  The quintic convolution, the bound chain and the L^6 norm are
-its callers.  A real input (c_{-n} = conj c_n) has F(rho, phi + pi) =
-conj F(rho, phi): its field keeps J/2 angles, and mode 0 of a product of
-such fields is the real part of the mean over them.
+(bessel_tail).  What is built from several fields is a field expression:
+a generator over per-field readers that reads the fields' values and
+yields one or more products of them, formed with `*`, `+`, scalar `*` and
+`.conj()`.  A field holds no samples and no tail, only its folded phase
+table, from which both are synthesized when read.  _polar_reduce
+evaluates an expression once on the tails and then on cache-sized row
+blocks of samples, each field's block synthesized when the expression
+reads it, and each product summed radially at once, per Bessel order,
+into its own accumulator over the angles whose modes are read after the
+last block (above a measured mode count, each block's modes are its FFT,
+summed radially).  It returns, per product, each mode m's whole radial
+integral against the row of its order |m| (the sign of J_m is the
+caller's phase): the head against the caller's rows times rho w, plus the
+tail's modes against the caller's per-order weights over the phase
+samples, which fold the closed-form integral beyond the cutoff
+(_tail_weights, cached per cutoff).  The quintic convolution, the bound
+chain and the L^6 norm are its callers.  A real input (c_{-n} = conj c_n)
+has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
+mode 0 of a product of such fields is the real part of the mean over
+them.
 """
 
 from __future__ import annotations
 
-import inspect
-from functools import lru_cache, partial
-from operator import attrgetter, methodcaller
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,9 +48,13 @@ _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 # Up to this many modes, angular analysis is a matmul against a cached
 # table, and _polar_reduce sums each block radially before that analysis,
-# which then runs once; above, each block's modes are its FFT (crossover
-# measured on 2 cores, one BLAS thread).  Synthesis is always a table matmul.
-DIRECT_ANALYSIS_MODES = 121
+# which then runs once; above, each block's modes are its FFT.  Synthesis
+# is always a table matmul.  Measured in October 2026 on the generator-only
+# kernel (2 cores, one BLAS thread, full-band el_quintic, the two paths
+# interleaved, medians of 9): radial-first over FFT time 0.37-0.92 from 129
+# to 241 modes, faster in every run; 0.69-1.46 from 251 to 311 modes, as
+# the FFT length J = 2M + 2 factors well or not; 1.38-3.0 from 321 on.
+DIRECT_ANALYSIS_MODES = 241
 # samples per row block of _polar_reduce: 64 KB per complex array, so the
 # temporaries of a Picard expression stay in L2 cache and stay below the
 # C allocator's heap-trim threshold when a call frees them (at 8192 and
@@ -215,49 +218,39 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
 
 def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
                   tail: np.ndarray) -> np.ndarray:
-    """The radial integrals of modes m = -M..M of the field expression
-    expr(*fields), (2M+1,): sum_k rows[|m|, k] rho_k w_k P_m(rho_k), P_m
-    its m-th angular mode, plus sum_{p,l} tail[|m|, p, l] S_m[p, l], S_m
-    the m-th angular mode of its tail's phase samples, so `rows` (M+1, K)
-    and `tail` (M+1, 2, TAIL_PHASES) carry each order's measure, the polar
-    measure rho_k w_k applied block by block.
+    """The radial integrals of modes m = -M..M of each product that the
+    field expression expr yields over the fields, (products, 2M+1): sum_k
+    rows[|m|, k] rho_k w_k P_m(rho_k), P_m the product's m-th angular mode,
+    plus sum_{p,l} tail[|m|, p, l] S_m[p, l], S_m the m-th angular mode of
+    its tail's phase samples, so `rows` (M+1, K) and `tail` (M+1, 2,
+    TAIL_PHASES) carry each order's measure, the polar measure rho_k w_k
+    applied block by block.
 
-    A plain expression is a function of the fields' values.  A generator
-    function is a multi-product expression: it gets one reader per field
-    and yields products, each reduced as soon as it is formed, so the
-    products of one pass share their reads and partial products; the
-    result is then (products, 2M+1), row p the p-th product's modes.
-
-    The expression runs once on the tails (each built from its field's
-    table when read), giving the bandwidth N, then on row blocks of
-    BLOCK_SAMPLES samples, each field's block synthesized from its table
-    when the expression reads it.  Up to DIRECT_ANALYSIS_MODES modes each
-    product's block is summed radially first, one real matmul into that
-    product's (M+1, J') accumulator Z, whose row |m| is then read at mode m
-    once, after the last block, against the analysis table of the J'
-    angles read (at mode 0, with inputs and tails symmetric, J/2 of them,
-    real part taken); above that each block's modes are its FFT, summed
-    radially at once.  The fields must share grid and angles, and J > N +
-    M, or the modes alias."""
+    An expression is a generator function: it gets one reader per field, a
+    function of no arguments that returns the field's current value, and
+    yields its products, each reduced as soon as it is formed, so the
+    products of one pass share their reads and partial products.  It runs
+    once on the tails (each built from its field's table when read), giving
+    the bandwidth N, then on row blocks of BLOCK_SAMPLES samples, each
+    field's block synthesized from its table when the expression reads it;
+    the readers of each pass are made once, those of the blocks read the
+    block the loop is at.  Up to DIRECT_ANALYSIS_MODES modes each product's
+    block is summed radially first, one real matmul into that product's
+    (M+1, J') accumulator Z, whose row |m| is then read at mode m once,
+    after the last block, against the analysis table of the J' angles read
+    (at mode 0, with inputs and tails symmetric, J/2 of them, real part
+    taken); above that each block's modes are its FFT, summed radially at
+    once.  The fields must share grid and angles, and J > N + M, or the
+    modes alias."""
     grid = fields[0].grid
     J = fields[0].n_angles
     K = grid.nodes.size
     for F in fields:
         if (F.n_angles, F.grid.cutoff, F.grid.nodes.size) != (J, grid.cutoff, K):
             raise GridSizeError(f"cannot combine {fields[0]!r} with {F!r}")
-    multi = inspect.isgeneratorfunction(expr)
-
-    def products(read):
-        # the products of the expression over the fields' values read(F):
-        # what a multi-product expression yields as it calls its per-field
-        # readers, or the one value of a plain expression
-        if multi:
-            return expr(*(partial(read, F) for F in fields))
-        return (expr(*map(read, fields)),)
-
     order = np.abs(np.arange(-M, M + 1))
     ends, N, symmetric = [], 0, True
-    for S in products(attrgetter("tail")):
+    for S in expr(*(lambda F=F: F.tail for F in fields)):
         modes = _analyze(np.moveaxis(S.poly, 0, -1), M)    # (2, TAIL_PHASES, 2M+1)
         ends.append(np.einsum("mpl,plm->m", tail[order], modes))
         N, symmetric = max(N, S.N), symmetric and S.symmetric
@@ -275,11 +268,11 @@ def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
     # each product's accumulator as a view added to in place (Z[p] += x
     # would also copy the sum back)
     acc = list(Z.view(np.float64)) if radial_first else list(quad)
+    readers = [lambda F=F: F.rows(lo, hi, half) for F in fields]
     for lo in range(0, K, step):
         hi = min(lo + step, K)
         head = rows[:, lo:hi] * measure[lo:hi]
-        read = methodcaller("rows", lo, hi, half)
-        for p, block in enumerate(products(read)):
+        for p, block in enumerate(expr(*readers)):
             if radial_first:
                 acc[p] += head @ block.view(np.float64)
             else:
@@ -291,8 +284,7 @@ def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
                                 _analysis_table(M, width))
     if half:
         quad = quad.real + 0j
-    out = quad + np.array(ends).reshape(quad.shape)
-    return out if multi else out[0]
+    return quad + np.array(ends).reshape(quad.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +348,21 @@ def _tail_weights(P: float) -> np.ndarray:
     return W
 
 
-def _sixth_power(F):
+def _sixth_power(read):
     """|F|^6 as the field expression F^3 conj(F^3)."""
+    F = read()
     F3 = F * F * F
-    return F3 * F3.conj()
+    yield F3 * F3.conj()
 
 
 def l6_norm(field: ExtensionField) -> float:
     """|| F ||_{L^6(R^2)}: |F|^6 = F^3 conj(F^3) integrated over the polar
     samples against rho w, plus its closed-form tail beyond the cutoff."""
     grid = field.grid
-    total = TAU * float(_polar_reduce(_sixth_power, [field], 0,
-                                      np.ones((1, grid.nodes.size)),
-                                      _tail_weights(grid.cutoff)[None])[0].real)
+    [[mass]] = _polar_reduce(_sixth_power, [field], 0,
+                             np.ones((1, grid.nodes.size)),
+                             _tail_weights(grid.cutoff)[None])
+    total = TAU * float(mass.real)
     if total < 0:
         raise NumericalError(f"negative sixth-power mass {total:.3e}")
     return total ** (1.0 / 6.0)

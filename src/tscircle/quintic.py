@@ -21,12 +21,12 @@ mode by mode,
 P_m the m-th angular coefficient of the product field (i^m J_m = i^|m|
 J_|m|, as J_-m = (-1)^m J_m: the modes +-m read one Bessel row).
 _assemble_polar is that one inversion: every polar caller writes its
-product (sums of products included) as one field expression over the
-extensions of its inputs and assembles it once, for the modes it needs,
-through the blocked kernel extension._polar_reduce; the bound chain's
-products, which share most of their factors, are one multi-product
-expression (_bound_chain) assembled in one pass.  The angular grid is
-sized for those modes too: J samples of a bandwidth-M product give its
+product (sums of products included) as a field expression, a generator over
+readers of its inputs' extensions that yields it, and assembles it once,
+for the modes it needs, through the blocked kernel extension._polar_reduce;
+the bound chain's products, which share most of their factors, are yielded
+by one expression (_bound_chain) assembled in one pass.  The angular grid
+is sized for those modes too: J samples of a bandwidth-M product give its
 modes |m| <= M_out exactly when J > M + M_out, and extension.angle_count
 takes the smallest even such J (64 at least), so a caller that reads mode 0
 only samples at M + 2 angles, not 2M + 2, and takes that mode as an angular
@@ -50,13 +50,13 @@ and mu_5 through that Hankel integral, a closed-form tail past the cutoff
 plus a head on the density grid.  The heads of a profile, the J_0(r rho)
 samples of 128 radii at a time against one weight row, are most of its
 cost; they are dealt alternately to the calling thread and one helper
-thread, which computes nothing but those samples and their products, so
-each value is bit for bit the one-thread sum (_hankel_density).
+thread, which computes nothing but those samples and their products and
+is started and joined inside the call, so each value is bit for bit the
+one-thread sum and no thread outlives the call (_hankel_density).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,15 +81,16 @@ HANKEL_FLOOR = 0.025      # smallest radius the Hankel buckets integrate
 # the convolution, two routes
 # ---------------------------------------------------------------------------
 
-def _product(*F):
+def _product(*read):
     """The product of the inputs: the field of Q(f1, .., f5)."""
-    return F[0] * F[1] * F[2] * F[3] * F[4]
+    yield read[0]() * read[1]() * read[2]() * read[3]() * read[4]()
 
 
-def _self_product(F):
+def _self_product(read):
     """F^3 conj(F^2): the field of Q(f, f, f, f~, f~) from that of f."""
+    F = read()
     FF = F * F
-    return FF * F * FF.conj()
+    yield FF * F * FF.conj()
 
 
 @lru_cache(maxsize=64)
@@ -109,9 +110,10 @@ def _mode_tables(P: float, M: int):
 
 
 def _assemble_polar(expr, fields, M: int) -> np.ndarray:
-    """Modes -M..M of Q from the field expression expr(*fields) of its five
-    inputs; the fields' J angles must exceed the expression's bandwidth
-    plus M, or those modes alias."""
+    """Modes -M..M of Q for each product that the field expression expr
+    yields over the fields of its five inputs, (products, 2M+1); the
+    fields' J angles must exceed the expression's bandwidth plus M, or
+    those modes alias."""
     grid = fields[0].grid
     if M < 0:
         raise ConfigError(f"mode count M={M} is negative")
@@ -223,8 +225,8 @@ def quintic_convolve(fs, tensor: BesselTensor | None = None,
     distinct = {id(f): f for f in fs}           # each input extended once
     fields = {key: extend(f, grid, angle_count(top, M))
               for key, f in distinct.items()}
-    return CircleFunction(_assemble_polar(_product, [fields[id(f)] for f in fs],
-                                          M))
+    return CircleFunction(
+        _assemble_polar(_product, [fields[id(f)] for f in fs], M)[0])
 
 
 def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
@@ -235,7 +237,7 @@ def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
     five slots."""
     M = 5 * f.N if M is None else min(M, 5 * f.N)
     F = extend(f, grid or default_grid(), angle_count(5 * f.N, M))
-    return CircleFunction(_assemble_polar(_self_product, [F], M))
+    return CircleFunction(_assemble_polar(_self_product, [F], M)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +297,6 @@ def _hankel_heads(jobs, buf: np.ndarray) -> list:
     return heads
 
 
-@lru_cache(maxsize=1)
-def _helper() -> ThreadPoolExecutor:
-    """The one helper thread of the Hankel heads, started by its first job."""
-    return ThreadPoolExecutor(max_workers=1,
-                              thread_name_prefix="tscircle-hankel")
-
-
-# a child forked after the helper started inherits its executor, not its
-# thread, and would wait on it forever
-os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
 def _mu5_at_zero(cutoff: float) -> float:
     """int_0^oo J_0^5 rho drho: mu_5(0)/(2 pi)^4, on _hankel_density's grid
     and J_0 row."""
@@ -325,17 +315,19 @@ def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray
 
     Each value is its tail, one bessel_product_tail call per bucket, plus
     its head: the samples J_0(r rho) at the bucket grid's nodes against the
-    row w of J_0^k rho times the quadrature weights.  The heads, most of
-    the work, run as jobs of 128 radii dealt alternately to two lanes, the
-    calling thread and one helper thread (_helper), since scipy's j0 and
-    the matrix-vector product release the GIL.  The calling thread
-    resolves every grid, J_0 row and w before it hands out a job, because
+    row w of J_0^k rho times the quadrature weights.  Every bucket, the
+    anchors' too, integrates up to at least base_cutoff.  The heads, most
+    of the work, run as jobs of 128 radii dealt alternately to two lanes,
+    the calling thread and one helper thread, since scipy's j0 and the
+    matrix-vector product release the GIL.  The calling thread resolves
+    every grid, J_0 row and w before it hands out a job, because
     RadialGrid.j_matrix fills its rows in place and is not thread-safe; it
     also allocates each lane's buffer.  The helper runs _hankel_heads
-    alone, no other tscircle function.  The caller submits the helper's
-    lane, forms the tails, runs its own lane and adds each head into its
-    tail, bit for bit the one-thread sum.  A call of one job runs inline
-    and starts no thread."""
+    alone, no other tscircle function, and lives for this call only: the
+    caller starts it by submitting the helper's lane, forms the tails, runs
+    its own lane, joins it, and adds each head into its tail, bit for bit
+    the one-thread sum.  A call of one job submits nothing and starts no
+    thread."""
     vals = np.full(radii.shape, np.nan)
     edges = [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
              (0.05, max(800.0, base_cutoff)),
@@ -351,7 +343,7 @@ def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray
     fit = k == 5 and bool(np.any(tiny))
     if fit:
         anchors = np.array([0.03, 0.05, 0.08, 0.12])
-        buckets.append((None, anchors, 1600.0))
+        buckets.append((None, anchors, max(1600.0, base_cutoff)))
     jobs = []
     for _, rr, cut in buckets:
         g = _default_grid(cut, DENSITY_PANEL)
@@ -359,17 +351,22 @@ def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray
         jobs += [(rr[lo:lo + 128], g.nodes, w)
                  for lo in range(0, rr.size, 128)]
     size = max(r.size * nodes.size for r, nodes, _ in jobs)
-    helper = (_helper().submit(_hankel_heads, jobs[1::2], np.empty(size))
-              if len(jobs) > 1 else None)
-    tails = []
-    for _, rr, cut in buckets:
-        scales = np.ones((rr.size, k + 1))
-        scales[:, k] = rr
-        tails.append(bessel_product_tail(np.zeros(k + 1, int), cut, scales))
-    heads = [None] * len(jobs)
-    heads[::2] = _hankel_heads(jobs[::2], np.empty(size))
-    if helper is not None:
-        heads[1::2] = helper.result()
+    # the executor starts its thread on the first submit and joins it on
+    # leaving the block
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="tscircle-hankel") as pool:
+        helper = (pool.submit(_hankel_heads, jobs[1::2], np.empty(size))
+                  if len(jobs) > 1 else None)
+        tails = []
+        for _, rr, cut in buckets:
+            scales = np.ones((rr.size, k + 1))
+            scales[:, k] = rr
+            tails.append(bessel_product_tail(np.zeros(k + 1, int), cut,
+                                             scales))
+        heads = [None] * len(jobs)
+        heads[::2] = _hankel_heads(jobs[::2], np.empty(size))
+        if helper is not None:
+            heads[1::2] = helper.result()
     it = iter(heads)
     for (sel, rr, _), out in zip(buckets, tails):
         for lo in range(0, rr.size, 128):

@@ -169,25 +169,29 @@ def _angles(phi: CircleFunction, h: CircleFunction, degrees,
     return angle_count(bandwidth, M), M
 
 
-def _linear_field(X, Y):
-    """L + phi as a field expression: the classes of Q(phi+h, .., (phi+h)~,
-    ..) with at most one h, grouped by the plain slots,
+def _linear_field(read_x, read_y):
+    """L + phi as a field expression over the readers of X and Y: the
+    classes of Q(phi+h, .., (phi+h)~, ..) with at most one h, grouped by
+    the plain slots,
 
         X^3 conj(X^2 + 2XY) + 3 X^2 Y conj(X^2)."""
+    X, Y = read_x(), read_y()
     XX = X * X
-    return XX * X * (XX + 2 * (X * Y)).conj() + 3 * (XX * Y) * XX.conj()
+    yield XX * X * (XX + 2 * (X * Y)).conj() + 3 * (XX * Y) * XX.conj()
 
 
-def _nonlinear_field(X, Y):
-    """N as a field expression: the nine classes with at least two h,
-    grouped by how many plain slots hold h (none, one, two or three),
+def _nonlinear_field(read_x, read_y):
+    """N as a field expression over the readers of X and Y: the nine
+    classes with at least two h, grouped by how many plain slots hold h
+    (none, one, two or three),
 
         X^3 conj(Y^2) + 3 X^2 Y conj(2XY + Y^2)
                       + (3XY^2 + Y^3) conj((X + Y)^2).
 
-    On sample blocks the temporaries are reused in place, never X or Y;
-    a FieldTail has no in-place operators, so there `*=` and `+=` are `*`
-    and `+`."""
+    On sample blocks the temporaries are reused in place, never the values
+    read, which may be shared or read-only; a FieldTail has no in-place
+    operators, so there `*=` and `+=` are `*` and `+`."""
+    X, Y = read_x(), read_y()
     XX, YY = X * X, Y * Y
     S = X * Y
     S *= 2
@@ -204,7 +208,7 @@ def _nonlinear_field(X, Y):
     XX += S                                 # (X + Y)^2
     YY *= XX.conj()
     out += YY
-    return out
+    yield out
 
 
 def linear_part(phi: CircleFunction, g: CircleFunction,
@@ -219,7 +223,7 @@ def linear_part(phi: CircleFunction, g: CircleFunction,
     grid = grid or default_grid()
     J, M = _angles(phi, g, (0, 1), M)
     X, Y = extend(phi, grid, J), extend(g, grid, J)
-    return CircleFunction(_assemble_polar(_linear_field, (X, Y), M)) - phi
+    return CircleFunction(_assemble_polar(_linear_field, (X, Y), M)[0]) - phi
 
 
 def nonlinear_part(phi: CircleFunction, h: CircleFunction,
@@ -236,7 +240,7 @@ def _nonlinear(X, h: CircleFunction, M: int) -> CircleFunction:
     """Modes -M..M of N(phi, h) from the field X of phi, h extended on its
     grid and angles."""
     Y = extend(h, X.grid, X.n_angles)
-    return CircleFunction(_assemble_polar(_nonlinear_field, (X, Y), M))
+    return CircleFunction(_assemble_polar(_nonlinear_field, (X, Y), M)[0])
 
 
 def expansion_residual(phi: CircleFunction, g: CircleFunction,

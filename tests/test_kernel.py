@@ -38,18 +38,25 @@ def radial_rows(grid, M):
     return rows * (grid.weights * grid.nodes)
 
 
+def one_product(expr, *values):
+    """The one product the field expression yields over readers of
+    `values`."""
+    [product] = expr(*(lambda v=v: v for v in values))
+    return product
+
+
 def reference(expr, fields, M, head=1.0, tail=1.0):
-    """Product of the whole samples, its FFT, the radial sum against the
-    signed rows of modes -M..M times the radial weights; plus the FFT modes
-    of the product tail against J_m's signed tail weights, each part scaled
-    by `head` and `tail` (0 drops it)."""
+    """The expression's product of the whole samples, its FFT, the
+    radial sum against the signed rows of modes -M..M times the radial
+    weights; plus the FFT modes of the product tail against J_m's signed
+    tail weights, each part scaled by `head` and `tail` (0 drops it)."""
     J = fields[0].n_angles
     grid = fields[0].grid
     keep = np.mod(np.arange(-M, M + 1), J)
-    values = expr(*(F.rows(0, grid.nodes.size) for F in fields))
+    values = one_product(expr, *(F.rows(0, grid.nodes.size) for F in fields))
     modes = (np.fft.fft(values, axis=1) / J)[:, keep]
     quad = np.einsum("km,mk->m", modes, head * radial_rows(grid, M))
-    ends = expr(*(F.tail for F in fields)).poly
+    ends = one_product(expr, *(F.tail for F in fields)).poly
     tail_modes = (np.fft.fft(np.moveaxis(ends, 0, -1), axis=-1) / J)[..., keep]
     weights = (tail * parity(M)[:, None, None]
                * _mode_tables(grid.cutoff, M)[1][np.abs(np.arange(-M, M + 1))])
@@ -59,7 +66,8 @@ def reference(expr, fields, M, head=1.0, tail=1.0):
 def kernel(expr, fields, M, head=1.0, tail=1.0):
     """The kernel on the unweighted rows J_0..J_M and their tail weights,
     each scaled by `head` and `tail`, its modes m < 0 signed by s_m: mode
-    m reads order |m|, so this is the reference's signed integral."""
+    m reads order |m|, so row p is the reference's signed integral of the
+    p-th product."""
     grid = fields[0].grid
     return parity(M) * _polar_reduce(expr, fields, M, head * grid.j_matrix(M),
                                      tail * _mode_tables(grid.cutoff, M)[1])
@@ -67,7 +75,7 @@ def kernel(expr, fields, M, head=1.0, tail=1.0):
 
 def assert_matches(expr, fields, M, rel=1e-13):
     for head in (1.0, 0.0):               # the whole integral, the tail alone
-        got = kernel(expr, fields, M, head=head)
+        got = kernel(expr, fields, M, head=head)[0]
         want = reference(expr, fields, M, head=head)
         assert got.shape == want.shape == (2 * M + 1,)
         assert np.max(np.abs(want)) > 0
@@ -146,7 +154,7 @@ def test_each_reduction_path_on_mixed_bandwidths_and_half_angles(
     seen = spy_rows(monkeypatch)
     gs = [_abs2(random_function(8, seed=i, decay=0.6)) for i in range(5)]
     fields = [extend(g, n_angles=88) for g in gs]
-    quad = kernel(_product, fields, 0, tail=0.0)
+    quad = kernel(_product, fields, 0, tail=0.0)[0]
     assert seen and all(seen)
     ref = reference(_product, fields, 0, tail=0.0)
     assert quad[0].imag == 0.0
@@ -190,7 +198,7 @@ def test_half_angles_match_full_angles_on_real_inputs(monkeypatch):
         fields = [extend(g, n_angles=88) for g in gs]
         assert all(F.table.shape[1] == 2 * 44 for F in fields)
         seen.clear()
-        quad = kernel(_product, fields, 0, tail=0.0)
+        quad = kernel(_product, fields, 0, tail=0.0)[0]
         assert seen and all(seen)
         ref = reference(_product, fields, 0, tail=0.0)
         assert abs(quad[0].imag) == 0.0
@@ -204,12 +212,14 @@ def test_non_symmetric_input_never_takes_half_angles(monkeypatch):
     # one complex input among real ones
     mixed = fields[:4] + [extend(random_function(16, seed=3), n_angles=88)]
     # a complex scalar breaks the symmetry of a product of real inputs
-    rotated = lambda *F: 1j * _product(*F)       # noqa: E731
+    def rotated(*read):
+        yield 1j * next(_product(*read))
+
     # an odd J keeps every angle of a real input
     odd = [extend(g, n_angles=89) for g in gs]
     for expr, fs in ((_product, mixed), (rotated, fields), (_product, odd)):
         seen.clear()
-        quad = kernel(expr, fs, 0)
+        quad = kernel(expr, fs, 0)[0]
         assert seen and not any(seen)
         ref = reference(expr, fs, 0)
         assert abs(quad[0] - ref[0]) <= 1e-13 * abs(ref[0])
@@ -219,12 +229,20 @@ def test_non_symmetric_input_never_takes_half_angles(monkeypatch):
     assert seen and not any(seen)
 
 
-# one pass of several products: each product alone, as a plain expression
-# over the same four fields, and the generator that yields them all from
-# shared reads (A read twice, D never read)
-ALONE = (lambda A, B, C, D: A * B * C,
-         lambda A, B, C, D: A * A.conj() * B,
-         lambda A, B, C, D: (B * B).conj())
+# one pass of several products: each product alone, as an expression of
+# one product over the same four fields, and the expression that yields
+# them all from shared reads (A read twice, D never read)
+def alone(product):
+    """The expression that reads every field once and yields `product` of
+    the values."""
+    def expr(*read):
+        yield product(*(r() for r in read))
+    return expr
+
+
+ALONE = (alone(lambda A, B, C, D: A * B * C),
+         alone(lambda A, B, C, D: A * A.conj() * B),
+         alone(lambda A, B, C, D: (B * B).conj()))
 
 
 def shared(A, B, C, D):
@@ -252,8 +270,8 @@ def test_multi_product_pass_matches_each_product_alone(M, inputs, path,
     for head in (1.0, 0.0):               # the whole integral, the tail alone
         got = kernel(shared, fields, M, head=head)
         assert got.shape == (len(ALONE), 2 * M + 1)
-        for p, alone in enumerate(ALONE):
-            want = kernel(alone, fields, M, head=head)
+        for p, single in enumerate(ALONE):
+            want = kernel(single, fields, M, head=head)[0]
             assert np.max(np.abs(want)) > 0
             gap = np.max(np.abs(got[p] - want))
             assert gap <= 1e-15 * np.max(np.abs(want))

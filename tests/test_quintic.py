@@ -180,7 +180,7 @@ def test_polar_assembly_at_the_exact_aliasing_bound(name):
 
     def assemble(n_angles, modes):
         return _assemble_polar(expr, [extend(f, n_angles=n_angles)
-                                      for f in fs], modes)
+                                      for f in fs], modes)[0]
 
     full = assemble(2 * B + 64, B)[B - M:B + M + 1]
     got = assemble(J, M)
@@ -499,7 +499,8 @@ def _one_thread_hankel_density(k, radii, base_cutoff):
         a0 = tscircle.quintic._mu5_at_zero(base_cutoff)
         x = anchors ** 2
         c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1),
-                              chunk(anchors, 1600.0) - a0, rcond=None)[0]
+                              chunk(anchors, max(1600.0, base_cutoff)) - a0,
+                              rcond=None)[0]
         vals[tiny] = np.polynomial.polynomial.polyval(
             radii[tiny] ** 2, np.concatenate([[a0], c12]))
     return vals
@@ -541,6 +542,23 @@ def test_density_grids_and_tails_stay_on_the_calling_thread(monkeypatch):
                     for name in ("tail", "grid", "rows")}
 
 
+def test_every_mu5_bucket_integrates_up_to_the_cutoff(monkeypatch):
+    # the anchors of the small-radius fit included: above their own P = 1600
+    # every tail starts at the requested cutoff (four buckets, the anchors
+    # and mu_5(0))
+    cutoffs = []
+    real = tscircle.quintic.bessel_product_tail
+
+    def tail(orders, P, *args):
+        cutoffs.append(P)
+        return real(orders, P, *args)
+
+    monkeypatch.setattr(tscircle.quintic, "bessel_product_tail", tail)
+    dens = auto_density(5, 801, 3200.0)
+    assert np.isfinite(dens.values).all()
+    assert len(cutoffs) == 6 and min(cutoffs) >= 3200.0
+
+
 HELPER_THREADS = """
 import threading
 from tscircle import auto_density, mu_value
@@ -550,30 +568,44 @@ def helpers():
                for t in threading.enumerate())
 
 start = threading.active_count()
-mu_value(5, 1.0)
-mu_value(5, 0.01)
-print(start, threading.active_count(), helpers())
-auto_density(5)
-print(start, threading.active_count(), helpers())
-auto_density(5)
-print(start, threading.active_count(), helpers())
+for call in (lambda: mu_value(5, 1.0), lambda: mu_value(5, 0.01),
+             lambda: auto_density(5), lambda: auto_density(5)):
+    call()
+    print(start, threading.active_count(), helpers())
 """
 
 
-def test_one_job_calls_run_inline_and_profiles_share_one_helper():
-    # mu_value is one 128-radius job and starts no thread; a profile starts
-    # the one helper and the next profile reuses it
+def test_the_hankel_helper_lives_for_one_call(monkeypatch):
+    # after each single-radius value and each profile, the thread count is
+    # back to its value after import and no helper is alive
     src = str(Path(tscircle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", HELPER_THREADS],
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True,
                          timeout=120)
-    (s0, n0, h0), (s1, n1, h1), (s2, n2, h2) = (
-        map(int, line.split()) for line in out.stdout.splitlines())
-    assert (n0, h0) == (s0, 0)
-    assert (n1, h1) == (s1 + 1, 1)
-    assert (n2, h2) == (s2 + 1, 1)
+    counts = [tuple(map(int, line.split()))
+              for line in out.stdout.splitlines()]
+    assert len(counts) == 4
+    assert all((n, h) == (s, 0) for s, n, h in counts)
+    # a single radius is one job, run inline; a profile runs one lane of
+    # heads on the helper and the other on the calling thread
+    lanes = []
+    real = tscircle.quintic._hankel_heads
+
+    def heads(jobs, buf):
+        lanes.append(threading.current_thread().name)
+        return real(jobs, buf)
+
+    monkeypatch.setattr(tscircle.quintic, "_hankel_heads", heads)
+    me = threading.current_thread().name
+    mu_value(5, 1.0)
+    assert lanes == [me]
+    lanes.clear()
+    auto_density(5)
+    helper = [name for name in lanes if name != me]
+    assert lanes.count(me) == 1 and len(helper) == 1
+    assert helper[0].startswith("tscircle-hankel")
 
 
 FORK_AFTER_PROFILE = """
@@ -642,8 +674,8 @@ def test_mode_zero_is_the_angular_mean():
     B = [extend(autocorrelation(g), n_angles=88)
          for g in five_random(8, 5000, decay=0.6)]
     for expr, fields in ((_self_product, [F]), (_product, G), (_product, B)):
-        mean = _assemble_polar(expr, fields, 0)
-        fft = _assemble_polar(expr, fields, 1)
+        mean = _assemble_polar(expr, fields, 0)[0]
+        fft = _assemble_polar(expr, fields, 1)[0]
         assert mean.shape == (1,)
         assert abs(mean[0] - fft[1]) <= 4e-15 * abs(fft[1])
 
@@ -654,7 +686,7 @@ def test_assembly_refuses_aliased_modes():
     f = random_function(8, seed=7, decay=0.7)
     F = extend(f, n_angles=64)
     full = el_quintic(f).truncated(23).coeffs
-    low = _assemble_polar(_self_product, [F], 23)
+    low = _assemble_polar(_self_product, [F], 23)[0]
     assert np.max(np.abs(low - full)) <= 1e-13 * np.max(np.abs(full))
     with pytest.raises(GridSizeError):
         _assemble_polar(_self_product, [F], 24)

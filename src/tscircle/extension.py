@@ -8,29 +8,23 @@ coordinates is
 sampled on a radial quadrature grid times a uniform angular grid, with its
 large-rho form beyond the cutoff (a FieldTail): a polynomial in e^{+-i rho}
 and 1/rho with angle-dependent coefficients, held as its values at the
-phases e^{i rho} = z_l (TAIL_PHASES), where products are pointwise, and
-synthesized as the samples are, from the same table, with each mode's
-Bessel row replaced by the real phase samples of its two-term asymptotics
-(bessel_tail).  What is built from several fields is a field expression:
-a generator over per-field readers that reads the fields' values and
+phases e^{i rho} = z_l (TAIL_PHASES), where products are pointwise.  A
+field holds only its folded phase table, from which its samples and its
+tail (each Bessel row replaced by the real phase samples of its two-term
+asymptotics, bessel_tail) are synthesized when read.  A field expression
+is a generator over per-field readers that reads the fields' values and
 yields one or more products of them, formed with `*`, `+`, scalar `*` and
-`.conj()`.  A field holds no samples and no tail, only its folded phase
-table, from which both are synthesized when read.  _polar_reduce
-evaluates an expression once on the tails and then on cache-sized row
-blocks of samples, each field's block synthesized when the expression
-reads it, and each product summed radially at once, per Bessel order,
-into its own accumulator over the angles whose modes are read after the
-last block (above a measured mode count, each block's modes are its FFT,
-summed radially).  It returns, per product, each mode m's whole radial
-integral against the row of its order |m| (the sign of J_m is the
-caller's phase): the head against the caller's rows times rho w, plus the
-tail's modes against the caller's per-order weights over the phase
-samples, which fold the closed-form integral beyond the cutoff
-(_tail_weights, cached per cutoff).  The quintic convolution, the bound
-chain and the L^6 norm are its callers.  A real input (c_{-n} = conj c_n)
-has F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and
-mode 0 of a product of such fields is the real part of the mean over
-them.
+`.conj()`.  The polar kernel _polar_reduce evaluates one on the tails and
+on cache-sized row blocks of samples, and integrates each mode m of its
+products against a measure of order |m|: J_|m| unless the caller gives
+another (l6_norm gives the constant 1; the sign of J_m is the caller's
+phase), beyond the cutoff through the measure's two-term tail and the
+closed-form tail weights (_tail_measure): this module alone holds the
+polar route's two-term tail model.  A real input (c_{-n} = conj c_n) has
+F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and mode
+0 of a product of such fields is the real part of the mean over them.  The
+decay envelope rho^{1/2} |F| (decay_check) is a maximum over the
+quadrature nodes, not a sup over rho.
 """
 
 from __future__ import annotations
@@ -77,10 +71,16 @@ def angle_count(M: int, M_out: int | None = None) -> int:
     -M_out..M_out are read (M_out defaults to M).  J uniform samples alias
     mode m onto m + J, so modes |m| <= M_out come out exactly when
     J > M + M_out; the count is the smallest even J that does (even, so a
-    real input's field keeps J/2 angles), and never < 64."""
-    if M_out is None:
-        M_out = M
-    return max(64, M + M_out + 2 - (M + M_out) % 2)
+    real input's field keeps J/2 angles), and never < 64.  Past
+    DIRECT_ANALYSIS_MODES read modes J is every block's FFT length, the
+    smallest such one with no prime factor above 5 (twice a prime ran up
+    to 2.3x slower)."""
+    M_out = M if M_out is None else M_out
+    J = max(64, M + M_out + 2 - (M + M_out) % 2)
+    # J (< 2^31) divides 30^30 exactly when its prime factors are 2, 3, 5
+    while 2 * M_out + 1 > DIRECT_ANALYSIS_MODES and 30 ** 30 % J:
+        J += 2
+    return J
 
 
 @lru_cache(maxsize=32)
@@ -216,15 +216,15 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     return ExtensionField(grid, table, f.N, symmetric, J, TAU * f.coeff(0))
 
 
-def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
-                  tail: np.ndarray) -> np.ndarray:
+def _polar_reduce(expr, fields, M: int, rows: np.ndarray | None = None,
+                  tail: np.ndarray | None = None) -> np.ndarray:
     """The radial integrals of modes m = -M..M of each product that the
-    field expression expr yields over the fields, (products, 2M+1): sum_k
-    rows[|m|, k] rho_k w_k P_m(rho_k), P_m the product's m-th angular mode,
-    plus sum_{p,l} tail[|m|, p, l] S_m[p, l], S_m the m-th angular mode of
-    its tail's phase samples, so `rows` (M+1, K) and `tail` (M+1, 2,
-    TAIL_PHASES) carry each order's measure, the polar measure rho_k w_k
-    applied block by block.
+    field expression expr yields over the fields, (products, 2M+1), against
+    a measure of order |m| given by its samples on the nodes, `rows` (M+1,
+    K), and its two-term phase samples beyond the cutoff, `tail` (M+1, 2,
+    TAIL_PHASES), J_0..J_M by default: sum_k rows[|m|, k] rho_k w_k
+    P_m(rho_k), P_m the product's m-th angular mode, plus the closed-form
+    integral of its tail's m-th mode times tail[|m|] (_tail_measure).
 
     An expression is a generator function: it gets one reader per field, a
     function of no arguments that returns the field's current value, and
@@ -248,11 +248,14 @@ def _polar_reduce(expr, fields, M: int, rows: np.ndarray,
     for F in fields:
         if (F.n_angles, F.grid.cutoff, F.grid.nodes.size) != (J, grid.cutoff, K):
             raise GridSizeError(f"cannot combine {fields[0]!r} with {F!r}")
+    rows = grid.j_matrix(M) if rows is None else rows
+    weights = (_j_tail_measure(M, grid.cutoff) if tail is None
+               else _tail_measure(tail, grid.cutoff))
     order = np.abs(np.arange(-M, M + 1))
     ends, N, symmetric = [], 0, True
     for S in expr(*(lambda F=F: F.tail for F in fields)):
         modes = _analyze(np.moveaxis(S.poly, 0, -1), M)    # (2, TAIL_PHASES, 2M+1)
-        ends.append(np.einsum("mpl,plm->m", tail[order], modes))
+        ends.append(np.einsum("mpl,plm->m", weights[order], modes))
         N, symmetric = max(N, S.N), symmetric and S.symmetric
     if J <= N + M:
         raise GridSizeError(f"J={J} aliases modes +-{M} of a bandwidth-"
@@ -348,6 +351,23 @@ def _tail_weights(P: float) -> np.ndarray:
     return W
 
 
+def _tail_measure(tail: np.ndarray, P: float) -> np.ndarray:
+    """Weights on the phase samples S of a tail of its integral beyond P
+    times a measure of phase samples A = `tail` (..., 2, TAIL_PHASES), the
+    dual product on W = _tail_weights(P): S0 (W0 A0 + W1 A1) + S1 W1 A0."""
+    W = _tail_weights(P)
+    return np.stack([W[0] * tail[..., 0, :] + W[1] * tail[..., 1, :],
+                     W[1] * tail[..., 0, :]], axis=-2)
+
+
+@lru_cache(maxsize=64)
+def _j_tail_measure(M: int, P: float) -> np.ndarray:
+    """The kernel's default: _tail_measure of the tails of J_0..J_M."""
+    weights = _tail_measure(_tail_rows(M, P).reshape(M + 1, 2, -1), P)
+    weights.flags.writeable = False
+    return weights
+
+
 def _sixth_power(read):
     """|F|^6 as the field expression F^3 conj(F^3)."""
     F = read()
@@ -356,12 +376,12 @@ def _sixth_power(read):
 
 
 def l6_norm(field: ExtensionField) -> float:
-    """|| F ||_{L^6(R^2)}: |F|^6 = F^3 conj(F^3) integrated over the polar
-    samples against rho w, plus its closed-form tail beyond the cutoff."""
-    grid = field.grid
+    """|| F ||_{L^6(R^2)}: |F|^6 = F^3 conj(F^3) integrated against the
+    constant measure 1, a row of ones on the nodes and the dual unit (1 at
+    every phase, no rho^-1 part) beyond the cutoff."""
+    unit = np.repeat([[[1.0], [0.0]]], TAIL_PHASES, axis=-1)
     [[mass]] = _polar_reduce(_sixth_power, [field], 0,
-                             np.ones((1, grid.nodes.size)),
-                             _tail_weights(grid.cutoff)[None])
+                             np.ones((1, field.grid.nodes.size)), unit)
     total = TAU * float(mass.real)
     if total < 0:
         raise NumericalError(f"negative sixth-power mass {total:.3e}")
@@ -386,7 +406,8 @@ class DecayReport:
 
 
 def decay_check(field: ExtensionField) -> DecayReport:
-    """The decay envelope of the field at the nodes from DECAY_RHO_MIN on."""
+    """The decay envelope of the field, its maximum over the quadrature
+    nodes from DECAY_RHO_MIN on and the field's angles."""
     nodes = field.grid.nodes
     sel = nodes >= DECAY_RHO_MIN
     if not np.any(sel):

@@ -28,16 +28,13 @@ the bound chain's products, which share most of their factors, are yielded
 by one expression (_bound_chain) assembled in one pass.  The angular grid
 is sized for those modes too: J samples of a bandwidth-M product give its
 modes |m| <= M_out exactly when J > M + M_out, and extension.angle_count
-takes the smallest even such J (64 at least), so a caller that reads mode 0
-only samples at M + 2 angles, not 2M + 2, and takes that mode as an angular
-mean.  Both routes carry the same two-term radial tail model, coded twice
-(bessel.bessel_product_tail for the tensor, extension.bessel_tail and
-_tail_weights for the polar route), so their agreement tests bookkeeping,
-not a shared truncation.  The kernel returns each mode's whole integral:
-J_n's tail, bessel_tail's real samples of order n (the cached
-extension._tail_rows), is folded once per cutoff and M into order n's
-weights over the phase samples of the tails of P_{+-n}, so a polar mode is
-the head plus one dot product.
+takes the smallest even such J (64 at least; past the kernel's FFT
+crossover, the smallest with no prime factor above 5), so a caller that
+reads mode 0 only samples at M + 2 angles, not 2M + 2, and takes that mode
+as an angular mean.  Both routes carry the same two-term radial tail
+model, coded twice (bessel.bessel_product_tail for the tensor, extension
+for the polar route, whose kernel integrates J_|m|'s tail too), so their
+agreement tests bookkeeping, not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -59,7 +56,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -68,8 +64,7 @@ from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
                      default_grid, parity_sign)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import (TAIL_PHASES, _polar_reduce, _tail_rows, _tail_weights,
-                        angle_count, extend, i_pow)
+from .extension import _polar_reduce, angle_count, extend, i_pow
 from .spectral import TAU, CircleFunction, l2_norm, rotate
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -93,32 +88,15 @@ def _self_product(read):
     yield FF * F * FF.conj()
 
 
-@lru_cache(maxsize=64)
-def _mode_tables(P: float, M: int):
-    """i^|m|/2 pi for modes m = -M..M and the tail weights of the orders
-    0..M, (M+1, 2, TAIL_PHASES): the product of a tail S with J_n's, A =
-    _tail_rows (a dual product, rho^-2 dropped), integrated by the weights
-    W, is sum S_0 (W_0 A_0 + W_1 A_1) + S_1 W_1 A_0."""
-    A = _tail_rows(M, P).reshape(M + 1, 2, TAIL_PHASES)
-    W = _tail_weights(P)
-    tables = (i_pow(np.abs(np.arange(-M, M + 1))) / TAU,
-              np.stack([W[0] * A[:, 0] + W[1] * A[:, 1], W[1] * A[:, 0]],
-                       axis=1))
-    for t in tables:
-        t.flags.writeable = False          # shared by every caller
-    return tables
-
-
 def _assemble_polar(expr, fields, M: int) -> np.ndarray:
     """Modes -M..M of Q for each product that the field expression expr
     yields over the fields of its five inputs, (products, 2M+1); the
     fields' J angles must exceed the expression's bandwidth plus M, or
     those modes alias."""
-    grid = fields[0].grid
     if M < 0:
         raise ConfigError(f"mode count M={M} is negative")
-    scale, tail = _mode_tables(grid.cutoff, M)
-    return scale * _polar_reduce(expr, fields, M, grid.j_matrix(M), tail)
+    return (i_pow(np.abs(np.arange(-M, M + 1))) / TAU
+            * _polar_reduce(expr, fields, M))
 
 
 def _convolve_tensor(fs, tensor: BesselTensor, M: int) -> CircleFunction:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special as sps
+import sympy
 
 from tscircle import (
     TAU,
@@ -25,10 +26,10 @@ from tscircle import (
 import tscircle.extension
 from tscircle.bessel import (default_grid, exp_tail_integral,
                              first_order_coeff, parity_sign)
-from tscircle.extension import (TAIL_PHASES, _analyze, _phase_table,
-                                _tail_weights, angle_count, bessel_tail,
-                                hpoly_mul, i_pow)
-from tscircle.quintic import _mode_tables, el_quintic
+from tscircle.extension import (TAIL_PHASES, _analyze, _j_tail_measure,
+                                _phase_table, _tail_weights, angle_count,
+                                bessel_tail, hpoly_mul, i_pow)
+from tscircle.quintic import el_quintic
 
 
 def field_oracle(f, rho, phi):
@@ -142,12 +143,31 @@ def test_angle_count_grows_with_bandwidth():
     assert angle_count(80) == 162
     assert angle_count(80, 16) == 98
     assert angle_count(80, 0) == 82
-    # the smallest even J above M + M_out, 64 at least
-    for M in range(0, 130, 3):
+    # above DIRECT_ANALYSIS_MODES read modes J is each block's FFT length,
+    # made of the factors 2, 3 and 5: 262 = 2 * 131 -> 270, 302 -> 320,
+    # 642 = 2 * 3 * 107 -> 648; 241 read modes keep the exact bound
+    assert angle_count(130) == 270
+    assert angle_count(150) == 320
+    assert angle_count(320) == 648
+    assert angle_count(320, 16) == 338
+    assert angle_count(320, 0) == 322
+    assert angle_count(125, 120) == 246
+
+    def five_smooth(n):
+        return all(p <= 5 for p in sympy.primefactors(n))
+
+    # the smallest even J above M + M_out, 64 at least, and above the
+    # crossover the smallest such J that is also 5-smooth
+    for M in range(0, 400, 3):
         for M_out in range(0, M + 1, 5):
             J = angle_count(M, M_out)
             assert J % 2 == 0 and J > M + M_out and J >= 64
-            assert J == 64 or J - 2 <= M + M_out
+            if 2 * M_out + 1 <= tscircle.extension.DIRECT_ANALYSIS_MODES:
+                assert J == 64 or J - 2 <= M + M_out
+            else:
+                assert five_smooth(J)
+                assert not any(five_smooth(j)
+                               for j in range(M + M_out + 1, J) if j % 2 == 0)
 
 
 def test_angular_analysis_paths_agree(monkeypatch):
@@ -329,11 +349,12 @@ def test_tail_integral_is_the_coefficient_sum(P):
 
 @pytest.mark.parametrize("P", [200.0, 3200.0])
 def test_mode_tail_weights_are_the_product_with_j_m_then_the_sum(P):
-    # each mode's folded weights on the phase samples of a degree-5 tail,
-    # those of order |m| signed by (-1)^m, equal the plain loop product
-    # with J_m's tail, then the coefficient sum; M = 24 reaches orders whose
-    # a_m is zeroed at P = 200.  The scale is the sum of the magnitudes of
-    # the terms the weights add.
+    # the kernel's default tail measure, J_0..J_M's two-term tails folded
+    # into weights on the phase samples of a degree-5 tail, those of order
+    # |m| signed by (-1)^m, equals the plain loop product with J_m's tail,
+    # then the coefficient sum; M = 24 reaches orders whose a_m is zeroed
+    # at P = 200.  The scale is the sum of the magnitudes of the terms the
+    # weights add.
     M = 24
     m = np.arange(-M, M + 1)
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)     # J_-n = (-1)^n J_n
@@ -341,7 +362,7 @@ def test_mode_tail_weights_are_the_product_with_j_m_then_the_sum(P):
     Jm = sign[:, None, None] * bessel_tail_coefficients(m, P)
     want, _ = tail_integral_of_coefficients(hpoly_mul_loop(T, Jm), P)
     S = phase_samples(T)
-    weights = _mode_tables(P, M)[1]
+    weights = _j_tail_measure(M, P)
     assert weights.shape == (M + 1, 2, TAIL_PHASES)
     got = sign * np.sum(weights[np.abs(m)] * S, axis=(-2, -1))
     scale = np.sum(hpoly_mul(np.abs(bessel_tail(m, P)), np.abs(S))
@@ -368,7 +389,7 @@ def test_tail_weights_are_built_once_per_cutoff(monkeypatch):
 
     monkeypatch.setattr(tscircle.extension, "exp_tail_integral", counting)
     tscircle.extension._tail_weights.cache_clear()
-    _mode_tables.cache_clear()             # which holds each cutoff's weights
+    tscircle.extension._j_tail_measure.cache_clear()   # which holds them too
     f = random_function(3, seed=4, decay=0.8)
     for cutoff in (200.0, 200.0, 400.0, 200.0, 400.0):
         el_quintic(f, default_grid(cutoff))

@@ -3,10 +3,11 @@
 The reference synthesizes each field on all K x J samples at once, forms
 the product field, takes its FFT and sums it radially against the signed
 rows J_m = (-1)^m J_|m| of all 2M+1 modes times the radial weights, and
-adds the FFT modes of the product's tail through J_m's signed tail
-weights: the assembly as it was before expressions were evaluated block by
-block and read the unweighted rows by order |m|.  The kernel, its modes
-m < 0 signed by (-1)^m, must
+adds the closed-form integral of each FFT mode of the product's tail times
+J_m's signed two-term tail, formed as their dual product: the assembly as
+it was before expressions were evaluated block by block and read the
+unweighted rows by order |m|.  The kernel, given J_0..J_M and their tails
+as its measure, its modes m < 0 signed by (-1)^m, must
 give the same integrals for every expression the package assembles, for
 every block height, on either side of its crossover (each block summed
 radially first and its modes read once at the end, or each block's modes
@@ -18,10 +19,13 @@ import numpy as np
 import pytest
 
 import tscircle.extension
-from tscircle import constant_function, default_grid, random_function
+from tscircle import (TAU, constant_function, default_grid, l6_norm,
+                      random_function)
 from tscircle.errors import GridSizeError
-from tscircle.extension import ExtensionField, _polar_reduce, angle_count, extend
-from tscircle.quintic import _abs2, _mode_tables, _product, _self_product
+from tscircle.extension import (ExtensionField, _polar_reduce, _tail_rows,
+                                _tail_weights, angle_count, bessel_tail,
+                                extend, hpoly_mul)
+from tscircle.quintic import _abs2, _product, _self_product
 from tscircle.solver import _linear_field, _nonlinear_field
 
 
@@ -48,29 +52,34 @@ def one_product(expr, *values):
 def reference(expr, fields, M, head=1.0, tail=1.0):
     """The expression's product of the whole samples, its FFT, the
     radial sum against the signed rows of modes -M..M times the radial
-    weights; plus the FFT modes of the product tail against J_m's signed
-    tail weights, each part scaled by `head` and `tail` (0 drops it)."""
+    weights; plus, for each mode m, the closed-form tail integral of the
+    dual product of J_m's two-term tail with the FFT mode m of the product
+    tail, sum W hpoly_mul(A_m, S_m); each part scaled by `head` and `tail`
+    (0 drops it)."""
     J = fields[0].n_angles
     grid = fields[0].grid
-    keep = np.mod(np.arange(-M, M + 1), J)
+    m = np.arange(-M, M + 1)
+    keep = np.mod(m, J)
     values = one_product(expr, *(F.rows(0, grid.nodes.size) for F in fields))
     modes = (np.fft.fft(values, axis=1) / J)[:, keep]
     quad = np.einsum("km,mk->m", modes, head * radial_rows(grid, M))
     ends = one_product(expr, *(F.tail for F in fields)).poly
-    tail_modes = (np.fft.fft(np.moveaxis(ends, 0, -1), axis=-1) / J)[..., keep]
-    weights = (tail * parity(M)[:, None, None]
-               * _mode_tables(grid.cutoff, M)[1][np.abs(np.arange(-M, M + 1))])
-    return quad + np.einsum("mpl,plm->m", weights, tail_modes)
+    S = (np.fft.fft(ends, axis=0) / J)[keep]              # (2M+1, 2, 13)
+    A = parity(M)[:, None, None] * bessel_tail(m, grid.cutoff)
+    beyond = np.sum(hpoly_mul(A, S) * _tail_weights(grid.cutoff),
+                    axis=(-2, -1))
+    return quad + tail * beyond
 
 
 def kernel(expr, fields, M, head=1.0, tail=1.0):
-    """The kernel on the unweighted rows J_0..J_M and their tail weights,
+    """The kernel on the unweighted rows J_0..J_M and their two-term tails,
     each scaled by `head` and `tail`, its modes m < 0 signed by s_m: mode
     m reads order |m|, so row p is the reference's signed integral of the
     p-th product."""
     grid = fields[0].grid
+    A = _tail_rows(M, grid.cutoff).reshape(M + 1, 2, -1)
     return parity(M) * _polar_reduce(expr, fields, M, head * grid.j_matrix(M),
-                                     tail * _mode_tables(grid.cutoff, M)[1])
+                                     tail * A)
 
 
 def assert_matches(expr, fields, M, rel=1e-13):
@@ -124,6 +133,38 @@ def test_kernel_matches_whole_array_assembly(name, M, seven_rows, monkeypatch):
     assert_matches(expr, fields, M)
 
 
+@pytest.mark.parametrize("M", ["N", 16, 0])
+@pytest.mark.parametrize("name", list(CASES))
+def test_default_measure_is_j_rows_and_their_tails(name, M):
+    # with no measure given the kernel integrates against J_0..J_M: the
+    # grid's rows and their two-term tails, bit for bit
+    expr, inputs, bandwidth = CASES[name]
+    M = bandwidth if M == "N" else M
+    fields = [extend(f, n_angles=angle_count(bandwidth, M)) for f in inputs]
+    grid = fields[0].grid
+    explicit = _polar_reduce(expr, fields, M, grid.j_matrix(M),
+                             _tail_rows(M, grid.cutoff).reshape(M + 1, 2, -1))
+    assert np.array_equal(_polar_reduce(expr, fields, M), explicit)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_l6_norm_is_the_head_plus_the_tail_sum(seed):
+    # the sixth-power mass against the constant measure 1: the angular
+    # mean of |F|^6 summed against rho w on the nodes, plus the weights W
+    # of the closed-form tail integral on the angular mean of F^3 conj(F^3)'s
+    # tail phase samples
+    field = extend(random_function(6, seed=seed, decay=0.8))
+    grid = field.grid
+    F = field.rows(0, grid.nodes.size)
+    head = np.mean(np.abs(F) ** 6, axis=1) @ (grid.weights * grid.nodes)
+    T = field.tail * field.tail * field.tail
+    tail = np.sum(np.mean((T * T.conj()).poly, axis=0)
+                  * _tail_weights(grid.cutoff)).real
+    want = (TAU * (head + tail)) ** (1.0 / 6.0)
+    assert tail > 0
+    assert abs(l6_norm(field) - want) <= 1e-14 * want
+
+
 # the crossover at its two extremes: every block summed radially first, or
 # every block's modes taken by FFT
 PATHS = {"radial first": 10 ** 6, "fft per block": 0}
@@ -140,6 +181,24 @@ def test_each_reduction_path_matches_whole_array_assembly(path, name, M,
     M = bandwidth if M == "N" else M
     J = angle_count(bandwidth, M)
     assert_matches(expr, [extend(f, n_angles=J) for f in inputs], M)
+
+
+@pytest.mark.parametrize("N", [26, 30])
+def test_fft_lengths_above_the_crossover_match_whole_array_assembly(N):
+    # the full band of el_quintic past DIRECT_ANALYSIS_MODES modes takes
+    # each block's modes by FFT on 270 and 320 angles, not on the exact
+    # bound's 262 = 2 * 131 and 302 = 2 * 151: the reference's integrals,
+    # and those on the exact bound's angles to rounding
+    f = random_function(N, seed=N, decay=0.8)
+    M = 5 * N
+    J = angle_count(M)
+    assert 2 * M + 1 > tscircle.extension.DIRECT_ANALYSIS_MODES
+    assert J == {26: 270, 30: 320}[N]
+    fields = [extend(f, n_angles=J)]
+    assert_matches(_self_product, fields, M)
+    exact = kernel(_self_product, [extend(f, n_angles=2 * M + 2)], M)
+    got = kernel(_self_product, fields, M)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("path", list(PATHS))

@@ -621,8 +621,9 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
-def test_a_child_forked_after_a_profile_starts_its_own_helper():
-    # the fork copies the parent's executor but not its thread
+def test_a_child_forked_after_a_profile_computes_the_same_profile():
+    # a child forked after the parent computed a profile computes it again,
+    # byte for byte, and exits
     src = str(Path(tscircle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", FORK_AFTER_PROFILE],

@@ -33,9 +33,9 @@ from scipy import special as _sp
 
 from . import __version__
 from .bessel import (DEFAULT_CUTOFF, BesselTensor, build_tensor, default_grid,
-                     radial_integrate)
+                     radial_integrate, six_bessel_integral)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
-from .extension import decay_check, extend, l6_norm
+from .extension import angle_count, decay_check, extend, l6_norm
 from .quintic import _hankel_density, auto_density, el_quintic, mu_value
 from .regularity import (calH_estimate, decay_slope, regularity_profile,
                          sharp_flat_split, smoothing_experiment, square_wave)
@@ -355,7 +355,7 @@ def cmd_functional(args):
     f = _random_input(args.n, args.seed)
     phi = ts_functional(f, tensor=tensor, grid=grid)
     nrm = l2_norm(f)
-    l6 = l6_norm(extend(f, grid))
+    l6 = l6_norm(extend(f, grid, angle_count(6 * f.N, 0)))
     payload = {
         "n": args.n,
         "phi": float(phi),
@@ -505,7 +505,8 @@ def cmd_smoothing(args):
 @command("constant", {"--cutoff": DEFAULT_CUTOFF},
          {"value", "t0", "lambda0", "note"})
 def cmd_constant(args):
-    t0 = t0_value(default_grid(args.cutoff))
+    grid = default_grid(args.cutoff)
+    t0 = t0_value(grid)
     payload = {
         "value": float(constant_from_t0(t0)),
         "t0": float(t0),
@@ -519,8 +520,14 @@ def cmd_constant(args):
 
     def oracle():
         vals = [t0_value(default_grid(p)) for p in (200.0, 400.0, 800.0)]
+        # translation in the plane leaves Phi invariant, so the constant's
+        # second variation along e_{+-1} is exactly 1: 5 a_1 = T0 with
+        # a_1 = int J_0^4 J_1^2 rho drho.  The two-term tail breaks this at
+        # O(P^-3), and the defect reports by how much at this cutoff.
+        a1 = six_bessel_integral(0, 0, 1, 0, 0, 1, grid)
         return {"t0_regimes": [float(v) for v in vals],
-                "t0_regime_spread": float(max(vals) - min(vals))}
+                "t0_regime_spread": float(max(vals) - min(vals)),
+                "translation_defect": float(1.0 - 5.0 * a1 / t0)}
 
     return payload, oracle
 

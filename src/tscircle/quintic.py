@@ -108,63 +108,97 @@ def _convolve_tensor(fs, tensor: BesselTensor, M: int) -> CircleFunction:
     lookup resolves the key (|n1|, class, |n1 + s|) of every n1 >= 0 and
     pair with |n1 + s| <= M; (-n1, class, -s) has the same key, and the
     parity signs of n1 and n1 + s are folded into the values.  Each read bin
-    sums the per-tuple terms in their order, bit for bit."""
+    sums the per-tuple terms in their order, bit for bit.
+
+    The per-row bookkeeping is compact: orders and magnitudes in int8
+    (int16 from bandwidth 64 on), s in int16, the (s, class) code in base
+    max(N2..N5) + 1, pair indices in int32, each freed after its last use;
+    each n1 forms its bins from the run lengths of its s slice.  The
+    complex products stay on full-length arrays: the coefficient chain cc
+    over every kept row, and each n1's weights w over its whole slice.
+    numpy evaluates a * tmp, tmp a temporary of 256 KiB or more, as
+    tmp *= a, operands swapped, and its SIMD complex multiply is not
+    bitwise commutative (seen with AVX-512), so chunking either product
+    would change which operand comes first and move last bits;
+    the per-tuple reference makes the same full-length choices."""
     Ns = [f.N for f in fs]
     if max(Ns) > tensor.N:
         raise PreconditionError(
             f"input bandwidth {max(Ns)} exceeds tensor bandwidth {tensor.N}")
-    top, N1 = sum(Ns), Ns[0]
+    N1, reach = Ns[0], M + Ns[0]
+    base = max(Ns[1:]) + 1
+    # per row: orders in int8 (n + N <= 126 for N < 64), their sum in int16
+    small = np.int8 if base <= 64 else np.int16
     rows = [g.ravel() for g in np.meshgrid(
-        *(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")]   # n2..n5
-    s2345 = rows[0] + rows[1] + rows[2] + rows[3]
-    order = np.argsort(s2345.astype(np.int16), kind="stable")
-    order = order[np.abs(s2345[order]) <= M + N1]
+        *(np.arange(-N, N + 1, dtype=small) for N in Ns[1:]),
+        indexing="ij")]                                           # n2..n5
+    s2345 = rows[0].astype(np.int16)
+    for n in rows[1:]:
+        s2345 += n
+    order = np.argsort(s2345, kind="stable")
+    order = order[np.abs(s2345[order]) <= reach]
     rows = [n[order] for n in rows]
     s2345 = s2345[order]
-    cc = 1.0                       # J_n's parity sign rides on c(n), exactly
-    for n, f in zip(rows, fs[1:]):
-        cc = cc * (parity_sign(np.arange(-f.N, f.N + 1)) * f.coeffs)[n + f.N]
+    del order
     mag = [np.abs(n) for n in rows]
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):   # sorting network
         mag[i], mag[j] = np.minimum(mag[i], mag[j]), np.maximum(mag[i], mag[j])
-    base = top + 1
-    code = s2345 + top
+    edges = np.searchsorted(s2345, np.arange(-reach, reach + 2,
+                                             dtype=np.int16))
+    wide = (2 * reach + 1) * base ** 4 >= 2 ** 31
+    code = (s2345 + reach).astype(np.int64 if wide else np.int32)
+    del s2345
     for x in mag:
-        code = code * base + x
+        code *= base
+        code += x
+    del mag
     uniq, pair = np.unique(code, return_inverse=True)
+    del code
+    pair = pair.astype(np.int32)
     sp, cls = np.divmod(uniq, base ** 4)
-    sp -= top                                             # each pair's s
+    sp -= reach                                           # each pair's s
 
     n1 = np.arange(N1 + 1)
     plo = np.searchsorted(sp, -M - n1, side="left")
     count = np.searchsorted(sp, M - n1, side="right") - plo
     i1 = np.repeat(n1, count)                    # the (n1 >= 0, pair) read
     ip = np.arange(i1.size) + np.repeat(plo - np.cumsum(count) + count, count)
-    keys = ([i1] + [cls[ip] // base ** (3 - j) % base for j in range(4)]
-            + [np.abs(i1 + sp[ip])])
+    keys = np.empty((i1.size, 6), dtype=np.int64)
+    keys[:, 0], keys[:, 5] = i1, np.abs(i1 + sp[ip])
+    for j in range(4):
+        keys[:, j + 1] = cls[ip] // base ** (3 - j) % base
     for i in (0, 1, 2, 3, 4, 3, 2, 1, 0):  # |n1| up the sorted class, |m| down
-        keys[i], keys[i + 1] = (np.minimum(keys[i], keys[i + 1]),
-                                np.maximum(keys[i], keys[i + 1]))
+        keys[:, i], keys[:, i + 1] = (np.minimum(keys[:, i], keys[:, i + 1]),
+                                      np.maximum(keys[:, i], keys[:, i + 1]))
     half = np.zeros((N1 + 1, uniq.size))
-    half[i1, ip] = tensor.lookup_sorted_abs(np.stack(keys, axis=1))
+    half[i1, ip] = tensor.lookup_sorted_abs(keys)
+    del i1, ip, keys
     mirror = np.searchsorted(uniq, uniq - 2 * sp * base ** 4)   # (class, -s)
     n1 = np.arange(-N1, N1 + 1)
     value = np.concatenate([half[:0:-1, mirror], half])   # -n1 reads |n1|
+    del half
     value *= parity_sign(n1[:, None] + sp) * parity_sign(n1)[:, None]
+    cc = 1.0                       # J_n's parity sign rides on c(n), exactly
+    for n, f in zip(rows, fs[1:]):
+        cc = cc * (parity_sign(np.arange(-f.N, f.N + 1)) * f.coeffs)[n + f.N]
+    del rows
 
-    # pass n1 writes the modes n1 + s of its rows into out[i:i + L]; with
-    # each weight's real and imaginary parts interleaved (bins 2k, 2k + 1)
-    # one bincount sums both, each bin in row order
-    lo = np.searchsorted(s2345, -M - n1, side="left")
-    hi = np.searchsorted(s2345, M - n1, side="right")
-    L = 2 * (M + N1) + 1
-    bins = ((2 * (s2345 + M + N1))[:, None] + (0, 1)).ravel()
+    # pass n1 reads the runs k = s + M + N1 of s = -M - n1 .. M - n1, rows
+    # edges[k]:edges[k + 1], and writes their modes n1 + s into out[i:i + L];
+    # with each weight's real and imaginary parts interleaved (bins 2k,
+    # 2k + 1) one bincount sums both, each bin in row order
+    L = 2 * reach + 1
+    runs = np.diff(edges)
+    both = 2 * np.arange(L)[:, None] + (0, 1)
     out = np.zeros(2 * (M + 2 * N1) + 1, dtype=np.complex128)
     for i, c1 in enumerate(fs[0].coeffs):
-        w = (c1 * cc[lo[i]:hi[i]]) * value[i][pair[lo[i]:hi[i]]]
-        out[i:i + L] += np.bincount(bins[2 * lo[i]:2 * hi[i]],
-                                    weights=w.view(np.float64),
+        k = slice(2 * N1 - i, L - i)
+        lo, hi = edges[k.start], edges[k.stop]
+        w = (c1 * cc[lo:hi]) * value[i][pair[lo:hi]]
+        bins = np.repeat(both[k], runs[k], axis=0).ravel()
+        out[i:i + L] += np.bincount(bins, weights=w.view(np.float64),
                                     minlength=2 * L).view(np.complex128)
+        del w, bins
     return CircleFunction(out[2 * N1:2 * (N1 + M) + 1] * TAU ** 4)
 
 

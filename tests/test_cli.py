@@ -174,6 +174,20 @@ def test_constant_verify_reads_cached_grids(tmp_path, monkeypatch):
     assert builds == []
 
 
+def test_constant_verify_reports_the_translation_defect(tmp_path):
+    # 1 - 5 a_1/T0 at the run's cutoff: 1.49e-8 at P = 200, falling like
+    # the two-term tail's P^-3 (8x per doubling) to 1.87e-9 at P = 400;
+    # the payload does not carry it
+    defect = {}
+    for P in ("200", "400"):
+        env = run_to_file(tmp_path, f"c{P}.json",
+                          ["constant", "--cutoff", P, "--verify"])
+        assert "translation_defect" not in env["payload"]
+        defect[P] = env["oracle"]["translation_defect"]
+    assert defect["200"] == pytest.approx(1.49e-8, rel=0.05)
+    assert 7.0 <= defect["200"] / defect["400"] <= 9.0
+
+
 def test_density_uses_cutoff(tmp_path):
     env = run_to_file(tmp_path, "d.json", [
         "density", "--k", "5", "--cutoff", "400", "--n-points", "51",

@@ -41,7 +41,8 @@ from .regularity import (calH_estimate, decay_slope, regularity_profile,
                          sharp_flat_split, smoothing_experiment, square_wave)
 from .solver import (AscentConfig, ascend, decompose, expansion_residual,
                      picard_iterate)
-from .spectral import TAU, CircleFunction, constant_function, l2_norm, random_function
+from .spectral import (TAU, CircleFunction, constant_function, l2_norm,
+                       modulate, random_function)
 from .variational import (constant_from_t0, el_residual, lambda0_value, quotient,
                           t0_value, ts_functional)
 
@@ -418,8 +419,11 @@ def cmd_solve(args):
 
     def oracle():
         rep = el_residual(res.f, grid=grid)
+        # Phi is translation invariant: the change shows the tail's defect
+        moved = ts_functional(modulate(res.f, (3.0, 0.0)), grid=grid)
         return {"el_residual_rel": float(rep.residual_rel),
-                "el_residual_sup": float(rep.residual_sup)}
+                "el_residual_sup": float(rep.residual_sup),
+                "translation_defect": float(moved / res.phi - 1.0)}
 
     return payload, oracle
 

@@ -1,9 +1,12 @@
 """Extremizer search and the contraction-iteration laboratory.
 
-The search maximizes Phi on the unit L^2 sphere at fixed bandwidth.  The
-gradient of Phi in conj(c_m) is proportional to Q(f,f,f,f~,f~)_m, so the
-ascent is a damped nonlinear power iteration: blend toward the normalized
-band-limited Q, keep the step only if Phi does not decrease.
+The search maximizes Phi on the unit L^2 sphere at fixed bandwidth n by the
+projected power method (Journee, Nesterov, Richtarik, Sepulchre, JMLR 2010),
+f <- P_n Q / ||P_n Q|| with Q = Q(f,f,f,f~,f~).  Phi = (2 pi)^-2 ||F||_6^6 is
+convex (F is linear in f) with derivative 6 Re<Q, .>, so for unit g in the
+band Phi(g) - Phi(f) >= 6 Re<P_n Q, g - f>, which at g = P_n Q / ||P_n Q||
+is 6 (||P_n Q|| - Re<P_n Q, f>) >= 0 by Cauchy-Schwarz.  A step that lowers
+Phi is rounding or the radial tail model at work, never the method.
 
 The iteration lab rebuilds a near-extremizer tail as a fixed point.  With
 f = phi + g normalized to lambda = 1, expanding Q(phi+h, ..) by
@@ -37,8 +40,6 @@ from .quintic import _assemble_polar, el_quintic
 from .spectral import (TAU, CircleFunction, inner_product, l2_norm,
                        random_function, weighted_norm)
 
-ASCENT_STEP = 1.0            # initial blend toward the power direction
-ASCENT_MIN_STEP = 1e-7       # smallest blend tried before the ascent stops
 ASCENT_TOL = 1e-15           # relative Phi increment considered flat
 ASCENT_FLAT_ITERS = 8        # keep power-stepping this long on the plateau
 ASCENT_START_DECAY = 1.0     # random start's coefficients fall like (1+|n|)^-1
@@ -79,42 +80,35 @@ class AscentResult:
 def ascend(f0: CircleFunction | None = None,
            config: AscentConfig | None = None,
            grid: RadialGrid | None = None) -> AscentResult:
-    """Monotone projected ascent of Phi on the unit sphere at bandwidth n."""
+    """Projected power iteration for Phi on the unit sphere at bandwidth n:
+    one el_quintic call per iteration, at P_n Q / ||P_n Q||, which convexity
+    says cannot lower Phi (module docstring).  A trial that does, by rounding
+    or the tail model, is not taken or traced, and the run stops "no_uphill"."""
     cfg = config or AscentConfig()
     if cfg.max_iter < 0:
         raise ConfigError(f"max_iter must be nonnegative, got {cfg.max_iter}")
     grid = grid or default_grid()
     if f0 is None:
         f0 = random_function(cfg.n, cfg.seed, decay=ASCENT_START_DECAY)
-    f = _normalized(f0.padded(cfg.n) if f0.N < cfg.n else f0.truncated(cfg.n))
+    f = _normalized(f0.truncated(cfg.n))
 
     Q = el_quintic(f, grid, cfg.n)
     phi = inner_product(Q, f).real
-    step = ASCENT_STEP
     trace = []
     stop = "max_iter"
     flat_count = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        d = _normalized(Q)                  # Q has modes |m| <= n only
-        accepted = False
-        while step >= ASCENT_MIN_STEP:
-            trial = _normalized(f * (1.0 - step) + d * step)
-            Qt = el_quintic(trial, grid, cfg.n)
-            phit = inner_product(Qt, trial).real
-            if phit >= phi:
-                gain = (phit - phi) / (abs(phi) + 1e-300)
-                f, phi, Q = trial, phit, Qt
-                step = min(1.0, 2.0 * step)
-                accepted = True
-                break
-            step *= 0.5
-        trace.append({"iter": it, "phi": phi,
-                      "quotient": (TAU ** 2 * phi) ** (1.0 / 6.0),
-                      "step": step, "accepted": accepted})
-        if not accepted:
-            stop = "no_uphill"    # no uphill left along the power direction
+        trial = _normalized(Q)              # Q has modes |m| <= n only
+        Qt = el_quintic(trial, grid, cfg.n)
+        phit = inner_product(Qt, trial).real
+        if phit < phi:
+            stop = "no_uphill"
             break
+        gain = (phit - phi) / (abs(phi) + 1e-300)
+        f, phi, Q = trial, phit, Qt
+        trace.append({"iter": it, "phi": phi,
+                      "quotient": (TAU ** 2 * phi) ** (1.0 / 6.0)})
         if gain < ASCENT_TOL:
             flat_count += 1
             # Phi flattens quadratically before the iterate settles linearly,
@@ -142,8 +136,8 @@ def decompose(f: CircleFunction, eps: float):
     Returns (phi, g, K).  Warns when K = 0: the low part carries only the
     mean, which usually means eps was chosen larger than the whole tail.
     """
-    if not (eps > 0):
-        raise ConfigError(f"eps must be positive, got {eps!r}")
+    if not (0 < eps < np.inf):
+        raise ConfigError(f"eps must be positive and finite, got {eps!r}")
     N = f.N
     shell = np.bincount(np.abs(np.arange(-N, N + 1)),
                         weights=TAU * np.abs(f.coeffs) ** 2)   # mass at |n|
@@ -287,8 +281,8 @@ def picard_iterate(f: CircleFunction, eps: float,
     and iterated h <- L(phi,g) + N(phi,h) from h_0 = L(phi,g).  Per-step
     contraction ratios are recorded in L^2 and in the (1+n^2)^{s/2} weighted
     norm, s = PICARD_S_NORM; the iteration stops at an L^2 step below
-    PICARD_TOL, and the iterate diverging past 10x its starting size raises
-    DivergenceError.
+    PICARD_TOL, and an iterate past 10x its starting size, or not finite,
+    raises DivergenceError.
     """
     grid = grid or default_grid()
     lam = inner_product(el_quintic(f, grid, f.N), f).real / l2_norm(f) ** 2
@@ -330,7 +324,7 @@ def picard_iterate(f: CircleFunction, eps: float,
             ratios_s.append(step_s / (prev_step[1] + 1e-300))
         prev_step = (step_l2, step_s)
         h = h_next
-        if l2_norm(h) > limit:
+        if not (l2_norm(h) <= limit):       # a NaN iterate fails this too
             raise DivergenceError(
                 f"iterate grew to {l2_norm(h):.3e} (> 10x initial scale)")
         if step_l2 < PICARD_TOL:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from tscircle.cli import (
     validate_envelope,
 )
 import tscircle.bessel
-from tscircle.errors import CacheError, ConfigError
+from tscircle.errors import CacheError, ConfigError, DivergenceError
 
 # the flags each command reads besides --out and --verify, which every
 # command takes; stated here independently of the command table
@@ -186,6 +187,17 @@ def test_constant_verify_reports_the_translation_defect(tmp_path):
         defect[P] = env["oracle"]["translation_defect"]
     assert defect["200"] == pytest.approx(1.49e-8, rel=0.05)
     assert 7.0 <= defect["200"] / defect["400"] <= 9.0
+
+
+def test_solve_verify_reports_the_translation_defect(tmp_path):
+    # the relative change of polar Phi when the run's extremizer is
+    # translated by |xi| = 3: -2.11e-7 at n = 16, seed 0, P = 200, where
+    # the constant's own is -(3/2) 9 (1 - 5 a_1/T0) = -2.01e-7; the
+    # payload does not carry it
+    env = run_to_file(tmp_path, "s.json", ["solve", "--verify"])
+    assert "translation_defect" not in env["payload"]
+    assert env["oracle"]["translation_defect"] == pytest.approx(-2.11e-7,
+                                                                rel=0.05)
 
 
 def test_density_uses_cutoff(tmp_path):
@@ -563,12 +575,25 @@ def test_cutoff_at_the_hankel_radius_is_accepted(tmp_path):
     ["split", "--s", "inf"],
     ["split", "--eta", "nan"],
     ["picard", "--n", "2", "--eps", "nan"],
+    ["picard", "--n", "2", "--eps", "inf"],
+    ["split", "--eta", "inf"],
 ])
 def test_non_finite_flag_values_exit_2(argv, capsys):
     # NaN passes a check written as x <= 0, and an infinite s has no
     # integer part: both are configuration errors, not internal ones
     assert main(argv) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_picard_refuses_a_non_finite_iterate(extremizer16, capsys):
+    # at eps = 1e300 the ball radius eps^0.75 sets the divergence limit,
+    # and the iterate overflows to NaN before it passes that limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DivergenceError):
+            picard_iterate(extremizer16.f, eps=1e300)
+        assert main(["picard", "--eps", "1e300"]) == 3
+    assert "iterate grew to nan" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

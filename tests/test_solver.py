@@ -14,6 +14,7 @@ from tscircle import (
     constant_function,
     decompose,
     demodulate,
+    el_quintic,
     el_residual,
     expansion_residual,
     l2_norm,
@@ -22,6 +23,7 @@ from tscircle import (
     picard_iterate,
     quotient,
     random_function,
+    ts_functional,
 )
 import tscircle.extension
 import tscircle.quintic
@@ -53,6 +55,32 @@ def test_ascent_monotone_and_converges():
     assert all(b >= a - 1e-13 for a, b in zip(phis, phis[1:]))
     target = quotient(constant_function(1.0))
     assert res.quotient == pytest.approx(target, abs=1e-6)
+
+
+def test_ascent_is_one_power_step_per_iteration(monkeypatch):
+    # one el_quintic call at the start and one per iteration, and the traced
+    # Phi never falls: a trial that would lower it ends the run untraced
+    calls = []
+    real = tscircle.solver.el_quintic
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tscircle.solver, "el_quintic", counting)
+    res = ascend(config=AscentConfig(n=16, seed=0))
+    assert len(calls) == res.iterations + 1
+    phis = [step["phi"] for step in res.trace]
+    assert all(b >= a for a, b in zip(phis, phis[1:]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_power_step_never_lowers_phi(seed):
+    # the lemma the ascent rests on: Phi is convex with derivative
+    # 6 Re<Q, .>, so for unit f in the band, Phi(P_n Q / ||P_n Q||) >= Phi(f)
+    f = normalized(random_function(8, seed=seed))
+    step = normalized(el_quintic(f, M=8))
+    assert ts_functional(step) >= ts_functional(f)
 
 
 def test_ascent_reports_why_it_stopped(extremizer16):

@@ -17,7 +17,7 @@ from tscircle import (
     t0_value,
     ts_functional,
 )
-from tscircle.bessel import RadialGrid
+from tscircle.bessel import RadialGrid, default_grid, six_bessel_integral
 from tscircle.errors import ConfigError
 from tscircle.spectral import CircleFunction
 
@@ -50,6 +50,28 @@ def test_functional_modulation_invariance():
     f = random_function(4, seed=2, decay=0.85)
     g = modulate(f, np.array([0.9, -0.3]))
     assert ts_functional(g) == pytest.approx(ts_functional(f), rel=1e-7)
+
+
+@pytest.mark.parametrize("P", [200.0, 400.0])
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_translated_constant_sees_the_tail_defect(P, r):
+    # Translating the field by xi multiplies f = 1 by e^{i x.xi}, whose
+    # coefficients are i^n J_n(r) e^{-in beta}, r = |xi|: to second order a
+    # move on the unit sphere from the constant u by an angle t along the
+    # translation direction v in span(e_{+1}, e_{-1}), with
+    # t^2 = |c_1|^2 + |c_-1|^2 = 2 (r/2)^2 = r^2/2.  Phi has derivative
+    # 6 Re<Q, .> and second derivative 6 Re<DQ[.], .>, and Q(u) = lambda u,
+    # DQ[v] = mu lambda v with mu = 5 a_1/T0, so
+    #     Phi(cos t u + sin t v) = lambda (1 + 3 t^2 (mu - 1)) + O(t^4)
+    # and the relative change is 3 (r^2/2)(mu - 1) = -(3/2) r^2 (1 - 5 a_1/T0).
+    # For the exact Phi both sides are 0; the two-term tail breaks both alike.
+    grid = default_grid(P)
+    one = constant_function(1.0)
+    change = ts_functional(modulate(one, (r, 0.0)), grid=grid) / \
+        ts_functional(one, grid=grid) - 1.0
+    a1 = six_bessel_integral(0, 0, 1, 0, 0, 1, grid)
+    want = -1.5 * r * r * (1.0 - 5.0 * a1 / t0_value(grid))
+    assert change == pytest.approx(want, rel=0.01)
 
 
 def test_pure_mode_lambda_is_t1():

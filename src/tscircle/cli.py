@@ -441,7 +441,7 @@ def cmd_picard(args):
         "lambda_used": float(rep.lambda_used),
         "iterations": int(rep.iterations),
         "converged": bool(rep.converged),
-        "max_ratio": float(rep.max_ratio),
+        "max_ratio": float(rep.max_ratio) if len(rep.ratios_l2) > 1 else None,
         "ratios_l2": [float(r) for r in rep.ratios_l2],
         "ratios_s": [float(r) for r in rep.ratios_s],
         "h_minus_g_l2": float(rep.h_minus_g_l2),
@@ -571,7 +571,11 @@ def _emit(env: dict, args) -> None:
     if getattr(args, "format", "json") == "csv":
         text = _csv_text(env)
     else:
-        text = json.dumps(env, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(env, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:        # NaN or Infinity is not JSON
+            raise NumericalError(f"non-finite output number: {exc}") from exc
     if args.out:
         try:
             with open(args.out, "w") as fh:

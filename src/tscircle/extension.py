@@ -20,11 +20,12 @@ products against a measure of order |m|: J_|m| unless the caller gives
 another (l6_norm gives the constant 1; the sign of J_m is the caller's
 phase), beyond the cutoff through the measure's two-term tail and the
 closed-form tail weights (_tail_measure): this module alone holds the
-polar route's two-term tail model.  A real input (c_{-n} = conj c_n) has
-F(rho, phi + pi) = conj F(rho, phi): its field keeps J/2 angles, and mode
-0 of a product of such fields is the real part of the mean over them.  The
-decay envelope rho^{1/2} |F| (decay_check) is a maximum over the
-quadrature nodes, not a sup over rho.
+polar route's two-term tail model.  Its callers hand it circle functions,
+and it alone sizes their fields' angles (_polar_fields).  A real input
+(c_{-n} = conj c_n) has F(rho, phi + pi) = conj F(rho, phi): its field
+keeps J/2 angles, and mode 0 of a product of such fields is the real part
+of the mean over them.  The decay envelope rho^{1/2} |F| (decay_check) is
+a maximum over the quadrature nodes, not a sup over rho.
 """
 
 from __future__ import annotations
@@ -214,6 +215,29 @@ def extend(f: CircleFunction, grid: RadialGrid | None = None,
     C[f.N + 1:] += C[f.N - 1::-1]
     table = C[f.N:].view(np.float64).copy()
     return ExtensionField(grid, table, f.N, symmetric, J, TAU * f.coeff(0))
+
+
+@lru_cache(maxsize=64)
+def _bandwidth(expr, Ns: tuple) -> int:
+    """The bandwidth of the products that the field expression expr yields
+    over inputs of bandwidths Ns: their largest N in one pass over tails
+    with no phase samples, so FieldTail's `*` and `+` stay its one rule."""
+    empty = np.empty((0, 2, TAIL_PHASES))
+    return max(S.N for S in expr(*(lambda N=N: FieldTail(empty, N, True)
+                                    for N in Ns)))
+
+
+def _polar_fields(expr, fs, M: int | None, grid: RadialGrid | None = None):
+    """The fields of the circle functions fs on which _polar_reduce reads
+    modes -M..M of expr's products unaliased, and that M, clamped to their
+    bandwidth (all modes when None): each distinct input, by identity,
+    extended once on angle_count(bandwidth, M) angles."""
+    N = _bandwidth(expr, tuple(f.N for f in fs))
+    M = N if M is None else min(int(M), N)
+    J = angle_count(N, M)
+    distinct = {id(f): f for f in fs}
+    fields = {key: extend(f, grid, J) for key, f in distinct.items()}
+    return [fields[id(f)] for f in fs], M
 
 
 def _polar_reduce(expr, fields, M: int, rows: np.ndarray | None = None,

@@ -25,16 +25,17 @@ product (sums of products included) as a field expression, a generator over
 readers of its inputs' extensions that yields it, and assembles it once,
 for the modes it needs, through the blocked kernel extension._polar_reduce;
 the bound chain's products, which share most of their factors, are yielded
-by one expression (_bound_chain) assembled in one pass.  The angular grid
-is sized for those modes too: J samples of a bandwidth-M product give its
-modes |m| <= M_out exactly when J > M + M_out, and extension.angle_count
-takes the smallest even such J (64 at least; past the kernel's FFT
-crossover, the smallest with no prime factor above 5), so a caller that
-reads mode 0 only samples at M + 2 angles, not 2M + 2, and takes that mode
-as an angular mean.  Both routes carry the same two-term radial tail
-model, coded twice (bessel.bessel_product_tail for the tensor, extension
-for the polar route, whose kernel integrates J_|m|'s tail too), so their
-agreement tests bookkeeping, not a shared truncation.
+by one expression (_bound_chain) assembled in one pass.  The angles are
+sized for those modes by extension._polar_fields, the one home of that
+rule, from the expression and its input circle functions: J samples of a
+bandwidth-M product give its modes |m| <= M_out exactly when J > M + M_out,
+and angle_count takes the smallest even such J (64 at least; past the
+kernel's FFT crossover, the smallest with no prime factor above 5), so a
+caller that reads mode 0 only samples at M + 2 angles, not 2M + 2, and
+takes that mode as an angular mean.  Both routes carry the same two-term
+radial tail model, coded twice (bessel.bessel_product_tail for the tensor,
+extension for the polar route, whose kernel integrates J_|m|'s tail too),
+so their agreement tests bookkeeping, not a shared truncation.
 
 The controlling densities are the radial profiles of the k-fold
 self-convolutions of arclength measure,
@@ -64,7 +65,7 @@ from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
                      _default_grid, bessel_product_tail, check_cutoff,
                      default_grid, parity_sign)
 from .errors import ConfigError, PreconditionError, SingularRadiusError
-from .extension import _polar_reduce, angle_count, extend, i_pow
+from .extension import _polar_fields, _polar_reduce, i_pow
 from .spectral import TAU, CircleFunction, l2_norm, rotate
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
@@ -99,8 +100,19 @@ def _assemble_polar(expr, fields, M: int) -> np.ndarray:
             * _polar_reduce(expr, fields, M))
 
 
-def _convolve_tensor(fs, tensor: BesselTensor, M: int) -> CircleFunction:
-    """The tensor route, modes -M..M.  A row n2..n5 of the inner sum enters
+def _polar_quintic(expr, fs, M: int | None,
+                   grid: RadialGrid | None) -> CircleFunction:
+    """Modes -M..M (all by default) of Q for the one product that the field
+    expression expr yields over the circle functions fs, on the fields and
+    M that extension._polar_fields picks."""
+    return CircleFunction(
+        _assemble_polar(expr, *_polar_fields(expr, fs, M, grid))[0])
+
+
+def _convolve_tensor(fs, tensor: BesselTensor,
+                     M: int | None) -> CircleFunction:
+    """The tensor route, modes -M..M (M clamped to N1 + .. + N5, all of
+    them when M is None).  A row n2..n5 of the inner sum enters
     a term only through its class (the sorted |n2|..|n5|), its sum s and
     its parity sign, which is folded into the row's coefficient product.
     The rows that reach a read mode are sorted stably by s, and so are the
@@ -122,6 +134,9 @@ def _convolve_tensor(fs, tensor: BesselTensor, M: int) -> CircleFunction:
     would change which operand comes first and move last bits;
     the per-tuple reference makes the same full-length choices."""
     Ns = [f.N for f in fs]
+    M = sum(Ns) if M is None else min(int(M), sum(Ns))
+    if M < 0:
+        raise ConfigError(f"mode count M={M} is negative")
     if max(Ns) > tensor.N:
         raise PreconditionError(
             f"input bandwidth {max(Ns)} exceeds tensor bandwidth {tensor.N}")
@@ -214,17 +229,11 @@ def quintic_convolve(fs, tensor: BesselTensor | None = None,
     one is supplied).  Either route computes the modes it returns only:
     the tensor route looks up and sums the terms that land in them, bit
     for bit the full contraction's, and the polar route samples the
-    product field at angle_count(N1 + .. + N5, M) angles.
+    product field on the angles extension._polar_fields picks for them.
     """
     fs = list(fs)
     if len(fs) != 5:
         raise ConfigError(f"need exactly five inputs, got {len(fs)}")
-    top = sum(f.N for f in fs)
-    if M is None:
-        M = top
-    elif M < 0:
-        raise ConfigError(f"mode count M={M} is negative")
-    M = min(int(M), top)
     if method == "auto":
         method = "tensor" if tensor is not None else "polar"
     if method == "tensor":
@@ -233,12 +242,7 @@ def quintic_convolve(fs, tensor: BesselTensor | None = None,
         return _convolve_tensor(fs, tensor, M)
     if method != "polar":
         raise ConfigError(f"unknown method {method!r}")
-    grid = grid or default_grid()
-    distinct = {id(f): f for f in fs}           # each input extended once
-    fields = {key: extend(f, grid, angle_count(top, M))
-              for key, f in distinct.items()}
-    return CircleFunction(
-        _assemble_polar(_product, [fields[id(f)] for f in fs], M)[0])
+    return _polar_quintic(_product, fs, M, grid)
 
 
 def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
@@ -247,9 +251,7 @@ def el_quintic(f: CircleFunction, grid: RadialGrid | None = None,
     modes -M..M of it when M is given (all 5N of them by default); the field
     of f~ is the conjugate of the field of f, so one extension serves all
     five slots."""
-    M = 5 * f.N if M is None else min(M, 5 * f.N)
-    F = extend(f, grid or default_grid(), angle_count(5 * f.N, M))
-    return CircleFunction(_assemble_polar(_self_product, [F], M)[0])
+    return _polar_quintic(_self_product, [f], M, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +584,9 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     s must be finite and nonnegative, and for s > 0 t_grid (2^-1..2^-8 by
     default) a nonempty list of positive finite offsets.
 
-    The bound reads mode 0 of a bandwidth-2(N1+..+N5) product, so its fields
-    take angle_count(M, 0) angles, an even count, of which each real |g|^2
-    field samples half; each distinct |g|^2 is extended once per call:
+    The bound reads mode 0 of a bandwidth-2(N1+..+N5) product, on the even
+    angle count extension._polar_fields picks for it, of which each real
+    |g|^2 field samples half; each distinct |g|^2 is extended once per call:
     |f_j|^2, and per offset |rot f_j|^2 (j < 4) and |rot f_j - f_j|^2.  The
     1 + 5T bounds of T offsets come out of one polar pass (_bound_chain),
     which reads each field's row block once and shares partial products.
@@ -607,22 +609,17 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
     grid = grid or default_grid()
     if mu5_at_1 is None:
         mu5_at_1 = mu_value(5, 1.0, grid.cutoff)
-    J = angle_count(2 * sum(f.N for f in fs), 0)
-
-    def field(g):
-        return extend(_abs2(g), grid, J)
-
     Q = quintic_convolve(fs, grid=grid)
     lhs0 = l2_norm(Q)
-    distinct = {id(f): f for f in fs}       # each |f_j|^2 extended once
-    base = {key: field(f) for key, f in distinct.items()}
+    base = {id(f): _abs2(f) for f in fs}    # each |f_j|^2 formed once
     chain = [base[id(f)] for f in fs]
     for t in ts:
         terms = leibniz_terms(fs, t)
-        chain += ([field(g) for g in terms[-1][:4]]          # rot f_j, j < 4
-                  + [field(slots[i]) for i, slots in enumerate(terms)])
+        chain += ([_abs2(g) for g in terms[-1][:4]]          # rot f_j, j < 4
+                  + [_abs2(slots[i]) for i, slots in enumerate(terms)])
     # <Q(|g_i|^2), 1> = 2 pi Q_0: only mode 0 is assembled
-    vals = TAU * _assemble_polar(_bound_chain, chain, 0)[:, 0].real
+    fields, M = _polar_fields(_bound_chain, chain, 0, grid)
+    vals = TAU * _assemble_polar(_bound_chain, fields, M)[:, 0].real
     bounds = [float(np.sqrt(mu5_at_1 * max(v, 0.0))) for v in vals]
     rhs0 = bounds[0]
     if s == 0.0:

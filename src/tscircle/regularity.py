@@ -161,8 +161,8 @@ def sharp_flat_split(f: CircleFunction, eta: float,
     K minimal: solver.decompose at eps = eta * scale.  The sharp part is
     band-limited hence Lipschitz with an explicit constant; eta trades its
     size against the flat remainder."""
-    if not (eta > 0):
-        raise ConfigError(f"eta must be positive, got {eta!r}")
+    if not (0 < eta < np.inf):
+        raise ConfigError(f"eta must be positive and finite, got {eta!r}")
     scale = calH_estimate(f, s_scale)
     sharp, flat, K = decompose(f, eta * scale)
     return SplitReport(K, sharp, flat, eta, s_scale, float(scale),

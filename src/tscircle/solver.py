@@ -23,7 +23,9 @@ the classes grouped by how many plain slots hold h:
 
 nine field products and six, each expression assembled once.  N is built
 from its own classes, not as Q(phi+h) minus the low ones, so the expansion
-identity L + N + phi = Q(phi + g) stays an independent check.
+identity L + N + phi = Q(phi + g) stays an independent check.  Both parts
+hand phi and g (or h) to the polar engine, which sizes the angles from the
+expression (extension._polar_fields); no angle rule lives here.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .bessel import RadialGrid, default_grid
+from .bessel import RadialGrid
 from .errors import ConfigError, DivergenceError, PreconditionError
-from .extension import angle_count, extend
-from .quintic import _assemble_polar, el_quintic
+from .quintic import _polar_quintic, el_quintic
 from .spectral import (TAU, CircleFunction, inner_product, l2_norm,
                        random_function, weighted_norm)
 
@@ -45,7 +46,6 @@ ASCENT_FLAT_ITERS = 8        # keep power-stepping this long on the plateau
 ASCENT_START_DECAY = 1.0     # random start's coefficients fall like (1+|n|)^-1
 PICARD_TOL = 1e-11           # L^2 step size at which the iteration stops
 PICARD_S_NORM = 0.5          # s of the (1+n^2)^{s/2} weighted ratios
-NONLINEAR_DEGREES = (2, 3, 4, 5)   # the numbers of h factors in N(phi, h)
 
 
 def _normalized(f: CircleFunction) -> CircleFunction:
@@ -87,7 +87,6 @@ def ascend(f0: CircleFunction | None = None,
     cfg = config or AscentConfig()
     if cfg.max_iter < 0:
         raise ConfigError(f"max_iter must be nonnegative, got {cfg.max_iter}")
-    grid = grid or default_grid()
     if f0 is None:
         f0 = random_function(cfg.n, cfg.seed, decay=ASCENT_START_DECAY)
     f = _normalized(f0.truncated(cfg.n))
@@ -153,16 +152,6 @@ def decompose(f: CircleFunction, eps: float):
     return phi, g, K
 
 
-def _angles(phi: CircleFunction, h: CircleFunction, degrees,
-            M: int | None):
-    """The angle count that modes -M..M (all of them when M is None) of a
-    sum of five-fold products with k factors from h, k in `degrees`, need,
-    and that M; phi and h are extended on these angles."""
-    bandwidth = max((5 - k) * phi.N + k * h.N for k in degrees)
-    M = bandwidth if M is None else min(M, bandwidth)
-    return angle_count(bandwidth, M), M
-
-
 def _linear_field(read_x, read_y):
     """L + phi as a field expression over the readers of X and Y: the
     classes of Q(phi+h, .., (phi+h)~, ..) with at most one h, grouped by
@@ -214,10 +203,7 @@ def linear_part(phi: CircleFunction, g: CircleFunction,
     Q(phi,phi,phi,phi~,phi~) - phi + 2 Q(phi,phi,phi,phi~,g~)
                              + 3 Q(phi,phi,g,phi~,phi~).
     """
-    grid = grid or default_grid()
-    J, M = _angles(phi, g, (0, 1), M)
-    X, Y = extend(phi, grid, J), extend(g, grid, J)
-    return CircleFunction(_assemble_polar(_linear_field, (X, Y), M)[0]) - phi
+    return _polar_quintic(_linear_field, [phi, g], M, grid) - phi
 
 
 def nonlinear_part(phi: CircleFunction, h: CircleFunction,
@@ -226,22 +212,13 @@ def nonlinear_part(phi: CircleFunction, h: CircleFunction,
     """N(phi, h): the nine remaining classes of Q(phi+h, .., (phi+h)~, ..),
     at least quadratic in h (binomial weights 3-choose-a times 2-choose-b);
     modes -M..M of it when M is given (all of them by default)."""
-    J, M = _angles(phi, h, NONLINEAR_DEGREES, M)
-    return _nonlinear(extend(phi, grid or default_grid(), J), h, M)
-
-
-def _nonlinear(X, h: CircleFunction, M: int) -> CircleFunction:
-    """Modes -M..M of N(phi, h) from the field X of phi, h extended on its
-    grid and angles."""
-    Y = extend(h, X.grid, X.n_angles)
-    return CircleFunction(_assemble_polar(_nonlinear_field, (X, Y), M)[0])
+    return _polar_quintic(_nonlinear_field, [phi, h], M, grid)
 
 
 def expansion_residual(phi: CircleFunction, g: CircleFunction,
                        grid: RadialGrid | None = None) -> float:
     """Relative error of L(phi,g) + N(phi,g) + phi against Q(f,..) at
     f = phi + g: a pure bookkeeping identity, so this measures arithmetic."""
-    grid = grid or default_grid()
     lhs = linear_part(phi, g, grid) + nonlinear_part(phi, g, grid) + phi
     rhs = el_quintic(phi + g, grid)         # its own extension of phi + g
     num = l2_norm(lhs - rhs)
@@ -284,7 +261,6 @@ def picard_iterate(f: CircleFunction, eps: float,
     PICARD_TOL, and an iterate past 10x its starting size, or not finite,
     raises DivergenceError.
     """
-    grid = grid or default_grid()
     lam = inner_product(el_quintic(f, grid, f.N), f).real / l2_norm(f) ** 2
     if lam <= 0:
         raise PreconditionError(f"lambda_fit = {lam:.3e} is not positive")
@@ -297,12 +273,9 @@ def picard_iterate(f: CircleFunction, eps: float,
     # The lab works in the band-limited space of f: every iterate is cut
     # back to bandwidth N, where g itself lives and where the fixed-point
     # identity holds up to the ascent residual.  L and N are assembled for
-    # those modes only, on the angles they need.  Every iterate has the
-    # bandwidth of g, so phi's field for N is built once for the whole run.
+    # those modes only, on the angles they need.
     Nf = fs.N
     L = linear_part(phi, g, grid, Nf).truncated(Nf)
-    J, M = _angles(phi, g, NONLINEAR_DEGREES, Nf)
-    X = extend(phi, grid, J)
     h = L
     h0_norm = l2_norm(h)
     ball = eps ** 0.75
@@ -314,7 +287,7 @@ def picard_iterate(f: CircleFunction, eps: float,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        h_next = (L + _nonlinear(X, h, M)).truncated(Nf)
+        h_next = (L + nonlinear_part(phi, h, grid, Nf)).truncated(Nf)
         d = h_next - h
         step_l2 = l2_norm(d)
         step_s = weighted_norm(d, PICARD_S_NORM)

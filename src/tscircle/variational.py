@@ -22,7 +22,7 @@ import numpy as np
 
 from .bessel import BesselTensor, RadialGrid, six_bessel_integral
 from .errors import ConfigError, NumericalError
-from .extension import angle_count, extend, l6_norm
+from .extension import _polar_fields, _sixth_power, l6_norm
 from .quintic import el_quintic, quintic_convolve
 from .spectral import (TAU, CircleFunction, conjugate_reflect, inner_product,
                        l2_norm, synthesize)
@@ -55,12 +55,13 @@ def ts_functional(f: CircleFunction, tensor: BesselTensor | None = None,
 
 def quotient(f: CircleFunction, grid: RadialGrid | None = None) -> float:
     """||F||_{L^6(R^2)} / ||f||_{L^2}, the quantity being extremized.
-    |F|^6 has bandwidth 6N and l6_norm reads its mode 0 only, so F is
-    sampled at angle_count(6N, 0) angles."""
+    l6_norm reads mode 0 of |F|^6 only, so F is sampled on the angles the
+    polar engine picks for that mode of its expression."""
     nrm = l2_norm(f)
     if nrm == 0:
         raise ConfigError("quotient undefined at f = 0")
-    return l6_norm(extend(f, grid, angle_count(6 * f.N, 0))) / nrm
+    [F], _ = _polar_fields(_sixth_power, [f], 0, grid)
+    return l6_norm(F) / nrm
 
 
 @dataclass

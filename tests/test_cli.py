@@ -580,9 +580,10 @@ def test_cutoff_at_the_hankel_radius_is_accepted(tmp_path):
 ])
 def test_non_finite_flag_values_exit_2(argv, capsys):
     # NaN passes a check written as x <= 0, and an infinite s has no
-    # integer part: both are configuration errors, not internal ones
+    # integer part: both are configuration errors, not internal ones, and
+    # the message names the flag that was set
     assert main(argv) == 2
-    assert "must be" in capsys.readouterr().err
+    assert f"{argv[-2][2:]} must be" in capsys.readouterr().err
 
 
 def test_picard_refuses_a_non_finite_iterate(extremizer16, capsys):
@@ -630,6 +631,37 @@ def test_readme_command_table_matches_parser():
     for name, cell in rows.items():
         assert set(re.findall(r"`(--[a-z-]+)", cell)) == (
             set(COMMANDS[name].parser_flags()) - {"--out", "--verify"}), name
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def test_picard_without_two_ratios_writes_null(tmp_path):
+    # at n = 0 the iteration takes at most two steps, so there is no ratio
+    # to take the max of: max_ratio is null, and the file is strict JSON
+    out = tmp_path / "p.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["picard", "--n", "0", "--out", str(out)]) == 0
+    env = json.loads(out.read_text(), parse_constant=refuse_constant)
+    assert len(env["payload"]["ratios_l2"]) < 2
+    assert env["payload"]["max_ratio"] is None
+
+
+def test_non_finite_output_exits_3_and_writes_nothing(monkeypatch, tmp_path,
+                                                      capsys):
+    # NaN and Infinity are not JSON: a payload holding one is a numerical
+    # failure, not a file that strict readers refuse
+    def nan_payload(args):
+        return {k: float("nan") for k in COMMANDS["extend"].payload_keys}, None
+
+    monkeypatch.setitem(COMMANDS, "extend", dataclasses.replace(
+        COMMANDS["extend"], handler=nan_payload))
+    out = tmp_path / "e.json"
+    assert main(["extend", "--n", "2", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_exit_code_internal_error(monkeypatch, capsys):

@@ -26,10 +26,13 @@ from tscircle import (
 import tscircle.extension
 from tscircle.bessel import (default_grid, exp_tail_integral,
                              first_order_coeff, parity_sign)
-from tscircle.extension import (TAIL_PHASES, _analyze, _j_tail_measure,
-                                _phase_table, _tail_weights, angle_count,
+from tscircle.extension import (TAIL_PHASES, _analyze, _bandwidth,
+                                _j_tail_measure, _phase_table, _polar_fields,
+                                _sixth_power, _tail_weights, angle_count,
                                 bessel_tail, hpoly_mul, i_pow)
-from tscircle.quintic import el_quintic
+from tscircle.quintic import (_bound_chain, _product, _self_product,
+                              el_quintic)
+from tscircle.solver import _linear_field, _nonlinear_field
 
 
 def field_oracle(f, rho, phi):
@@ -475,3 +478,57 @@ def test_field_tail_is_the_field_beyond_the_cutoff(real):
     bound = (TAU * (np.abs(f.coeffs) @ next_hankel_term(n))
              * np.sqrt(2.0 / (np.pi * rho)) / rho ** 2)
     assert np.all(np.abs(model - exact) <= 1.01 * bound)
+
+
+def chain_bandwidths(Ns, offsets):
+    """The bandwidths of the bound chain's inputs for five inputs of
+    bandwidths Ns: |f_j|^2, then per offset |rot f_j|^2 (j < 4) and
+    |rot f_j - f_j|^2."""
+    return tuple(2 * n for n in Ns) + offsets * tuple(
+        2 * n for n in Ns[:4] + Ns)
+
+
+# every field expression of the package, its inputs' bandwidths, and the
+# product bandwidth its caller wrote out before the engine took it from the
+# expression
+EXPRESSION_BANDWIDTHS = [
+    (_product, (3, 0, 5, 2, 7), 17),                           # sum N
+    (_self_product, (9,), 45),                                 # 5N
+    (_sixth_power, (7,), 42),                                  # 6N
+    (_linear_field, (3, 8), max(5 * 3, 4 * 3 + 8)),
+    (_linear_field, (8, 3), max(5 * 8, 4 * 8 + 3)),
+    (_nonlinear_field, (3, 8), max((5 - k) * 3 + k * 8 for k in (2, 3, 4, 5))),
+    (_nonlinear_field, (8, 3), max((5 - k) * 8 + k * 3 for k in (2, 3, 4, 5))),
+    (_bound_chain, chain_bandwidths((1, 2, 0, 3, 1), 2), 2 * 7),   # 2 sum N
+]
+
+
+@pytest.mark.parametrize("expr, Ns, expected", EXPRESSION_BANDWIDTHS)
+def test_engine_bandwidth_is_each_expressions_own(expr, Ns, expected):
+    # the bandwidth pass over sample-free tails gives the largest N of the
+    # expression's pass over real tails, and the formula its caller used
+    fields = [extend(random_function(N, seed=700 + i), n_angles=64)
+              for i, N in enumerate(Ns)]
+    real = max(S.N for S in expr(*(lambda F=F: F.tail for F in fields)))
+    assert _bandwidth(expr, Ns) == real == expected
+
+
+def test_engine_picks_the_angles_and_extends_each_input_once(monkeypatch):
+    # M clamps to the bandwidth (None: all modes), J = angle_count(
+    # bandwidth, M), and an input in several slots is extended once
+    calls = []
+    real = tscircle.extension.extend
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(tscircle.extension, "extend", counting)
+    f, g = random_function(4, seed=710), random_function(6, seed=711)
+    for M, M_used in ((None, 24), (30, 24), (5, 5), (0, 0)):
+        calls.clear()
+        fields, M_got = _polar_fields(_product, [f, g, f, f, g], M)
+        assert M_got == M_used
+        assert [F.n_angles for F in fields] == [angle_count(24, M_used)] * 5
+        assert fields[0] is fields[2] is fields[3] and fields[1] is fields[4]
+        assert calls == [f, g]

@@ -39,6 +39,7 @@ from tscircle import (
     random_function,
     rotate,
 )
+import tscircle.extension
 import tscircle.quintic
 from tscircle.bessel import (DENSITY_PANEL, BesselTensor, RadialGrid, _encode,
                              bessel_product_tail, default_grid)
@@ -138,6 +139,11 @@ def test_tensor_route_reads_only_the_requested_modes(tensor8):
             assert np.array_equal(got.coeffs, full[top - M:top + M + 1])
 
 
+def test_tensor_route_refuses_a_negative_mode_count(tensor8):
+    with pytest.raises(ConfigError, match="negative"):
+        quintic_convolve(five_random(2, 30), tensor=tensor8, M=-1)
+
+
 def test_polar_route_reads_only_the_requested_modes():
     # on angle_count(N1 + .. + N5, M) angles the modes -M..M match the full
     # call's; an M past the output band is the full call
@@ -216,14 +222,14 @@ def test_el_quintic_low_modes_match_full_band(monkeypatch):
     # modes |m| <= 16 of the bandwidth-80 product, on angle_count(80, 16)
     # = 98 angles instead of 162, are the full result cut to 16
     angles = []
-    real = tscircle.quintic.extend
+    real = tscircle.extension.extend
 
     def recording(f, *args, **kwargs):
         field = real(f, *args, **kwargs)
         angles.append(field.n_angles)
         return field
 
-    monkeypatch.setattr(tscircle.quintic, "extend", recording)
+    monkeypatch.setattr(tscircle.extension, "extend", recording)
     f = random_function(16, seed=8, decay=0.8)
     full = el_quintic(f).truncated(16)
     low = el_quintic(f, M=16)
@@ -702,14 +708,14 @@ def test_bound_chain_extends_each_abs2_once(monkeypatch):
     # Q extends its five inputs; the |f_j|^2 are extended once per call, and
     # each offset adds |rot f_j|^2 (j < 4) and |rot f_j - f_j|^2: 5 + 5 + 4 * 9
     angles = []
-    real = tscircle.quintic.extend
+    real = tscircle.extension.extend
 
     def recording(f, *args, **kwargs):
         field = real(f, *args, **kwargs)
         angles.append(field.n_angles)
         return field
 
-    monkeypatch.setattr(tscircle.quintic, "extend", recording)
+    monkeypatch.setattr(tscircle.extension, "extend", recording)
     fs = five_random(8, 400, decay=0.6)
     quintilinear_bound_ratio(fs, 0.5, mu5_at_1=1.0,
                              t_grid=2.0 ** -np.arange(1, 5))

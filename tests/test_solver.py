@@ -26,7 +26,6 @@ from tscircle import (
     ts_functional,
 )
 import tscircle.extension
-import tscircle.quintic
 import tscircle.solver
 import tscircle.variational
 from tscircle.errors import DivergenceError
@@ -192,8 +191,7 @@ def test_parts_extend_each_input_once(monkeypatch):
         calls.append(f)
         return real(f, *args, **kwargs)
 
-    for mod in (tscircle.quintic, tscircle.solver):
-        monkeypatch.setattr(mod, "extend", counting, raising=False)
+    monkeypatch.setattr(tscircle.extension, "extend", counting)
     phi = random_function(3, seed=5, decay=0.9)
     g = high_tail(3, 6, seed=6)
     nonlinear_part(phi, g)
@@ -283,12 +281,13 @@ def test_field_expressions_leave_their_inputs_alone(rows):
 def test_parts_multiply_fields_slot_grouped(monkeypatch):
     # one product per class factor would take 36 field-by-field products
     # for N and 12 for L; grouped by slot they take at most 12 and 6 (counted
-    # on the tails, where each part's expression runs once)
+    # on the tails with samples, where each part's expression runs once; the
+    # engine's bandwidth pass runs it on tails without samples)
     products = []
     real = FieldTail.__mul__
 
     def counting(self, other):
-        if isinstance(other, FieldTail):
+        if isinstance(other, FieldTail) and other.poly.size:
             products.append(other)
         return real(self, other)
 
@@ -307,14 +306,14 @@ def test_parts_for_low_modes_match_full_band(monkeypatch):
     # (N: bandwidth M = 80, 98 instead of 162; L: M = 32, 64 instead of
     # 66), N and L are the full results cut to 16
     angles = []
-    real = tscircle.solver.extend
+    real = tscircle.extension.extend
 
     def recording(f, *args, **kwargs):
         field = real(f, *args, **kwargs)
         angles.append(field.n_angles)
         return field
 
-    monkeypatch.setattr(tscircle.solver, "extend", recording)
+    monkeypatch.setattr(tscircle.extension, "extend", recording)
     phi = random_function(4, seed=41, decay=0.9)
     g = high_tail(4, 16, seed=42)
     for part, J_full, J_low in ((nonlinear_part, 162, 98),
@@ -367,9 +366,10 @@ def test_picard_contracts_from_extremizer(extremizer16):
     assert rep.ball_radius == pytest.approx(0.05 ** 0.75)
 
 
-def test_picard_extends_phi_once_per_run(extremizer16, monkeypatch):
-    # lambda's el_quintic extends f, L extends phi and g, and N reuses one
-    # field of phi for the whole run, so each step extends its iterate only
+def test_picard_extends_phi_and_the_iterate_per_step(extremizer16,
+                                                     monkeypatch):
+    # lambda's el_quintic extends f, L extends phi and g, and each step's N
+    # extends phi and its iterate h, each once
     calls = []
     real = tscircle.extension.extend
 
@@ -377,12 +377,11 @@ def test_picard_extends_phi_once_per_run(extremizer16, monkeypatch):
         calls.append(f.N)
         return real(f, *args, **kwargs)
 
-    for mod in (tscircle.quintic, tscircle.solver):
-        monkeypatch.setattr(mod, "extend", counting)
+    monkeypatch.setattr(tscircle.extension, "extend", counting)
     rep = picard_iterate(extremizer16.f, eps=0.05)
     assert rep.converged and rep.K < 16
-    assert len(calls) == 4 + rep.iterations
-    assert calls.count(rep.K) == 2          # phi: once for L, once for N
+    assert len(calls) == 3 + 2 * rep.iterations
+    assert calls.count(rep.K) == 1 + rep.iterations     # phi: L, then N
 
 
 def test_picard_ratios_track_smooth_norm(extremizer16):

@@ -14,12 +14,14 @@ factor is replaced by its large-argument form
     J_n(rho) ~ sqrt(2/(pi rho)) [cos chi_n - (a_n/rho) sin chi_n],
     chi_n = rho - n pi/2 - pi/4,    a_n = (4 n^2 - 1)/8,
 
-the product is expanded into combination-phase exponentials, and
+the product is expanded into its oscillation classes (the factors of equal
+scale taken together, see bessel_product_tail), and
 
     I_nu(omega) = int_P^oo rho^-nu e^{i omega rho} drho
 
 is evaluated exactly through the exponential integral (integer nu) or
-Fresnel integrals (half-integer nu).  The head is one quadrature pass on a
+Fresnel integrals (half-integer nu), or, from |omega| P = 40 on, through
+its large-argument series.  The head is one quadrature pass on a
 grid sized from the highest frequency w in play, 32-point panels of length
 57/w, 3.5 nodes per wavelength (see RadialGrid), so every reported error
 bound is the tail model's bound.  First-order 1/rho terms are kept,
@@ -49,6 +51,8 @@ DENSITY_PANEL = 57.0 / 10         # frequency <= 10: the Hankel densities
 ROW_CHUNK = 256                   # six-Bessel rows per product block
 HANKEL_RHO = 30.0                 # J_0, J_1 from their Hankel series from here
 HANKEL_TERMS = 17                 # series terms a_0..a_16
+SERIES_X = 40.0                   # exp_tail_integral's series from |omega| P
+SERIES_TERMS = 36                 # ... summed to this many terms
 TAU = 2.0 * np.pi
 
 
@@ -291,10 +295,20 @@ def _fresnel_complement(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 def exp_tail_integral(omega, nu: float, P: float):
     """The pair (I_nu, I_{nu+1}) of I_nu(omega) = int_P^oo rho^-nu
-    e^{i omega rho} drho, nu > 1, from one recurrence.
+    e^{i omega rho} drho, nu > 1.  Vectorized over the array omega.
 
-    Integer nu builds up from E1; half-integer nu from Fresnel integrals.
-    Vectorized over the array omega.
+    Below |omega| P = SERIES_X the pair comes from one upward recurrence:
+    integer nu builds up from E1, half-integer nu from Fresnel integrals.
+    Each upward step loses a factor of about |omega| P, so from SERIES_X on
+    I_{nu+1} is the large-argument series
+
+        I_mu = (i/omega) P^-mu e^{i omega P} sum_k (mu)_k (-i/(omega P))^k
+
+    summed by Horner's rule over the terms that omega needs, at most
+    SERIES_TERMS (the smallest term sits near k = |omega| P - mu), and I_nu
+    follows from one downward step,
+    I_nu = (i/omega) (P^-nu e^{i omega P} - nu I_{nu+1}), which is stable
+    there.  Each value depends on its own omega alone.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.empty((2,) + om.shape, dtype=complex)
@@ -305,7 +319,30 @@ def exp_tail_integral(omega, nu: float, P: float):
                 f"tail integral diverges: omega = 0 with nu = {nu} <= 1")
         out[0, zero] = P ** (1.0 - nu) / (nu - 1.0)
         out[1, zero] = P ** -nu / nu
-    nz = ~zero
+    far = np.abs(om) * P >= SERIES_X
+    if np.any(far):
+        # K terms after the first leave out (mu)_{K+1} |x|^-(K+1), below
+        # 2^-60 once |x| > lim[K]: each x takes the fewest K, at most
+        # SERIES_TERMS, and the rows are ordered by K so that step k of
+        # Horner's rule updates those with K > k, a prefix
+        k = np.arange(SERIES_TERMS)
+        lim = np.minimum.accumulate(np.exp(
+            (np.cumsum(np.log(nu + 1.0 + k)) + 60.0 * np.log(2.0)) / (k + 1)))
+        terms = np.searchsorted(-lim, -np.abs(om[far]) * P, side="right")
+        order = np.argsort(-terms, kind="stable")
+        at = np.flatnonzero(far)[order]
+        w, terms = om[at], terms[order]
+        x = w * P
+        rows = np.searchsorted(-terms, -np.arange(terms[0]))    # K > k
+        re, im = np.ones_like(x), np.zeros_like(x)
+        for k in range(terms[0] - 1, -1, -1):
+            n = rows[k]
+            c = (nu + 1.0 + k) / x[:n]
+            re[:n], im[:n] = 1.0 + c * im[:n], -c * re[:n]
+        e = np.exp(1j * x)
+        hi = (1j / w) * P ** -(nu + 1.0) * e * (re + 1j * im)
+        out[0, at], out[1, at] = (1j / w) * (P ** -nu * e - nu * hi), hi
+    nz = ~zero & ~far
     if np.any(nz):
         w = om[nz]
         if float(nu).is_integer():
@@ -323,17 +360,8 @@ def exp_tail_integral(omega, nu: float, P: float):
     return out[0], out[1]
 
 
-_EPS_CACHE: dict = {}
 _ROOTS8 = np.array([1, 1 - 1j, -1j, -1 - 1j, -1, -1 + 1j, 1j, 1 + 1j])
 _ROOTS8[1::2] *= np.sqrt(0.5)      # e^{-i pi k/4}, k = 0..7, correctly rounded
-
-
-def _sign_patterns(m: int) -> np.ndarray:
-    """All sign vectors in {+1,-1}^m with leading +1 (conjugate halves)."""
-    if m not in _EPS_CACHE:
-        eps = np.array(list(itertools.product([1.0, -1.0], repeat=m - 1)))
-        _EPS_CACHE[m] = np.hstack([np.ones((eps.shape[0], 1)), eps])
-    return _EPS_CACHE[m]
 
 
 def first_order_coeff(n, scale=1.0, P: float = DEFAULT_CUTOFF):
@@ -343,18 +371,96 @@ def first_order_coeff(n, scale=1.0, P: float = DEFAULT_CUTOFF):
     return np.where(np.abs(a) <= np.asarray(scale) * P, a, 0.0)
 
 
+@lru_cache(maxsize=None)
+def _class_weights(m: int) -> np.ndarray:
+    """K[g, e + 1, p], the coefficient of t^p in (1 - t)^e (1 + t)^(g - e)
+    for g <= m factors of which e have even order; the rows e = -1 and
+    e = g + 1 are zero.  Read-only, one table per m."""
+    K = np.zeros((m + 1, m + 3, m + 1), dtype=np.int64)
+    K[0, 1, 0] = 1
+    for g in range(m):
+        old = K[g, 1:g + 2]                 # e = 0..g
+        K[g + 1, 1:g + 2] = old             # one more odd factor: (1 + t)
+        K[g + 1, 1:g + 2, 1:] += old[:, :-1]
+        K[g + 1, g + 2] = old[-1]           # e = g + 1: (1 - t) times e = g
+        K[g + 1, g + 2, 1:] -= old[-1, :-1]
+    K.flags.writeable = False
+    return K
+
+
+def _class_table(weights, g, turn, ev, sig):
+    """The classes of U rows of one group structure that enter the tail:
+    phase and omega >= 0, each (U, H), and the integer weights,
+    (1 + 2 len(g), U, H).
+
+    Group G holds g[G] factors of scale sig[G], ev[G] of them of even
+    order; turn is sum (2 n_j + 1) mod 8.  Weight 0 is that of I_nu, and
+    weights 1 + 2G and 2 + 2G are those of -i I_{nu+1} for the b of group
+    G's even and odd factors.  Of the F = prod(g + 1) choices of p per
+    group, column f and its mirror p -> g - p, column F - 1 - f, have
+    omega of opposite sign and conjugate terms, so each row keeps of every
+    pair the one with omega > 0 (the first, if omega = 0) at weight 2, and
+    the self-mirror class at weight 1: H = ceil(F/2) classes, from the
+    fastest to the slowest, which carries the most mass, so that it is
+    added last.
+    """
+    p = np.indices(g + 1).reshape(len(g), -1)
+    F = p.shape[1]
+    omega = (2 * p[0] - g[0]) * sig[0][:, None]
+    for G in range(1, len(g)):
+        omega = omega + (2 * p[G] - g[G]) * sig[G][:, None]
+    col = np.arange(F)
+    keep = (omega > 0) | ((omega == 0) & (col <= F - 1 - col))
+    U, H = len(omega), (F + 1) // 2
+    f = np.nonzero(keep)[1].reshape(U, H)
+    slow = np.argsort(-omega[keep].reshape(U, H), axis=1, kind="stable")
+    f = np.take_along_axis(f, slow, axis=1)
+    p = p[:, f]                             # (len(g), U, H)
+    phase = _ROOTS8[(-turn[:, None] - 2 * p.sum(axis=0)) % 8]
+    # K at e - 1, e, e + 1 per group: the 1/rho part of an even factor
+    # moves e down, of an odd one up, with a factor -1
+    own = [weights[g[G]][ev[G][:, None] + np.arange(3)[:, None, None], p[G]]
+           for G in range(len(g))]
+    W = np.empty((1 + 2 * len(g), U, H), dtype=np.int64)
+    for G in range(len(g)):
+        rest = 1
+        for other in range(len(g)):
+            if other != G:
+                rest = rest * own[other][1]
+        W[1 + 2 * G], W[2 + 2 * G] = own[G][0] * rest, own[G][2] * rest
+    W[0] = own[-1][1] * rest                # rest: every group but the last
+    W *= np.where(f == F - 1 - f, 1, 2)
+    return phase, np.take_along_axis(omega, f, axis=1), W
+
+
 def bessel_product_tail(orders, P: float, scales=None):
     """Closed-form int_P^oo rho prod_i J_{n_i}(s_i rho) drho (orders >= 0).
 
     `orders` and `scales` are each one row of m entries or a stack of rows;
     stacks broadcast row by row.  Returns a float when both are single rows,
-    else one value per row.  Each distinct combination frequency eps . s is
-    integrated once, and each row is reduced on its own, without matrix
-    products, so a row's value does not depend on the batch it sits in.
-    The sign-pattern sums are built one factor at a time, in the order of a
-    length-m reduce, and the phase psi = (pi/4) sum eps_j (2 n_j + 1) of a
-    pattern is a multiple of pi/4, so e^{-i psi} is read exactly from the
-    eighth roots of unity at that integer mod 8.
+    else one value per row.
+
+    Each factor's two-term form is (1/2) sqrt(2/(pi s rho)) tau^-1
+    [(ubar + u t) + (i b/rho)(u t - ubar)], tau = e^{i s rho}, t = tau^2,
+    u = e^{-i pi (2n + 1)/4}, b = a_n/s.  Since u^2 = -i for even n and +i
+    for odd n, a group of g factors of equal scale multiplies out to
+    prod(ubar) (1 - i t)^e (1 + i t)^(g - e), e of its orders even: its
+    class p, the power of t, oscillates at (2p - g) s with the integer
+    weight K_p(e, g) of t^p in (1 - t)^e (1 + t)^(g - e) (_class_weights)
+    times i^p.  The 1/rho part of factor j is the same product with e
+    moved by one, away from j's parity, and a factor -1.  So each row is
+    grouped by scale, its classes are the products of its groups', and
+    every phase is prod(ubar) i^(sum p), an exact multiple of pi/4 read
+    from the eighth roots of unity at an integer mod 8.
+
+    The tail is then h + sum over (group, parity) of B G, where B sums the
+    b of that group's factors of that parity, and h and G are class sums
+    of I_nu and I_{nu+1} (nu = m/2 - 1) that depend only on the scales,
+    the order sum mod 8 and the even counts.  Rows sharing these share h
+    and G, so six unit-scale factors cost O(m) per row.  Each distinct
+    |omega| is integrated once, I(-omega) being conj I(omega).  A row's
+    value depends on that row alone: its groups are its own, and every
+    sum runs in a fixed order, without matrix products.
     """
     orders = np.asarray(orders, dtype=int)
     s = (np.ones(orders.shape[-1]) if scales is None
@@ -362,25 +468,85 @@ def bessel_product_tail(orders, P: float, scales=None):
     if not np.all(s > 0):
         raise PreconditionError("tail scales must be positive")
     single = orders.ndim == 1 and s.ndim == 1
-    orders, s = np.atleast_2d(orders), np.atleast_2d(s)
+    orders, s = np.broadcast_arrays(np.atleast_2d(orders), np.atleast_2d(s))
+    if not len(s):
+        return np.empty(0)
     m = orders.shape[1]
-    eps = _sign_patterns(m)
+    b = first_order_coeff(orders, s, P) / s
+    if np.any(s[:, 1:] < s[:, :-1]):                # equal scales adjacent
+        perm = np.argsort(s, axis=1, kind="stable")
+        s, orders, b = (np.take_along_axis(x, perm, axis=1)
+                        for x in (s, orders, b))
+    prod, total = s[:, 0], orders[:, 0]             # in column order
+    for j in range(1, m):
+        prod, total = prod * s[:, j], total + orders[:, j]
+    pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(prod) / 2.0 ** m
+    turn = (2 * total + m) % 8                      # sum (2 n_j + 1) mod 8
+    even = (orders & 1) == 0
+    b_even = np.where(even, b, 0.0)
+    b_odd = b - b_even
+    head = np.ones(s.shape, dtype=bool)             # a group starts here
+    head[:, 1:] = s[:, 1:] != s[:, :-1]
+    shape = np.zeros(len(s), dtype=np.int64)        # the group sizes, as bits
+    for j in range(1, m):
+        shape = 2 * shape + head[:, j]
 
-    def combine(rows, eps):                 # (R, m) -> (R, E): rows . eps
-        out = rows[:, :1] * eps[:, 0]
-        for j in range(1, m):
-            out = out + rows[:, j:j + 1] * eps[:, j]
-        return out
+    weights = _class_weights(m)
+    parts = []
+    for code in np.unique(shape):
+        rows = shape == code
+        lo = np.flatnonzero(head[np.argmax(rows)])
+        hi = np.append(lo[1:], m)
+        if rows.all():
+            rows = slice(None)                      # views, not copies
+        be, bo = b_even[rows], b_odd[rows]
+        sig = [s[rows, a] for a in lo]
+        ev = [even[rows, a:z].sum(axis=1) for a, z in zip(lo, hi)]
+        B = []                                      # per group: even, odd
+        for a, z in zip(lo, hi):
+            for part in (be, bo):
+                acc = part[:, a]                    # in column order
+                for j in range(a + 1, z):
+                    acc = acc + part[:, j]
+                B.append(acc)
+        # rows of equal (turn, even counts, scales) share h and G; a scale
+        # equal in every row needs no sorting
+        key = turn[rows]
+        for e in ev:
+            key = key * (m + 1) + e
+        cols = [x for x in sig if not np.all(x == x[0])] + [key]
+        order = np.lexsort(cols)
+        new = np.zeros(len(order), dtype=bool)
+        new[:1] = True
+        for x in cols:
+            new[1:] |= x[order[1:]] != x[order[:-1]]
+        first = order[new]
+        inv = np.empty(len(order), dtype=np.int64)
+        inv[order] = np.cumsum(new) - 1
+        parts.append((rows, inv, B) + _class_table(
+            weights, hi - lo, turn[rows][first],
+            [e[first] for e in ev], [x[first] for x in sig]))
 
-    omega = combine(s, eps)
-    phase = _ROOTS8[combine(2 * orders + 1, eps.astype(int)) % 8]
-    A = combine(first_order_coeff(orders, s, P) / s, eps)
-    freq, inv = np.unique(omega, return_inverse=True)
-    inv = inv.reshape(omega.shape)
-    i2, i3 = (i[inv] for i in exp_tail_integral(freq, 0.5 * m - 1.0, P))
-    acc = (phase * (i2 + 1j * A * i3)).real.sum(axis=-1)
-    pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(np.prod(s, axis=-1)) / 2.0 ** m
-    out = pref * 2.0 * acc
+    freq, slot = np.unique(np.concatenate([pt[4].ravel() for pt in parts]),
+                           return_inverse=True)
+    i2, i3 = exp_tail_integral(freq, 0.5 * m - 1.0, P)
+    out = np.empty(len(s))
+    at = 0
+    for rows, inv, B, phase, omega, W in parts:
+        k = slot[at:at + omega.size].reshape(omega.shape)
+        at += omega.size
+        # Re(phase I_nu) and Im(phase I_nu+1) in real arithmetic: numpy's
+        # complex product is not bitwise commutative, and temporary elision
+        # may swap its operands in large arrays
+        c, d, x, y = phase.real, phase.imag, i2[k], i3[k]
+        zh, zG = c * x.real - d * x.imag, c * y.imag + d * y.real
+        h, G = W[0, :, 0] * zh[:, 0], W[1:, :, 0] * zG[:, 0]
+        for f in range(1, W.shape[2]):
+            h, G = h + W[0, :, f] * zh[:, f], G + W[1:, :, f] * zG[:, f]
+        acc = B[0] * G[0][inv]
+        for Bk, Gk in zip(B[1:], G[1:]):
+            acc = acc + Bk * Gk[inv]
+        out[rows] = pref[rows] * (acc + h[inv])
     return float(out[0]) if single else out
 
 
@@ -443,8 +609,10 @@ def _six_bessel_rows(keys: np.ndarray,
     (nonnegative orders, six per row), with its error bound.
 
     Each row costs one six-row product over the grid's nodes plus the
-    closed-form tail; rows are processed in chunks of at most ROW_CHUNK,
-    at which size BLAS sums a chunk alike under any thread count.
+    closed-form tail, one tail call for all rows, since a row's tail does
+    not depend on its batch; products are formed in chunks of at most
+    ROW_CHUNK rows, at which size BLAS sums a chunk alike under any thread
+    count.
     Within a chunk the product J_{k1} J_{k2} J_{k3} is formed once per
     distinct leading triple and each row multiplies it by its last three
     rows, the same left-to-right product as row by row.  The error is the
@@ -454,7 +622,7 @@ def _six_bessel_rows(keys: np.ndarray,
     jc = grid.j_matrix(top - 1)
     w = grid.weights * grid.nodes
     P = grid.cutoff
-    vals = np.empty(keys.shape[0])
+    vals = bessel_product_tail(keys, P)
     for lo in range(0, keys.shape[0], ROW_CHUNK):
         kk = keys[lo:lo + ROW_CHUNK]
         lead = kk[:, :3].astype(np.int64)
@@ -468,7 +636,7 @@ def _six_bessel_rows(keys: np.ndarray,
         prod = part[row]
         for j in range(3, 6):
             prod *= jc[kk[:, j]]
-        vals[lo:lo + ROW_CHUNK] = prod @ w + bessel_product_tail(kk, P)
+        vals[lo:lo + ROW_CHUNK] = prod @ w + vals[lo:lo + ROW_CHUNK]
     return vals, _tail_error_bound(keys, P)
 
 
@@ -512,7 +680,8 @@ def enumerate_keys(N: int) -> np.ndarray:
     """
     ms = np.array(list(itertools.combinations_with_replacement(range(N + 1), 5)),
                   dtype=np.int64)
-    eps = _sign_patterns(5).astype(np.int64)
+    eps = np.array([(1,) + e for e in itertools.product((1, -1), repeat=4)],
+                   dtype=np.int64)
     sums = np.abs(ms @ eps.T)                       # (M, 16)
     keys = np.concatenate([np.repeat(ms, eps.shape[0], axis=0),
                            sums.reshape(-1, 1)], axis=1)

@@ -13,6 +13,8 @@ import mpmath
 import pytest
 import scipy.special as sps
 
+import tscircle.bessel
+
 from tscircle.bessel import (
     DENSITY_PANEL,
     ROW_CHUNK,
@@ -120,6 +122,23 @@ def test_exp_tail_integral_against_mpmath():
                     tol = (1e-13 if float(order).is_integer()
                            else 1e-12 + 2e-8 * abs(ref))
                     assert abs(got - ref) < tol, (omega, order)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.0])
+def test_exp_tail_integral_at_the_default_cutoff(nu):
+    # both members at P = 200, the frequencies of the products and one
+    # slow one (|omega| P = 60): from |omega| P = 40 on the pair comes from
+    # the large-argument series, where each upward recurrence step lost a
+    # factor |omega| P (I_3 was 5.4e-12 off at omega = 2, 1.8e-10 at 6);
+    # the reference is the incomplete-gamma closed form at 40 digits
+    P = 200.0
+    with mpmath.workdps(40):
+        for omega in (2.0, -2.0, 4.0, -4.0, 6.0, -6.0, 0.3):
+            pair = exp_tail_integral(np.array([omega]), nu, P)
+            for got, order in zip(pair, (nu, nu + 1.0)):
+                ref = complex(_exp_tail_reference(omega, order, P))
+                assert abs(complex(got[0]) - ref) < 1e-14 * abs(ref), (omega,
+                                                                        order)
 
 
 def test_exp_tail_integral_zero_frequency():
@@ -355,6 +374,91 @@ def test_bessel_product_tail_phases_against_mpmath():
                    - tail_model_reference(keys[i].tolist(), P, pairs))
                for i in picks]
     assert max(err) < 2.5e-19
+
+
+def test_bessel_product_tail_batch_matches_rows_across_scale_groups():
+    # rows of different scale groupings in one batch: all six scales equal
+    # among rows with one scale apart, a row with two distinct non-unit
+    # scales, repeated rows; each value is bit for bit its own call's
+    P = 200.0
+    orders = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 0, 0], [2, 0, 1, 3, 0, 1],
+                       [1, 4, 0, 2, 2, 5], [0, 0, 0, 0, 0, 0],
+                       [2, 0, 1, 3, 0, 1]])
+    scales = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.7],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 2.5],
+                       [1.0, 0.4, 1.0, 2.5, 1.0, 1.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 0.7],
+                       [1.0, 0.4, 1.0, 2.5, 1.0, 1.0]])
+    batch = bessel_product_tail(orders, P, scales)
+    rows = np.array([bessel_product_tail(o, P, s)
+                     for o, s in zip(orders, scales)])
+    assert np.array_equal(batch.view(np.uint64), rows.view(np.uint64))
+
+
+def density_tail_reference(scales, P):
+    """The two-term tail of prod_j J_0(s_j rho), summed in mpmath over all
+    2^6 sign patterns at the working precision, with the library's
+    (I_2, I_3) at each pattern's frequency, the exact sum of eps_j s_j
+    rounded once, taken as exact.  Returns the value and the sum of the
+    patterns' magnitudes, the scale of its rounding."""
+    s = [mpmath.mpf(x) for x in scales]
+    a = [-mpmath.mpf(1) / 8 if 0.125 <= x * P else 0 for x in scales]
+    total = mag = 0
+    for eps in itertools.product((1, -1), repeat=6):
+        omega = float(sum(e * x for e, x in zip(eps, s)))
+        i2, i3 = (complex(v[0]) for v in
+                  exp_tail_integral(np.array([abs(omega)]), 2.0, P))
+        if omega < 0:
+            i2, i3 = i2.conjugate(), i3.conjugate()
+        A = sum(e * x / y for e, x, y in zip(eps, a, s))
+        term = (mpmath.exp(-1j * mpmath.pi / 4 * sum(eps))
+                * (mpmath.mpc(i2) + 1j * A * mpmath.mpc(i3)))
+        total += term
+        mag += abs(term)
+    pref = (2 / mpmath.pi) ** 3 / mpmath.sqrt(mpmath.fprod(s)) / 64
+    return pref * total.real, pref * mag
+
+
+@pytest.mark.parametrize("P,radii", [(200.0, (0.2, 1.0, 2.5, 4.9)),
+                                     (1600.0, (0.03, 0.05, 0.08, 0.12))])
+def test_density_tails_against_mpmath(P, radii):
+    # the density buckets' J_0(rho)^5 J_0(r rho) tails, at P = 200 and at
+    # the small-radius anchors' P = 1600, against a 40-digit sum over all
+    # 64 sign patterns: within 6e-16 of the patterns' summed magnitude
+    # (measured at most 3.0e-16, and 3.4e-16 by the pattern sums they
+    # replace); dropping any one class is off by orders more
+    scales = np.ones((len(radii), 6))
+    scales[:, 5] = radii
+    got = bessel_product_tail(np.zeros(6, dtype=int), P, scales)
+    with mpmath.workdps(40):
+        for value, row in zip(got, scales):
+            ref, mag = density_tail_reference(row, P)
+            assert abs(mpmath.mpf(value) - ref) < 6e-16 * mag, row
+
+
+def test_bessel_product_tail_integrates_each_frequency_once(monkeypatch):
+    # exp_tail_integral sees each distinct |omega| of a call once, none
+    # negative (I(-omega) = conj I(omega)): for every key at N = 8 only
+    # the class frequencies 0, 2, 4, 6 of six unit-scale factors
+    calls = []
+    real = tscircle.bessel.exp_tail_integral
+
+    def spy(omega, nu, P):
+        calls.append(np.array(omega, dtype=float))
+        return real(omega, nu, P)
+
+    monkeypatch.setattr(tscircle.bessel, "exp_tail_integral", spy)
+    bessel_product_tail(enumerate_keys(8), 200.0)
+    assert len(calls) == 1 and set(calls[0].tolist()) <= {0.0, 2.0, 4.0, 6.0}
+    scales = np.ones((9, 6))
+    scales[:, 5] = np.linspace(0.2, 5.0, 9)
+    bessel_product_tail(np.zeros(6, dtype=int), 200.0, scales)
+    assert len(calls) == 2
+    for omega in calls:
+        assert np.all(omega >= 0.0) and np.unique(omega).size == omega.size
 
 
 def test_tensor_keeps_storage_order_and_sorts_any_other(monkeypatch):

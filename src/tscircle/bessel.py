@@ -14,14 +14,13 @@ factor is replaced by its large-argument form
     J_n(rho) ~ sqrt(2/(pi rho)) [cos chi_n - (a_n/rho) sin chi_n],
     chi_n = rho - n pi/2 - pi/4,    a_n = (4 n^2 - 1)/8,
 
-the product is expanded into its oscillation classes (the factors of equal
-scale taken together, see bessel_product_tail), and
+the product is expanded into its oscillation classes (see
+bessel_product_tail), and
 
     I_nu(omega) = int_P^oo rho^-nu e^{i omega rho} drho
 
-is evaluated exactly through the exponential integral (integer nu) or
-Fresnel integrals (half-integer nu), or, from |omega| P = 40 on, through
-its large-argument series.  The head is one quadrature pass on a
+is evaluated exactly through the exponential integral (integer nu), or,
+from |omega| P = 40 on, through its large-argument series.  The head is one quadrature pass on a
 grid sized from the highest frequency w in play, 32-point panels of length
 57/w, 3.5 nodes per wavelength (see RadialGrid), so every reported error
 bound is the tail model's bound.  First-order 1/rho terms are kept,
@@ -47,7 +46,6 @@ from .errors import (AdmissibilityError, CacheError, ConfigError,
 
 DEFAULT_CUTOFF = 200.0
 PRODUCT_PANEL = 57.0 / 6          # frequency <= 6: six-factor products
-DENSITY_PANEL = 57.0 / 10         # frequency <= 10: the Hankel densities
 ROW_CHUNK = 256                   # six-Bessel rows per product block
 HANKEL_RHO = 30.0                 # J_0, J_1 from their Hankel series from here
 HANKEL_TERMS = 17                 # series terms a_0..a_16
@@ -171,23 +169,18 @@ class RadialGrid:
     32-point panels of length 57/w, 2 pi 32/57 = 3.5 nodes per wavelength.
     Six-factor Bessel products (tensor, polar route, L^6 norm, T_0)
     oscillate at frequency <= 6 and take the default panel 57/6, K = 704
-    nodes at P = 200; the density integrands J_0(rho)^k J_0(r rho) reach
-    k + r <= 10, with r in the support [0, k], and take panel 57/10
-    (DENSITY_PANEL), K = 1152.  The largest head deviation of each default
-    grid from 16-point panels of 5/w (about 20 nodes per wavelength), next
-    to that of the 16-point panels of 20/w (five nodes per wavelength,
-    K = 960 and 1600) that this rule replaced; a test bounds the rows by
-    3e-16 and 2e-17 and the mu_5 heads by 7e-16:
+    nodes at P = 200.  The largest head deviation of the default grid from
+    16-point panels of 5/w (about 20 nodes per wavelength), next to that
+    of the 16-point panels of 20/w (five nodes per wavelength, K = 960)
+    that this rule replaced; a test bounds the rows by 3e-16 and 2e-17:
 
         heads                                    57/w, 32 pt   20/w, 16 pt
         six-factor rows, enumerate_keys(8)       2.2e-16       1.5e-16
         2000 six-factor rows, orders <= 80       5.1e-18       4.5e-18
-        mu_5 at 49 radii in [0.2, 5], P = 200    3.9e-16       5.0e-16
-        mu_5 at 49 radii in [0.2, 5], P = 1600   5.0e-16       5.6e-16
 
-    16-point panels of length 5 put a six-factor row 1.1e-11 off and a
-    mu_5 head 8.7e-6 off.  Nodes are strictly interior, weights positive
-    and summing to P to rounding.
+    16-point panels of length 5 put a six-factor row 1.1e-11 off.  Nodes
+    are strictly interior, weights positive and summing to P to
+    rounding.
     """
 
     PANEL_NODES = 32     # Gauss-Legendre nodes per panel
@@ -270,9 +263,8 @@ class RadialGrid:
 
 
 @lru_cache(maxsize=16)
-def _default_grid(cutoff: float = DEFAULT_CUTOFF,
-                  panel: float = PRODUCT_PANEL) -> RadialGrid:
-    return RadialGrid(cutoff, panel)
+def _default_grid(cutoff: float = DEFAULT_CUTOFF) -> RadialGrid:
+    return RadialGrid(cutoff)
 
 
 def default_grid(cutoff: float = DEFAULT_CUTOFF) -> RadialGrid:
@@ -283,23 +275,13 @@ def default_grid(cutoff: float = DEFAULT_CUTOFF) -> RadialGrid:
 # closed-form tails
 # ---------------------------------------------------------------------------
 
-def _fresnel_complement(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """int_a^oo e^{i omega u^2} du for real omega != 0, a > 0."""
-    om = np.abs(omega)
-    arg = a * np.sqrt(2.0 * om / np.pi)
-    s, c = _sp.fresnel(arg)
-    full = 0.5 * np.sqrt(np.pi / om) * np.exp(0.25j * np.pi)
-    val = full - np.sqrt(np.pi / (2.0 * om)) * (c + 1j * s)
-    return np.where(omega > 0, val, np.conj(val))
-
-
 def exp_tail_integral(omega, nu: float, P: float):
     """The pair (I_nu, I_{nu+1}) of I_nu(omega) = int_P^oo rho^-nu
-    e^{i omega rho} drho, nu > 1.  Vectorized over the array omega.
+    e^{i omega rho} drho, nu > 1 an integer (ConfigError otherwise).
+    Vectorized over the array omega.
 
-    Below |omega| P = SERIES_X the pair comes from one upward recurrence:
-    integer nu builds up from E1, half-integer nu from Fresnel integrals.
-    Each upward step loses a factor of about |omega| P, so from SERIES_X on
+    Below |omega| P = SERIES_X the pair comes from one upward recurrence
+    from I_1 = E1(-i omega P).  Each upward step loses a factor of about |omega| P, so from SERIES_X on
     I_{nu+1} is the large-argument series
 
         I_mu = (i/omega) P^-mu e^{i omega P} sum_k (mu)_k (-i/(omega P))^k
@@ -310,6 +292,8 @@ def exp_tail_integral(omega, nu: float, P: float):
     I_nu = (i/omega) (P^-nu e^{i omega P} - nu I_{nu+1}), which is stable
     there.  Each value depends on its own omega alone.
     """
+    if not float(nu).is_integer():
+        raise ConfigError(f"tail integral order nu = {nu} is not an integer")
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.empty((2,) + om.shape, dtype=complex)
     zero = om == 0.0
@@ -345,14 +329,9 @@ def exp_tail_integral(omega, nu: float, P: float):
     nz = ~zero & ~far
     if np.any(nz):
         w = om[nz]
-        if float(nu).is_integer():
-            cur = _sp.exp1(-1j * w * P)          # I_1
-            base = 1.0
-        else:
-            cur = 2.0 * _fresnel_complement(np.sqrt(P), w)   # I_{1/2}
-            base = 0.5
+        cur = _sp.exp1(-1j * w * P)          # I_1
         e = np.exp(1j * w * P)
-        k = base
+        k = 1.0
         while k < nu + 0.5:                 # the last step is I_nu -> I_nu+1
             prev, cur = cur, e / (k * P ** k) + (1j * w / k) * cur
             k += 1.0
@@ -388,165 +367,88 @@ def _class_weights(m: int) -> np.ndarray:
     return K
 
 
-def _class_table(weights, g, turn, ev, sig):
-    """The classes of U rows of one group structure that enter the tail:
-    phase and omega >= 0, each (U, H), and the integer weights,
-    (1 + 2 len(g), U, H).
-
-    Group G holds g[G] factors of scale sig[G], ev[G] of them of even
-    order; turn is sum (2 n_j + 1) mod 8.  Weight 0 is that of I_nu, and
-    weights 1 + 2G and 2 + 2G are those of -i I_{nu+1} for the b of group
-    G's even and odd factors.  Of the F = prod(g + 1) choices of p per
-    group, column f and its mirror p -> g - p, column F - 1 - f, have
-    omega of opposite sign and conjugate terms, so each row keeps of every
-    pair the one with omega > 0 (the first, if omega = 0) at weight 2, and
-    the self-mirror class at weight 1: H = ceil(F/2) classes, from the
-    fastest to the slowest, which carries the most mass, so that it is
-    added last.
-    """
-    p = np.indices(g + 1).reshape(len(g), -1)
-    F = p.shape[1]
-    omega = (2 * p[0] - g[0]) * sig[0][:, None]
-    for G in range(1, len(g)):
-        omega = omega + (2 * p[G] - g[G]) * sig[G][:, None]
-    col = np.arange(F)
-    keep = (omega > 0) | ((omega == 0) & (col <= F - 1 - col))
-    U, H = len(omega), (F + 1) // 2
-    f = np.nonzero(keep)[1].reshape(U, H)
-    slow = np.argsort(-omega[keep].reshape(U, H), axis=1, kind="stable")
-    f = np.take_along_axis(f, slow, axis=1)
-    p = p[:, f]                             # (len(g), U, H)
-    phase = _ROOTS8[(-turn[:, None] - 2 * p.sum(axis=0)) % 8]
-    # K at e - 1, e, e + 1 per group: the 1/rho part of an even factor
-    # moves e down, of an odd one up, with a factor -1
-    own = [weights[g[G]][ev[G][:, None] + np.arange(3)[:, None, None], p[G]]
-           for G in range(len(g))]
-    W = np.empty((1 + 2 * len(g), U, H), dtype=np.int64)
-    for G in range(len(g)):
-        rest = 1
-        for other in range(len(g)):
-            if other != G:
-                rest = rest * own[other][1]
-        W[1 + 2 * G], W[2 + 2 * G] = own[G][0] * rest, own[G][2] * rest
-    W[0] = own[-1][1] * rest                # rest: every group but the last
-    W *= np.where(f == F - 1 - f, 1, 2)
-    return phase, np.take_along_axis(omega, f, axis=1), W
+def _class_table(weights, m, turn, ev):
+    """Phase and omega >= 0, each (U, H), and the integer weights
+    (3, U, H) of the tail's classes, for U rows of m factors with ev even
+    orders and turn = sum (2 n_j + 1) mod 8.  Weight 0 is that of I_nu,
+    weights 1 and 2 those of -i I_{nu+1} for the b of the even and the odd
+    factors.  Class p and its mirror m - p have conjugate terms, so the
+    classes with omega = 2p - m > 0 enter at weight 2 and p = m/2 at 1:
+    H = m//2 + 1 classes, fastest first, so the slowest, which carries the
+    most mass, is added last."""
+    p = np.arange(m, (m - 1) // 2, -1)      # omega = 2p - m > 0, then 0
+    U = len(turn)
+    phase = _ROOTS8[(-turn[:, None] - 2 * p) % 8]
+    # K at e - 1, e, e + 1: the 1/rho part of an even factor moves e down,
+    # of an odd one up, with a factor -1
+    own = weights[m][ev[:, None] + np.arange(3)[:, None, None], p]
+    W = own[[1, 0, 2]] * np.where(2 * p == m, 1, 2)
+    omega = np.broadcast_to((2 * p - m).astype(float), (U, p.size))
+    return phase, omega, W
 
 
-def bessel_product_tail(orders, P: float, scales=None):
-    """Closed-form int_P^oo rho prod_i J_{n_i}(s_i rho) drho (orders >= 0).
+def bessel_product_tail(orders, P: float):
+    """Closed-form int_P^oo rho prod_i J_{n_i}(rho) drho (orders >= 0).
 
-    `orders` and `scales` are each one row of m entries or a stack of rows;
-    stacks broadcast row by row.  Returns a float when both are single rows,
-    else one value per row.
+    `orders` is one row of m entries or a stack of rows.  Returns a float
+    for a single row, else one value per row.
 
-    Each factor's two-term form is (1/2) sqrt(2/(pi s rho)) tau^-1
-    [(ubar + u t) + (i b/rho)(u t - ubar)], tau = e^{i s rho}, t = tau^2,
-    u = e^{-i pi (2n + 1)/4}, b = a_n/s.  Since u^2 = -i for even n and +i
-    for odd n, a group of g factors of equal scale multiplies out to
-    prod(ubar) (1 - i t)^e (1 + i t)^(g - e), e of its orders even: its
-    class p, the power of t, oscillates at (2p - g) s with the integer
-    weight K_p(e, g) of t^p in (1 - t)^e (1 + t)^(g - e) (_class_weights)
-    times i^p.  The 1/rho part of factor j is the same product with e
-    moved by one, away from j's parity, and a factor -1.  So each row is
-    grouped by scale, its classes are the products of its groups', and
-    every phase is prod(ubar) i^(sum p), an exact multiple of pi/4 read
-    from the eighth roots of unity at an integer mod 8.
+    Each factor's two-term form is (1/2) sqrt(2/(pi rho)) tau^-1
+    [(ubar + u t) + (i b/rho)(u t - ubar)], tau = e^{i rho}, t = tau^2,
+    u = e^{-i pi (2n + 1)/4}, b = a_n.  Since u^2 = -i for even n and +i
+    for odd n, the m factors multiply out to prod(ubar) (1 - i t)^e
+    (1 + i t)^(m - e), e of the orders even: class p, the power of t,
+    oscillates at 2p - m with the integer weight K_p(e, m) of t^p in
+    (1 - t)^e (1 + t)^(m - e) (_class_weights) times i^p.  The 1/rho part
+    of factor j is the same product with e moved by one, away from j's
+    parity, and a factor -1.  Every phase is prod(ubar) i^p, an exact
+    multiple of pi/4 read from the eighth roots of unity at an integer
+    mod 8.
 
-    The tail is then h + sum over (group, parity) of B G, where B sums the
-    b of that group's factors of that parity, and h and G are class sums
-    of I_nu and I_{nu+1} (nu = m/2 - 1) that depend only on the scales,
-    the order sum mod 8 and the even counts.  Rows sharing these share h
-    and G, so six unit-scale factors cost O(m) per row.  Each distinct
-    |omega| is integrated once, I(-omega) being conj I(omega).  A row's
-    value depends on that row alone: its groups are its own, and every
-    sum runs in a fixed order, without matrix products.
+    The tail is h + B_even G_even + B_odd G_odd, B the sum of the b of
+    the factors of that parity, h and G class sums of I_nu and I_{nu+1}
+    (nu = m/2 - 1) shared by rows of equal order sum mod 8 and even count.
+    Each distinct |omega| is integrated once, I(-omega) = conj I(omega).
+    A row's value depends on that row alone: every sum runs in a fixed
+    order, without matrix products.
     """
     orders = np.asarray(orders, dtype=int)
-    s = (np.ones(orders.shape[-1]) if scales is None
-         else np.asarray(scales, dtype=float))
-    if not np.all(s > 0):
-        raise PreconditionError("tail scales must be positive")
-    single = orders.ndim == 1 and s.ndim == 1
-    orders, s = np.broadcast_arrays(np.atleast_2d(orders), np.atleast_2d(s))
-    if not len(s):
+    single = orders.ndim == 1
+    orders = np.atleast_2d(orders)
+    if not len(orders):
         return np.empty(0)
     m = orders.shape[1]
-    b = first_order_coeff(orders, s, P) / s
-    if np.any(s[:, 1:] < s[:, :-1]):                # equal scales adjacent
-        perm = np.argsort(s, axis=1, kind="stable")
-        s, orders, b = (np.take_along_axis(x, perm, axis=1)
-                        for x in (s, orders, b))
-    prod, total = s[:, 0], orders[:, 0]             # in column order
+    b = first_order_coeff(orders, 1.0, P)
+    total = orders[:, 0]                            # in column order
     for j in range(1, m):
-        prod, total = prod * s[:, j], total + orders[:, j]
-    pref = (2.0 / np.pi) ** (0.5 * m) / np.sqrt(prod) / 2.0 ** m
+        total = total + orders[:, j]
+    pref = (2.0 / np.pi) ** (0.5 * m) / 2.0 ** m
     turn = (2 * total + m) % 8                      # sum (2 n_j + 1) mod 8
     even = (orders & 1) == 0
-    b_even = np.where(even, b, 0.0)
-    b_odd = b - b_even
-    head = np.ones(s.shape, dtype=bool)             # a group starts here
-    head[:, 1:] = s[:, 1:] != s[:, :-1]
-    shape = np.zeros(len(s), dtype=np.int64)        # the group sizes, as bits
-    for j in range(1, m):
-        shape = 2 * shape + head[:, j]
-
-    weights = _class_weights(m)
-    parts = []
-    for code in np.unique(shape):
-        rows = shape == code
-        lo = np.flatnonzero(head[np.argmax(rows)])
-        hi = np.append(lo[1:], m)
-        if rows.all():
-            rows = slice(None)                      # views, not copies
-        be, bo = b_even[rows], b_odd[rows]
-        sig = [s[rows, a] for a in lo]
-        ev = [even[rows, a:z].sum(axis=1) for a, z in zip(lo, hi)]
-        B = []                                      # per group: even, odd
-        for a, z in zip(lo, hi):
-            for part in (be, bo):
-                acc = part[:, a]                    # in column order
-                for j in range(a + 1, z):
-                    acc = acc + part[:, j]
-                B.append(acc)
-        # rows of equal (turn, even counts, scales) share h and G; a scale
-        # equal in every row needs no sorting
-        key = turn[rows]
-        for e in ev:
-            key = key * (m + 1) + e
-        cols = [x for x in sig if not np.all(x == x[0])] + [key]
-        order = np.lexsort(cols)
-        new = np.zeros(len(order), dtype=bool)
-        new[:1] = True
-        for x in cols:
-            new[1:] |= x[order[1:]] != x[order[:-1]]
-        first = order[new]
-        inv = np.empty(len(order), dtype=np.int64)
-        inv[order] = np.cumsum(new) - 1
-        parts.append((rows, inv, B) + _class_table(
-            weights, hi - lo, turn[rows][first],
-            [e[first] for e in ev], [x[first] for x in sig]))
-
-    freq, slot = np.unique(np.concatenate([pt[4].ravel() for pt in parts]),
-                           return_inverse=True)
+    ev = even.sum(axis=1)
+    B = []
+    for part in (np.where(even, b, 0.0), np.where(even, 0.0, b)):
+        acc = part[:, 0]                            # in column order
+        for j in range(1, m):
+            acc = acc + part[:, j]
+        B.append(acc)
+    # rows of equal (turn, even count) share h and G
+    _, first, inv = np.unique(turn * (m + 1) + ev, return_index=True,
+                              return_inverse=True)
+    phase, omega, W = _class_table(_class_weights(m), m, turn[first],
+                                   ev[first])
+    freq, k = np.unique(omega, return_inverse=True)
     i2, i3 = exp_tail_integral(freq, 0.5 * m - 1.0, P)
-    out = np.empty(len(s))
-    at = 0
-    for rows, inv, B, phase, omega, W in parts:
-        k = slot[at:at + omega.size].reshape(omega.shape)
-        at += omega.size
-        # Re(phase I_nu) and Im(phase I_nu+1) in real arithmetic: numpy's
-        # complex product is not bitwise commutative, and temporary elision
-        # may swap its operands in large arrays
-        c, d, x, y = phase.real, phase.imag, i2[k], i3[k]
-        zh, zG = c * x.real - d * x.imag, c * y.imag + d * y.real
-        h, G = W[0, :, 0] * zh[:, 0], W[1:, :, 0] * zG[:, 0]
-        for f in range(1, W.shape[2]):
-            h, G = h + W[0, :, f] * zh[:, f], G + W[1:, :, f] * zG[:, f]
-        acc = B[0] * G[0][inv]
-        for Bk, Gk in zip(B[1:], G[1:]):
-            acc = acc + Bk * Gk[inv]
-        out[rows] = pref[rows] * (acc + h[inv])
+    k = k.reshape(omega.shape)
+    # Re(phase I_nu) and Im(phase I_nu+1) in real arithmetic: numpy's
+    # complex product is not bitwise commutative, and temporary elision
+    # may swap its operands in large arrays
+    c, d, x, y = phase.real, phase.imag, i2[k], i3[k]
+    zh, zG = c * x.real - d * x.imag, c * y.imag + d * y.real
+    h, G = W[0, :, 0] * zh[:, 0], W[1:, :, 0] * zG[:, 0]
+    for f in range(1, W.shape[2]):
+        h, G = h + W[0, :, f] * zh[:, f], G + W[1:, :, f] * zG[:, f]
+    out = pref * (B[0] * G[0][inv] + B[1] * G[1][inv] + h[inv])
     return float(out[0]) if single else out
 
 

@@ -36,7 +36,7 @@ from .bessel import (DEFAULT_CUTOFF, BesselTensor, build_tensor, default_grid,
                      radial_integrate, six_bessel_integral)
 from .errors import CacheError, ConfigError, NumericalError, PreconditionError
 from .extension import decay_check, extend, l6_norm
-from .quintic import _hankel_density, auto_density, el_quintic, mu_value
+from .quintic import _ring_mean, auto_density, el_quintic, mu_value
 from .regularity import (calH_estimate, decay_slope, regularity_profile,
                          sharp_flat_split, smoothing_experiment, square_wave)
 from .solver import (AscentConfig, ascend, decompose, expansion_residual,
@@ -284,11 +284,11 @@ def cmd_extend(args):
     return payload, oracle
 
 
-@command("density", {"--k": 5, "--n-points": 801, "--cutoff": DEFAULT_CUTOFF},
+@command("density", {"--k": 5, "--n-points": 801},
          {"k", "mass", "mass_expected", "sup", "arg_sup"},
          csv=("radii", "values", ("r", "value")))
 def cmd_density(args):
-    dens = auto_density(args.k, n_points=args.n_points, cutoff=args.cutoff)
+    dens = auto_density(args.k, n_points=args.n_points)
     payload = {
         "k": dens.k,
         "mass": float(dens.mass),
@@ -309,25 +309,27 @@ def cmd_density(args):
             out["mass_rel_error"] = (abs(dens.mass - dens.mass_expected)
                                      / dens.mass_expected)
         else:
-            # the closed form against the Hankel route at the same cutoff
+            # the closed form against (2 pi)^k A(r, s), the convolution
+            # route's kernel, with s the length of the other k - 2 steps
             rr = np.array([0.3, 0.9, 1.5] if args.k == 2 else [0.5, 1.5, 2.5])
             exact = np.array([mu_value(args.k, r) for r in rr])
-            got = TAU ** (args.k - 1) * _hankel_density(args.k, rr, args.cutoff)
-            out["hankel_route_max_rel_gap"] = float(
+            got = TAU ** args.k * _ring_mean(rr, float(args.k - 2))
+            out["convolution_route_max_rel_gap"] = float(
                 np.max(np.abs(got - exact) / exact))
         if args.k == 5:
-            lam0 = lambda0_value(default_grid(args.cutoff))
+            # lambda_0 carries the two-term tail model's error at P = 200
+            lam0 = lambda0_value(default_grid())
             out["value_at_1_vs_lambda0_rel"] = float(
-                abs(mu_value(5, 1.0, args.cutoff) - lam0) / lam0)
+                abs(mu_value(5, 1.0) - lam0) / lam0)
         return out
 
     return payload, oracle
 
 
-@command("sup-bound", {"--k": 5, "--n-points": 1001, "--cutoff": DEFAULT_CUTOFF},
+@command("sup-bound", {"--k": 5, "--n-points": 1001},
          {"k", "sup", "at_radius", "mass_rel_error"})
 def cmd_sup_bound(args):
-    dens = auto_density(args.k, n_points=args.n_points, cutoff=args.cutoff)
+    dens = auto_density(args.k, n_points=args.n_points)
     sup = dens.sup()
     payload = {
         "k": dens.k,
@@ -339,8 +341,7 @@ def cmd_sup_bound(args):
     }
 
     def oracle():
-        fine = auto_density(args.k, n_points=2 * args.n_points - 1,
-                            cutoff=args.cutoff).sup()
+        fine = auto_density(args.k, n_points=2 * args.n_points - 1).sup()
         drift = abs(fine - sup) / max(abs(sup), 1e-300)
         return {"sup_drift_on_doubling": float(drift)}
 

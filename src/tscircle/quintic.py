@@ -44,33 +44,29 @@ self-convolutions of arclength measure,
 
 that is (2 pi)^{k-1} p_k(r)/r, p_k the density of the distance after k unit
 steps of a uniform planar random walk: mu_2 and mu_3 in closed form, mu_4
-and mu_5 through that Hankel integral, a closed-form tail past the cutoff
-plus a head on the density grid.  The heads of a profile, the J_0(r rho)
-samples of 128 radii at a time against one weight row, are most of its
-cost; they are dealt alternately to the calling thread and one helper
-thread, which computes nothing but those samples and their products and
-is started and joined inside the call, so each value is bit for bit the
-one-thread sum and no thread outlives the call (_hankel_density).
+and mu_5 as the radial convolution of mu_2 with mu_2 or mu_3, one integral
+of p_{k-2} against a complete elliptic integral (_convolution_density).
+No Bessel function, radial cutoff or tail model enters them, and no
+density call starts a thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from .bessel import (DEFAULT_CUTOFF, DENSITY_PANEL, BesselTensor, RadialGrid,
-                     _default_grid, bessel_product_tail, check_cutoff,
-                     default_grid, parity_sign)
+from .bessel import BesselTensor, RadialGrid, default_grid, parity_sign
 from .errors import ConfigError, PreconditionError, SingularRadiusError
 from .extension import _polar_fields, _polar_reduce, i_pow
 from .spectral import TAU, CircleFunction, l2_norm, rotate
 
 SINGULAR_RADII = {2: (0.0, 2.0), 3: (1.0, 3.0), 4: (0.0, 2.0, 4.0), 5: ()}
 EXCLUSION = 0.05          # half-width of the mask around each singular radius
-HANKEL_FLOOR = 0.025      # smallest radius the Hankel buckets integrate
+DE_NODES = 81             # tanh-sinh nodes per piece of the density integrals
+DE_SPAN = 4.0             # ... at t in [-DE_SPAN, DE_SPAN]
+RADIUS_BLOCK = 100        # density radii per block
 
 
 # ---------------------------------------------------------------------------
@@ -287,114 +283,125 @@ def _mu2(r):
     return out
 
 
+def _mu3_gap(r, d):
+    """mu_3 at r <= 3 with d = 1 - r formed by the caller: Pearson's elliptic
+    form of p_3 (Borwein, Straub, Wan and Zudilin, Densities of short uniform
+    random walks, 2012), p_3(r) = 4r K(m)/(pi^2 sqrt((3 - r)(1 + r)^3)),
+    m = 16r/((3 - r)(1 + r)^3), so mu_3 = (2 pi)^2 p_3/r.  ellipkm1 takes
+    1 - m = d^3 (3 + r)/((3 - r)(1 + r)^3), a product; past r = 1, m > 1 and
+    K(m) = K(1/m)/sqrt(m), with 1 - 1/m = (-d)^3 (3 + r)/(16 r).  So the log
+    singularity at r = 1 keeps its digits however small d is, and r = 0 and
+    r = 3 are finite."""
+    past = d <= 0.0
+    c = np.where(past, 16.0 * r, (3.0 - r) * (1.0 + r) ** 3)
+    K = _sp.ellipkm1(np.abs(d) ** 3 * (3.0 + r) / c)
+    return np.where(past, 4.0, 16.0) * K / np.sqrt(np.where(past, r, c))
+
+
 def _mu3(r):
-    """(2 pi)^2 p_3(r)/r, with Borwein, Straub, Wan and Zudilin's (Densities
-    of short uniform random walks, 2012) p_3(r) = (2 sqrt 3/pi) r/(3 + r^2)
-    2F1(1/3, 2/3; 1; z): finite at 0, log-singular at 1 (z = 1), zero past
-    3.  1 - z is formed as 27 (1 - r^2)^2/(3 + r^2)^3, so z <= 1."""
-    r2 = np.asarray(r, dtype=float) ** 2
-    z = 1.0 - 27.0 * (1.0 - r2) ** 2 / (3.0 + r2) ** 3
-    val = (TAU ** 2 * 2.0 * np.sqrt(3.0) / np.pi / (3.0 + r2)
-           * _sp.hyp2f1(1.0 / 3.0, 2.0 / 3.0, 1.0, z))
-    return np.where(r2 > 9.0, 0.0, val)
+    """(2 pi)^2 p_3(r)/r: finite at 0, log-singular at 1, zero past 3."""
+    r = np.asarray(r, dtype=float)
+    inner = np.minimum(r, 3.0)
+    return np.where(r > 3.0, 0.0, _mu3_gap(inner, 1.0 - inner))
 
 
-def _hankel_heads(jobs, buf: np.ndarray) -> list:
-    """j0(outer(r, nodes)) @ w for each job (r, nodes, w), the J_0 samples
-    formed in place in the flat buffer buf.  numpy and scipy only, on the
-    arrays handed in, so it may run off the calling thread."""
-    heads = []
-    for r, nodes, w in jobs:
-        x = buf[:r.size * nodes.size].reshape(r.size, nodes.size)
-        np.multiply.outer(r, nodes, out=x)
-        heads.append(_sp.j0(x, out=x) @ w)
-    return heads
+def _ring_kernel(r, s, q, g, two_minus_q, two_plus_q):
+    """(pi^3/2) A(r, s) (see _convolution_density) from r, s and the four
+    quantities q = r - s, g = p - 2, 2 - q and 2 + q, p = r + s, each
+    formed by the caller; p < 2 where g < 0."""
+    D = np.where(g < 0.0, (r + s) ** 2 * (two_minus_q * two_plus_q),
+                 16.0 * r * s)
+    return _sp.ellipkm1(q * q * (np.abs(g) * (4.0 + g)) / D) / np.sqrt(D)
 
 
-def _mu5_at_zero(cutoff: float) -> float:
-    """int_0^oo J_0^5 rho drho: mu_5(0)/(2 pi)^4, on _hankel_density's grid
-    and J_0 row."""
-    g = _default_grid(cutoff, DENSITY_PANEL)
-    head = float(g.weights @ (g.j_matrix(0)[0] ** 5 * g.nodes))
-    return head + bessel_product_tail(np.zeros(5, int), cutoff)
+def _ring_mean(r, s):
+    """A(r, s), its four quantities formed by subtraction: (2 pi)^k
+    A(r, k - 2) is mu_k for k = 2, 3, s the length of the other steps."""
+    return 2.0 / np.pi ** 3 * _ring_kernel(r, s, r - s, r + s - 2.0,
+                                           2.0 - r + s, 2.0 + r - s)
 
 
-def _hankel_density(k: int, radii: np.ndarray, base_cutoff: float) -> np.ndarray:
-    """mu_k/(2 pi)^{k-1} on a radius grid; per-radius effective cutoff keeps
-    the last factor's asymptotics valid (r * P >= 40).  Below HANKEL_FLOOR
-    mu_5 is an even quadratic in r^2 through mu_5(0) (_mu5_at_zero, as
-    mu_value reports it), its other two coefficients fit to four exactly
-    computed anchors; mu_4, which diverges logarithmically at 0, is left
-    NaN.
+def _de_rule(nodes: int):
+    """Takahasi and Mori's tanh-sinh rule on [0, 1], t in [-DE_SPAN,
+    DE_SPAN]: the nodes nearer 0, each node's signed offset from its nearer
+    end, and the weights."""
+    t = np.linspace(-DE_SPAN, DE_SPAN, nodes)
+    u = 0.5 * np.pi * np.sinh(t)
+    left = t < 0
+    offset = np.where(left, 1.0 / (1.0 + np.exp(-2.0 * u)),
+                      -1.0 / (1.0 + np.exp(2.0 * u)))
+    weights = (t[1] - t[0]) * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    return left, offset, weights
 
-    Each value is its tail, one bessel_product_tail call per bucket, plus
-    its head: the samples J_0(r rho) at the bucket grid's nodes against the
-    row w of J_0^k rho times the quadrature weights.  Every bucket, the
-    anchors' too, integrates up to at least base_cutoff.  The heads, most
-    of the work, run as jobs of 128 radii dealt alternately to two lanes,
-    the calling thread and one helper thread, since scipy's j0 and the
-    matrix-vector product release the GIL.  The calling thread resolves
-    every grid, J_0 row and w before it hands out a job, because
-    RadialGrid.j_matrix fills its rows in place and is not thread-safe; it
-    also allocates each lane's buffer.  The helper runs _hankel_heads
-    alone, no other tscircle function, and lives for this call only: the
-    caller starts it by submitting the helper's lane, forms the tails, runs
-    its own lane, joins it, and adds each head into its tail, bit for bit
-    the one-thread sum.  A call of one job submits nothing and starts no
-    thread."""
-    vals = np.full(radii.shape, np.nan)
-    edges = [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
-             (0.05, max(800.0, base_cutoff)),
-             (HANKEL_FLOOR, max(1600.0, base_cutoff))]
-    buckets = []                             # (selector, radii, cutoff)
-    prev = np.inf
-    for edge, cut in edges:
-        sel = (radii >= edge) & (radii < prev)
-        prev = edge
-        if np.any(sel):
-            buckets.append((sel, radii[sel], cut))
-    tiny = radii < HANKEL_FLOOR
-    fit = k == 5 and bool(np.any(tiny))
-    if fit:
-        anchors = np.array([0.03, 0.05, 0.08, 0.12])
-        buckets.append((None, anchors, max(1600.0, base_cutoff)))
-    jobs = []
-    for _, rr, cut in buckets:
-        g = _default_grid(cut, DENSITY_PANEL)
-        w = (g.j_matrix(0)[0] ** k) * g.nodes * g.weights
-        jobs += [(rr[lo:lo + 128], g.nodes, w)
-                 for lo in range(0, rr.size, 128)]
-    size = max(r.size * nodes.size for r, nodes, _ in jobs)
-    # the executor starts its thread on the first submit and joins it on
-    # leaving the block
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="tscircle-hankel") as pool:
-        helper = (pool.submit(_hankel_heads, jobs[1::2], np.empty(size))
-                  if len(jobs) > 1 else None)
-        tails = []
-        for _, rr, cut in buckets:
-            scales = np.ones((rr.size, k + 1))
-            scales[:, k] = rr
-            tails.append(bessel_product_tail(np.zeros(k + 1, int), cut,
-                                             scales))
-        heads = [None] * len(jobs)
-        heads[::2] = _hankel_heads(jobs[::2], np.empty(size))
-        if helper is not None:
-            heads[1::2] = helper.result()
-    it = iter(heads)
-    for (sel, rr, _), out in zip(buckets, tails):
-        for lo in range(0, rr.size, 128):
-            out[lo:lo + 128] += next(it)
-        if sel is not None:
-            vals[sel] = out
-    if fit:
-        a0 = _mu5_at_zero(base_cutoff)
-        x = anchors ** 2
-        c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1), tails[-1] - a0,
-                              rcond=None)[0]
-        coef = np.concatenate([[a0], c12])
-        vals[tiny] = np.polynomial.polynomial.polyval(radii[tiny] ** 2, coef)
-    return vals
+
+def _break_points(k: int, r: np.ndarray) -> np.ndarray:
+    """Per radius, (radii, points): the ends max(0, r - 2) and
+    min(k - 2, r + 2) of the support of s -> p_{k-2}(s) A(r, s) and where
+    it is singular inside: s = r and s = |2 - r| (A's logs), and s = 1 for
+    k = 5 (p_3's log)."""
+    pts = [np.maximum(0.0, r - 2.0), np.minimum(k - 2.0, r + 2.0), r,
+           np.abs(2.0 - r)]
+    return np.stack(pts + [np.ones_like(r)] * (k == 5), axis=1)
+
+
+def _convolution_density(k: int, radii: np.ndarray,
+                         nodes: int = None) -> np.ndarray:
+    """mu_k = (2 pi)^k rho_2 * rho_{k-2} for k = 4, 5, rho_j the planar
+    density of j unit steps, rho_j(x) = p_j(|x|)/(2 pi |x|).  In polar
+    coordinates about 0,
+
+        mu_k(r) = (2 pi)^k int p_{k-2}(s) A(r, s) ds,
+        A(r, s) = (1/2 pi) int_0^{2 pi} rho_2(|r - s e^{i theta}|) dtheta,
+
+    with rho_2(t) = 1/(pi^2 t sqrt(4 - t^2)).  With u = |r - s e^{i theta}|^2,
+    A = pi^-3 int du/sqrt(u (4 - u)(u - q^2)(p^2 - u)) over q^2 < u <
+    min(p^2, 4), p = r + s, q = r - s: a complete elliptic integral in its
+    four roots 0, q^2, p^2 and 4,
+
+        A = (2/pi^3) K(m)/sqrt(D),   1 - m = q^2 |4 - p^2| / D,
+        D = p^2 (4 - q^2)  for p < 2,   D = 16 r s  for p >= 2,
+
+    nonzero for |q| < 2.  So s runs over [max(0, r - 2), min(k - 2, r + 2)],
+    cut at A's logs s = r (q = 0) and s = 2 - r (p = 2) and at p_3's log
+    s = 1; p_2's inverse square root at s = 2 (p_2(s) = 2/(pi sqrt(4 -
+    s^2))) and the jumps of A at |q| = 2 and of p_3 at 3 sit at piece ends.
+    mu_5(0) needs no special case.  Each piece takes the tanh-sinh rule
+    (_de_rule), and each quantity that vanishes at a singular point c,
+    q, p - 2, 2 - q, 2 + q, 1 - s and 2 - s, is formed as (end - c) +
+    offset from its node's own end: exactly the offset where c is that end.
+    ellipkm1 takes 1 - m as the product above, never as a difference.
+
+    Radii go RADIUS_BLOCK at a time, each block's nonempty pieces as the
+    rows of one array, so the work and the memory per block are bounded;
+    each value is a row sum in a fixed order, BLAS-free."""
+    nodes = DE_NODES if nodes is None else nodes
+    left, offset, weights = _de_rule(nodes)
+    out = np.empty(radii.size)
+    for i in range(0, radii.size, RADIUS_BLOCK):
+        rr = radii[i:i + RADIUS_BLOCK]
+        pts = _break_points(k, rr)
+        pts = np.sort(np.clip(pts, pts[:, :1], pts[:, 1:2]), axis=1)
+        a, b = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+        own = np.repeat(np.arange(rr.size), pts.shape[1] - 1)
+        keep = b > a
+        own, a, b = own[keep], a[keep, None], b[keep, None]
+        r = rr[own, None]
+        end = np.where(left, a, b)
+        d = (b - a) * offset                  # s - end
+        s = end + d
+        f = _ring_kernel(r, s, (r - end) - d,             # q = r - s
+                         (end - (2.0 - r)) + d,           # p - 2
+                         (end - (r - 2.0)) + d,           # 2 - q
+                         ((r + 2.0) - end) - d)           # 2 + q
+        if k == 5:
+            f *= s * _mu3_gap(s, (1.0 - end) - d)       # (2 pi)^2 p_3(s)
+            f /= TAU ** 2
+        else:
+            f *= 2.0 / np.pi / np.sqrt(((2.0 - end) - d) * (2.0 + s))
+        f *= weights
+        out[i:i + RADIUS_BLOCK] = np.bincount(own, f.sum(axis=1) * (b - a)[:, 0],
+                                              minlength=rr.size)
+    return TAU ** k * 2.0 / np.pi ** 3 * out
 
 
 def _mass_profile(radii, values, valid) -> float:
@@ -423,29 +430,25 @@ def _mass_profile(radii, values, valid) -> float:
     return float(TAU * out)
 
 
-def auto_density(k: int, n_points: int = 801,
-                 cutoff: float = DEFAULT_CUTOFF) -> RadialDensity:
+def auto_density(k: int, n_points: int = 801) -> RadialDensity:
     """Radial density profile of the k-fold arclength self-convolution at
-    n_points equally spaced radii; k = 4, 5 integrate up to `cutoff`.
+    n_points equally spaced radii.
 
     k = 2, 3 are closed forms (_mu2, _mu3), whose mass is exactly the
-    expected (2 pi)^k; k = 4, 5 go through the Hankel representation on the
-    density grid at `cutoff`, panels of DENSITY_PANEL = 57/10.  Radii
-    within EXCLUSION of a genuinely singular radius are masked out, and so
-    is k = 4 below HANKEL_FLOOR, where its logarithmic blowup is
-    unresolved.
+    expected (2 pi)^k; k = 4, 5 are radial convolutions
+    (_convolution_density), stable to 1e-11 under halving the quadrature
+    step.  Radii within EXCLUSION of a genuinely singular radius are masked
+    out.
 
-    The profile covers the support [0, k]: mu_k vanishes beyond it, and the
-    radial grid resolves the Hankel integrands only up to r = k (see
-    RadialGrid).  Mass is 2 pi int r mu_k dr, expected (2 pi)^k; for k = 4,
-    5 it is Simpson's rule on the reported profile, and k = 4 simply omits
-    the masked neighborhoods, so its number undershoots slightly.
+    The profile covers the support [0, k], beyond which mu_k vanishes.
+    Mass is 2 pi int r mu_k dr, expected (2 pi)^k; for k = 4, 5 it is
+    Simpson's rule on the reported profile, and k = 4 simply omits the
+    masked neighborhoods, so its number undershoots slightly.
     """
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
     if n_points < 3:
         raise ConfigError(f"n_points must be at least 3, got {n_points}")
-    cutoff = check_cutoff(cutoff)
     radii = np.linspace(0.0, float(k), n_points)
     sing = SINGULAR_RADII[k]
     valid = np.ones(n_points, dtype=bool)
@@ -458,18 +461,17 @@ def auto_density(k: int, n_points: int = 801,
     if k < 4:
         values = (_mu2 if k == 2 else _mu3)(radii)
     else:
-        values = TAU ** (k - 1) * _hankel_density(k, radii, cutoff)
+        values = _convolution_density(k, radii)
     valid &= np.isfinite(values)
     mass = TAU ** k if k < 4 else _mass_profile(radii, values, valid)
     return RadialDensity(k, radii, values, valid, sing, mass,
                          TAU ** k, EXCLUSION)
 
 
-def mu_value(k: int, r: float, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Single-radius density value, k = 4, 5 integrated up to `cutoff`:
-    zero beyond the support [0, k]; refused at negative radii, at genuinely
-    singular radii, and for k = 4 below HANKEL_FLOOR, where the profile is
-    unresolved."""
+def mu_value(k: int, r: float) -> float:
+    """Single-radius density value, on auto_density's routes: zero beyond
+    the support [0, k]; refused at negative radii and within 1e-3 of a
+    genuinely singular radius."""
     if k not in (2, 3, 4, 5):
         raise ConfigError(f"k must be 2..5, got {k}")
     r = float(r)
@@ -483,14 +485,8 @@ def mu_value(k: int, r: float, cutoff: float = DEFAULT_CUTOFF) -> float:
     if k == 2:
         return float(_mu2(np.array([r]))[0])
     if k == 3:
-        return float(_mu3(r))
-    if k == 4 and r < HANKEL_FLOOR:
-        raise SingularRadiusError(
-            f"mu_4 is unresolved below r = {HANKEL_FLOOR:g}, near its "
-            "logarithmic singularity at 0")
-    if r == 0.0:                                    # k = 5
-        return TAU ** 4 * _mu5_at_zero(cutoff)
-    return float(TAU ** (k - 1) * _hankel_density(k, np.array([r]), cutoff)[0])
+        return float(_mu3(np.array([r]))[0])
+    return float(_convolution_density(k, np.array([r]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +604,7 @@ def quintilinear_bound_ratio(fs, s: float = 0.0,
         ts = np.zeros(0)
     grid = grid or default_grid()
     if mu5_at_1 is None:
-        mu5_at_1 = mu_value(5, 1.0, grid.cutoff)
+        mu5_at_1 = mu_value(5, 1.0)
     Q = quintic_convolve(fs, grid=grid)
     lhs0 = l2_norm(Q)
     base = {id(f): _abs2(f) for f in fs}    # each |f_j|^2 formed once

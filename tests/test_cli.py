@@ -35,8 +35,8 @@ from tscircle.errors import CacheError, ConfigError, DivergenceError
 READS = {
     "tensor-build": {"--n", "--cutoff", "--tensor"},
     "extend": {"--n", "--seed", "--cutoff"},
-    "density": {"--k", "--n-points", "--cutoff", "--format"},
-    "sup-bound": {"--k", "--n-points", "--cutoff"},
+    "density": {"--k", "--n-points", "--format"},
+    "sup-bound": {"--k", "--n-points"},
     "functional": {"--n", "--seed", "--cutoff", "--tensor"},
     "el-residual": {"--n", "--seed", "--cutoff", "--tensor"},
     "solve": {"--n", "--seed", "--max-iter", "--cutoff"},
@@ -200,22 +200,29 @@ def test_solve_verify_reports_the_translation_defect(tmp_path):
                                                                 rel=0.05)
 
 
-def test_density_uses_cutoff(tmp_path):
+def test_density_and_sup_bound_report_auto_density(tmp_path):
+    # neither command takes a cutoff: the convolution route has none
     env = run_to_file(tmp_path, "d.json", [
-        "density", "--k", "5", "--cutoff", "400", "--n-points", "51",
-        "--verify"])
-    direct = auto_density(5, 51, cutoff=400.0)
-    assert env["config"]["cutoff"] == 400.0
+        "density", "--k", "5", "--n-points", "51", "--verify"])
+    direct = auto_density(5, 51)
+    assert "cutoff" not in env["config"]
     assert env["payload"]["mass"] == float(direct.mass)
     assert env["payload"]["values"] == [
         float(v) if ok else None for v, ok in zip(direct.values, direct.valid)]
-    # the oracle compares mu_5(1) with lambda_0 at the same cutoff
-    lam0 = lambda0_value(default_grid(400.0))
+    # the oracle reads lambda_0's two-term tail error at P = 200
+    lam0 = lambda0_value(default_grid())
     assert env["oracle"]["value_at_1_vs_lambda0_rel"] == float(
-        abs(mu_value(5, 1.0, 400.0) - lam0) / lam0)
-    # and the Simpson mass of the Hankel profile with (2 pi)^5
+        abs(mu_value(5, 1.0) - lam0) / lam0)
+    assert env["oracle"]["value_at_1_vs_lambda0_rel"] == pytest.approx(
+        3.72e-9, rel=0.05)
+    # and the Simpson mass of the profile against (2 pi)^5
     assert env["oracle"]["mass_rel_error"] == float(
         abs(direct.mass - direct.mass_expected) / direct.mass_expected)
+    env = run_to_file(tmp_path, "s.json", [
+        "sup-bound", "--k", "5", "--n-points", "51"])
+    assert "cutoff" not in env["config"]
+    assert env["payload"]["sup"] == direct.sup()
+    assert env["payload"]["at_radius"] == direct.arg_sup()
 
 
 def test_functional_uses_cutoff(tmp_path):
@@ -268,18 +275,14 @@ def test_solver_commands_use_cutoff(tmp_path):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_density_closed_form_oracle_is_the_hankel_route(k, tmp_path):
+def test_density_closed_form_oracle_is_the_convolution_route(k, tmp_path):
     # the closed forms' mass is exact by construction, so it is no oracle;
-    # theirs is the independent Hankel route, whose truncation gap falls as
-    # the cutoff grows
-    gaps = []
-    for c in ("200", "800"):
-        env = run_to_file(tmp_path, f"d{c}.json", [
-            "density", "--k", str(k), "--n-points", "51", "--cutoff", c,
-            "--verify"])
-        assert "mass_rel_error" not in env["oracle"]
-        gaps.append(env["oracle"]["hankel_route_max_rel_gap"])
-    assert gaps[1] < gaps[0] / 10 and gaps[0] < 2e-6
+    # theirs is the convolution route's kernel (2 pi)^k A(r, s), s = k - 2:
+    # for k = 3 the four-root reduction against Pearson's modulus
+    env = run_to_file(tmp_path, "d.json", [
+        "density", "--k", str(k), "--n-points", "51", "--verify"])
+    assert "mass_rel_error" not in env["oracle"]
+    assert env["oracle"]["convolution_route_max_rel_gap"] < 1e-13
 
 
 def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):
@@ -289,17 +292,6 @@ def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):
         rc = main([name, "--n", "1", "--cutoff", "400", "--tensor", str(path)])
         assert rc == 2, name
         assert "cutoff" in capsys.readouterr().err
-
-
-def test_sup_bound_uses_cutoff(tmp_path):
-    env = run_to_file(tmp_path, "s.json", [
-        "sup-bound", "--k", "5", "--cutoff", "400", "--n-points", "51"])
-    direct = auto_density(5, 51, cutoff=400.0)
-    assert env["config"]["cutoff"] == 400.0
-    assert env["payload"]["sup"] == direct.sup()
-    assert env["payload"]["at_radius"] == direct.arg_sup()
-    assert env["payload"]["mass_rel_error"] == float(
-        abs(direct.mass - direct.mass_expected) / direct.mass_expected)
 
 
 @pytest.mark.parametrize("name", list(READS))
@@ -535,21 +527,20 @@ def test_unusable_path_exits_2_naming_its_flag(argv, flag, tmp_path, capsys):
     ["density", "--k", "5", "--n-points", "2"],
     ["sup-bound", "--n-points", "0"],
     ["sup-bound", "--n-points", "1"],
-    ["density", "--k", "2", "--cutoff", "0"],
+    ["sup-bound", "--k", "5", "--n-points", "2"],
     ["density", "--k", "4", "--n-points", "3"],
     ["sup-bound", "--k", "4", "--n-points", "3"],
     ["solve", "--n", "2", "--max-iter", "-1"],
 ])
 def test_density_bad_configuration_exits_2(argv, capsys):
-    # Simpson's rule needs three points; the cutoff is checked even where
-    # a closed form never reads it; three radii on [0, 4] all sit on
+    # Simpson's rule needs three points; three radii on [0, 4] all sit on
     # singular radii of mu_4; the ascent takes no negative iteration count
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cutoff", ["1e-300", "1e-100", "1e-50", "29.9"])
-@pytest.mark.parametrize("name", ["constant", "functional", "density",
+@pytest.mark.parametrize("name", ["constant", "functional", "picard",
                                   "tensor-build", "el-residual", "solve"])
 def test_cutoff_below_the_hankel_radius_exits_2(name, cutoff, tmp_path,
                                                 capsys):

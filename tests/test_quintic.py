@@ -41,13 +41,13 @@ from tscircle import (
 )
 import tscircle.extension
 import tscircle.quintic
-from tscircle.bessel import (DENSITY_PANEL, BesselTensor, RadialGrid, _encode,
-                             bessel_product_tail, default_grid)
+from tscircle.bessel import BesselTensor, RadialGrid, _encode, default_grid
 from tscircle.errors import (ConfigError, GridSizeError, PreconditionError,
                              SingularRadiusError)
 from tscircle.extension import ExtensionField, angle_count
-from tscircle.quintic import (HANKEL_FLOOR, SINGULAR_RADII, _assemble_polar,
-                              _product, _self_product, leibniz_terms)
+from tscircle.quintic import (SINGULAR_RADII, _assemble_polar,
+                              _convolution_density, _mu3, _product,
+                              _self_product, leibniz_terms)
 from tscircle.regularity import square_wave
 
 
@@ -367,25 +367,101 @@ def test_mu3_closed_form_at_zero():
                                              rel=1e-15)
 
 
-@pytest.mark.parametrize("r", [0.3, 0.7, 1.5, 2.5, 3.5])
-def test_mu4_hankel_matches_3f2(r):
+@pytest.mark.parametrize("d", [1e-7, -1e-7, 1e-5, 1e-2, -1e-3])
+def test_mu3_near_one_matches_mpmath(d):
+    # Pearson's elliptic form keeps its digits at the log singularity
+    # r = 1, where the 2F1 form's 1 - z loses them
+    r = 1.0 + d
+    with mpmath.workdps(30):
+        x = mpmath.mpf(r) ** 2
+        exact = float(4 * mpmath.pi ** 2 * 2 * mpmath.sqrt(3) / mpmath.pi
+                      / (3 + x) * mpmath.hyp2f1(mpmath.mpf(1) / 3,
+                                                mpmath.mpf(2) / 3, 1,
+                                                x * (9 - x) ** 2 / (3 + x) ** 3))
+    assert _mu3(np.array([r]))[0] == pytest.approx(exact, rel=1e-14)
+
+
+def _mu4_3f2(r):
     # p_4(r) = (2/pi^2) sqrt(16 - r^2)/r Re 3F2(1/2, 1/2, 1/2; 5/6, 7/6;
     # (16 - r^2)^3 / (108 r^4)) (Borwein, Straub, Wan, Zudilin 2012) and
-    # mu_4 = (2 pi)^3 p_4 / r.  The Hankel value's error is its truncation
-    # at the cutoff, which the P = 200 -> 400 gap measures
+    # mu_4 = (2 pi)^3 p_4 / r
     with mpmath.workdps(30):
         x = mpmath.mpf(r)
         f = mpmath.hyp3f2(0.5, 0.5, 0.5, mpmath.mpf(5) / 6, mpmath.mpf(7) / 6,
                           (16 - x * x) ** 3 / (108 * x ** 4))
-        exact = float(16 * mpmath.pi * mpmath.sqrt(16 - x * x)
-                      * mpmath.re(f) / (x * x))
-    got = mu_value(4, r)
-    gap = abs(got - mu_value(4, r, 400.0))
-    assert abs(got - exact) <= 2.0 * gap
+        return float(16 * mpmath.pi * mpmath.sqrt(16 - x * x)
+                     * mpmath.re(f) / (x * x))
+
+
+MU4_RADII = [0.01, 0.03, 0.3, 0.7, 1.5, 2.5, 3.5, 3.95]
+T0_20 = 0.33682796176644893        # int_0^3 p_3(r)^2/r dr, 20-digit mpmath
+MU5_AT_ZERO = 514.2168266024672
+
+
+@pytest.mark.parametrize("r", MU4_RADII)
+def test_mu4_matches_3f2(r):
+    assert mu_value(4, r) == pytest.approx(_mu4_3f2(r), rel=1e-12)
+
+
+def test_mu5_at_one_and_zero():
+    # mu_5(1) = (2 pi)^4 int p_3^2/r dr = (2 pi)^4 T_0, and mu_5(0) is
+    # (2 pi)^4 int p_3(s) rho_2(s) ds
+    assert mu_value(5, 1.0) == pytest.approx(TAU ** 4 * T0_20, rel=1e-13)
+    assert mu_value(5, 0.0) == pytest.approx(MU5_AT_ZERO, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_density_stable_under_step_halving(k):
+    dens = auto_density(k)
+    ok = dens.valid & (dens.values != 0.0)
+    fine = _convolution_density(k, dens.radii, 2 * tscircle.quintic.DE_NODES - 1)
+    assert np.max(np.abs(fine[ok] / dens.values[ok] - 1.0)) < 1e-11
+
+
+def _density_checks_pass():
+    mu4 = [mu_value(4, r) for r in MU4_RADII]
+    if not all(a == pytest.approx(_mu4_3f2(r), rel=1e-12)
+               for a, r in zip(mu4, MU4_RADII)):
+        return False
+    if not (mu_value(5, 1.0) == pytest.approx(TAU ** 4 * T0_20, rel=1e-13)
+            and mu_value(5, 0.0) == pytest.approx(MU5_AT_ZERO, abs=1e-12)):
+        return False
+    for k in (4, 5):
+        dens = auto_density(k)
+        ok = dens.valid & (dens.values != 0.0)
+        fine = _convolution_density(k, dens.radii,
+                                    2 * tscircle.quintic.DE_NODES - 1)
+        if not np.all(np.abs(fine[ok] / dens.values[ok] - 1.0) < 1e-11):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("drop", range(5))
+def test_every_break_point_is_needed(drop, monkeypatch):
+    # the support's ends and each singular point inside it: leaving any
+    # one of them out of the pieces fails one of the checks above
+    assert _density_checks_pass()
+    real = tscircle.quintic._break_points
+
+    def fewer(k, r):
+        pts = real(k, r)
+        return np.delete(pts, drop, axis=1) if drop < pts.shape[1] else pts
+
+    monkeypatch.setattr(tscircle.quintic, "_break_points", fewer)
+    with np.errstate(all="ignore"):
+        assert not _density_checks_pass()
 
 
 def test_mu5_at_one_is_lambda0():
-    assert mu_value(5, 1.0) == pytest.approx(lambda0_value(), rel=1e-10)
+    # lambda_0 = (2 pi)^4 T_0 on the two-term tail model: at P = 800 within
+    # 1e-10 of the exact mu_5(1); at P = 200 high by the model's 3.72e-9,
+    # a gap that falls about 8-fold per doubling of P
+    mu5 = mu_value(5, 1.0)
+    assert mu5 == pytest.approx(lambda0_value(default_grid(800.0)), rel=1e-10)
+    gaps = [lambda0_value(default_grid(P)) / mu5 - 1.0
+            for P in (200.0, 400.0, 800.0)]
+    assert gaps[0] == pytest.approx(3.72e-9, rel=0.05)
+    assert all(7.0 < a / b < 9.0 for a, b in zip(gaps, gaps[1:]))
 
 
 def test_mu_masses():
@@ -409,15 +485,15 @@ def test_mass_simpson_is_scipy_simpson(k):
 
 
 def test_mu5_small_r_continuity():
-    # second differences stay at the smooth-curvature level right across
-    # the small-r cutoff buckets (a seam there would spike them)
+    # second differences stay at the smooth-curvature level at small r,
+    # where the pieces s = r and s = 2 - r move
     dens = auto_density(5, n_points=1201)
     v = dens.values[dens.radii < 0.35]
     assert np.max(np.abs(np.diff(v, 2))) < 1e-3
 
 
 def test_mu5_profile_passes_through_mu5_at_zero():
-    # the small-r fit keeps the value mu_value reports at r = 0
+    # the profile's r = 0 value is the one mu_value reports there
     dens = auto_density(5)
     assert dens.radii[0] == 0.0
     assert dens.values[0] == mu_value(5, 0.0)
@@ -442,13 +518,11 @@ def test_sup_bound_report():
 @pytest.mark.parametrize("k,r,error", [
     (2, -0.5, PreconditionError), (3, -0.5, PreconditionError),
     (4, -0.5, PreconditionError), (5, -0.5, PreconditionError),
-    (4, 0.002, SingularRadiusError), (4, 0.01, SingularRadiusError),
-    (4, 0.024, SingularRadiusError), (4, 0.0, SingularRadiusError),
+    (4, 0.0, SingularRadiusError),
 ])
 def test_mu_value_refuses_outside_its_domain(k, r, error):
-    # a negative radius, or mu_4 below the smallest radius its Hankel
-    # buckets resolve, is refused rather than answered with inf, NaN or an
-    # extrapolated fit
+    # a negative radius, or mu_4 at its logarithmic singularity r = 0, is
+    # refused rather than answered with inf or NaN
     with pytest.raises(error):
         mu_value(k, r)
 
@@ -456,9 +530,7 @@ def test_mu_value_refuses_outside_its_domain(k, r, error):
 @pytest.mark.parametrize("call", [
     lambda: mu_value(5, np.nan),
     lambda: mu_value(4, np.nan),
-    lambda: bessel_product_tail(np.zeros(6, dtype=int), 200.0,
-                                [1.0, 1.0, 1.0, 1.0, 1.0, np.nan]),
-], ids=["mu5", "mu4", "tail-scale"])
+], ids=["mu5", "mu4"])
 def test_nan_radius_or_scale_is_refused(call):
     # a NaN fails every comparison, so the domain checks are written to
     # accept only what passes them, not to refuse what fails the opposite
@@ -476,142 +548,33 @@ def test_density_stays_inside_support():
         assert mu_value(k, 14.0) == 0.0
 
 
-def _one_thread_hankel_density(k, radii, base_cutoff):
-    """The Hankel profile as one thread sums it, bucket by bucket: the tail,
-    then each 128-radius chunk's head added in."""
-    def chunk(rr, cutoff):
-        g = tscircle.bessel._default_grid(cutoff, DENSITY_PANEL)
-        w = (g.j_matrix(0)[0] ** k) * g.nodes * g.weights
-        scales = np.ones((rr.size, k + 1))
-        scales[:, k] = rr
-        out = bessel_product_tail(np.zeros(k + 1, int), cutoff, scales)
-        for lo in range(0, rr.size, 128):
-            out[lo:lo + 128] += special.j0(np.outer(rr[lo:lo + 128],
-                                                    g.nodes)) @ w
-        return out
-
-    vals = np.full(radii.shape, np.nan)
-    prev = np.inf
-    for edge, cut in [(0.2, base_cutoff), (0.1, max(400.0, base_cutoff)),
-                      (0.05, max(800.0, base_cutoff)),
-                      (HANKEL_FLOOR, max(1600.0, base_cutoff))]:
-        sel = (radii >= edge) & (radii < prev)
-        prev = edge
-        if np.any(sel):
-            vals[sel] = chunk(radii[sel], cut)
-    tiny = radii < HANKEL_FLOOR
-    if k == 5 and np.any(tiny):
-        anchors = np.array([0.03, 0.05, 0.08, 0.12])
-        a0 = tscircle.quintic._mu5_at_zero(base_cutoff)
-        x = anchors ** 2
-        c12 = np.linalg.lstsq(np.stack([x, x * x], axis=1),
-                              chunk(anchors, max(1600.0, base_cutoff)) - a0,
-                              rcond=None)[0]
-        vals[tiny] = np.polynomial.polynomial.polyval(
-            radii[tiny] ** 2, np.concatenate([[a0], c12]))
-    return vals
-
-
-@pytest.mark.parametrize("k,n_points", [(5, 801), (4, 801), (5, 1001)])
-def test_two_lane_density_from_cold_grids_is_the_one_thread_sum(k, n_points):
-    # the density grids are built, J_0 rows and all, inside the call that
-    # splits the heads between two threads; every value matches the one
-    # thread's sum bit for bit
-    tscircle.bessel._default_grid.cache_clear()
-    dens = auto_density(k, n_points)
-    want = TAU ** (k - 1) * _one_thread_hankel_density(k, dens.radii, 200.0)
-    assert np.array_equal(dens.values, want, equal_nan=True)
-
-
-def test_density_grids_and_tails_stay_on_the_calling_thread(monkeypatch):
-    # RadialGrid.j_matrix grows its rows in place, so grids, rows and tails
-    # are all resolved on the calling thread; only numpy and scipy run on
-    # the helper
-    seen = {}
-
-    def record(name, fn):
-        def wrapper(*args, **kwargs):
-            seen.setdefault(name, set()).add(threading.get_ident())
-            return fn(*args, **kwargs)
-        return wrapper
-
-    tscircle.bessel._default_grid.cache_clear()
-    q = tscircle.quintic
-    monkeypatch.setattr(q, "bessel_product_tail",
-                        record("tail", q.bessel_product_tail))
-    monkeypatch.setattr(q, "_default_grid", record("grid", q._default_grid))
-    monkeypatch.setattr(RadialGrid, "j_matrix",
-                        record("rows", RadialGrid.j_matrix))
-    for k in (5, 4):
-        auto_density(k)
-    assert seen == {name: {threading.get_ident()}
-                    for name in ("tail", "grid", "rows")}
-
-
-def test_every_mu5_bucket_integrates_up_to_the_cutoff(monkeypatch):
-    # the anchors of the small-radius fit included: above their own P = 1600
-    # every tail starts at the requested cutoff (four buckets, the anchors
-    # and mu_5(0))
-    cutoffs = []
-    real = tscircle.quintic.bessel_product_tail
-
-    def tail(orders, P, *args):
-        cutoffs.append(P)
-        return real(orders, P, *args)
-
-    monkeypatch.setattr(tscircle.quintic, "bessel_product_tail", tail)
-    dens = auto_density(5, 801, 3200.0)
-    assert np.isfinite(dens.values).all()
-    assert len(cutoffs) == 6 and min(cutoffs) >= 3200.0
-
-
-HELPER_THREADS = """
+DENSITY_THREADS = """
 import threading
 from tscircle import auto_density, mu_value
 
-def helpers():
-    return sum(t.name.startswith("tscircle-hankel")
-               for t in threading.enumerate())
-
 start = threading.active_count()
-for call in (lambda: mu_value(5, 1.0), lambda: mu_value(5, 0.01),
-             lambda: auto_density(5), lambda: auto_density(5)):
+for call in (lambda: mu_value(5, 1.0), lambda: auto_density(5)):
     call()
-    print(start, threading.active_count(), helpers())
+    print(start, threading.active_count())
 """
 
 
-def test_the_hankel_helper_lives_for_one_call(monkeypatch):
-    # after each single-radius value and each profile, the thread count is
-    # back to its value after import and no helper is alive
+def test_density_starts_no_thread():
+    # a fresh process: the thread count after each density call is its
+    # value after import
     src = str(Path(tscircle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", HELPER_THREADS],
+    out = subprocess.run([sys.executable, "-c", DENSITY_THREADS],
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True,
                          timeout=120)
     counts = [tuple(map(int, line.split()))
               for line in out.stdout.splitlines()]
-    assert len(counts) == 4
-    assert all((n, h) == (s, 0) for s, n, h in counts)
-    # a single radius is one job, run inline; a profile runs one lane of
-    # heads on the helper and the other on the calling thread
-    lanes = []
-    real = tscircle.quintic._hankel_heads
-
-    def heads(jobs, buf):
-        lanes.append(threading.current_thread().name)
-        return real(jobs, buf)
-
-    monkeypatch.setattr(tscircle.quintic, "_hankel_heads", heads)
-    me = threading.current_thread().name
-    mu_value(5, 1.0)
-    assert lanes == [me]
-    lanes.clear()
+    assert len(counts) == 2 and all(a == b for a, b in counts)
+    start = threading.active_count()
     auto_density(5)
-    helper = [name for name in lanes if name != me]
-    assert lanes.count(me) == 1 and len(helper) == 1
-    assert helper[0].startswith("tscircle-hankel")
+    mu_value(5, 1.0)
+    assert threading.active_count() == start
 
 
 FORK_AFTER_PROFILE = """
@@ -652,9 +615,17 @@ def test_bound_ratio_below_one_random():
 
 
 def test_bound_ratio_saturates_at_constants():
+    # the ratio is sqrt(lambda_0/mu_5(1)): 1 within 1e-10 at P = 800, and at
+    # P = 200 above 1 by half the tail model's 3.72e-9 gap in lambda_0,
+    # falling about 8-fold per doubling of P
     one = constant_function(1.0)
-    rep = quintilinear_bound_ratio([one] * 5, mu5_at_1=mu_value(5, 1.0))
-    assert rep.ratio == pytest.approx(1.0, abs=1e-10)
+    mu5 = mu_value(5, 1.0)
+    excess = [quintilinear_bound_ratio([one] * 5, grid=default_grid(P),
+                                       mu5_at_1=mu5).ratio - 1.0
+              for P in (200.0, 400.0, 800.0)]
+    assert abs(excess[2]) < 1e-10
+    assert excess[0] == pytest.approx(1.86e-9, rel=0.05)
+    assert all(7.0 < a / b < 9.0 for a, b in zip(excess, excess[1:]))
 
 
 def test_bound_ratio_smooth_norm():

@@ -345,7 +345,7 @@ def _break_points(k: int, r: np.ndarray) -> np.ndarray:
 
 
 def _convolution_density(k: int, radii: np.ndarray,
-                         nodes: int = None) -> np.ndarray:
+                         nodes: int = DE_NODES) -> np.ndarray:
     """mu_k = (2 pi)^k rho_2 * rho_{k-2} for k = 4, 5, rho_j the planar
     density of j unit steps, rho_j(x) = p_j(|x|)/(2 pi |x|).  In polar
     coordinates about 0,
@@ -374,7 +374,6 @@ def _convolution_density(k: int, radii: np.ndarray,
     Radii go RADIUS_BLOCK at a time, each block's nonempty pieces as the
     rows of one array, so the work and the memory per block are bounded;
     each value is a row sum in a fixed order, BLAS-free."""
-    nodes = DE_NODES if nodes is None else nodes
     left, offset, weights = _de_rule(nodes)
     out = np.empty(radii.size)
     for i in range(0, radii.size, RADIUS_BLOCK):

@@ -200,8 +200,8 @@ def test_solve_verify_reports_the_translation_defect(tmp_path):
                                                                 rel=0.05)
 
 
-def test_density_and_sup_bound_report_auto_density(tmp_path):
-    # neither command takes a cutoff: the convolution route has none
+def test_density_reports_auto_density(tmp_path):
+    # density takes no cutoff: the convolution route has none
     env = run_to_file(tmp_path, "d.json", [
         "density", "--k", "5", "--n-points", "51", "--verify"])
     direct = auto_density(5, 51)
@@ -218,11 +218,18 @@ def test_density_and_sup_bound_report_auto_density(tmp_path):
     # and the Simpson mass of the profile against (2 pi)^5
     assert env["oracle"]["mass_rel_error"] == float(
         abs(direct.mass - direct.mass_expected) / direct.mass_expected)
+
+
+def test_sup_bound_reports_auto_density(tmp_path):
+    # nor does sup-bound
     env = run_to_file(tmp_path, "s.json", [
         "sup-bound", "--k", "5", "--n-points", "51"])
+    direct = auto_density(5, 51)
     assert "cutoff" not in env["config"]
     assert env["payload"]["sup"] == direct.sup()
     assert env["payload"]["at_radius"] == direct.arg_sup()
+    assert env["payload"]["mass_rel_error"] == float(
+        abs(direct.mass - direct.mass_expected) / direct.mass_expected)
 
 
 def test_functional_uses_cutoff(tmp_path):

@@ -4,7 +4,7 @@ product tensor.
 
 Every integral in this package reduces to the form
 
-    int_0^oo  prod_i J_{n_i}(s_i rho)  rho drho,
+    int_0^oo  prod_i J_{n_i}(rho)  rho drho,
 
 absolutely convergent once there are at least five factors (six factors
 decay like rho^-3 before the measure).  Values are computed as composite
@@ -26,7 +26,7 @@ grid sized from the highest frequency w in play, 32-point panels of length
 bound is the tail model's bound.  First-order 1/rho terms are kept,
 truncated at total order one; dropping them leaves non-oscillatory mass
 ~ sum(a_n)/P^2 which is visible at the 1e-6 level for P = 200.  The
-first-order coefficient of a factor is dropped when a_n > s_n P, where the
+first-order coefficient of a factor is dropped when a_n > P, where the
 asymptotic series is meaningless; the rule is factor-local so that every
 code path organizing the same product truncates identically.
 """
@@ -343,11 +343,12 @@ _ROOTS8 = np.array([1, 1 - 1j, -1j, -1 - 1j, -1, -1 + 1j, 1j, 1 + 1j])
 _ROOTS8[1::2] *= np.sqrt(0.5)      # e^{-i pi k/4}, k = 0..7, correctly rounded
 
 
-def first_order_coeff(n, scale=1.0, P: float = DEFAULT_CUTOFF):
-    """a_n = (4n^2-1)/8, zeroed where the expansion is invalid (a_n > s P)."""
+def first_order_coeff(n, P: float):
+    """a_n = (4n^2-1)/8, zeroed where the expansion is invalid (a_n > P);
+    a_n is never 0 at an integer order, so 0 marks a dropped one."""
     n = np.asarray(n, dtype=float)
     a = (4.0 * n * n - 1.0) / 8.0
-    return np.where(np.abs(a) <= np.asarray(scale) * P, a, 0.0)
+    return np.where(np.abs(a) <= P, a, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -368,23 +369,21 @@ def _class_weights(m: int) -> np.ndarray:
 
 
 def _class_table(weights, m, turn, ev):
-    """Phase and omega >= 0, each (U, H), and the integer weights
-    (3, U, H) of the tail's classes, for U rows of m factors with ev even
-    orders and turn = sum (2 n_j + 1) mod 8.  Weight 0 is that of I_nu,
-    weights 1 and 2 those of -i I_{nu+1} for the b of the even and the odd
-    factors.  Class p and its mirror m - p have conjugate terms, so the
-    classes with omega = 2p - m > 0 enter at weight 2 and p = m/2 at 1:
-    H = m//2 + 1 classes, fastest first, so the slowest, which carries the
-    most mass, is added last."""
+    """Phase (U, H), omega >= 0 (H, the same for every row) and the
+    integer weights (3, U, H) of the tail's classes, for U rows of m
+    factors with ev even orders and turn = sum (2 n_j + 1) mod 8.  Weight
+    0 is that of I_nu, weights 1 and 2 those of -i I_{nu+1} for the b of
+    the even and the odd factors.  Class p and its mirror m - p have
+    conjugate terms, so the classes with omega = 2p - m > 0 enter at
+    weight 2 and p = m/2 at 1: H = m//2 + 1 classes, fastest first, so the
+    slowest, which carries the most mass, is added last."""
     p = np.arange(m, (m - 1) // 2, -1)      # omega = 2p - m > 0, then 0
-    U = len(turn)
     phase = _ROOTS8[(-turn[:, None] - 2 * p) % 8]
     # K at e - 1, e, e + 1: the 1/rho part of an even factor moves e down,
     # of an odd one up, with a factor -1
     own = weights[m][ev[:, None] + np.arange(3)[:, None, None], p]
     W = own[[1, 0, 2]] * np.where(2 * p == m, 1, 2)
-    omega = np.broadcast_to((2 * p - m).astype(float), (U, p.size))
-    return phase, omega, W
+    return phase, (2 * p - m).astype(float), W
 
 
 def bessel_product_tail(orders, P: float):
@@ -408,9 +407,9 @@ def bessel_product_tail(orders, P: float):
     The tail is h + B_even G_even + B_odd G_odd, B the sum of the b of
     the factors of that parity, h and G class sums of I_nu and I_{nu+1}
     (nu = m/2 - 1) shared by rows of equal order sum mod 8 and even count.
-    Each distinct |omega| is integrated once, I(-omega) = conj I(omega).
-    A row's value depends on that row alone: every sum runs in a fixed
-    order, without matrix products.
+    Every row has the same frequencies 2p - m >= 0, each integrated once
+    (I(-omega) = conj I(omega)).  A row's value depends on that row alone:
+    every sum runs in a fixed order, without matrix products.
     """
     orders = np.asarray(orders, dtype=int)
     single = orders.ndim == 1
@@ -418,7 +417,7 @@ def bessel_product_tail(orders, P: float):
     if not len(orders):
         return np.empty(0)
     m = orders.shape[1]
-    b = first_order_coeff(orders, 1.0, P)
+    b = first_order_coeff(orders, P)
     total = orders[:, 0]                            # in column order
     for j in range(1, m):
         total = total + orders[:, j]
@@ -437,13 +436,11 @@ def bessel_product_tail(orders, P: float):
                               return_inverse=True)
     phase, omega, W = _class_table(_class_weights(m), m, turn[first],
                                    ev[first])
-    freq, k = np.unique(omega, return_inverse=True)
-    i2, i3 = exp_tail_integral(freq, 0.5 * m - 1.0, P)
-    k = k.reshape(omega.shape)
+    x, y = exp_tail_integral(omega, 0.5 * m - 1.0, P)
     # Re(phase I_nu) and Im(phase I_nu+1) in real arithmetic: numpy's
     # complex product is not bitwise commutative, and temporary elision
     # may swap its operands in large arrays
-    c, d, x, y = phase.real, phase.imag, i2[k], i3[k]
+    c, d = phase.real, phase.imag
     zh, zG = c * x.real - d * x.imag, c * y.imag + d * y.real
     h, G = W[0, :, 0] * zh[:, 0], W[1:, :, 0] * zG[:, 0]
     for f in range(1, W.shape[2]):
@@ -463,12 +460,13 @@ def _tail_error_bound(orders: np.ndarray, P: float) -> np.ndarray:
     """
     n = np.asarray(orders, dtype=float)
     mu = 4.0 * n * n
-    a = np.abs(first_order_coeff(orders, 1.0, P))
+    a = np.abs(first_order_coeff(orders, P))
     b = np.abs((mu - 1.0) * (mu - 9.0) / 128.0)
     suma = a.sum(axis=-1)
     cross = 0.5 * (suma ** 2 - (a ** 2).sum(axis=-1))
-    # invalid factors contribute their full (unknown-phase) leading mass
-    dropped = np.any((np.abs((mu - 1.0) / 8.0) > P), axis=-1)
+    # invalid factors, whose a_n first_order_coeff zeroes, contribute
+    # their full (unknown-phase) leading mass
+    dropped = np.any(a == 0.0, axis=-1)
     base = (2.0 / np.pi) ** 3 / 3.0 * (cross + b.sum(axis=-1)) / P ** 3
     return np.where(dropped, base + 0.05 / P, base)
 

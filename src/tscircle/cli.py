@@ -76,7 +76,7 @@ def _jsonable(x):
     return x
 
 
-def make_envelope(command: str, config: dict, payload: dict,
+def make_envelope(command: str, config: dict, payload,
                   oracle: dict | None, wall_clock_s: float) -> dict:
     return {
         "command": command,
@@ -215,8 +215,9 @@ def command(name: str, flags: dict, payload_keys: set, csv: tuple | None = None)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, oracle_fn); run() records
-# the flags the command declares and reads as its config
+# command handlers: each returns (payload, oracle_fn), the payload a dict
+# or a report dataclass; run() records the flags the command declares and
+# reads as its config
 
 @command("tensor-build", {"--n": 4, "--cutoff": DEFAULT_CUTOFF, "--tensor": None},
          {"n", "cutoff", "n_entries", "t_zero"})
@@ -303,8 +304,12 @@ def cmd_density(args):
     }
 
     def oracle():
+        # the sup on 2n - 1 radii, half the spacing, for every k
+        sup = dens.sup()
+        fine = auto_density(args.k, n_points=2 * args.n_points - 1).sup()
+        out = {"sup_drift_on_doubling": float(
+            abs(fine - sup) / max(abs(sup), 1e-300))}
         # the closed forms' mass is (2 pi)^k by construction: no oracle
-        out = {}
         if args.k >= 4:
             out["mass_rel_error"] = (abs(dens.mass - dens.mass_expected)
                                      / dens.mass_expected)
@@ -322,28 +327,6 @@ def cmd_density(args):
             out["value_at_1_vs_lambda0_rel"] = float(
                 abs(mu_value(5, 1.0) - lam0) / lam0)
         return out
-
-    return payload, oracle
-
-
-@command("sup-bound", {"--k": 5, "--n-points": 1001},
-         {"k", "sup", "at_radius", "mass_rel_error"})
-def cmd_sup_bound(args):
-    dens = auto_density(args.k, n_points=args.n_points)
-    sup = dens.sup()
-    payload = {
-        "k": dens.k,
-        "sup": float(sup),
-        "at_radius": float(dens.arg_sup()),
-        "mass_rel_error": float(abs(dens.mass - dens.mass_expected) / dens.mass_expected),
-        "n_points": args.n_points,
-        "exclusion": float(dens.exclusion),
-    }
-
-    def oracle():
-        fine = auto_density(args.k, n_points=2 * args.n_points - 1).sup()
-        drift = abs(fine - sup) / max(abs(sup), 1e-300)
-        return {"sup_drift_on_doubling": float(drift)}
 
     return payload, oracle
 
@@ -487,16 +470,6 @@ def cmd_split(args):
          {"n", "gain", "input_slope", "output_slope", "lip_drift"})
 def cmd_smoothing(args):
     rep = smoothing_experiment(n=args.n, grid=default_grid(args.cutoff))
-    payload = {
-        "n": rep.n,
-        "input_slope": float(rep.input_slope),
-        "output_slope": float(rep.output_slope),
-        "gain": float(rep.gain),
-        "band": [int(b) for b in rep.band],
-        "lip_coarse": float(rep.lip_coarse),
-        "lip_fine": float(rep.lip_fine),
-        "lip_drift": float(rep.lip_drift),
-    }
 
     def oracle():
         # the same square wave through Q at twice the cutoff
@@ -504,7 +477,7 @@ def cmd_smoothing(args):
         fine = decay_slope(Q, band=rep.band).slope
         return {"output_slope_gap_on_doubling": float(abs(rep.output_slope - fine))}
 
-    return payload, oracle
+    return rep, oracle
 
 
 @command("constant", {"--cutoff": DEFAULT_CUTOFF},
@@ -541,16 +514,7 @@ def cmd_constant(args):
          {"n", "l2", "decay_slope", "calH", "holder"})
 def cmd_regularity_profile(args):
     f = _random_input(args.n, args.seed)
-    prof = regularity_profile(f)
-    d = prof.to_dict()
-    payload = {
-        "n": args.n,
-        "l2": d["l2"],
-        "decay_slope": d["decay_slope"],
-        "decay_band": d["decay_band"],
-        "calH": d["calH"],
-        "holder": d["holder"],
-    }
+    payload = regularity_profile(f).to_dict()
 
     def oracle():
         gap = abs(calH_estimate(f, 0.0) - l2_norm(f))

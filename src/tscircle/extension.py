@@ -349,7 +349,7 @@ def bessel_tail(n, P: float) -> np.ndarray:
     n = np.abs(np.asarray(n))
     x = ((TAU / TAIL_PHASES) * np.arange(TAIL_PHASES)
          - (np.mod(n, 4) * (np.pi / 2.0) + np.pi / 4.0)[..., None])
-    a = first_order_coeff(n, 1.0, P)[..., None]
+    a = first_order_coeff(n, P)[..., None]
     return np.stack([np.cos(x), -a * np.sin(x)], axis=-2)
 
 

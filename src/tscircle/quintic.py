@@ -429,6 +429,15 @@ def _mass_profile(radii, values, valid) -> float:
     return float(TAU * out)
 
 
+def _density_route(k: int):
+    """The evaluator of mu_k at an array of radii on [0, k]: the closed
+    forms for k = 2, 3, the radial convolution for k = 4, 5; ConfigError
+    for any other k."""
+    if k not in (2, 3, 4, 5):
+        raise ConfigError(f"k must be 2..5, got {k}")
+    return {2: _mu2, 3: _mu3}.get(k, lambda r: _convolution_density(k, r))
+
+
 def auto_density(k: int, n_points: int = 801) -> RadialDensity:
     """Radial density profile of the k-fold arclength self-convolution at
     n_points equally spaced radii.
@@ -444,8 +453,7 @@ def auto_density(k: int, n_points: int = 801) -> RadialDensity:
     Simpson's rule on the reported profile, and k = 4 simply omits the
     masked neighborhoods, so its number undershoots slightly.
     """
-    if k not in (2, 3, 4, 5):
-        raise ConfigError(f"k must be 2..5, got {k}")
+    mu = _density_route(k)
     if n_points < 3:
         raise ConfigError(f"n_points must be at least 3, got {n_points}")
     radii = np.linspace(0.0, float(k), n_points)
@@ -457,10 +465,7 @@ def auto_density(k: int, n_points: int = 801) -> RadialDensity:
         raise ConfigError(f"no radius of {n_points} points on [0, {k}] clears "
                           f"the singular radii of mu_{k}")
 
-    if k < 4:
-        values = (_mu2 if k == 2 else _mu3)(radii)
-    else:
-        values = _convolution_density(k, radii)
+    values = mu(radii)
     valid &= np.isfinite(values)
     mass = TAU ** k if k < 4 else _mass_profile(radii, values, valid)
     return RadialDensity(k, radii, values, valid, sing, mass,
@@ -468,11 +473,10 @@ def auto_density(k: int, n_points: int = 801) -> RadialDensity:
 
 
 def mu_value(k: int, r: float) -> float:
-    """Single-radius density value, on auto_density's routes: zero beyond
+    """Single-radius density value, on auto_density's evaluator: zero beyond
     the support [0, k]; refused at negative radii and within 1e-3 of a
     genuinely singular radius."""
-    if k not in (2, 3, 4, 5):
-        raise ConfigError(f"k must be 2..5, got {k}")
+    mu = _density_route(k)
     r = float(r)
     if not (r >= 0.0):
         raise PreconditionError(f"radius must be nonnegative, got {r:g}")
@@ -481,11 +485,7 @@ def mu_value(k: int, r: float) -> float:
     for s in SINGULAR_RADII[k]:
         if abs(r - s) < 1e-3:
             raise SingularRadiusError(f"mu_{k} is singular at r = {s:g}")
-    if k == 2:
-        return float(_mu2(np.array([r]))[0])
-    if k == 3:
-        return float(_mu3(np.array([r]))[0])
-    return float(_convolution_density(k, np.array([r]))[0])
+    return float(mu(np.array([r]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import tscircle.bessel
 
 from tscircle.bessel import (
     ROW_CHUNK,
+    SERIES_X,
     BesselTensor,
     RadialGrid,
     _miller_block,
@@ -105,8 +106,9 @@ def test_exp_tail_reference_against_quadosc():
 
 def test_exp_tail_integral_against_mpmath():
     # int_P^oo rho^{-nu} e^{i omega rho} drho and the pair's second member
-    # at nu + 1, from exp1 (machine precision); the reference is the
-    # incomplete-gamma closed form at 30 digits
+    # at nu + 1, from the large-argument series (|omega| P >= 50 >= SERIES_X
+    # in every case); the reference is the incomplete-gamma closed form at
+    # 30 digits
     P = 50.0
     with mpmath.workdps(30):
         for omega in (-4.0, -1.0, 2.0, 6.0):
@@ -116,6 +118,23 @@ def test_exp_tail_integral_against_mpmath():
                     got = complex(got[0])
                     ref = complex(_exp_tail_reference(omega, order, P))
                     assert abs(got - ref) < 1e-13, (omega, order)
+
+
+@pytest.mark.parametrize("P,omega", [(30.0, 1.0), (30.0, -1.0),
+                                     (50.0, 0.5), (50.0, -0.5)])
+def test_exp_tail_integral_below_the_series(P, omega):
+    # below |omega| P = SERIES_X the pair comes from the upward recurrence
+    # from I_1 = E1(-i omega P), as for _tail_weights' k = +-1 at a cutoff
+    # of 30; each step loses a factor of about |omega| P (at nu = 2, I_2
+    # is 3e-15 and I_3 5e-14 relative off at P = 30)
+    assert abs(omega) * P < SERIES_X
+    with mpmath.workdps(30):
+        for nu in (1.0, 2.0, 3.0):
+            pair = exp_tail_integral(np.array([omega]), nu, P)
+            for got, order in zip(pair, (nu, nu + 1.0)):
+                ref = complex(_exp_tail_reference(omega, order, P))
+                tol = 1e-15 * (abs(omega) * P) ** (order - 1.0)
+                assert abs(complex(got[0]) - ref) < tol * abs(ref), (nu, order)
 
 
 @pytest.mark.parametrize("nu", [1.5, 2.5])

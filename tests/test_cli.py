@@ -36,7 +36,6 @@ READS = {
     "tensor-build": {"--n", "--cutoff", "--tensor"},
     "extend": {"--n", "--seed", "--cutoff"},
     "density": {"--k", "--n-points", "--format"},
-    "sup-bound": {"--k", "--n-points"},
     "functional": {"--n", "--seed", "--cutoff", "--tensor"},
     "el-residual": {"--n", "--seed", "--cutoff", "--tensor"},
     "solve": {"--n", "--seed", "--max-iter", "--cutoff"},
@@ -218,18 +217,20 @@ def test_density_reports_auto_density(tmp_path):
     # and the Simpson mass of the profile against (2 pi)^5
     assert env["oracle"]["mass_rel_error"] == float(
         abs(direct.mass - direct.mass_expected) / direct.mass_expected)
-
-
-def test_sup_bound_reports_auto_density(tmp_path):
-    # nor does sup-bound
-    env = run_to_file(tmp_path, "s.json", [
-        "sup-bound", "--k", "5", "--n-points", "51"])
-    direct = auto_density(5, 51)
-    assert "cutoff" not in env["config"]
+    # the sup, where it sits, and its drift on 2n - 1 radii
     assert env["payload"]["sup"] == direct.sup()
-    assert env["payload"]["at_radius"] == direct.arg_sup()
-    assert env["payload"]["mass_rel_error"] == float(
-        abs(direct.mass - direct.mass_expected) / direct.mass_expected)
+    assert env["payload"]["arg_sup"] == direct.arg_sup()
+    fine = auto_density(5, 101).sup()
+    assert env["oracle"]["sup_drift_on_doubling"] == float(
+        abs(fine - direct.sup()) / direct.sup())
+
+
+def test_sup_bound_is_not_a_command(capsys):
+    # density reports the sup and, with --verify, its drift on doubling
+    with pytest.raises(SystemExit) as exc:
+        main(["sup-bound"])
+    assert exc.value.code == 2
+    assert "sup-bound" in capsys.readouterr().err
 
 
 def test_functional_uses_cutoff(tmp_path):
@@ -388,10 +389,10 @@ def test_tensor_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("name", ["density", "sup-bound"])
+@pytest.mark.parametrize("name", ["density"])
 def test_mu5_payload_does_not_depend_on_blas_threads(name, tmp_path):
-    # the Hankel heads' matrix-vector products round alike under one and two
-    # BLAS threads, on whichever lane runs them
+    # the convolution route sums each radius's row in a fixed order with no
+    # matrix product, so the payload cannot depend on the BLAS thread count
     payloads = []
     for threads in ("1", "2"):
         path = tmp_path / f"{name}{threads}.json"
@@ -532,16 +533,17 @@ def test_unusable_path_exits_2_naming_its_flag(argv, flag, tmp_path, capsys):
     ["density", "--k", "5", "--n-points", "0"],
     ["density", "--k", "5", "--n-points", "-3"],
     ["density", "--k", "5", "--n-points", "2"],
-    ["sup-bound", "--n-points", "0"],
-    ["sup-bound", "--n-points", "1"],
-    ["sup-bound", "--k", "5", "--n-points", "2"],
+    ["density", "--n-points", "1"],
+    ["density", "--k", "2", "--n-points", "2"],
+    ["density", "--k", "3", "--n-points", "0"],
     ["density", "--k", "4", "--n-points", "3"],
-    ["sup-bound", "--k", "4", "--n-points", "3"],
+    ["density", "--k", "4", "--n-points", "3", "--verify"],
     ["solve", "--n", "2", "--max-iter", "-1"],
 ])
 def test_density_bad_configuration_exits_2(argv, capsys):
-    # Simpson's rule needs three points; three radii on [0, 4] all sit on
-    # singular radii of mu_4; the ascent takes no negative iteration count
+    # Simpson's rule needs three points, for every k; three radii on
+    # [0, 4] all sit on singular radii of mu_4, with or without the
+    # oracle; the ascent takes no negative iteration count
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

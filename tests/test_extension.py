@@ -427,7 +427,7 @@ def bessel_tail_coefficients(n, P):
     n = np.abs(np.asarray(n))
     T = np.zeros(n.shape + (3, 2), dtype=np.complex128)
     T[..., 2, 0] = 0.5 * i_pow(-n) * np.exp(-0.25j * np.pi)
-    T[..., 2, 1] = T[..., 2, 0] * (1j * first_order_coeff(n, 1.0, P))
+    T[..., 2, 1] = T[..., 2, 0] * (1j * first_order_coeff(n, P))
     T[..., 0, :] = np.conj(T[..., 2, :])
     return T
 

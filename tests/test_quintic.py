@@ -509,7 +509,7 @@ def test_singular_radius_rejection():
     assert SINGULAR_RADII[5] == ()
 
 
-def test_sup_bound_report():
+def test_mu5_peaks_at_one_at_lambda0():
     dens = auto_density(5, 501)
     assert dens.arg_sup() == pytest.approx(1.0, abs=0.02)
     assert dens.sup() == pytest.approx(lambda0_value(), rel=1e-4)

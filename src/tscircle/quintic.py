@@ -108,27 +108,27 @@ def _polar_quintic(expr, fs, M: int | None,
 def _convolve_tensor(fs, tensor: BesselTensor,
                      M: int | None) -> CircleFunction:
     """The tensor route, modes -M..M (M clamped to N1 + .. + N5, all of
-    them when M is None).  A row n2..n5 of the inner sum enters
-    a term only through its class (the sorted |n2|..|n5|), its sum s and
-    its parity sign, which is folded into the row's coefficient product.
-    The rows that reach a read mode are sorted stably by s, and so are the
-    distinct (class, s) pairs, so pass n1 reads a slice of each.  One
-    lookup resolves the key (|n1|, class, |n1 + s|) of every n1 >= 0 and
-    pair with |n1 + s| <= M; (-n1, class, -s) has the same key, and the
-    parity signs of n1 and n1 + s are folded into the values.  Each read bin
-    sums the per-tuple terms in their order, bit for bit.
+    them when M is None).  A row n2..n5 of the inner sum enters Q only
+    through its coefficient product, into which its parity sign is folded,
+    and its pair: its class (the sorted |n2|..|n5|) and its sum s.  So the
+    products of the rows that reach a read mode are summed once per pair,
+    B_p, in row order.  One lookup resolves the key (|n1|, class,
+    |n1 + s|) of every n1 >= 0 and pair with |n1 + s| <= M; (-n1, class,
+    -s) has the same key, and the parity signs of n1 and n1 + s are folded
+    into the values.  Each n1 then sums (c1 value) B_p over its pairs into
+    mode n1 + s.  The pairs are in (s, class) order, so each mode sums the
+    same terms in the same order for every M that reads it.
 
-    The per-row bookkeeping is compact: orders and magnitudes in int8
+    The row bookkeeping is compact: orders and magnitudes in int8
     (int16 from bandwidth 64 on), s in int16, the (s, class) code in base
-    max(N2..N5) + 1, pair indices in int32, each freed after its last use;
-    each n1 forms its bins from the run lengths of its s slice.  The
-    complex products stay on full-length arrays: the coefficient chain cc
-    over every kept row, and each n1's weights w over its whole slice.
-    numpy evaluates a * tmp, tmp a temporary of 256 KiB or more, as
+    max(N2..N5) + 1, pair indices in int32, each freed after its last use.
+    The coefficient products cc stay one full-length chain over every kept
+    row: numpy evaluates a * tmp, tmp a temporary of 256 KiB or more, as
     tmp *= a, operands swapped, and its SIMD complex multiply is not
-    bitwise commutative (seen with AVX-512), so chunking either product
-    would change which operand comes first and move last bits;
-    the per-tuple reference makes the same full-length choices."""
+    bitwise commutative (seen with AVX-512), so chunking the chain would
+    change which operand comes first and move last bits; the per-tuple
+    reference makes the same full-length choice.  Every sum is a bincount,
+    BLAS-free."""
     Ns = [f.N for f in fs]
     M = sum(Ns) if M is None else min(int(M), sum(Ns))
     if M < 0:
@@ -146,16 +146,13 @@ def _convolve_tensor(fs, tensor: BesselTensor,
     s2345 = rows[0].astype(np.int16)
     for n in rows[1:]:
         s2345 += n
-    order = np.argsort(s2345, kind="stable")
-    order = order[np.abs(s2345[order]) <= reach]
-    rows = [n[order] for n in rows]
-    s2345 = s2345[order]
-    del order
+    keep = np.abs(s2345) <= reach
+    rows = [n[keep] for n in rows]
+    s2345 = s2345[keep]
+    del keep
     mag = [np.abs(n) for n in rows]
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):   # sorting network
         mag[i], mag[j] = np.minimum(mag[i], mag[j]), np.maximum(mag[i], mag[j])
-    edges = np.searchsorted(s2345, np.arange(-reach, reach + 2,
-                                             dtype=np.int16))
     wide = (2 * reach + 1) * base ** 4 >= 2 ** 31
     code = (s2345 + reach).astype(np.int64 if wide else np.int32)
     del s2345
@@ -166,14 +163,22 @@ def _convolve_tensor(fs, tensor: BesselTensor,
     uniq, pair = np.unique(code, return_inverse=True)
     del code
     pair = pair.astype(np.int32)
+    cc = 1.0                       # J_n's parity sign rides on c(n), exactly
+    for n, f in zip(rows, fs[1:]):
+        cc = cc * (parity_sign(np.arange(-f.N, f.N + 1)) * f.coeffs)[n + f.N]
+    del rows
+    B = np.empty(uniq.size, dtype=np.complex128)    # each pair's rows, summed
+    B.real = np.bincount(pair, weights=cc.real)
+    B.imag = np.bincount(pair, weights=cc.imag)
+    del pair, cc
     sp, cls = np.divmod(uniq, base ** 4)
     sp -= reach                                           # each pair's s
 
-    n1 = np.arange(N1 + 1)
-    plo = np.searchsorted(sp, -M - n1, side="left")
-    count = np.searchsorted(sp, M - n1, side="right") - plo
-    i1 = np.repeat(n1, count)                    # the (n1 >= 0, pair) read
-    ip = np.arange(i1.size) + np.repeat(plo - np.cumsum(count) + count, count)
+    n1 = np.arange(-N1, N1 + 1)
+    lo = np.searchsorted(sp, -M - n1, side="left")     # n1 reads pairs lo:hi
+    hi = np.searchsorted(sp, M - n1, side="right")
+    i1 = np.repeat(np.arange(N1 + 1), (hi - lo)[N1:])  # the (n1 >= 0, pair)
+    ip = np.concatenate([np.arange(a, b) for a, b in zip(lo[N1:], hi[N1:])])
     keys = np.empty((i1.size, 6), dtype=np.int64)
     keys[:, 0], keys[:, 5] = i1, np.abs(i1 + sp[ip])
     for j in range(4):
@@ -185,32 +190,18 @@ def _convolve_tensor(fs, tensor: BesselTensor,
     half[i1, ip] = tensor.lookup_sorted_abs(keys)
     del i1, ip, keys
     mirror = np.searchsorted(uniq, uniq - 2 * sp * base ** 4)   # (class, -s)
-    n1 = np.arange(-N1, N1 + 1)
     value = np.concatenate([half[:0:-1, mirror], half])   # -n1 reads |n1|
     del half
     value *= parity_sign(n1[:, None] + sp) * parity_sign(n1)[:, None]
-    cc = 1.0                       # J_n's parity sign rides on c(n), exactly
-    for n, f in zip(rows, fs[1:]):
-        cc = cc * (parity_sign(np.arange(-f.N, f.N + 1)) * f.coeffs)[n + f.N]
-    del rows
 
-    # pass n1 reads the runs k = s + M + N1 of s = -M - n1 .. M - n1, rows
-    # edges[k]:edges[k + 1], and writes their modes n1 + s into out[i:i + L];
-    # with each weight's real and imaginary parts interleaved (bins 2k,
-    # 2k + 1) one bincount sums both, each bin in row order
-    L = 2 * reach + 1
-    runs = np.diff(edges)
-    both = 2 * np.arange(L)[:, None] + (0, 1)
-    out = np.zeros(2 * (M + 2 * N1) + 1, dtype=np.complex128)
+    out = np.zeros(2 * M + 1, dtype=np.complex128)
     for i, c1 in enumerate(fs[0].coeffs):
-        k = slice(2 * N1 - i, L - i)
-        lo, hi = edges[k.start], edges[k.stop]
-        w = (c1 * cc[lo:hi]) * value[i][pair[lo:hi]]
-        bins = np.repeat(both[k], runs[k], axis=0).ravel()
-        out[i:i + L] += np.bincount(bins, weights=w.view(np.float64),
-                                    minlength=2 * L).view(np.complex128)
-        del w, bins
-    return CircleFunction(out[2 * N1:2 * (N1 + M) + 1] * TAU ** 4)
+        p = slice(lo[i], hi[i])
+        w = (c1 * value[i, p]) * B[p]
+        m = sp[p] + (n1[i] + M)                        # mode n1 + s, offset
+        out.real += np.bincount(m, weights=w.real, minlength=2 * M + 1)
+        out.imag += np.bincount(m, weights=w.imag, minlength=2 * M + 1)
+    return CircleFunction(out * TAU ** 4)
 
 
 def quintic_convolve(fs, tensor: BesselTensor | None = None,
@@ -265,10 +256,17 @@ class RadialDensity:
     mass_expected: float
     exclusion: float
 
-    def sup(self) -> float:
+    def sup(self) -> float | None:
+        """The largest valid value; None where mu_k has singular radii:
+        mu_2, mu_3 and mu_4 are unbounded (at r = 0 and 2, 1, 0), and their
+        largest valid value sits at the edge of the mask, measuring it."""
+        if self.singular_radii:
+            return None
         return float(np.max(self.values[self.valid]))
 
-    def arg_sup(self) -> float:
+    def arg_sup(self) -> float | None:
+        if self.singular_radii:
+            return None
         vals = np.where(self.valid, self.values, -np.inf)
         return float(self.radii[int(np.argmax(vals))])
 

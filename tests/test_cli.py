@@ -29,6 +29,7 @@ from tscircle.cli import (
 )
 import tscircle.bessel
 from tscircle.errors import CacheError, ConfigError, DivergenceError
+from tscircle.quintic import _density_route
 
 # the flags each command reads besides --out and --verify, which every
 # command takes; stated here independently of the command table
@@ -293,6 +294,23 @@ def test_density_closed_form_oracle_is_the_convolution_route(k, tmp_path):
     assert env["oracle"]["convolution_route_max_rel_gap"] < 1e-13
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_density_reports_no_sup_where_mu_k_is_unbounded(k, tmp_path):
+    # mu_2, mu_3 and mu_4 grow without bound at r = 0, 1 and 0, so the
+    # largest valid value would sit at the edge of the mask: no sup, no
+    # radius for it and no drift are reported
+    r0 = {2: 0.0, 3: 1.0, 4: 0.0}[k]
+    near = _density_route(k)(r0 + np.array([1e-2, 1e-4, 1e-6]))
+    assert np.all(np.diff(near) > 0.0) and near[-1] > 2.0 * near[0]
+    env = run_to_file(tmp_path, "d.json", ["density", "--k", str(k),
+                                           "--verify"])
+    assert env["payload"]["sup"] is None
+    assert env["payload"]["arg_sup"] is None
+    assert env["oracle"]["sup_drift_on_doubling"] is None
+    direct = auto_density(k)
+    assert direct.sup() is None and direct.arg_sup() is None
+
+
 def test_tensor_cutoff_mismatch_is_config_error(tmp_path, capsys):
     path = tmp_path / "t.b6t"
     build_tensor(1).save(path)
@@ -369,6 +387,33 @@ def test_tensor_build_writes_loadable_cache(tmp_path):
     assert env["oracle"]["spot_refine_drift"] < 1e-8
 
 
+def test_tensor_build_defaults_to_a_cache_in_the_working_directory(
+        tmp_path, monkeypatch):
+    # without --tensor the cache is tensor_n{n}.b6t in the working
+    # directory, and config records that path
+    monkeypatch.chdir(tmp_path)
+    assert main(["tensor-build", "--n", "2", "--out", "t.json"]) == 0
+    env = json.loads((tmp_path / "t.json").read_text())
+    assert env["config"]["tensor"] == "tensor_n2.b6t"
+    assert BesselTensor.load(tmp_path / "tensor_n2.b6t").N == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json",
+                                                          "tensor_n2.b6t"]
+
+
+def test_main_without_out_writes_the_envelope_to_stdout(tmp_path, monkeypatch,
+                                                         capsys):
+    # the validated envelope goes to stdout, and no file is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["density", "--k", "2", "--n-points", "11"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    validate_envelope(env)
+    assert env["command"] == "density"
+    direct = auto_density(2, 11)
+    assert env["payload"]["values"] == [
+        float(v) if ok else None for v, ok in zip(direct.values, direct.valid)]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _run_subprocess(args, env=None):
     src = str(Path(tscircle.bessel.__file__).resolve().parents[1])
     env = {**os.environ, **(env or {})}
@@ -402,6 +447,26 @@ def test_mu5_payload_does_not_depend_on_blas_threads(name, tmp_path):
         payloads.append(json.dumps(json.loads(path.read_text())["payload"],
                                    sort_keys=True))
     assert payloads[0] == payloads[1]
+
+
+def test_tensor_route_does_not_depend_on_blas_threads(tensor8, tmp_path):
+    # the contraction sums with bincount alone, no matrix product, and at
+    # N = 8 the polar sides of the oracles round alike too: payloads and
+    # oracles read the same under one and two BLAS threads
+    cache = tmp_path / "n8.b6t"
+    tensor8.save(cache)
+    for name in ("functional", "el-residual"):
+        envs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"{name}{threads}.json"
+            _run_subprocess(["-m", "tscircle.cli", name, "--n", "8",
+                             "--tensor", str(cache), "--verify",
+                             "--out", str(path)],
+                            env={"OPENBLAS_NUM_THREADS": threads})
+            env = json.loads(path.read_text())
+            envs.append(json.dumps([env["payload"], env["oracle"]],
+                                   sort_keys=True))
+        assert envs[0] == envs[1], name
 
 
 def _recursive_jsonable(x):

@@ -26,19 +26,20 @@ rows allocates their new height once and fills it block by block, so its
 peak stays near the rows it keeps (it was twice that while each 64-order
 block was appended by a copy).
 
-The tensor route's per-row bookkeeping is held in compact integers (orders
+The tensor route's row bookkeeping is held in compact integers (orders
 and magnitudes in int8, sums in int16, pair indices in int32) and each
 array is freed after its last use: the N = 8 contraction that `functional
 --tensor` runs, modes |m| <= 8 of Q(f, f, f, f~, f~), peaked at 14.1 MB
-warm with int64 bookkeeping and a stored bin array, and peaks at 3.89 MB.
-Its bound is 10% above that.
+warm with int64 bookkeeping and a stored bin array, and at 3.89 MB with
+compact integers and per-row bins over the rows sorted by their sum.  It
+now sums each (sum, class) pair's rows once and bins pairs, not rows, and
+peaks at 3.29 MB.  Its bound stays 10% above 3.89 MB.
 
-A mu_5 profile's Hankel heads run on two lanes, the calling thread and one
-helper, each forming its J_0 samples in a buffer of 128 radii that the
-calling thread allocates: auto_density(5) at 801 points peaked at 2.43 MB
-warm on one lane, and peaks at 3.79 MB on two, the helper's 1.18 MB buffer
-alive while the calling thread forms the tails.  Its bound is 10% above the
-two-lane peak, below twice the one-lane peak.
+A mu_4 or mu_5 profile is a radial convolution, 100 radii at a time, each
+block's quadrature pieces the rows of one array, on the calling thread
+alone: auto_density(5) at 801 points peaks at 3.40 MB warm.  Its bound
+stays 10% above 3.79 MB, the peak of the Hankel-transform route that the
+convolution replaced, which ran its heads on two threads.
 """
 
 import os

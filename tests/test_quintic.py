@@ -69,20 +69,24 @@ def test_tensor_and_polar_routes_agree(tensor8):
         assert np.max(np.abs(qt.coeffs - qp.coeffs)) < 1e-10 * scale
 
 
-def convolve_per_tuple(fs, tensor):
-    # the tensor route with one sorted, encoded and searched key per
-    # ordered tuple (n1..n5, m), signs and accumulation as in the library
+def per_tuple_rows(fs):
+    # the rows n2..n5 of the inner sum, each with its coefficient product
     Ns = [f.N for f in fs]
-    M = sum(Ns)
     grids = np.meshgrid(*(np.arange(-N, N + 1) for N in Ns[1:]), indexing="ij")
     n2345 = np.stack([g.ravel() for g in grids], axis=1)
     cc = np.ones(n2345.shape[0], dtype=np.complex128)
     for j in range(4):
         cc = cc * fs[j + 1].coeffs[n2345[:, j] + Ns[j + 1]]
+    return n2345, cc
+
+
+def per_tuple_lookups(fs, tensor, n2345):
+    # one sorted, encoded and searched key and one sign per ordered tuple
+    # (n1..n5, m): per n1, each row's mode m, table position and sign
+    N1 = fs[0].N
     s2345 = n2345.sum(axis=1)
     odd2345 = ((n2345 < 0) & (n2345 % 2 != 0)).sum(axis=1)
-    out = np.zeros(2 * M + 1, dtype=np.complex128)
-    for n1 in range(-Ns[0], Ns[0] + 1):
+    for n1 in range(-N1, N1 + 1):
         m = n1 + s2345
         keys = np.empty((n2345.shape[0], 6), dtype=np.int64)
         keys[:, 0] = abs(n1)
@@ -95,7 +99,48 @@ def convolve_per_tuple(fs, tensor):
         odd = odd2345 + ((m < 0) & (m % 2 != 0))
         if n1 < 0 and n1 % 2 != 0:
             odd = odd + 1
-        sign = np.where(odd % 2 == 0, 1.0, -1.0)
+        yield n1, m, pos, np.where(odd % 2 == 0, 1.0, -1.0)
+
+
+def convolve_per_tuple(fs, tensor):
+    # the tensor route from per-tuple keys and signs, accumulated in the
+    # library's order: each (s, class) pair's coefficient products summed
+    # once in row order, then per n1 one term per pair in (s, class) order
+    Ns = [f.N for f in fs]
+    M = sum(Ns)
+    n2345, cc = per_tuple_rows(fs)
+    _, first, pair = np.unique(
+        np.column_stack([n2345.sum(axis=1), np.sort(np.abs(n2345), axis=1)]),
+        axis=0, return_index=True, return_inverse=True)
+    pair = pair.ravel()
+    B = np.empty(first.size, dtype=np.complex128)
+    B.real = np.bincount(pair, weights=cc.real)
+    B.imag = np.bincount(pair, weights=cc.imag)
+    out = np.zeros(2 * M + 1, dtype=np.complex128)
+    # the library folds the parity signs of n2..n5 into the coefficients;
+    # here each tuple's whole sign rides on its pair's value, which moves no
+    # bit, as negation commutes with rounding
+    for n1, m, pos, sign in per_tuple_lookups(fs, tensor, n2345):
+        # every tuple of a pair resolves to one key and one sign
+        assert np.array_equal(pos, pos[first][pair])
+        assert np.array_equal(sign, sign[first][pair])
+        value = sign[first] * tensor.values[pos[first]]
+        w = (fs[0].coeffs[n1 + Ns[0]] * value) * B
+        out.real += np.bincount(m[first] + M, weights=w.real,
+                                minlength=2 * M + 1)
+        out.imag += np.bincount(m[first] + M, weights=w.imag,
+                                minlength=2 * M + 1)
+    return out * TAU ** 4
+
+
+def convolve_per_tuple_rowwise(fs, tensor):
+    # the same keys and signs, each tuple's term summed on its own in row
+    # order: the same sum in another order
+    Ns = [f.N for f in fs]
+    M = sum(Ns)
+    n2345, cc = per_tuple_rows(fs)
+    out = np.zeros(2 * M + 1, dtype=np.complex128)
+    for n1, m, pos, sign in per_tuple_lookups(fs, tensor, n2345):
         w = fs[0].coeffs[n1 + Ns[0]] * cc * sign * tensor.values[pos]
         out.real += np.bincount(m + M, weights=w.real, minlength=2 * M + 1)
         out.imag += np.bincount(m + M, weights=w.imag, minlength=2 * M + 1)
@@ -105,16 +150,13 @@ def convolve_per_tuple(fs, tensor):
 def test_tensor_route_is_the_per_tuple_contraction(tensor8):
     # resolving each (class, sum) pair once, in one batched lookup with the
     # parity signs folded in, changes no bit of the result, zero-bandwidth
-    # slots at either end included
-    cases = [five_random(8, 10 * seed) for seed in range(3)]
-    for base, Ns in ((60, (8, 2, 0, 5, 3)), (100, (0, 8, 3, 0, 5)),
-                     (110, (5, 0, 0, 0, 8))):
-        cases.append([random_function(N, seed=base + i, decay=0.8)
-                      for i, N in enumerate(Ns)])
-    cases.append(five_random(3, 80))
-    for fs in cases:
+    # slots at either end included; summed tuple by tuple instead, it moves
+    # at rounding only
+    for fs in per_tuple_cases():
         got = quintic_convolve(fs, tensor=tensor8).coeffs
         assert np.array_equal(got, convolve_per_tuple(fs, tensor8))
+        rowwise = convolve_per_tuple_rowwise(fs, tensor8)
+        assert np.max(np.abs(got - rowwise)) <= 1e-13 * np.max(np.abs(got))
 
 
 def per_tuple_cases():
